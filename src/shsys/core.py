@@ -15,6 +15,7 @@ exceed a tolerance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,10 +29,13 @@ PD_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class MatrixField:
-    """An m x m matrix-valued function of a space-time point x and state u.
+    """An m x m matrix-valued function of space-time points x and states u.
 
-    ``const`` is set for matrices that do not depend on (x, u); steppers and
-    samplers use it to evaluate once instead of per cell.
+    ``fn`` is batched: x of shape (..., n+1) and u of shape (..., m) give
+    (..., m, m), one matrix per point; a single point is the empty batch.
+    ``const`` is set for matrices that do not depend on (x, u); the field
+    then returns that one (m, m) matrix for any batch, so evaluators apply
+    it to a whole grid at once.
     """
 
     m: int
@@ -43,21 +47,25 @@ class MatrixField:
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"constant matrix must be square, got shape {mat.shape}")
-        return cls(m=mat.shape[0], fn=lambda x, u: mat, const=mat)
+        return cls(m=mat.shape[0], const=mat, fn=lambda x, u: np.broadcast_to(
+            mat, np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1]) + mat.shape))
 
     @classmethod
     def of_state(cls, m: int, fn: Callable[[np.ndarray], np.ndarray]) -> "MatrixField":
-        """Wrap a matrix function of the state alone."""
+        """Wrap a batched matrix function of the state alone."""
         return cls(m=m, fn=lambda x, u: fn(u))
 
     def __call__(self, x, u) -> np.ndarray:
         if self.const is not None:
             return self.const
-        mat = np.asarray(self.fn(np.asarray(x, dtype=float),
-                                 np.asarray(u, dtype=float)), dtype=float)
-        if mat.shape != (self.m, self.m):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        mat = np.asarray(self.fn(x, u), dtype=float)
+        expected = np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (self.m, self.m)
+        if mat.shape != expected:
             raise ValueError(
-                f"matrix field returned shape {mat.shape}, expected {(self.m, self.m)}")
+                f"matrix field returned shape {mat.shape}, expected (..., m, m) = "
+                f"{expected}: fn must evaluate every point of the batch")
         return mat
 
 
@@ -65,8 +73,10 @@ class MatrixField:
 class SystemDef:
     """Quasi-linear system: coeff[alpha] multiplies d_alpha u, alpha = 0..n.
 
-    ``direction`` is the covector k (default: the time direction) against
-    which hyperbolicity is tested.  ``state_box`` is optional (lo, hi)
+    The coefficients and the symmetrizer are MatrixFields; ``source`` is
+    N(x, u), batched like them: x of shape (..., n+1) and u of shape
+    (..., m) give (..., m).  ``direction`` is the covector k (default: the
+    time direction) against which hyperbolicity is tested.  ``state_box`` is optional (lo, hi)
     metadata delimiting the admissible states; time steppers abort when a
     state leaves it.
     """
@@ -145,6 +155,11 @@ def _asymmetry(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
 
 
+def _sym_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2 of a matrix or of every matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
 def positive_definite(mat, tol: Optional[float] = None, sym_tol: Optional[float] = None) -> bool:
     """True iff the triangular factorization of (mat + mat^T)/2 succeeds
     with all pivots > tol.
@@ -160,7 +175,7 @@ def positive_definite(mat, tol: Optional[float] = None, sym_tol: Optional[float]
     allowed = SYMMETRY_RTOL * scale if sym_tol is None else sym_tol
     if _asymmetry(a) > allowed:
         raise ValueError("matrix is not symmetric within tolerance")
-    s = 0.5 * (a + a.T)
+    s = _sym_part(a)
     if tol is None:
         tol = PD_RTOL * max(1.0, float(np.max(np.diag(s))) if s.size else 1.0)
     return bool(np.all(ldlt_pivots(s) > tol))
@@ -220,8 +235,7 @@ def is_sh(sys: SystemDef, samples: Sequence, sym_tol: Optional[float] = None,
                     failing = (x, u)
                     reason = f"sigma*M^{alpha} asymmetric by {asym:.3e}"
         if direction_pd:
-            d = sum(sys.direction[alpha] * mats[alpha] for alpha in range(sys.n + 1))
-            d = 0.5 * (d + d.T)
+            d = _sym_part(sum(sys.direction[alpha] * mats[alpha] for alpha in range(sys.n + 1)))
             if not positive_definite(d, tol=pd_tol):
                 direction_pd = False
                 if failing is None:
@@ -240,34 +254,45 @@ def direction_matrix(sys: SystemDef, x, u) -> np.ndarray:
                for alpha in range(sys.n + 1))
 
 
+def unit_normals(n: int) -> np.ndarray:
+    """The n axis directions, then the 2^(n-1) diagonals with a positive
+    first component, as rows; with their negatives they are every axis and
+    diagonal direction."""
+    diag = [(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=n - 1)] if n > 1 else []
+    return np.concatenate([np.eye(n), np.array(diag).reshape(-1, n) / np.sqrt(n)])
+
+
 def characteristic_speeds(sys: SystemDef, x, u, normal) -> np.ndarray:
     """Generalized eigenvalues lambda of (sum_j normal_j S^j) w = lambda S^0 w
     with S^alpha = sigma M^alpha, sorted ascending.
 
+    Batched: x of shape (..., n+1) and u of shape (..., m) give (..., m).
     Computed by reducing with a triangular factor of S^0, which must be
     positive definite.
     """
-    x, u = _check_sample(sys, x, u)
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    if x.shape[-1:] != (sys.n + 1,) or u.shape[-1:] != (sys.m,):
+        raise ValueError(f"points must have length n+1 = {sys.n + 1}, states m = {sys.m}")
     normal = np.asarray(normal, dtype=float)
     if normal.shape != (sys.n,):
         raise ValueError(f"normal must have length n = {sys.n}")
     sig = sys.sigma(x, u)
-    s0 = sig @ sys.coeff[0](x, u)
-    s0 = 0.5 * (s0 + s0.T)
-    a = sum(normal[j] * (sig @ sys.coeff[j + 1](x, u)) for j in range(sys.n))
-    a = 0.5 * (a + a.T)
-    return generalized_eigenvalues(a, s0)
+    s0 = _sym_part(sig @ sys.coeff[0](x, u))
+    a = _sym_part(sum(normal[j] * (sig @ sys.coeff[j + 1](x, u)) for j in range(sys.n)))
+    speeds = generalized_eigenvalues(a, s0)
+    return np.broadcast_to(speeds, np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (sys.m,))
 
 
 def generalized_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a w = lambda b w for symmetric a and PD b, ascending."""
+    """Eigenvalues of a w = lambda b w for symmetric a and PD b, ascending;
+    stacks of matrices give stacks of eigenvalues."""
     try:
         chol = np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:
         raise ValueError("time-direction matrix is not positive definite") from exc
     y = np.linalg.solve(chol, a)
-    reduced = np.linalg.solve(chol, y.T).T
-    return np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+    reduced = np.swapaxes(np.linalg.solve(chol, np.swapaxes(y, -1, -2)), -1, -2)
+    return np.linalg.eigvalsh(_sym_part(reduced))
 
 
 def sample_box(lo, hi, per_axis: int = 3) -> np.ndarray:

@@ -21,13 +21,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fd
-from .core import (MatrixField, generalized_eigenvalues, ldlt_pivots,
-                   positive_definite)
+from .core import (MatrixField, _asymmetry, _sym_part, generalized_eigenvalues,
+                   ldlt_pivots, positive_definite, unit_normals)
 from .grid import GridField
 
 
 def _coeff_callable(c, m):
-    """Normalize a coefficient given as an array or a callable (t, x) -> matrix."""
+    """Normalize a coefficient given as an array or a batched callable
+    (t, x) -> (..., m, m)."""
     if c is None:
         return None, None
     if callable(c):
@@ -35,16 +36,29 @@ def _coeff_callable(c, m):
     mat = np.asarray(c, dtype=float)
     if mat.shape != (m, m):
         raise ValueError(f"coefficient must be {m} x {m}, got {mat.shape}")
-    return (lambda t, x: mat), mat
+    return (lambda t, x: np.broadcast_to(mat, np.shape(x)[:-1] + mat.shape)), mat
+
+
+def _evaluate(c, t, x, m) -> np.ndarray:
+    """c(t, x) at space points x of shape (..., n): (..., m, m), or one
+    (m, m) matrix for every point; other shapes come from a callable that
+    handles one point only."""
+    mat = np.asarray(c(t, x), dtype=float)
+    expected = np.shape(x)[:-1] + (m, m)
+    if mat.shape not in (expected, (m, m)):
+        raise ValueError(f"coefficient returned shape {mat.shape}, expected (..., m, m) = {expected}")
+    return mat
 
 
 class LinearSystem:
     """Container for Q, A^j, B and the forcing of a linear system.
 
-    Coefficients may be constant matrices or callables of (t, x) with x the
-    space point (length n).  Symmetry of Q and the A^j, and positivity of
-    Q, are verified by sampling at construction when ``check_points`` (a
-    sequence of (t, x) pairs) is provided.
+    Coefficients may be constant matrices or batched callables of (t, x):
+    x of shape (..., n) and t a float or an array of shape (...) give
+    (..., m, m), and the forcing likewise gives (..., m).  Symmetry of Q
+    and the A^j, and positivity of Q, are verified by sampling at
+    construction when ``check_points`` (a sequence of (t, x) pairs) is
+    provided.
     """
 
     def __init__(self, n: int, m: int, q, a: Sequence, b=None, forcing=None,
@@ -78,11 +92,11 @@ class LinearSystem:
             mats = [("Q", self.q(t, x))] + [
                 (f"A^{j + 1}", self.a[j](t, x)) for j in range(self.n)]
             for name, mat in mats:
-                asym = float(np.max(np.abs(mat - mat.T)))
+                asym = _asymmetry(mat)
                 if asym > sym_tol * max(1.0, float(np.max(np.abs(mat)))):
                     raise ValueError(f"{name} asymmetric by {asym:.3e} at t={t}, x={x}")
             min_pivot = min(min_pivot, float(np.min(ldlt_pivots(
-                0.5 * (mats[0][1] + mats[0][1].T)))))
+                _sym_part(mats[0][1])))))
         if min_pivot <= c_min:
             raise ValueError(f"Q has min pivot {min_pivot:.3e} <= {c_min}")
         return min_pivot
@@ -94,7 +108,7 @@ class LinearSystem:
         def wrap(c, const):
             if const is not None:
                 return MatrixField.constant(const)
-            return MatrixField(self.m, lambda xst, u, c=c: c(xst[0], xst[1:]))
+            return MatrixField(self.m, lambda xst, u, c=c: c(xst[..., 0], xst[..., 1:]))
 
         coeff = [wrap(self.q, self.q_const)] + [
             wrap(self.a[j], self.a_const[j]) for j in range(self.n)]
@@ -102,11 +116,12 @@ class LinearSystem:
         source = None
         if self.b is not None or self.forcing is not None:
             def source(xst, u):
-                out = np.zeros(self.m)
+                t, x = xst[..., 0], xst[..., 1:]
+                out = np.zeros(np.shape(u))
                 if self.forcing is not None:
-                    out += np.asarray(self.forcing(xst[0], xst[1:]), dtype=float)
+                    out += np.asarray(self.forcing(t, x), dtype=float)
                 if self.b is not None:
-                    out -= self.b(xst[0], xst[1:]) @ u
+                    out -= np.matmul(self.b(t, x), u[..., None])[..., 0]
                 return out
 
         return SystemDef(n=self.n, m=self.m, coeff=tuple(coeff), source=source)
@@ -115,18 +130,18 @@ class LinearSystem:
 def energy(field: GridField, q, t: float = 0.0) -> float:
     """Integral of u^T Q u over the grid (cell sum times cell volume).
 
-    ``q`` is a constant matrix or a callable (t, x) -> matrix.  The
-    reduction is numpy's fixed-topology pairwise sum over lexicographic
-    cell order, so repeated runs are bit-identical.
+    ``q`` is a constant matrix or a batched callable (t, x) -> (..., m, m),
+    called once with the (cells, n) array of cell centers; a returned
+    (m, m) matrix broadcasts over the cells.  The reduction is numpy's
+    fixed-topology pairwise sum over lexicographic cell order, so repeated
+    runs are bit-identical.
     """
     if not field.is_finite():
         raise ValueError(f"non-finite field value at cell {field.first_nonfinite()}")
     u = field.data.reshape(-1, field.m)
     if callable(q):
-        coords = field.coords().reshape(-1, field.n)
-        dens = np.empty(u.shape[0])
-        for i in range(u.shape[0]):
-            dens[i] = u[i] @ np.asarray(q(t, coords[i]), dtype=float) @ u[i]
+        mat = _evaluate(q, t, field.coords().reshape(-1, field.n), field.m)
+        dens = np.einsum("ca,cab,cb->c", u, np.broadcast_to(mat, u.shape + (field.m,)), u)
     else:
         mat = np.asarray(q, dtype=float)
         dens = np.einsum("ca,ab,cb->c", u, mat, u)
@@ -174,11 +189,10 @@ def damping_lambda(sys: LinearSystem, samples, bisect_tol: float = 1e-6) -> Damp
     mats = []
     for t, x in samples:
         x = np.asarray(x, dtype=float)
-        qm = np.asarray(sys.q(t, x), dtype=float)
-        if not positive_definite(0.5 * (qm + qm.T)):
+        qm = _sym_part(np.asarray(sys.q(t, x), dtype=float))
+        if not positive_definite(qm):
             raise ValueError(f"Q not positive definite at t={t}, x={x}")
-        cm = c_matrix(sys, t, x)
-        mats.append((0.5 * (cm + cm.T), 0.5 * (qm + qm.T)))
+        mats.append((_sym_part(c_matrix(sys, t, x)), qm))
 
     def pd_at(lam):
         return all(positive_definite(c + 2.0 * lam * q) for c, q in mats)
@@ -202,43 +216,24 @@ def damping_lambda(sys: LinearSystem, samples, bisect_tol: float = 1e-6) -> Damp
     return DampingResult(hi, marginal=False)
 
 
-def _normal_set(n: int) -> np.ndarray:
-    axis = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        axis.extend([e, -e])
-    diag = []
-    for signs in np.ndindex(*(2,) * n):
-        v = np.array([1.0 if s == 0 else -1.0 for s in signs]) / np.sqrt(n)
-        diag.append(v)
-    return np.array(axis + diag)
-
-
 def cone_slope(sys: LinearSystem, grid: GridField, t: float = 0.0) -> float:
     """Sampled bound on the propagation speed: the largest generalized
     eigenvalue of (sum_j nu_j A^j, Q) over grid points and unit normals nu
-    (the 2n axis directions plus the 2^n diagonals).
+    (plus and minus ``unit_normals``: the 2n axis directions and the 2^n
+    diagonals).  Constant coefficients are evaluated at one point.
 
     Finitely many normals give a lower bound on the true maximum over all
     directions; callers testing support should inflate by a small safety
     factor (the CLI uses 1.01).
     """
-    normals = _normal_set(sys.n)
-    if sys.constant_coefficients:
-        points = [np.zeros(sys.n)]
-    else:
-        points = grid.coords().reshape(-1, grid.n)
+    normals = unit_normals(sys.n)
+    x = np.zeros(sys.n) if sys.constant_coefficients else grid.coords().reshape(-1, grid.n)
+    qm = _sym_part(_evaluate(sys.q, t, x, sys.m))
+    amats = [_evaluate(a_j, t, x, sys.m) for a_j in sys.a]
     worst = 0.0
-    for x in points:
-        qm = np.asarray(sys.q(t, np.asarray(x, dtype=float)), dtype=float)
-        qm = 0.5 * (qm + qm.T)
-        amats = [np.asarray(sys.a[j](t, np.asarray(x, dtype=float)), dtype=float)
-                 for j in range(sys.n)]
-        for nu in normals:
-            a = sum(nu[j] * amats[j] for j in range(sys.n))
-            a = 0.5 * (a + a.T)
-            worst = max(worst, float(np.max(generalized_eigenvalues(a, qm))))
+    for nu in np.concatenate([normals, -normals]):
+        a = _sym_part(sum(nu[j] * amats[j] for j in range(sys.n)))
+        worst = max(worst, float(np.max(generalized_eigenvalues(a, qm))))
     return worst
 
 

@@ -22,8 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .core import (MatrixField, SystemDef, is_sh, positive_definite,
-                   sample_box)
+from .core import (MatrixField, SystemDef, _asymmetry, is_sh,
+                   positive_definite, sample_box)
 
 
 class ConvergenceError(RuntimeError):
@@ -207,6 +207,8 @@ def hessian_symmetrizer(law: ConservationLaw, pair: EntropyPair,
     verdict comes from the SH check of the quasi-linear form
     M^0 = sigma, M^j = sigma . df^j/du over the samples (defaults to a
     tensor grid on the state box).  Convexity failure at a sample raises.
+    The entropy and flux-Jacobian callables take one state at a time, so
+    sigma and the coefficients evaluate single points only.
     """
     states = (sample_box(*law.state_box, per_axis=per_axis)
               if samples is None else _as_states(law, samples))
@@ -268,7 +270,7 @@ def conservative_symmetry_check(law: ConservationLaw, samples,
         ok = True
         for u in states:
             jac = law.jacobian(j, u)
-            if float(np.max(np.abs(jac - jac.T))) > tol * max(1.0, float(np.max(np.abs(jac)))):
+            if _asymmetry(jac) > tol * max(1.0, float(np.max(np.abs(jac)))):
                 ok = False
                 break
         out.append(ok)

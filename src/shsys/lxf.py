@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import SystemDef, characteristic_speeds
+from .core import SystemDef, characteristic_speeds, unit_normals
 from .entropy import ConservationLaw
 from .grid import GridField, centered_diff, shifted
 
@@ -79,46 +79,39 @@ def _uniform_h(state: GridField) -> float:
     return state.h[0]
 
 
-def _normals(n: int) -> list:
-    out = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        out.append(e)
-    if n > 1:
-        for signs in np.ndindex(*(2,) * (n - 1)):
-            v = np.ones(n)
-            v[1:] = [1.0 if s == 0 else -1.0 for s in signs]
-            out.append(v / np.sqrt(n))
-    return out
-
-
 def _sample_cells(field_: GridField, max_samples: int = 512) -> np.ndarray:
     total = int(np.prod(field_.shape))
     stride = max(1, -(-total // max_samples))
     return np.arange(0, total, stride)
 
 
+def _spacetime(t: float, coords: np.ndarray) -> np.ndarray:
+    """Points (t, x) of shape (..., n+1) for space points of shape (..., n)."""
+    return np.concatenate([np.full(coords.shape[:-1] + (1,), t), coords], axis=-1)
+
+
 def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
-    """Largest |characteristic speed| over sampled cells and a finite set
-    of unit normals (axes plus diagonals)."""
-    coords = state.coords().reshape(-1, state.n)
-    u_flat = state.data.reshape(-1, state.m)
+    """Largest |characteristic speed| over sampled cells and the unit
+    normals of ``unit_normals`` (axes plus diagonals).  A system whose
+    fields are all constant is evaluated at one cell."""
     idx = _sample_cells(state)
+    u = state.data.reshape(-1, state.m)[idx]
+    normals = unit_normals(system.n)
     worst = 0.0
     if isinstance(system, ConservationLaw):
-        for i in idx:
-            u = u_flat[i]
-            jacs = [system.jacobian(j, u) for j in range(system.n)]
-            for nu in _normals(system.n):
+        for u_i in u:
+            jacs = [system.jacobian(j, u_i) for j in range(system.n)]
+            for nu in normals:
                 a = sum(nu[j] * jacs[j] for j in range(system.n))
                 worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(a)))))
-    else:
-        for i in idx:
-            x_st = np.concatenate(([t], coords[i]))
-            for nu in _normals(system.n):
-                speeds = characteristic_speeds(system, x_st, u_flat[i], nu)
-                worst = max(worst, float(np.max(np.abs(speeds))))
+        return worst
+    x = _spacetime(t, state.coords().reshape(-1, state.n)[idx])
+    fields = (*system.coeff, system.symmetrizer)
+    if all(f is None or f.const is not None for f in fields):
+        x, u = x[:1], u[:1]
+    for nu in normals:
+        speeds = characteristic_speeds(system, x, u, nu)
+        worst = max(worst, float(np.max(np.abs(speeds))))
     return worst
 
 
@@ -134,53 +127,38 @@ def lxf_average(state: GridField) -> np.ndarray:
 def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
     """RHS evaluator M0^-1 [N - M^j D_j u] for a quasi-linear system.
 
-    Constant coefficient matrices are applied vectorized over the grid;
-    state- or position-dependent ones fall back to a per-cell loop with a
-    dense factorization of M0 in every cell.
+    Every coefficient and the source are evaluated once per call on the
+    whole grid (the batched contract of SystemDef).  A constant field is
+    one (m, m) matrix applied to all cells in one contraction or one
+    factorization; a (..., m, m) field is applied by stacked products and
+    solves.  The cell coordinates are built only when some field or the
+    source needs them, and an identity M0 skips the solve.
     """
-    const = all(c.const is not None for c in sys.coeff)
-
-    def source_array(t, state):
-        if sys.source is None:
-            return np.zeros_like(state.data)
-        coords = state.coords()
-        out = np.empty_like(state.data)
-        for idx in np.ndindex(*state.shape):
-            x_st = np.concatenate(([t], coords[idx]))
-            out[idx] = np.asarray(sys.source(x_st, state.data[idx]), dtype=float)
-        return out
-
-    if const:
-        m0 = sys.coeff[0].const
-        mjs = [sys.coeff[j + 1].const for j in range(sys.n)]
-        m0_is_identity = np.array_equal(m0, np.eye(sys.m))
-
-        def rhs(t, state):
-            target = source_array(t, state)
-            for j in range(sys.n):
-                du = centered_diff(state, j)
-                target -= np.einsum("AB,...B->...A", mjs[j], du)
-            if m0_is_identity:
-                return target
-            flat = target.reshape(-1, sys.m)
-            solved = np.linalg.solve(m0, flat.T).T
-            return solved.reshape(state.data.shape)
-
-        return rhs
+    m0_const = sys.coeff[0].const
+    m0_is_identity = m0_const is not None and np.array_equal(m0_const, np.eye(sys.m))
+    needs_x = sys.source is not None or any(c.const is None for c in sys.coeff)
 
     def rhs(t, state):
-        coords = state.coords()
-        dus = [centered_diff(state, j) for j in range(sys.n)]
-        out = np.empty_like(state.data)
-        for idx in np.ndindex(*state.shape):
-            x_st = np.concatenate(([t], coords[idx]))
-            u = state.data[idx]
-            target = (np.asarray(sys.source(x_st, u), dtype=float)
-                      if sys.source is not None else np.zeros(sys.m))
-            for j in range(sys.n):
-                target = target - sys.coeff[j + 1](x_st, u) @ dus[j][idx]
-            out[idx] = np.linalg.solve(sys.coeff[0](x_st, u), target)
-        return out
+        u = state.data
+        x = _spacetime(t, state.coords()) if needs_x else None
+        if sys.source is None:
+            target = np.zeros_like(u)
+        else:
+            target = np.array(sys.source(x, u), dtype=float)
+            if target.shape != u.shape:
+                raise ValueError(
+                    f"source returned shape {target.shape}, expected (..., m) = "
+                    f"{u.shape}: it must evaluate every point of the batch")
+        for j in range(sys.n):
+            mj, du = sys.coeff[j + 1](x, u), centered_diff(state, j)
+            target -= (np.einsum("AB,...B->...A", mj, du) if mj.ndim == 2
+                       else np.matmul(mj, du[..., None])[..., 0])
+        if m0_is_identity:
+            return target
+        m0 = sys.coeff[0](x, u)
+        if m0.ndim == 2:
+            return np.linalg.solve(m0, target.reshape(-1, sys.m).T).T.reshape(u.shape)
+        return np.linalg.solve(m0, target[..., None])[..., 0]
 
     return rhs
 

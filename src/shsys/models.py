@@ -19,6 +19,7 @@ Shipped models (CLI names in parentheses):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,14 +91,13 @@ def advection_law(speed: float, state_box=(-3.0, 3.0)):
 # ---------------------------------------------------------------------------
 # wave equation reduction
 
-def _as_field_of_x(value, shape_check=None):
-    """Accept a constant array or a callable of the space point."""
+def _as_field_of_x(value):
+    """Accept a constant array or a batched callable of space points x of
+    shape (..., n); a constant is broadcast over the batch."""
     if callable(value):
         return value, None
     arr = np.asarray(value, dtype=float)
-    if shape_check is not None and arr.shape != shape_check:
-        raise ValueError(f"expected shape {shape_check}, got {arr.shape}")
-    return (lambda x: arr), arr
+    return (lambda x: np.broadcast_to(arr, np.shape(x)[:-1] + arr.shape)), arr
 
 
 def wave_system(a_j, a_jk, forcing=None, n=None):
@@ -111,8 +111,10 @@ def wave_system(a_j, a_jk, forcing=None, n=None):
 
     with the quadratic-form symmetrizer diag(1, a^jk, 1).  Returns the
     system and the monitor || v_j - D_j v_0 || (centered differences).
-    ``a_j`` and ``a_jk`` may be constant arrays or callables of x; a
-    constant a^jk must be symmetric positive definite.
+    ``a_j`` and ``a_jk`` may be constant arrays or batched callables of
+    space points x of shape (..., n), returning (..., n) and (..., n, n);
+    ``forcing`` is a batched callable (t, x) -> (...).  A constant a^jk
+    must be symmetric positive definite.
     """
     aj_fn, aj_const = _as_field_of_x(a_j)
     ajk_fn, ajk_const = _as_field_of_x(a_jk)
@@ -131,16 +133,16 @@ def wave_system(a_j, a_jk, forcing=None, n=None):
             raise ValueError("a_jk must be symmetric positive definite")
 
     def mj_at(ajv, ajkv, j):
-        mat = np.zeros((m, m))
-        for kk in range(n):
-            mat[1 + kk, n + 1] = -1.0 if kk == j else 0.0
-            mat[n + 1, 1 + kk] = -ajkv[kk, j]
-        mat[n + 1, n + 1] = 2.0 * ajv[j]
+        mat = np.zeros(ajv.shape[:-1] + (m, m))
+        mat[..., 1 + j, n + 1] = -1.0
+        mat[..., n + 1, 1:n + 1] = -ajkv[..., :, j]
+        mat[..., n + 1, n + 1] = 2.0 * ajv[..., j]
         return mat
 
     def sigma_at(ajkv):
-        s = np.eye(m)
-        s[1:n + 1, 1:n + 1] = ajkv
+        s = np.zeros(ajkv.shape[:-2] + (m, m))
+        s[..., 0, 0] = s[..., n + 1, n + 1] = 1.0
+        s[..., 1:n + 1, 1:n + 1] = ajkv
         return s
 
     if aj_const is not None and ajk_const is not None:
@@ -150,23 +152,18 @@ def wave_system(a_j, a_jk, forcing=None, n=None):
     else:
         coeff = [MatrixField.constant(np.eye(m))] + [
             MatrixField(m, lambda xst, u, j=j: mj_at(
-                np.asarray(aj_fn(xst[1:]), dtype=float),
-                np.asarray(ajk_fn(xst[1:]), dtype=float), j))
+                np.asarray(aj_fn(xst[..., 1:]), dtype=float),
+                np.asarray(ajk_fn(xst[..., 1:]), dtype=float), j))
             for j in range(n)]
         sigma = MatrixField(m, lambda xst, u: sigma_at(
-            np.asarray(ajk_fn(xst[1:]), dtype=float)))
+            np.asarray(ajk_fn(xst[..., 1:]), dtype=float)))
 
-    if forcing is None:
-        def source(xst, u):
-            out = np.zeros(m)
-            out[0] = u[n + 1]
-            return out
-    else:
-        def source(xst, u):
-            out = np.zeros(m)
-            out[0] = u[n + 1]
-            out[n + 1] = float(forcing(xst[0], xst[1:]))
-            return out
+    def source(xst, u):
+        out = np.zeros(np.shape(u))
+        out[..., 0] = u[..., n + 1]
+        if forcing is not None:
+            out[..., n + 1] = forcing(xst[..., 0], xst[..., 1:])
+        return out
 
     sys = SystemDef(n=n, m=m, coeff=tuple(coeff), source=source,
                     symmetrizer=sigma)
@@ -194,8 +191,9 @@ def maxwell_system(rho=None, current=None):
     """The six evolution equations d_t E = curl B - j, d_t B = -curl E as
     a symmetric system with identity symmetrizer (unknowns E1..E3, B1..B3),
     plus the monitors ||div E - rho|| and ||div B|| (centered-difference
-    divergence).  ``rho`` and ``current`` are callables of the space point
-    (or constants, or None for vacuum)."""
+    divergence).  ``rho`` and ``current`` are batched callables of space
+    points x of shape (..., 3), returning (...) and (..., 3) (or constants,
+    or None for vacuum)."""
     m = 6
     coeff = [MatrixField.constant(np.eye(m))]
     for j in range(3):
@@ -211,8 +209,8 @@ def maxwell_system(rho=None, current=None):
         cur_fn = current if callable(current) else (lambda x, c=np.asarray(current, dtype=float): c)
 
         def source(xst, u):
-            out = np.zeros(m)
-            out[:3] = -np.asarray(cur_fn(xst[1:]), dtype=float)
+            out = np.zeros(np.shape(u))
+            out[..., :3] = -np.asarray(cur_fn(xst[..., 1:]), dtype=float)
             return out
 
     sys = SystemDef(n=3, m=m, coeff=tuple(coeff), source=source)
@@ -221,12 +219,7 @@ def maxwell_system(rho=None, current=None):
         return sum(centered_diff(field, axis, field.data[..., offset + axis])
                    for axis in range(3))
 
-    if rho is None:
-        rho_fn = lambda coords: 0.0
-    elif callable(rho):
-        rho_fn = lambda coords: np.apply_along_axis(rho, -1, coords)
-    else:
-        rho_fn = lambda coords, r=float(rho): r
+    rho_fn = rho if callable(rho) else (lambda coords, r=float(rho or 0.0): r)
 
     def div_e_residual(field: GridField) -> float:
         mask = interior_mask(field)
@@ -243,6 +236,12 @@ def maxwell_system(rho=None, current=None):
 # ---------------------------------------------------------------------------
 # polytropic Euler
 
+# p^(1/gamma) element by element through the C library's pow: numpy's array
+# power takes a SIMD route that differs from it in the last bit for some
+# pressures, and results must not depend on how many cells share a call.
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
+
+
 def euler_polytropic_sh(gamma: float, n: int = 1) -> SystemDef:
     """Polytropic gas in (p, v) unknowns, p = rho^gamma with unit
     reference constant:
@@ -256,24 +255,25 @@ def euler_polytropic_sh(gamma: float, n: int = 1) -> SystemDef:
     if gamma <= 1:
         raise ValueError("gamma must exceed 1")
     m = 1 + n
+    vel = np.arange(1, m)
 
     def rho_of(p):
-        return p ** (1.0 / gamma)
+        return np.asarray(_libm_pow(p, 1.0 / gamma), dtype=float)
 
     def m0(u):
-        p = u[0]
-        return np.diag(np.concatenate([[1.0 / (gamma * p)],
-                                       np.full(n, rho_of(p))]))
+        p = u[..., 0]
+        mat = np.zeros(p.shape + (m, m))
+        mat[..., 0, 0] = 1.0 / (gamma * p)
+        mat[..., vel, vel] = rho_of(p)[..., None]
+        return mat
 
     def mj(u, j):
-        p, v = u[0], u[1:]
-        rho = rho_of(p)
-        mat = np.zeros((m, m))
-        mat[0, 0] = v[j] / (gamma * p)
-        mat[0, 1 + j] = 1.0
-        mat[1 + j, 0] = 1.0
-        for i in range(n):
-            mat[1 + i, 1 + i] = rho * v[j]
+        p, v = u[..., 0], u[..., 1 + j]
+        mat = np.zeros(p.shape + (m, m))
+        mat[..., 0, 0] = v / (gamma * p)
+        mat[..., 0, 1 + j] = 1.0
+        mat[..., 1 + j, 0] = 1.0
+        mat[..., vel, vel] = (rho_of(p) * v)[..., None]
         return mat
 
     coeff = [MatrixField.of_state(m, m0)] + [
@@ -373,20 +373,15 @@ def tricomi_system(lam: float, y_bound: float, samples: int = 1001):
     if y_bound < 0:
         raise ValueError("y_bound must be non-negative")
 
-    def a1(pt, u):
-        y = pt[1]
-        return np.array([[y, y], [y, 1.0]])
+    def sym2(p, q, r):
+        """[[p, q], [q, r]] at each point of the batch."""
+        p, q, r = np.broadcast_arrays(p, q, r)
+        return np.stack([np.stack([p, q], -1), np.stack([q, r], -1)], -2)
 
-    def a2(pt, u):
-        y = pt[1]
-        return np.array([[-y, -1.0], [-1.0, -1.0]])
-
-    def bmat(pt, u):
-        y = pt[1]
-        return lam * np.array([[y, y], [y, 1.0]])
-
-    system = TricomiSystem(lam=lam, a1=MatrixField(2, a1),
-                           a2=MatrixField(2, a2), b=MatrixField(2, bmat))
+    a1 = MatrixField(2, lambda pt, u: sym2(pt[..., 1], pt[..., 1], 1.0))
+    system = TricomiSystem(
+        lam=lam, a1=a1, a2=MatrixField(2, lambda pt, u: sym2(-pt[..., 1], -1.0, -1.0)),
+        b=MatrixField(2, lambda pt, u: lam * a1(pt, u)))
 
     ys = np.linspace(-y_bound, y_bound, samples)
     min_pivot = np.inf
@@ -405,7 +400,8 @@ def tricomi_system(lam: float, y_bound: float, samples: int = 1001):
 # analytic (Cauchy-Riemann constrained) systems in one complex variable
 
 def _real_rep(h: np.ndarray) -> np.ndarray:
-    """[[Re H, -Im H], [Im H, Re H]]; symmetric when H is Hermitian."""
+    """[[Re H, -Im H], [Im H, Re H]] of each matrix in a stack; symmetric
+    when H is Hermitian."""
     return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
@@ -420,8 +416,10 @@ def ck_realify(a, b=None):
     discrete Cauchy-Riemann monitor ||D_x u + i D_y u|| per complex
     component.
 
-    ``a`` is a constant complex matrix or a callable of the space point;
-    ``b`` is None, a constant complex vector, or a callable (x, u_complex).
+    ``a`` is a constant complex matrix or a batched callable of space
+    points x of shape (..., 2) returning (..., mc, mc); ``b`` is None, a
+    constant complex vector, or a batched callable (x, u_complex) ->
+    (..., mc).
     """
     a_const = None if callable(a) else np.asarray(a, dtype=complex)
     mc = (a_const.shape[0] if a_const is not None
@@ -429,9 +427,8 @@ def ck_realify(a, b=None):
     m = 2 * mc
 
     def split(mat):
-        cx = 0.5 * (mat + mat.conj().T)
-        cy = (mat - mat.conj().T) / 2j
-        return -_real_rep(cx), -_real_rep(cy)
+        herm = np.swapaxes(mat.conj(), -1, -2)
+        return -_real_rep(0.5 * (mat + herm)), -_real_rep((mat - herm) / 2j)
 
     if a_const is not None:
         m1c, m2c = split(a_const)
@@ -440,18 +437,20 @@ def ck_realify(a, b=None):
     else:
         def coeff_fn(idx):
             def fn(xst, u):
-                return split(np.asarray(a(xst[1:]), dtype=complex))[idx]
+                return split(np.asarray(a(xst[..., 1:]), dtype=complex))[idx]
             return fn
         coeff = [MatrixField.constant(np.eye(m)),
                  MatrixField(m, coeff_fn(0)), MatrixField(m, coeff_fn(1))]
 
     source = None
     if b is not None:
-        b_fn = b if callable(b) else (lambda x, u, c=np.asarray(b, dtype=complex): c)
+        b_fn = b if callable(b) else (
+            lambda x, u, c=np.asarray(b, dtype=complex): np.broadcast_to(c, u.shape))
 
         def source(xst, u):
-            val = np.asarray(b_fn(xst[1:], u[:mc] + 1j * u[mc:]), dtype=complex)
-            return np.concatenate([val.real, val.imag])
+            val = np.asarray(b_fn(xst[..., 1:], u[..., :mc] + 1j * u[..., mc:]),
+                             dtype=complex)
+            return np.concatenate([val.real, val.imag], axis=-1)
 
     sys = SystemDef(n=2, m=m, coeff=tuple(coeff), source=source)
 
