@@ -43,6 +43,8 @@ class ConservationLaw:
     the exact m x m Jacobian at a single state.  ``state_box`` delimits the
     admissible states used for sampling; ``admissible`` optionally refines
     it with a non-box predicate (vectorized, any leading shape -> bool).
+    ``source(x, u)``, like ``SystemDef.source``, gets space-time points x
+    of shape (..., n+1), (t, x_1..x_n), and states u of shape (..., m).
     """
 
     n: int

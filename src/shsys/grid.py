@@ -84,14 +84,15 @@ class GridField:
 
 def shifted(data: np.ndarray, axis: int, direction: int, boundary: str) -> np.ndarray:
     """Neighbor values along a spatial axis: direction +1 samples at x + h
-    (the forward translate), -1 at x - h.  Outflow replicates the edge cell."""
-    out = np.roll(data, -direction, axis=axis)
-    if boundary == "outflow":
-        idx = [slice(None)] * data.ndim
-        idx[axis] = -1 if direction > 0 else 0
-        idx = tuple(idx)
-        out[idx] = data[idx]
-    return out
+    (the forward translate), -1 at x - h.  Periodic wraps the far edge
+    cell in, outflow replicates the near one; built from two slices."""
+    lead = (slice(None),) * axis
+    first, last = data[lead + (slice(None, 1),)], data[lead + (slice(-1, None),)]
+    if direction > 0:
+        edge = last if boundary == "outflow" else first
+        return np.concatenate([data[lead + (slice(1, None),)], edge], axis=axis)
+    edge = first if boundary == "outflow" else last
+    return np.concatenate([edge, data[lead + (slice(None, -1),)]], axis=axis)
 
 
 def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarray] = None) -> np.ndarray:

@@ -174,7 +174,8 @@ def law_rhs(law: ConservationLaw) -> Callable[[float, GridField], np.ndarray]:
             out -= (shifted(fu, j, +1, state.boundary)
                     - shifted(fu, j, -1, state.boundary)) / (2.0 * state.h[j])
         if law.source is not None:
-            out += np.asarray(law.source(state.coords(), state.data), dtype=float)
+            x = _spacetime(t, state.coords())
+            out += np.asarray(law.source(x, state.data), dtype=float)
         return out
 
     return rhs
@@ -207,7 +208,8 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
                                    - 2.0 * data
                                    + shifted(data, 0, -1, state.boundary)))
     if law.source is not None:
-        new = new + k * np.asarray(law.source(state.coords(), data), dtype=float)
+        x = _spacetime(t, state.coords())
+        new = new + k * np.asarray(law.source(x, data), dtype=float)
     return state.with_data(new)
 
 

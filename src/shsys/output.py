@@ -8,6 +8,7 @@ timestamps or other run-varying data enter any artifact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -27,25 +28,31 @@ def fmt(value) -> str:
     return str(value)
 
 
+_BLOCK = 256  # snapshot rows formatted per write; bounds the text in memory
+
+
 def write_snapshot_csv(path, field: GridField):
-    """One row per cell, lexicographic: coordinate columns then u^1..u^m."""
-    coords = field.coords().reshape(-1, field.n)
+    """One row per cell, lexicographic: coordinate columns then u^1..u^m.
+    Axis centers are formatted once, the state a block of rows at a time."""
+    axes = [list(map(repr, field.centers(j).tolist())) for j in range(field.n)]
+    prefixes = map(",".join, itertools.product(*axes))
     data = field.data.reshape(-1, field.m)
     header = ([f"x{j + 1}" for j in range(field.n)]
               + [f"u{a + 1}" for a in range(field.m)])
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for i in range(coords.shape[0]):
-            row = [fmt(v) for v in coords[i]] + [fmt(v) for v in data[i]]
-            handle.write(",".join(row) + "\n")
+        for start in range(0, data.shape[0], _BLOCK):
+            rows = data[start:start + _BLOCK].tolist()
+            # rows first: zip then stops without consuming the next block's prefix
+            handle.writelines([f"{x},{','.join(map(repr, row))}\n"
+                               for row, x in zip(rows, prefixes)])
 
 
 def write_monitor_csv(path, series, header=("t", "value")):
-    """Rows of (t, value) pairs under a two-column header."""
+    """Rows of (t, value) pairs under a two-column header, as floats."""
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for t, value in series:
-            handle.write(f"{fmt(t)},{fmt(value)}\n")
+        handle.writelines([f"{float(t)!r},{float(value)!r}\n" for t, value in series])
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ tabulated CSV."""
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -53,7 +54,8 @@ def plane_wave(grid: GridField, amplitude, modes, phase: float = 0.0) -> GridFie
 
 def from_csv(grid: GridField, path) -> GridField:
     """Tabulated data: one row per cell in lexicographic order, the last m
-    columns holding u^1..u^m (leading coordinate columns are ignored)."""
+    columns holding u^1..u^m (leading coordinate columns are ignored).
+    A row holding nan or inf is rejected with its line number."""
     rows = []
     header_seen = False
     with open(path, newline="") as handle:
@@ -62,11 +64,15 @@ def from_csv(grid: GridField, path) -> GridField:
             if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
                 continue
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 if rows or header_seen:
                     raise ValueError(f"{path}:{lineno}: cannot parse row {row}")
                 header_seen = True  # a single leading header line is allowed
+                continue
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in row {row}")
+            rows.append(values)
     cells = int(np.prod(grid.shape))
     if len(rows) != cells:
         raise ValueError(f"{path}: expected {cells} rows, found {len(rows)}")

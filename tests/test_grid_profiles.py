@@ -1,5 +1,7 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shsys import profiles
 from shsys.grid import GridField, centered_diff, interior_mask, l2_norm, shifted
@@ -51,6 +53,26 @@ class TestShifts:
         assert np.allclose(out[:, 0], [1, 2, 3, 3])
         out = shifted(data, 0, -1, "outflow")
         assert np.allclose(out[:, 0], [0, 0, 1, 2])
+
+    @settings(deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=4, max_side=5),
+                      elements=st.floats(-1e3, 1e3)))
+    @example(np.arange(3.0).reshape(1, 3))
+    @example(np.arange(4.0).reshape(2, 1, 2))
+    def test_matches_roll_reference(self, data):
+        # every spatial axis (the last axis holds components), length 1 included
+        for axis in range(data.ndim - 1):
+            for direction in (+1, -1):
+                for boundary in ("periodic", "outflow"):
+                    ref = np.roll(data, -direction, axis=axis)
+                    if boundary == "outflow":
+                        idx = [slice(None)] * data.ndim
+                        idx[axis] = -1 if direction > 0 else 0
+                        ref[tuple(idx)] = data[tuple(idx)]
+                    out = shifted(data, axis, direction, boundary)
+                    assert out.shape == data.shape
+                    assert out.tobytes() == ref.tobytes()
+                    assert not np.shares_memory(out, data)
 
     def test_centered_diff_exact_on_linear_data(self):
         g = grid_1d(16, boundary="outflow")
@@ -116,6 +138,14 @@ class TestProfiles:
         path = tmp_path / "bad.csv"
         path.write_text("u1\n1.0\noops\n")
         with pytest.raises(ValueError, match="bad.csv:3"):
+            profiles.from_csv(g, path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_from_csv_nonfinite_reports_line(self, tmp_path, bad):
+        g = grid_1d(3)
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"x1,u1\n-0.5,1.0\n0.0,{bad}\n0.5,2.0\n")
+        with pytest.raises(ValueError, match="nonfinite.csv:3: non-finite"):
             profiles.from_csv(g, path)
 
     def test_from_csv_row_count_checked(self, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,26 @@ class TestRun:
         assert "non-finite" in trace.error
         assert 0 < trace.steps < 1000
         assert len(trace.snapshots) >= 1
+
+    @pytest.mark.parametrize("viscosity", [0.0, 0.01])
+    def test_law_source_sees_time(self, viscosity):
+        # du/dt = t on a constant state: u after N steps is k^2 N (N - 1) / 2
+        seen = []
+
+        def source(x, u):
+            seen.append(x.copy())
+            return np.broadcast_to(x[..., :1], np.shape(u))
+
+        law = replace(zero_flux_law(), source=source)
+        grid = grid_1d(8, boundary="outflow")
+        trace = run(law, grid.with_data(np.zeros((8, 1))),
+                    SchemeConfig(lam=0.1, t_end=0.25, viscosity=viscosity))
+        assert trace.completed and trace.steps == 10
+        k = 0.1 * grid.h[0]
+        assert [x.shape for x in seen] == [(8, 2)] * 10
+        assert [x[0, 0] for x in seen] == pytest.approx([i * k for i in range(10)])
+        assert all(np.array_equal(x[:, 1], grid.centers(0)) for x in seen)
+        assert np.allclose(trace.snapshots[-1].data, k * k * 10 * 9 / 2)
 
     def test_euler_vacuum_aborts(self):
         law = euler_conservative_1d(1.4)

@@ -1,0 +1,134 @@
+"""Artifact writers pinned byte for byte: the block-batched snapshot writer
+against a per-cell reference, the snapshot round trip through
+profiles.from_csv, and the monitor CSV format."""
+
+import os
+import tempfile
+
+import hypothesis.extra.numpy as hnp
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from shsys import profiles
+from shsys.grid import GridField
+from shsys.output import _BLOCK, fmt, write_monitor_csv, write_snapshot_csv
+
+SPECIALS = [-0.0, 1e16, 1e-5, 5e-324, 0.1 + 0.2, float("nan"), float("inf"),
+            -float("inf")]
+
+
+def reference_snapshot(field):
+    """The per-cell writer: one fmt call per value."""
+    coords = field.coords().reshape(-1, field.n)
+    data = field.data.reshape(-1, field.m)
+    header = ([f"x{j + 1}" for j in range(field.n)]
+              + [f"u{a + 1}" for a in range(field.m)])
+    lines = [",".join(header) + "\n"]
+    for i in range(coords.shape[0]):
+        row = [fmt(v) for v in coords[i]] + [fmt(v) for v in data[i]]
+        lines.append(",".join(row) + "\n")
+    return "".join(lines).encode()
+
+
+def written(field):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snap.csv")
+        write_snapshot_csv(path, field)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+def sample_field(shape, m, origin=-1.0, h=0.1, seed=0):
+    rng = np.random.default_rng(seed)
+    g = GridField.zeros(shape, h, origin, m)
+    data = rng.standard_normal(g.data.shape) * 10.0 ** rng.integers(-8, 9, g.data.shape)
+    flat = data.reshape(-1)
+    for i, v in enumerate(SPECIALS):  # specials at both ends of the state
+        flat[i % flat.size] = v
+        flat[-1 - i % flat.size] = v
+    return g.with_data(data)
+
+
+@pytest.mark.parametrize("shape, m", [
+    ((7,), 1), ((7,), 6), ((5, 3), 1), ((5, 3), 6), ((3, 2, 4), 1),
+    ((3, 2, 4), 6), ((1,), 1), ((1, 1), 6), ((1, 1, 1), 3),
+    ((1023,), 2), ((1024,), 1), ((1025,), 3), ((2049,), 1),
+    ((3, 683), 2), ((1, 1025), 1), ((5, 5, 41), 1),
+])
+def test_snapshot_matches_per_cell_reference(shape, m):
+    field = sample_field(shape, m, seed=sum(shape) + m)
+    assert written(field) == reference_snapshot(field)
+
+
+@pytest.mark.parametrize("cells", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_snapshot_block_boundaries(cells):
+    field = sample_field((cells,), 2, seed=cells)
+    assert written(field) == reference_snapshot(field)
+
+
+@pytest.mark.parametrize("origin, h", [(-3.7, 0.3), ((-1e-5, 2.5), (1e-3, 0.1)),
+                                       (0.0, 1.0 / 3.0)])
+def test_snapshot_coordinates_match_reference(origin, h):
+    shape = (4,) if np.ndim(origin) == 0 else (4, 3)
+    field = sample_field(shape, 2, origin=origin, h=h)
+    assert written(field) == reference_snapshot(field)
+
+
+def test_snapshot_special_values_spelled_by_repr():
+    g = GridField.zeros((len(SPECIALS),), 1.0, -2.0, 1)
+    field = g.with_data(np.array(SPECIALS)[:, None])
+    text = written(field).decode()
+    assert text.splitlines()[1:] == [f"{-2.0 + i!r},{v!r}"
+                                     for i, v in enumerate(SPECIALS)]
+    assert "nan" in text and "inf" in text and "5e-324" in text
+
+
+def fields(allow_nonfinite):
+    values = st.floats(allow_nan=allow_nonfinite, allow_infinity=allow_nonfinite)
+
+    @st.composite
+    def build(draw):
+        shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+        m = draw(st.integers(1, 6))
+        n = len(shape)
+        h = draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n))
+        origin = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        data = draw(hnp.arrays(float, shape + (m,), elements=values))
+        return GridField.zeros(shape, h, origin, m).with_data(data)
+
+    return build()
+
+
+@settings(deadline=None, max_examples=60)
+@given(fields(allow_nonfinite=True))
+def test_snapshot_property_matches_reference(field):
+    assert written(field) == reference_snapshot(field)
+
+
+@settings(deadline=None, max_examples=60)
+@given(fields(allow_nonfinite=False))
+def test_snapshot_reads_back_bit_for_bit(field):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snap.csv")
+        write_snapshot_csv(path, field)
+        back = profiles.from_csv(field.with_data(np.zeros_like(field.data)), path)
+    assert back.data.tobytes() == field.data.tobytes()
+
+
+def test_monitor_csv_bytes_pinned(tmp_path):
+    path = tmp_path / "mon.csv"
+    write_monitor_csv(path, [(0.0, 1.0), (0.025, np.float64(0.1) + 0.2),
+                             (0.05, 5e-324), (0.075, -0.0), (0.1, 1e16),
+                             (np.float64(0.125), float("nan"))])
+    assert path.read_bytes() == (b"t,value\n0.0,1.0\n0.025,0.30000000000000004\n"
+                                 b"0.05,5e-324\n0.075,-0.0\n0.1,1e+16\n0.125,nan\n")
+
+
+def test_monitor_csv_custom_header_and_empty_series(tmp_path):
+    path = tmp_path / "limit.csv"
+    write_monitor_csv(path, [(0.1, 2e-3), (0.05, 1e-3)],
+                      header=("eps", "l1_distance"))
+    assert path.read_bytes() == b"eps,l1_distance\n0.1,0.002\n0.05,0.001\n"
+    write_monitor_csv(path, [])
+    assert path.read_bytes() == b"t,value\n"
