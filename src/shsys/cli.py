@@ -1,6 +1,7 @@
 """Batch front-end: build a named model from a config file, execute the
 requested checks and simulation, and emit CSV traces, monitor logs, and a
-verdict table.
+verdict table.  Models, profiles and checks are entries of the tables in
+``shsys.registry``.
 
 Commands:
 
@@ -9,8 +10,9 @@ Commands:
     shsys models              # list shipped models and their parameters
 
 Exit status: 0 all checks passed, 1 at least one check failed, 2 execution
-error (bad config, aborted run).  With identical configs the artifact tree
-is byte-identical across runs: nothing time- or host-dependent is written.
+error (bad config, aborted run, any other shsys error).  With identical
+configs the artifact tree is byte-identical across runs: nothing time- or
+host-dependent is written.
 """
 
 from __future__ import annotations
@@ -19,43 +21,14 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import profiles
 from .config import ConfigError, RunConfig, parse_config
-from .core import sample_box, system_samples, is_sh
-from .energy import energy as grid_energy, support_test
-from .entropy import entropy_pair_residual, hessian_symmetrizer
 from .grid import GridField
-from .lxf import SchemeConfig, StabilityError, run as run_scheme
-from .models import (advection_law, burgers_law, ck_realify,
-                     euler_conservative_1d, euler_polytropic_sh,
-                     maxwell_system, polynomial_scalar_law, tricomi_system,
-                     wave_system)
-from .output import RunLog, VerdictRow, write_monitor_csv, write_trace, write_verdicts_csv
-from .shocks import (entropy_admissible, rh_residual, rh_speed, riemann_scalar,
-                     viscous_limit_compare)
-
-_SIM_CHECKS = ("energy", "constraints", "support")
-
-_MODEL_DOC = {
-    "scalar": "scalar 1D law with polynomial flux (flux_coeffs = c0, c1, ...)",
-    "burgers": "scalar 1D law f = u^2/2 with entropy pair (u^2, 2u^3/3)",
-    "advection": "scalar 1D law f = a u (parameter a)",
-    "wave": "first-order wave-equation reduction (aj, ajk; n from grid)",
-    "maxwell": "Maxwell evolution system, m = 6, n = 3, vacuum sources",
-    "euler_sh": "polytropic gas in (p, v) unknowns (gamma; n from grid)",
-    "euler_cons": "1D gas dynamics in conservative variables (gamma)",
-    "tricomi": "Tricomi-type symmetric positive system (lam, y_bound); no integration",
-    "ck": "realified one-complex-variable analytic system (a_re, a_im)",
-}
+from .lxf import SchemeConfig, run as run_scheme
+from .output import RunLog, write_trace, write_verdicts_csv
+from .registry import CHECKS, MODELS, NEEDS, PROFILES, ExecutionError
 
 
-class ExecutionError(RuntimeError):
-    pass
-
-
-def _build_grid(cfg: RunConfig) -> GridField:
+def _build_grid(cfg: RunConfig, m: int = 1) -> GridField:
     grid = cfg.grid
     if "shape" not in grid or "h" not in grid:
         raise ExecutionError("[grid] needs at least 'shape' and 'h'")
@@ -64,104 +37,7 @@ def _build_grid(cfg: RunConfig) -> GridField:
     if len(origin) != len(shape):
         raise ExecutionError("[grid] origin length must match shape")
     return GridField.zeros(shape=shape, h=grid["h"], origin=origin,
-                           m=1, boundary=grid.get("boundary", "periodic"))
-
-
-def _build_model(cfg: RunConfig, n_grid: int):
-    """Returns a context dict: kind, system/law, pair, monitors, q_energy,
-    sample box, linearity flag."""
-    model = cfg.model
-    name = model["name"]
-    ctx = {"name": name, "pair": None, "monitors": (), "linear": False,
-           "tricomi": None}
-    if name in ("scalar", "burgers", "advection"):
-        if name == "burgers":
-            law, pair = burgers_law()
-        elif name == "advection":
-            law, pair = advection_law(model.get("a", 1.0))
-        else:
-            coeffs = model.get("flux_coeffs")
-            if not coeffs:
-                raise ExecutionError("model 'scalar' needs flux_coeffs")
-            law, pair = polynomial_scalar_law(coeffs)
-        ctx.update(kind="law", system=law, pair=pair,
-                   q_energy=np.eye(1), box=law.state_box,
-                   linear=(name == "advection"
-                           or (name == "scalar"
-                               and len(model.get("flux_coeffs", [])) <= 2)))
-    elif name == "wave":
-        n = max(1, n_grid)
-        aj = np.asarray(model.get("aj", np.zeros(n)), dtype=float)
-        ajk_flat = model.get("ajk")
-        ajk = (np.eye(n) if ajk_flat is None
-               else np.asarray(ajk_flat, dtype=float).reshape(n, n))
-        sys_, mon = wave_system(aj, ajk)
-        sigma = np.eye(n + 2)
-        sigma[1:n + 1, 1:n + 1] = ajk
-        ctx.update(kind="system", system=sys_, monitors=(mon,),
-                   q_energy=sigma, box=(-np.ones(n + 2), np.ones(n + 2)),
-                   linear=True)
-    elif name == "maxwell":
-        sys_, mons = maxwell_system()
-        ctx.update(kind="system", system=sys_, monitors=mons,
-                   q_energy=np.eye(6), box=(-np.ones(6), np.ones(6)),
-                   linear=True)
-    elif name == "euler_sh":
-        n = max(1, n_grid)
-        gamma = model.get("gamma", 1.4)
-        sys_ = euler_polytropic_sh(gamma, n=n)
-        lo = np.concatenate([[0.1], -3.0 * np.ones(n)])
-        hi = np.concatenate([[10.0], 3.0 * np.ones(n)])
-        ctx.update(kind="system", system=sys_, q_energy=None, box=(lo, hi))
-    elif name == "euler_cons":
-        law = euler_conservative_1d(model.get("gamma", 1.4))
-        ctx.update(kind="law", system=law, q_energy=np.eye(3),
-                   box=law.state_box)
-    elif name == "tricomi":
-        if "lam" not in model:
-            raise ExecutionError("model 'tricomi' needs lam")
-        system, cert = tricomi_system(model["lam"], model.get("y_bound", 1.0))
-        ctx.update(kind="tricomi", system=system, tricomi=cert, q_energy=None,
-                   box=None)
-    elif name == "ck":
-        a = complex(model.get("a_re", 1.0), model.get("a_im", 0.0))
-        sys_, mon = ck_realify(np.array([[a]]))
-        ctx.update(kind="system", system=sys_, monitors=(mon,),
-                   q_energy=np.eye(2), box=(-np.ones(2), np.ones(2)),
-                   linear=True)
-    else:
-        raise ExecutionError(f"unknown model '{name}'")
-    return ctx
-
-
-def _build_initial(cfg: RunConfig, grid_proto: GridField, m: int) -> GridField:
-    grid = GridField.zeros(shape=grid_proto.shape, h=grid_proto.h,
-                           origin=grid_proto.origin, m=m,
-                           boundary=grid_proto.boundary)
-    init = cfg.initial
-    profile = init.get("profile")
-    if profile is None:
-        raise ExecutionError("[initial] needs a profile for time integration")
-    if profile == "constant":
-        return profiles.constant(grid, init.get("value", [0.0] * m))
-    if profile == "step":
-        if "left" not in init or "right" not in init:
-            raise ExecutionError("step profile needs 'left' and 'right'")
-        return profiles.step(grid, init["left"], init["right"],
-                             init.get("jump_at", 0.0))
-    if profile == "bump":
-        if "radius" not in init:
-            raise ExecutionError("bump profile needs 'radius'")
-        return profiles.bump(grid, init.get("amplitude", [1.0] * m),
-                             init["radius"], init.get("center"))
-    if profile == "plane-wave":
-        return profiles.plane_wave(grid, init.get("amplitude", [1.0] * m),
-                                   init.get("modes", [1] * grid.n))
-    if profile == "file":
-        if "csv" not in init:
-            raise ExecutionError("file profile needs 'csv'")
-        return profiles.from_csv(grid, init["csv"])
-    raise ExecutionError(f"unknown profile '{profile}'")
+                           m=m, boundary=grid.get("boundary", "periodic"))
 
 
 def _scheme_config(cfg: RunConfig) -> SchemeConfig:
@@ -169,140 +45,8 @@ def _scheme_config(cfg: RunConfig) -> SchemeConfig:
     if "lambda" not in s or "t_end" not in s:
         raise ExecutionError("[scheme] needs 'lambda' and 't_end'")
     return SchemeConfig(lam=s["lambda"], t_end=s["t_end"],
-                        cfl_safety=s.get("cfl_safety", 0.9),
-                        output_stride=s.get("output_stride", 1),
-                        viscosity=s.get("viscosity", 0.0))
-
-
-def _check_rows(cfg: RunConfig, ctx, trace, log: RunLog, out_dir) -> list:
-    rows = []
-    for check in cfg.checks:
-        params = cfg.checks_params.get(check, {})
-        if check == "tricomi_certificate":
-            cert = ctx["tricomi"]
-            if cert is None:
-                raise ExecutionError("tricomi_certificate needs the tricomi model")
-            rows.append(VerdictRow("tricomi_certificate", cert.positive,
-                                   cert.min_pivot, "pivot > 0"))
-        elif check == "is_sh":
-            lo, hi = params.get("box_lo"), params.get("box_hi")
-            box = (lo, hi) if lo is not None and hi is not None else ctx["box"]
-            per_axis = params.get("per_axis", 3)
-            if ctx["kind"] == "law":
-                if ctx["pair"] is None:
-                    raise ExecutionError("is_sh on a conservation law needs an entropy pair")
-                _, verdict = hessian_symmetrizer(ctx["system"], ctx["pair"],
-                                                 samples=sample_box(*box, per_axis))
-            else:
-                verdict = is_sh(ctx["system"],
-                                system_samples(ctx["system"], *box, per_axis))
-            rows.append(VerdictRow("is_sh", verdict.is_sh,
-                                   float(np.max(verdict.residuals)),
-                                   "symmetry rtol 1e-10, pivots > 0"))
-        elif check == "entropy_pair":
-            if ctx["pair"] is None:
-                raise ExecutionError("entropy_pair needs a scalar-law model")
-            tol = params.get("tol", 1e-8)
-            states = sample_box(*ctx["system"].state_box,
-                                params.get("per_axis", 33))
-            resid = entropy_pair_residual(ctx["system"], ctx["pair"], states)
-            rows.append(VerdictRow("entropy_pair", resid <= tol, resid, tol))
-        elif check == "rh":
-            law = ctx["system"]
-            if ctx["kind"] != "law":
-                raise ExecutionError("rh needs a conservation-law model")
-            ul = np.asarray(params["u_left"], dtype=float)
-            ur = np.asarray(params["u_right"], dtype=float)
-            tol = params.get("tol", 1e-12)
-            c = params.get("speed")
-            if c is None:
-                if law.m != 1:
-                    raise ExecutionError("rh on a system needs an explicit speed")
-                c = rh_speed(law, float(ul[0]), float(ur[0]))
-                rows.append(VerdictRow("rh.speed", True, c, "derived"))
-            resid = float(np.max(np.abs(rh_residual(law, ul, ur, c))))
-            rows.append(VerdictRow("rh.residual", resid <= tol, resid, tol))
-            if ctx["pair"] is not None:
-                verdict = entropy_admissible(law, ctx["pair"], ul, ur, c)
-                rows.append(VerdictRow("rh.production", verdict.admissible,
-                                       verdict.production, tol))
-        elif check == "riemann":
-            law = ctx["system"]
-            if ctx["kind"] != "law" or law.m != 1:
-                raise ExecutionError("riemann needs a scalar-law model")
-            ul, ur = params["u_left"], params["u_right"]
-            tol = params.get("tol", 1e-12)
-            sol = riemann_scalar(law, ul, ur, pair=ctx["pair"])
-            if sol.kind == "shock":
-                rows.append(VerdictRow("riemann.rh_speed", True, sol.speed, "derived"))
-                resid = float(np.max(np.abs(rh_residual(
-                    law, [ul], [ur], sol.speed))))
-                rows.append(VerdictRow("riemann.rh_residual", resid <= tol, resid, tol))
-                verdict = entropy_admissible(law, ctx["pair"], [ul], [ur], sol.speed)
-                rows.append(VerdictRow("riemann.entropy_production",
-                                       verdict.admissible, verdict.production, tol))
-            else:
-                kind_code = {"constant": 0.0, "rarefaction": 1.0}[sol.kind]
-                rows.append(VerdictRow(f"riemann.{sol.kind}", True, kind_code, "-"))
-        elif check == "viscous_limit":
-            law = ctx["system"]
-            if ctx["kind"] != "law" or law.m != 1:
-                raise ExecutionError("viscous_limit needs a scalar-law model")
-            grid = _build_grid(cfg)
-            eps_list = params["eps"]
-            slack = params.get("slack", 0.1)
-            rows_v = viscous_limit_compare(law, ctx["pair"], params["u_left"],
-                                           params["u_right"], eps_list, grid,
-                                           params["t"])
-            write_monitor_csv(os.path.join(out_dir, "viscous_limit.csv"),
-                              [(eps, l1) for eps, l1, _ in rows_v],
-                              header=("eps", "l1_distance"))
-            dists = [l1 for _, l1, _ in rows_v]
-            monotone = all(dists[i + 1] <= dists[i] * (1.0 + slack)
-                           for i in range(len(dists) - 1))
-            rows.append(VerdictRow("viscous_limit.monotone", monotone,
-                                   dists[-1], f"non-increasing within {slack:g}"))
-        elif check == "energy":
-            if not ctx["linear"] or ctx["q_energy"] is None:
-                raise ExecutionError("the energy check applies to linear models")
-            if trace is None:
-                raise ExecutionError("the energy check needs a simulation")
-            series = [(t, grid_energy(snap, ctx["q_energy"]))
-                      for t, snap in zip(trace.times, trace.snapshots)]
-            os.makedirs(os.path.join(out_dir, "monitors"), exist_ok=True)
-            write_monitor_csv(os.path.join(out_dir, "monitors", "energy.csv"), series)
-            e0 = series[0][1]
-            k = trace.events[0]["k"]
-            bound = e0 * (1.0 + 10.0 * k) + 1e-300
-            worst = max(v for _, v in series)
-            rows.append(VerdictRow("energy.non_increasing", worst <= bound,
-                                   worst, bound))
-        elif check == "constraints":
-            if trace is None:
-                raise ExecutionError("the constraints check needs a simulation")
-            factor = params.get("factor", 3.0)
-            floor = params.get("floor", 1e-12)
-            for name, series in trace.monitors.items():
-                start = series[0][1]
-                worst = max(v for _, v in series)
-                bound = max(factor * start, floor)
-                rows.append(VerdictRow(f"constraints.{name}", worst <= bound,
-                                       worst, bound))
-        elif check == "support":
-            if trace is None:
-                raise ExecutionError("the support check needs a simulation")
-            if "radius" not in params:
-                raise ExecutionError("support check needs 'radius'")
-            slope = params.get("slope", trace.a_star * 1.01)
-            verdict = support_test(trace, params["radius"], slope,
-                                   tol=params.get("tol", 0.0),
-                                   margin_cells=params.get("margin_cells", 1))
-            rows.append(VerdictRow("support", verdict.passed,
-                                   verdict.max_outside, params.get("tol", 0.0)))
-        else:
-            raise ExecutionError(f"unknown check '{check}'")
-        log.event("check", name=check, rows=[r.name for r in rows])
-    return rows
+                        cfl_safety=s.get("cfl_safety", 0.9), viscosity=s.get("viscosity", 0.0),
+                        output_stride=s.get("output_stride", 1))
 
 
 def execute(cfg: RunConfig, output_dir=None, threads: int = 1,
@@ -315,24 +59,22 @@ def execute(cfg: RunConfig, output_dir=None, threads: int = 1,
     log.event("invocation", threads=threads, seed=seed, checks_only=checks_only)
 
     try:
-        if checks_only:
-            needs_sim = [c for c in cfg.checks if c in _SIM_CHECKS]
-            if needs_sim:
-                raise ExecutionError(
-                    f"checks {needs_sim} need time integration; use 'run'")
-        n_grid = len(cfg.grid.get("shape", [1]))
-        ctx = _build_model(cfg, n_grid)
+        needs_sim = [c for c in cfg.checks if CHECKS[c].needs == "simulation"]
+        if checks_only and needs_sim:
+            raise ExecutionError(f"checks {needs_sim} need time integration; use 'run'")
+        model = MODELS[cfg.model["name"]].build(
+            cfg.model, max(1, len(cfg.grid.get("shape", [1]))))
 
         trace = None
-        wants_sim = (not checks_only
-                     and ctx["kind"] in ("law", "system")
-                     and cfg.scheme.get("t_end", 0.0) > 0.0)
-        if wants_sim:
+        if (not checks_only and model.kind in ("law", "system")
+                and cfg.scheme.get("t_end", 0.0) > 0.0):
             scheme = _scheme_config(cfg)
-            grid_proto = _build_grid(cfg)
-            initial = _build_initial(cfg, grid_proto, ctx["system"].m)
-            trace = run_scheme(ctx["system"], initial, scheme,
-                               monitors=ctx["monitors"])
+            grid = _build_grid(cfg, model.system.m)
+            profile = cfg.initial.get("profile")
+            if profile is None:
+                raise ExecutionError("[initial] needs a profile for time integration")
+            trace = run_scheme(model.system, PROFILES[profile](cfg.initial, grid),
+                               scheme, monitors=model.monitors)
             for event in trace.events:
                 log.event("scheme", **event)
             write_trace(out_dir, trace)
@@ -340,8 +82,15 @@ def execute(cfg: RunConfig, output_dir=None, threads: int = 1,
                 log.event("error", message=trace.error)
                 return 2
 
-        rows = _check_rows(cfg, ctx, trace, log, out_dir)
-    except (ExecutionError, ConfigError, StabilityError, ValueError, KeyError) as exc:
+        rows = []
+        for name in cfg.checks:
+            check = CHECKS[name]
+            if check.needs and not NEEDS[check.needs][0](model, trace):
+                raise ExecutionError(f"check '{name}' needs {NEEDS[check.needs][1]}")
+            rows += check.fn(cfg.checks_params.get(name, {}), model, trace,
+                             out_dir, lambda: _build_grid(cfg))
+            log.event("check", name=name, rows=[r.name for r in rows])
+    except (RuntimeError, ValueError, KeyError) as exc:
         log.event("error", message=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -360,21 +109,19 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute checks and simulation")
-    p_run.add_argument("config")
-    p_run.add_argument("--output-dir", default=None)
+    p_check = sub.add_parser("check", help="checks only, no time integration")
+    for p in (p_run, p_check):
+        p.add_argument("config")
+        p.add_argument("--output-dir", default=None)
     p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=0)
-
-    p_check = sub.add_parser("check", help="checks only, no time integration")
-    p_check.add_argument("config")
-    p_check.add_argument("--output-dir", default=None)
 
     sub.add_parser("models", help="list shipped models")
 
     args = parser.parse_args(argv)
     if args.command == "models":
-        for name, doc in _MODEL_DOC.items():
-            print(f"{name:12s} {doc}")
+        for name, entry in MODELS.items():
+            print(f"{name:12s} {entry.doc}")
         return 0
 
     try:

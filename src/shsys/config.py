@@ -15,34 +15,22 @@ every error carries its line number.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-MODEL_NAMES = ("scalar", "burgers", "advection", "wave", "maxwell",
-               "euler_sh", "euler_cons", "tricomi", "ck")
-CHECK_NAMES = ("is_sh", "entropy_pair", "energy", "constraints", "support",
-               "rh", "riemann", "viscous_limit", "tricomi_certificate")
-PROFILE_NAMES = ("constant", "step", "bump", "plane-wave", "file")
-BOUNDARY_NAMES = ("periodic", "outflow")
+from . import registry
 
 # value kinds: float, int, str, list_float, list_int, list_str, enum:<...>
 _SCHEMA = {
     "model": {
-        "name": "enum:" + ",".join(MODEL_NAMES),
-        "gamma": "float",
-        "a": "float",
-        "flux_coeffs": "list_float",
-        "lam": "float",
-        "y_bound": "float",
-        "a_re": "float",
-        "a_im": "float",
-        "aj": "list_float",
-        "ajk": "list_float",
+        "name": "enum:" + ",".join(registry.MODELS),
+        **{key: kind for entry in registry.MODELS.values()
+           for key, kind in entry.keys.items()},
     },
     "grid": {
         "shape": "list_int",
         "h": "float",
         "origin": "list_float",
-        "boundary": "enum:" + ",".join(BOUNDARY_NAMES),
+        "boundary": "enum:periodic,outflow",
     },
     "scheme": {
         "lambda": "float",
@@ -52,7 +40,7 @@ _SCHEMA = {
         "viscosity": "float",
     },
     "initial": {
-        "profile": "enum:" + ",".join(PROFILE_NAMES),
+        "profile": "enum:" + ",".join(registry.PROFILES),
         "value": "list_float",
         "left": "list_float",
         "right": "list_float",
@@ -63,28 +51,23 @@ _SCHEMA = {
         "modes": "list_int",
         "csv": "str",
     },
-    "checks": {
-        "names": "list_str",
-    },
-    "output": {
-        "dir": "str",
-    },
+    "checks": {"names": "list_str"},
+    "output": {"dir": "str"},
 }
 
-_CHECK_PARAMS = {
-    "is_sh": {"per_axis": "int", "box_lo": "list_float", "box_hi": "list_float"},
-    "entropy_pair": {"tol": "float", "per_axis": "int"},
-    "energy": {},
-    "constraints": {"factor": "float", "floor": "float"},
-    "support": {"radius": "float", "slope": "float", "tol": "float",
-                "margin_cells": "int"},
-    "rh": {"u_left": "list_float", "u_right": "list_float", "speed": "float",
-           "tol": "float"},
-    "riemann": {"u_left": "float", "u_right": "float", "tol": "float"},
-    "viscous_limit": {"u_left": "float", "u_right": "float",
-                      "eps": "list_float", "t": "float", "slack": "float"},
-    "tricomi_certificate": {},
+# (section, key) -> (test that flags a bad parsed value, what the error says)
+_LIMITS = {
+    ("scheme", "lambda"): (lambda v: v <= 0, "must be positive"),
+    ("scheme", "cfl_safety"): (lambda v: not 0 < v <= 1, "must lie in (0, 1]"),
+    ("scheme", "t_end"): (lambda v: v < 0, "must be non-negative"),
+    ("scheme", "output_stride"): (lambda v: v < 1, "must be >= 1"),
+    ("scheme", "viscosity"): (lambda v: v < 0, "must be non-negative"),
+    ("grid", "h"): (lambda v: v <= 0, "must be positive"),
+    ("grid", "shape"): (lambda v: any(s < 1 for s in v), "entries must be >= 1"),
+    ("model", "gamma"): (lambda v: v <= 1, "must exceed 1"),
+    ("model", "lam"): (lambda v: v < 0, "must be non-negative"),
 }
+_CONVERT = {"float": float, "int": int, "str": str}
 
 
 class ConfigError(ValueError):
@@ -109,15 +92,7 @@ class RunConfig:
     output_dir: str = "out"
 
     def echo(self) -> dict:
-        return {
-            "model": self.model,
-            "grid": self.grid,
-            "scheme": self.scheme,
-            "initial": self.initial,
-            "checks": self.checks,
-            "checks_params": self.checks_params,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
 
 def _suggest(word, options):
@@ -127,30 +102,19 @@ def _suggest(word, options):
 
 def _parse_value(kind, raw, line, errors):
     raw = raw.strip()
+    if kind.startswith("enum:"):
+        options = kind[5:].split(",")
+        if raw in options:
+            return raw
+        errors.append((line, f"value '{raw}' not one of {options}"))
+        return None
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            value = int(raw)
-            return value
-        if kind == "str":
-            return raw
-        if kind == "list_float":
-            return [float(v.strip()) for v in raw.split(",") if v.strip() != ""]
-        if kind == "list_int":
-            return [int(v.strip()) for v in raw.split(",") if v.strip() != ""]
-        if kind == "list_str":
-            return [v.strip() for v in raw.split(",") if v.strip() != ""]
-        if kind.startswith("enum:"):
-            options = kind[5:].split(",")
-            if raw not in options:
-                errors.append((line, f"value '{raw}' not one of {options}"))
-                return None
-            return raw
+        if kind.startswith("list_"):
+            return [_CONVERT[kind[5:]](v.strip()) for v in raw.split(",") if v.strip()]
+        return _CONVERT[kind](raw)
     except ValueError:
         errors.append((line, f"cannot parse '{raw}' as {kind}"))
         return None
-    raise AssertionError(f"unknown schema kind {kind}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -188,15 +152,16 @@ def parse_config(text: str) -> RunConfig:
 
         if current == "checks" and "." in key:
             check, _, param = key.partition(".")
-            if check not in _CHECK_PARAMS:
+            if check not in registry.CHECKS:
                 errors.append((lineno, f"unknown check '{check}' in key '{key}'"
-                               + _suggest(check, list(_CHECK_PARAMS))))
+                               + _suggest(check, list(registry.CHECKS))))
                 continue
-            if param not in _CHECK_PARAMS[check]:
+            schema = registry.CHECKS[check].params
+            if param not in schema:
                 errors.append((lineno, f"unknown parameter '{param}' for check "
-                               f"'{check}'" + _suggest(param, list(_CHECK_PARAMS[check]))))
+                               f"'{check}'" + _suggest(param, list(schema))))
                 continue
-            value = _parse_value(_CHECK_PARAMS[check][param], raw_value, lineno, errors)
+            value = _parse_value(schema[param], raw_value, lineno, errors)
             if value is not None:
                 sections["checks"].setdefault("_params", {}).setdefault(check, {})[param] = value
             continue
@@ -208,15 +173,29 @@ def parse_config(text: str) -> RunConfig:
         value = _parse_value(_SCHEMA[current][key], raw_value, lineno, errors)
         if value is not None:
             sections[current][key] = value
-            _validate_value(current, key, value, lineno, errors)
+            bad, rule = _LIMITS.get((current, key), (None, ""))
+            if bad is not None and bad(value):
+                errors.append((lineno, f"'{key}' {rule}"))
 
     if "name" not in sections["model"]:
         errors.append((0, "missing required key 'name' in [model]"))
-    for check in sections["checks"].get("names", []):
-        if check not in CHECK_NAMES:
-            errors.append((0, f"unknown check '{check}'" + _suggest(check, CHECK_NAMES)))
-    for check in sections["checks"].get("_params", {}):
-        names = sections["checks"].get("names", [])
+    names = sections["checks"].get("names", [])
+    given = sections["checks"].get("_params", {})
+    for i, check in enumerate(names):
+        if check in names[:i]:
+            errors.append((0, f"check '{check}' listed more than once in checks.names"))
+        elif check not in registry.CHECKS:
+            errors.append((0, f"unknown check '{check}'"
+                           + _suggest(check, list(registry.CHECKS))))
+        else:
+            entry, params = registry.CHECKS[check], given.get(check, {})
+            errors += [(0, f"check '{check}' needs parameter '{check}.{p}'")
+                       for p in entry.required if p not in params]
+            errors += [(0, f"check '{check}' needs "
+                        + " and ".join(f"'{check}.{p}'" for p in group) + " together")
+                       for group in entry.together
+                       if 0 < sum(p in params for p in group) < len(group)]
+    for check in given:
         if check not in names:
             errors.append((0, f"parameters given for check '{check}' that is not "
                            "in checks.names"))
@@ -224,36 +203,7 @@ def parse_config(text: str) -> RunConfig:
     if errors:
         raise ConfigError(sorted(errors))
 
-    return RunConfig(
-        model=sections["model"],
-        grid=sections["grid"],
-        scheme=sections["scheme"],
-        initial=sections["initial"],
-        checks=sections["checks"].get("names", []),
-        checks_params=sections["checks"].get("_params", {}),
-        output_dir=sections["output"].get("dir", "out"),
-    )
-
-
-def _validate_value(section, key, value, line, errors):
-    if section == "scheme":
-        if key == "lambda" and value <= 0:
-            errors.append((line, "'lambda' must be positive"))
-        if key == "cfl_safety" and not 0 < value <= 1:
-            errors.append((line, "'cfl_safety' must lie in (0, 1]"))
-        if key == "t_end" and value < 0:
-            errors.append((line, "'t_end' must be non-negative"))
-        if key == "output_stride" and value < 1:
-            errors.append((line, "'output_stride' must be >= 1"))
-        if key == "viscosity" and value < 0:
-            errors.append((line, "'viscosity' must be non-negative"))
-    if section == "grid":
-        if key == "h" and value <= 0:
-            errors.append((line, "'h' must be positive"))
-        if key == "shape" and any(s < 1 for s in value):
-            errors.append((line, "'shape' entries must be >= 1"))
-    if section == "model":
-        if key == "gamma" and value <= 1:
-            errors.append((line, "'gamma' must exceed 1"))
-        if key == "lam" and value < 0:
-            errors.append((line, "'lam' must be non-negative"))
+    return RunConfig(model=sections["model"], grid=sections["grid"],
+                     scheme=sections["scheme"], initial=sections["initial"],
+                     checks=names, checks_params=given,
+                     output_dir=sections["output"].get("dir", "out"))

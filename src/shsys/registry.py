@@ -1,0 +1,300 @@
+"""Every model, initial profile and check the ``shsys`` command knows by
+name, each declared once, in the order ``shsys models`` and the README list
+them; ``config`` derives its enums and schemas from these tables.
+
+* ``MODELS``: name -> (doc line, ``[model]`` keys and their value kinds,
+  ``build(spec, n)`` from the ``[model]`` section and the grid dimension).
+* ``PROFILES``: name -> ``build(init, grid)`` from the ``[initial]`` section.
+* ``CHECKS``: name -> (``check.param`` kinds, required parameters, what it
+  needs, ``fn(params, model, trace, out_dir, make_grid)`` -> verdict rows).
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from . import profiles
+from .core import is_sh, sample_box, system_samples
+from .energy import energy as grid_energy, support_test
+from .entropy import entropy_pair_residual, hessian_symmetrizer
+from .models import (advection_law, burgers_law, ck_realify,
+                     euler_conservative_1d, euler_polytropic_sh,
+                     maxwell_system, polynomial_scalar_law, tricomi_system,
+                     wave_system)
+from .output import VerdictRow, write_monitor_csv
+from .shocks import (entropy_admissible, rh_residual, rh_speed, riemann_scalar,
+                     viscous_limit_compare)
+
+
+class ExecutionError(RuntimeError):
+    pass
+
+
+@dataclass(frozen=True)
+class Model:
+    """A built model.  ``kind`` is "law", "system" or "tricomi"; ``box`` is
+    the state box checks sample; ``q_energy`` is set for linear models only."""
+
+    kind: str
+    system: object
+    pair: object = None
+    monitors: tuple = ()
+    q_energy: object = None
+    box: tuple = None
+    tricomi: object = None
+
+
+class ModelEntry(NamedTuple):
+    doc: str
+    keys: dict
+    build: Callable
+
+
+class Check(NamedTuple):
+    params: dict
+    required: tuple
+    needs: str | None      # a key of NEEDS, or None
+    fn: Callable
+    together: tuple = ()   # parameter groups given all or none
+
+
+def _need(section: dict, what: str, *keys):
+    """The values of ``keys`` in ``section``; ExecutionError if one is absent."""
+    if any(key not in section for key in keys):
+        raise ExecutionError(f"{what} needs " + " and ".join(f"'{k}'" for k in keys))
+    return [section[key] for key in keys]
+
+
+def _law(law, pair=None, q_energy=None):
+    return Model("law", law, pair, box=law.state_box, q_energy=q_energy)
+
+
+def _linear_system(system, monitors):
+    """A constant-coefficient system; its symmetrizer is the energy form."""
+    sigma, m = system.symmetrizer, system.m
+    return Model("system", system, monitors=monitors, box=(-np.ones(m), np.ones(m)),
+                 q_energy=np.eye(m) if sigma is None else sigma.const)
+
+
+def _scalar(spec, n):
+    coeffs = spec.get("flux_coeffs")
+    if not coeffs:
+        raise ExecutionError("model 'scalar' needs flux_coeffs")
+    return _law(*polynomial_scalar_law(coeffs),
+                q_energy=np.eye(1) if len(coeffs) <= 2 else None)
+
+
+def _wave(spec, n):
+    aj = np.asarray(spec.get("aj", np.zeros(n)), dtype=float)
+    ajk = np.asarray(spec.get("ajk", np.eye(n)), dtype=float).reshape(n, n)
+    system, monitor = wave_system(aj, ajk)
+    return _linear_system(system, (monitor,))
+
+
+def _euler_sh(spec, n):
+    system = euler_polytropic_sh(spec.get("gamma", 1.4), n=n)
+    lo = np.concatenate([[0.1], -3.0 * np.ones(n)])
+    hi = np.concatenate([[10.0], 3.0 * np.ones(n)])
+    return Model("system", system, box=(lo, hi))
+
+
+def _tricomi(spec, n):
+    lam, = _need(spec, "model 'tricomi'", "lam")
+    system, cert = tricomi_system(lam, spec.get("y_bound", 1.0))
+    return Model("tricomi", system, tricomi=cert)
+
+
+def _ck(spec, n):
+    a = complex(spec.get("a_re", 1.0), spec.get("a_im", 0.0))
+    system, monitor = ck_realify(np.array([[a]]))
+    return _linear_system(system, (monitor,))
+
+
+MODELS = {
+    "scalar": ModelEntry("scalar 1D law with polynomial flux (flux_coeffs = c0, c1, ...)",
+                         {"flux_coeffs": "list_float"}, _scalar),
+    "burgers": ModelEntry("scalar 1D law f = u^2/2 with entropy pair (u^2, 2u^3/3)",
+                          {}, lambda spec, n: _law(*burgers_law())),
+    "advection": ModelEntry("scalar 1D law f = a u (parameter a)", {"a": "float"},
+                            lambda spec, n: _law(*advection_law(spec.get("a", 1.0)),
+                                                 q_energy=np.eye(1))),
+    "wave": ModelEntry("first-order wave-equation reduction (aj, ajk; n from grid)",
+                       {"aj": "list_float", "ajk": "list_float"}, _wave),
+    "maxwell": ModelEntry("Maxwell evolution system, m = 6, n = 3, vacuum sources",
+                          {}, lambda spec, n: _linear_system(*maxwell_system())),
+    "euler_sh": ModelEntry("polytropic gas in (p, v) unknowns (gamma; n from grid)",
+                           {"gamma": "float"}, _euler_sh),
+    "euler_cons": ModelEntry("1D gas dynamics in conservative variables (gamma)",
+                             {"gamma": "float"}, lambda spec, n: _law(
+                                 euler_conservative_1d(spec.get("gamma", 1.4)))),
+    "tricomi": ModelEntry(
+        "Tricomi-type symmetric positive system (lam, y_bound); no integration",
+        {"lam": "float", "y_bound": "float"}, _tricomi),
+    "ck": ModelEntry("realified one-complex-variable analytic system (a_re, a_im)",
+                     {"a_re": "float", "a_im": "float"}, _ck),
+}
+
+PROFILES = {
+    "constant": lambda init, grid: profiles.constant(
+        grid, init.get("value", [0.0] * grid.m)),
+    "step": lambda init, grid: profiles.step(
+        grid, *_need(init, "step profile", "left", "right"),
+        init.get("jump_at", 0.0)),
+    "bump": lambda init, grid: profiles.bump(
+        grid, init.get("amplitude", [1.0] * grid.m),
+        *_need(init, "bump profile", "radius"), init.get("center")),
+    "plane-wave": lambda init, grid: profiles.plane_wave(
+        grid, init.get("amplitude", [1.0] * grid.m),
+        init.get("modes", [1] * grid.n)),
+    "file": lambda init, grid: profiles.from_csv(
+        grid, *_need(init, "file profile", "csv")),
+}
+
+
+def _is_sh(params, model, trace, out_dir, make_grid):
+    if model.kind == "tricomi":
+        raise ExecutionError("is_sh does not apply to the tricomi model; use tricomi_certificate")
+    box = (params["box_lo"], params["box_hi"]) if "box_lo" in params else model.box
+    per_axis = params.get("per_axis", 3)
+    if model.kind == "law":
+        if model.pair is None:
+            raise ExecutionError("is_sh on a conservation law needs an entropy pair")
+        _, verdict = hessian_symmetrizer(model.system, model.pair,
+                                         samples=sample_box(*box, per_axis))
+    else:
+        verdict = is_sh(model.system, system_samples(model.system, *box, per_axis))
+    return [VerdictRow("is_sh", verdict.is_sh, float(np.max(verdict.residuals)),
+                       "symmetry rtol 1e-10, pivots > 0")]
+
+
+def _entropy_pair(params, model, trace, out_dir, make_grid):
+    tol = params.get("tol", 1e-8)
+    states = sample_box(*model.system.state_box, params.get("per_axis", 33))
+    resid = entropy_pair_residual(model.system, model.pair, states)
+    return [VerdictRow("entropy_pair", resid <= tol, resid, tol)]
+
+
+def _energy(params, model, trace, out_dir, make_grid):
+    if model.q_energy is None:
+        raise ExecutionError("the energy check applies to linear models")
+    series = [(t, grid_energy(snap, model.q_energy))
+              for t, snap in zip(trace.times, trace.snapshots)]
+    os.makedirs(os.path.join(out_dir, "monitors"), exist_ok=True)
+    write_monitor_csv(os.path.join(out_dir, "monitors", "energy.csv"), series)
+    bound = series[0][1] * (1.0 + 10.0 * trace.events[0]["k"]) + 1e-300
+    worst = max(v for _, v in series)
+    return [VerdictRow("energy.non_increasing", worst <= bound, worst, bound)]
+
+
+def _constraints(params, model, trace, out_dir, make_grid):
+    factor, floor = params.get("factor", 3.0), params.get("floor", 1e-12)
+    rows = []
+    for name, series in trace.monitors.items():
+        worst = max(v for _, v in series)
+        bound = max(factor * series[0][1], floor)
+        rows.append(VerdictRow(f"constraints.{name}", worst <= bound, worst, bound))
+    return rows
+
+
+def _support(params, model, trace, out_dir, make_grid):
+    tol = params.get("tol", 0.0)
+    slope = params.get("slope", trace.a_star * 1.01)
+    verdict = support_test(trace, params["radius"], slope, tol=tol,
+                           margin_cells=params.get("margin_cells", 1))
+    return [VerdictRow("support", verdict.passed, verdict.max_outside, tol)]
+
+
+def _rh(params, model, trace, out_dir, make_grid):
+    law = model.system
+    ul, ur = (np.asarray(params[k], dtype=float) for k in ("u_left", "u_right"))
+    tol = params.get("tol", 1e-12)
+    rows = []
+    c = params.get("speed")
+    if c is None:
+        if law.m != 1:
+            raise ExecutionError("rh on a system needs an explicit speed")
+        c = rh_speed(law, float(ul[0]), float(ur[0]))
+        rows.append(VerdictRow("rh.speed", True, c, "derived"))
+    resid = float(np.max(np.abs(rh_residual(law, ul, ur, c))))
+    rows.append(VerdictRow("rh.residual", resid <= tol, resid, tol))
+    if model.pair is not None:
+        verdict = entropy_admissible(law, model.pair, ul, ur, c)
+        rows.append(VerdictRow("rh.production", verdict.admissible,
+                               verdict.production, tol))
+    return rows
+
+
+def _riemann(params, model, trace, out_dir, make_grid):
+    law, pair = model.system, model.pair
+    ul, ur = params["u_left"], params["u_right"]
+    tol = params.get("tol", 1e-12)
+    sol = riemann_scalar(law, ul, ur, pair=pair)
+    if sol.kind != "shock":
+        kind_code = {"constant": 0.0, "rarefaction": 1.0}[sol.kind]
+        return [VerdictRow(f"riemann.{sol.kind}", True, kind_code, "-")]
+    resid = float(np.max(np.abs(rh_residual(law, [ul], [ur], sol.speed))))
+    verdict = entropy_admissible(law, pair, [ul], [ur], sol.speed)
+    return [VerdictRow("riemann.rh_speed", True, sol.speed, "derived"),
+            VerdictRow("riemann.rh_residual", resid <= tol, resid, tol),
+            VerdictRow("riemann.entropy_production", verdict.admissible,
+                       verdict.production, tol)]
+
+
+def _viscous_limit(params, model, trace, out_dir, make_grid):
+    if not params["eps"]:
+        raise ExecutionError("viscous_limit.eps lists no viscosity")
+    slack = params.get("slack", 0.1)
+    runs = viscous_limit_compare(model.system, model.pair, params["u_left"],
+                                 params["u_right"], params["eps"], make_grid(),
+                                 params["t"])
+    write_monitor_csv(os.path.join(out_dir, "viscous_limit.csv"),
+                      [(eps, l1) for eps, l1, _ in runs], header=("eps", "l1_distance"))
+    dists = [l1 for _, l1, _ in runs]
+    monotone = all(b <= a * (1.0 + slack) for a, b in zip(dists, dists[1:]))
+    return [VerdictRow("viscous_limit.monotone", monotone, dists[-1],
+                       f"non-increasing within {slack:g}")]
+
+
+def _tricomi_certificate(params, model, trace, out_dir, make_grid):
+    cert = model.tricomi
+    if cert is None:
+        raise ExecutionError("tricomi_certificate needs the tricomi model")
+    return [VerdictRow("tricomi_certificate", cert.positive, cert.min_pivot,
+                       "pivot > 0")]
+
+
+CHECKS = {
+    "is_sh": Check({"per_axis": "int", "box_lo": "list_float",
+                    "box_hi": "list_float"}, (), None, _is_sh,
+                   together=(("box_lo", "box_hi"),)),
+    "entropy_pair": Check({"tol": "float", "per_axis": "int"}, (),
+                          "scalar_law", _entropy_pair),
+    "energy": Check({}, (), "simulation", _energy),
+    "constraints": Check({"factor": "float", "floor": "float"}, (),
+                         "simulation", _constraints),
+    "support": Check({"radius": "float", "slope": "float", "tol": "float",
+                      "margin_cells": "int"}, ("radius",), "simulation",
+                     _support),
+    "rh": Check({"u_left": "list_float", "u_right": "list_float",
+                 "speed": "float", "tol": "float"}, ("u_left", "u_right"),
+                "law", _rh),
+    "riemann": Check({"u_left": "float", "u_right": "float", "tol": "float"},
+                     ("u_left", "u_right"), "scalar_law", _riemann),
+    "viscous_limit": Check({"u_left": "float", "u_right": "float",
+                            "eps": "list_float", "t": "float", "slack": "float"},
+                           ("u_left", "u_right", "eps", "t"), "scalar_law",
+                           _viscous_limit),
+    "tricomi_certificate": Check({}, (), None, _tricomi_certificate),
+}
+
+# what a check needs -> (test on the built model and the trace, its name in errors)
+NEEDS = {
+    "law": (lambda model, trace: model.kind == "law", "a conservation-law model"),
+    "scalar_law": (lambda model, trace: model.kind == "law" and model.system.m == 1,
+                   "a scalar-law model"),
+    "simulation": (lambda model, trace: trace is not None, "a simulation"),
+}

@@ -1,10 +1,17 @@
 import json
 import os
+import re
 
 import pytest
 
+from shsys import registry
 from shsys.cli import execute, main
 from shsys.config import ConfigError, parse_config
+from shsys.entropy import ConvergenceError
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SIM_CHECKS = [name for name, check in registry.CHECKS.items()
+              if check.needs == "simulation"]
 
 MINIMAL = """
 [model]
@@ -36,6 +43,36 @@ def read_verdicts(out_dir):
 def read_events(out_dir):
     with open(os.path.join(out_dir, "run.ndjson")) as handle:
         return [json.loads(line) for line in handle if line.strip()]
+
+
+def error_messages(out_dir):
+    return [e["message"] for e in read_events(out_dir) if e["event"] == "error"]
+
+
+def readme_list(label):
+    """Backticked names after '<label>: ' in the README's CLI section, up to
+    the next full stop; parenthesized remarks are skipped."""
+    with open(README) as handle:
+        text = re.sub(r"\s+", " ", re.sub(r"\([^)]*\)", "", handle.read()))
+    return re.findall(r"`([^`]+)`", text.split(f"{label}: ", 1)[1].split(".", 1)[0])
+
+
+VISCOUS = """
+[model]
+name = burgers
+
+[grid]
+shape = 64
+h = 0.03125
+boundary = outflow
+
+[checks]
+names = viscous_limit
+viscous_limit.u_left = 1.0
+viscous_limit.u_right = 0.0
+viscous_limit.eps = {eps}
+viscous_limit.t = 0.05
+"""
 
 
 class TestParseConfig:
@@ -91,6 +128,38 @@ class TestParseConfig:
                 "riemann.u_left = 1.0\n")
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize("check, given, missing", [
+        ("rh", ["u_left"], ["u_right"]),
+        ("riemann", [], ["u_left", "u_right"]),
+        ("viscous_limit", ["u_left", "u_right"], ["eps", "t"]),
+        ("support", ["tol"], ["radius"]),
+    ])
+    def test_missing_required_check_params(self, check, given, missing):
+        text = (f"[model]\nname = burgers\n[checks]\nnames = {check}\n"
+                + "".join(f"{check}.{param} = 1.0\n" for param in given))
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        messages = [msg for _, msg in info.value.errors]
+        assert len(messages) == len(missing)
+        for param in missing:
+            assert any(f"check '{check}'" in m and f"'{check}.{param}'" in m
+                       for m in messages), param
+
+    @pytest.mark.parametrize("given, absent", [("box_lo", "box_hi"),
+                                               ("box_hi", "box_lo")])
+    def test_is_sh_box_ends_given_together(self, given, absent):
+        text = ("[model]\nname = burgers\n[checks]\nnames = is_sh\n"
+                f"is_sh.{given} = -1.0\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert any(f"'is_sh.{absent}'" in msg for _, msg in info.value.errors)
+
+    def test_repeated_check_name_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL.replace("names = riemann", "names = riemann, riemann"))
+        assert any("'riemann'" in msg and "more than once" in msg
+                   for _, msg in info.value.errors)
 
 
 class TestExecute:
@@ -253,6 +322,59 @@ viscous_limit.t = 0.2
         assert lines[0] == "eps,l1_distance"
         assert len(lines) == 3
 
+    def test_is_sh_uses_the_given_box(self, tmp_path, monkeypatch):
+        boxes = []
+        sample_box = registry.sample_box
+        monkeypatch.setattr(registry, "sample_box", lambda lo, hi, per_axis: (
+            boxes.append((lo, hi)) or sample_box(lo, hi, per_axis)))
+        text = ("[model]\nname = burgers\n[checks]\nnames = is_sh\n"
+                "is_sh.box_lo = -0.5\nis_sh.box_hi = 2.0\n")
+        assert execute(parse_config(text), output_dir=str(tmp_path / "out")) == 0
+        assert boxes == [([-0.5], [2.0])]
+        # the is_sh tolerance text holds a comma, so read the row as raw text
+        rows = (tmp_path / "out" / "verdicts.csv").read_text().splitlines()
+        assert rows[1].startswith("is_sh,true,")
+
+    def test_library_error_exits_2(self, tmp_path):
+        # h = 0.03125 > eps/4: viscous_limit_compare raises ResolutionError
+        out = tmp_path / "out"
+        assert execute(parse_config(VISCOUS.format(eps=0.02)), output_dir=str(out)) == 2
+        messages = error_messages(out)
+        assert len(messages) == 1 and "eps/4" in messages[0]
+        assert not (out / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize("error", [ConvergenceError("Newton stalled"),
+                                       RuntimeError("viscous run failed: boom")])
+    def test_shsys_errors_in_checks_exit_2(self, tmp_path, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(registry, "riemann_scalar", fail)
+        out = tmp_path / "out"
+        assert execute(parse_config(MINIMAL), output_dir=str(out)) == 2
+        assert error_messages(out) == [str(error)]
+
+    def test_empty_eps_list_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = parse_config(VISCOUS.format(eps=","))
+        assert cfg.checks_params["viscous_limit"]["eps"] == []
+        assert execute(cfg, output_dir=str(out)) == 2
+        assert any("viscous_limit.eps" in m for m in error_messages(out))
+
+    @pytest.mark.parametrize("model, check, params, needs", [
+        ("maxwell", "rh", "rh.u_left = 1.0\nrh.u_right = 0.0\n",
+         "a conservation-law model"),
+        ("euler_cons", "riemann", "riemann.u_left = 1.0\nriemann.u_right = 0.0\n",
+         "a scalar-law model"),
+        ("burgers", "energy", "", "a simulation"),
+        ("tricomi\nlam = 0.1", "is_sh", "", "tricomi_certificate"),
+    ])
+    def test_guard_names_check_and_need(self, tmp_path, model, check, params, needs):
+        text = f"[model]\nname = {model}\n[checks]\nnames = {check}\n{params}"
+        out = tmp_path / "out"
+        assert execute(parse_config(text), output_dir=str(out)) == 2
+        messages = error_messages(out)
+        assert len(messages) == 1 and check in messages[0] and needs in messages[0]
+
     def test_artifacts_written(self, tmp_path):
         text = """
 [model]
@@ -304,12 +426,31 @@ class TestCliMain:
         assert main(["check", str(config_path), "--output-dir",
                      str(tmp_path / "b")]) == 0
 
-    def test_check_refuses_simulation_checks(self, tmp_path, capsys):
-        text = MINIMAL.replace("names = riemann", "names = riemann, energy")
+    @pytest.mark.parametrize("check", SIM_CHECKS)
+    def test_check_refuses_simulation_checks(self, tmp_path, capsys, check):
+        text = (MINIMAL.replace("names = riemann", f"names = riemann, {check}")
+                + "".join(f"{check}.{param} = 1.0\n"
+                          for param in registry.CHECKS[check].required))
         config_path = tmp_path / "cfg.txt"
         config_path.write_text(text)
         assert main(["check", str(config_path), "--output-dir",
                      str(tmp_path / "c")]) == 2
+        messages = error_messages(tmp_path / "c")
+        assert len(messages) == 1 and f"'{check}'" in messages[0]
+        assert "use 'run'" in messages[0]
+
+    @pytest.mark.parametrize("label, table", [("Models", registry.MODELS),
+                                              ("Checks", registry.CHECKS),
+                                              ("Initial profiles", registry.PROFILES)])
+    def test_readme_lists_match_registry(self, label, table):
+        assert readme_list(label) == list(table)
+
+    def test_models_listing_matches_registry(self, capsys):
+        assert main(["models"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(registry.MODELS)
+        for line, entry in zip(lines, registry.MODELS.values()):
+            assert line.endswith(entry.doc)
 
     def test_bad_config_reports_line(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.txt"
