@@ -123,6 +123,7 @@ def parse_config(text: str) -> RunConfig:
     errors = []
     sections = {name: {} for name in _SCHEMA}
     seen = set()
+    lines = {}
     current = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -173,12 +174,19 @@ def parse_config(text: str) -> RunConfig:
         value = _parse_value(_SCHEMA[current][key], raw_value, lineno, errors)
         if value is not None:
             sections[current][key] = value
+            lines[current, key] = lineno
             bad, rule = _LIMITS.get((current, key), (None, ""))
             if bad is not None and bad(value):
                 errors.append((lineno, f"'{key}' {rule}"))
 
-    if "name" not in sections["model"]:
+    model = sections["model"].get("name")
+    if model is None:
         errors.append((0, "missing required key 'name' in [model]"))
+    else:
+        accepted = registry.MODELS[model].keys
+        errors += [(lines["model", key], f"model '{model}' does not take key '{key}'"
+                    f" (it accepts: {', '.join(accepted) or 'no keys'})")
+                   for key in sections["model"] if key != "name" and key not in accepted]
     names = sections["checks"].get("names", [])
     given = sections["checks"].get("_params", {})
     for i, check in enumerate(names):

@@ -39,10 +39,11 @@ class ConservationLaw:
     """Flux form of a quasi-linear system, time flux fixed to the state.
 
     ``flux[j]`` maps states of shape (..., m) to fluxes of the same shape
-    (vectorized over leading axes).  ``flux_jac[j]``, when given, returns
-    the exact m x m Jacobian at a single state.  ``state_box`` delimits the
-    admissible states used for sampling; ``admissible`` optionally refines
-    it with a non-box predicate (vectorized, any leading shape -> bool).
+    (vectorized over leading axes).  ``flux_jac[j]``, when given, maps
+    states (..., m) to the exact Jacobians (..., m, m); a single state is
+    the empty batch.  ``state_box`` delimits the admissible states used
+    for sampling; ``admissible`` optionally refines it with a non-box
+    predicate (vectorized, any leading shape -> bool).
     ``source(x, u)``, like ``SystemDef.source``, gets space-time points x
     of shape (..., n+1), (t, x_1..x_n), and states u of shape (..., m).
     """
@@ -64,7 +65,8 @@ class ConservationLaw:
         object.__setattr__(self, "state_box", (lo, hi))
 
     def jacobian(self, j: int, u) -> np.ndarray:
-        """df^j/du at one state; exact when supplied, else central FD."""
+        """df^j/du at states (..., m), as (..., m, m); exact when supplied,
+        else central FD."""
         u = np.asarray(u, dtype=float)
         if self.flux_jac is not None:
             return np.asarray(self.flux_jac[j](u), dtype=float)
@@ -209,8 +211,8 @@ def hessian_symmetrizer(law: ConservationLaw, pair: EntropyPair,
     verdict comes from the SH check of the quasi-linear form
     M^0 = sigma, M^j = sigma . df^j/du over the samples (defaults to a
     tensor grid on the state box).  Convexity failure at a sample raises.
-    The entropy and flux-Jacobian callables take one state at a time, so
-    sigma and the coefficients evaluate single points only.
+    The entropy callables take one state at a time, so sigma and the
+    coefficients evaluate single points only.
     """
     states = (sample_box(*law.state_box, per_axis=per_axis)
               if samples is None else _as_states(law, samples))

@@ -21,15 +21,16 @@ def steps(u: np.ndarray, scale: float = STEP_FIRST) -> np.ndarray:
 
 
 def jacobian(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a vector function, column per component."""
+    """Central-difference Jacobian of a vector function, column per
+    component; states of shape (..., m) give Jacobians (..., m, m)."""
     u = np.asarray(u, dtype=float)
     hs = steps(u)
     cols = []
-    for i in range(u.size):
+    for i in range(u.shape[-1]):
         e = np.zeros_like(u)
-        e[i] = hs[i]
+        e[..., i] = hs[..., i]
         cols.append((np.asarray(f(u + e), dtype=float)
-                     - np.asarray(f(u - e), dtype=float)) / (2.0 * hs[i]))
+                     - np.asarray(f(u - e), dtype=float)) / (2.0 * hs[..., i, None]))
     return np.stack(cols, axis=-1)
 
 

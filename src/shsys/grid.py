@@ -3,7 +3,9 @@ centered-difference operators for periodic and outflow boundaries."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -39,9 +41,12 @@ class GridField:
             raise ValueError("grid spacing must be positive")
         if self.boundary not in BOUNDARY_MODES:
             raise ValueError(f"boundary must be one of {BOUNDARY_MODES}")
-        if self.data.shape != tuple(self.shape) + (self.m,):
+        self._check_shape(self.data)
+
+    def _check_shape(self, data: np.ndarray):
+        if data.shape != tuple(self.shape) + (self.m,):
             raise ValueError(
-                f"data shape {self.data.shape} does not match grid "
+                f"data shape {data.shape} does not match grid "
                 f"{tuple(self.shape) + (self.m,)}"
             )
 
@@ -56,7 +61,13 @@ class GridField:
                    boundary=boundary)
 
     def with_data(self, data: np.ndarray) -> "GridField":
-        return replace(self, data=np.asarray(data, dtype=float))
+        """The same grid holding new data.  The grid fields were validated
+        when this field was built, so only the data's shape is checked."""
+        data = np.asarray(data, dtype=float)
+        self._check_shape(data)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, data=data)
+        return new
 
     def centers(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
@@ -71,36 +82,102 @@ class GridField:
         return float(np.prod(self.h))
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data)))
+        # a finite sum proves every summand finite; a sum that overflows
+        # (numpy warns) falls back to the element-wise test
+        return (math.isfinite(np.add.reduce(self.data, axis=None))
+                or bool(np.all(np.isfinite(self.data))))
 
     def first_nonfinite(self) -> Optional[tuple]:
         """Lexicographically first cell holding a NaN/Inf, or None."""
         bad = ~np.isfinite(self.data)
-        if not bad.any():
-            return None
-        flat = int(np.argmax(bad.reshape(-1)))
-        return tuple(np.unravel_index(flat, self.data.shape))
+        return first_true(bad) if bad.any() else None
+
+
+def first_true(mask: np.ndarray) -> tuple:
+    """Index of the first True entry of a boolean array, as Python ints."""
+    flat = int(np.argmax(mask.reshape(-1)))
+    return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
+
+
+def _runs(length: int, direction: int, boundary: str) -> list:
+    """(start, stop, offset) runs with shifted(a)[i] == a[i + offset] for
+    start <= i < stop along one axis.  The interior takes its neighbour
+    one cell along ``direction``; the edge cell left over takes the far
+    edge cell (periodic) or itself (outflow)."""
+    edge = length - 1 if direction > 0 else 0
+    source = edge if boundary == "outflow" else length - 1 - edge
+    runs = [(edge, edge + 1, source - edge)]
+    if length > 1:
+        runs.insert(0, (0, length - 1, 1) if direction > 0 else (1, length, -1))
+    return runs
+
+
+@lru_cache(maxsize=None)
+def _regions(axis: int, length: int, direction: int, boundary: str) -> tuple:
+    """(cells, sources) index pairs with shifted(a)[cells] == a[sources]."""
+    lead = (slice(None),) * axis
+    return tuple((lead + (slice(start, stop),), lead + (slice(start + off, stop + off),))
+                 for start, stop, off in _runs(length, direction, boundary))
+
+
+@lru_cache(maxsize=None)
+def _difference_regions(axis: int, length: int, boundary: str) -> tuple:
+    """(cells, plus, minus) index triples with shifted(a, +1)[cells] ==
+    a[plus] and shifted(a, -1)[cells] == a[minus]: the overlaps of the
+    runs of both directions."""
+    lead = (slice(None),) * axis
+    triples = []
+    for start_p, stop_p, off_p in _runs(length, +1, boundary):
+        for start_m, stop_m, off_m in _runs(length, -1, boundary):
+            lo, hi = max(start_p, start_m), min(stop_p, stop_m)
+            if lo < hi:
+                triples.append((lead + (slice(lo, hi),),
+                                lead + (slice(lo + off_p, hi + off_p),),
+                                lead + (slice(lo + off_m, hi + off_m),)))
+    return tuple(triples)
 
 
 def shifted(data: np.ndarray, axis: int, direction: int, boundary: str) -> np.ndarray:
     """Neighbor values along a spatial axis: direction +1 samples at x + h
     (the forward translate), -1 at x - h.  Periodic wraps the far edge
-    cell in, outflow replicates the near one; built from two slices."""
-    lead = (slice(None),) * axis
-    first, last = data[lead + (slice(None, 1),)], data[lead + (slice(-1, None),)]
-    if direction > 0:
-        edge = last if boundary == "outflow" else first
-        return np.concatenate([data[lead + (slice(1, None),)], edge], axis=axis)
-    edge = first if boundary == "outflow" else last
-    return np.concatenate([edge, data[lead + (slice(None, -1),)]], axis=axis)
+    cell in, outflow replicates the near one."""
+    out = np.empty(data.shape, dtype=data.dtype)
+    for cells, sources in _regions(axis, data.shape[axis], direction, boundary):
+        out[cells] = data[sources]
+    return out
+
+
+def shift_into(ufunc, out: np.ndarray, data: np.ndarray, axis: int,
+               direction: int, boundary: str) -> np.ndarray:
+    """out = ufunc(out, shifted(data, axis, direction, boundary)) in place,
+    region by region, without building the translate."""
+    for cells, sources in _regions(axis, data.shape[axis], direction, boundary):
+        view = out[cells]
+        ufunc(view, data[sources], out=view)
+    return out
+
+
+def neighbour_difference(data: np.ndarray, axis: int, boundary: str) -> np.ndarray:
+    """shifted(+1) - shifted(-1) along one axis, in one pass over the data."""
+    out = np.empty(data.shape, dtype=np.result_type(data, 1.0))
+    for cells, plus, minus in _difference_regions(axis, data.shape[axis], boundary):
+        np.subtract(data[plus], data[minus], out=out[cells])
+    return out
+
+
+def second_difference(data: np.ndarray, axis: int, boundary: str) -> np.ndarray:
+    """(shifted(+1) - 2 data) + shifted(-1) along one axis, in one array."""
+    out = shifted(data, axis, +1, boundary)
+    out -= 2.0 * data
+    return shift_into(np.add, out, data, axis, -1, boundary)
 
 
 def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarray] = None) -> np.ndarray:
     """Centered difference (u(x+h) - u(x-h)) / (2h) along one spatial axis."""
     data = field.data if component_data is None else component_data
-    plus = shifted(data, axis, +1, field.boundary)
-    minus = shifted(data, axis, -1, field.boundary)
-    return (plus - minus) / (2.0 * field.h[axis])
+    diff = neighbour_difference(data, axis, field.boundary)
+    diff /= 2.0 * field.h[axis]
+    return diff
 
 
 def interior_mask(field: GridField) -> np.ndarray:

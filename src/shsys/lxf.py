@@ -24,7 +24,8 @@ import numpy as np
 
 from .core import SystemDef, characteristic_speeds, unit_normals
 from .entropy import ConservationLaw
-from .grid import GridField, centered_diff, shifted
+from .grid import (GridField, centered_diff, first_true, neighbour_difference,
+                   second_difference, shift_into)
 
 
 class StabilityError(RuntimeError):
@@ -99,11 +100,10 @@ def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
     normals = unit_normals(system.n)
     worst = 0.0
     if isinstance(system, ConservationLaw):
-        for u_i in u:
-            jacs = [system.jacobian(j, u_i) for j in range(system.n)]
-            for nu in normals:
-                a = sum(nu[j] * jacs[j] for j in range(system.n))
-                worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(a)))))
+        jacs = [system.jacobian(j, u) for j in range(system.n)]
+        for nu in normals:
+            a = sum(nu[j] * jacs[j] for j in range(system.n))
+            worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(a)))))
         return worst
     x = _spacetime(t, state.coords().reshape(-1, state.n)[idx])
     fields = (*system.coeff, system.symmetrizer)
@@ -119,9 +119,10 @@ def lxf_average(state: GridField) -> np.ndarray:
     """(1/2n) sum over axes of both neighbor translates."""
     acc = np.zeros_like(state.data)
     for j in range(state.n):
-        acc += shifted(state.data, j, +1, state.boundary)
-        acc += shifted(state.data, j, -1, state.boundary)
-    return acc / (2.0 * state.n)
+        shift_into(np.add, acc, state.data, j, +1, state.boundary)
+        shift_into(np.add, acc, state.data, j, -1, state.boundary)
+    acc /= 2.0 * state.n
+    return acc
 
 
 def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
@@ -171,8 +172,7 @@ def law_rhs(law: ConservationLaw) -> Callable[[float, GridField], np.ndarray]:
         out = np.zeros_like(state.data)
         for j in range(law.n):
             fu = np.asarray(law.flux[j](state.data), dtype=float)
-            out -= (shifted(fu, j, +1, state.boundary)
-                    - shifted(fu, j, -1, state.boundary)) / (2.0 * state.h[j])
+            out -= centered_diff(state, j, fu)
         if law.source is not None:
             x = _spacetime(t, state.coords())
             out += np.asarray(law.source(x, state.data), dtype=float)
@@ -185,9 +185,11 @@ def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
              config: SchemeConfig, t: float = 0.0,
              k: Optional[float] = None) -> GridField:
     """One Lax-Friedrichs step of size k (default lam * h)."""
-    h = _uniform_h(state)
-    k = config.lam * h if k is None else k
-    return state.with_data(lxf_average(state) + k * rhs(t, state))
+    if k is None:
+        k = config.lam * _uniform_h(state)
+    new = lxf_average(state)
+    new += k * rhs(t, state)
+    return state.with_data(new)
 
 
 def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
@@ -201,28 +203,36 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     eps = config.viscosity
     data = state.data
     fu = np.asarray(law.flux[0](data), dtype=float)
-    new = (data
-           - (k / (2.0 * h)) * (shifted(fu, 0, +1, state.boundary)
-                                - shifted(fu, 0, -1, state.boundary))
-           + (eps * k / h ** 2) * (shifted(data, 0, +1, state.boundary)
-                                   - 2.0 * data
-                                   + shifted(data, 0, -1, state.boundary)))
+    # the operations of data - c (tau+ f - tau- f) + d ((tau+ u - 2u) + tau- u),
+    # in that order
+    flux_diff = neighbour_difference(fu, 0, state.boundary)
+    flux_diff *= k / (2.0 * h)
+    laplacian = second_difference(data, 0, state.boundary)
+    laplacian *= eps * k / h ** 2
+    new = data - flux_diff
+    new += laplacian
     if law.source is not None:
         x = _spacetime(t, state.coords())
         new = new + k * np.asarray(law.source(x, data), dtype=float)
     return state.with_data(new)
 
 
-def _box_violation(system, state: GridField) -> Optional[str]:
+def _box_violation(system, state: GridField) -> Optional[tuple]:
+    """(cell, component) of the first state outside the system's box, or
+    (cell, None) for the first cell its ``admissible`` test rejects; None
+    when every state is admissible."""
     box = getattr(system, "state_box", None)
     if box is not None and isinstance(system, SystemDef):
         lo, hi = (np.asarray(b, dtype=float) for b in box)
-        data = state.data.reshape(-1, state.m)
-        if np.any(data < lo) or np.any(data > hi):
-            return "state outside box"
+        outside = (state.data < lo) | (state.data > hi)
+        if outside.any():
+            *cell, component = first_true(outside)
+            return tuple(cell), component
     admissible = getattr(system, "admissible", None)
-    if admissible is not None and not bool(np.all(admissible(state.data))):
-        return "state outside box"
+    if admissible is not None:
+        ok = np.asarray(admissible(state.data), dtype=bool)
+        if not ok.all():
+            return first_true(~ok), None
     return None
 
 
@@ -262,14 +272,19 @@ def run(system, initial: GridField, config: SchemeConfig,
         for mon in monitors:
             trace.monitors[mon.name].append((t, float(mon.evaluate(state))))
 
+    def abort(step, t, what, cell, component):
+        where = f"at cell {cell}" + ("" if component is None else f" component {component}")
+        trace.error = f"{what} {where} after step {step}"
+        trace.events.append({"event": "abort", "step": step, "t": t,
+                             "error": trace.error, "cell": cell,
+                             "component": component})
+        return trace
+
     # an inadmissible initial state aborts before any coefficient is evaluated
     violation = _box_violation(system, initial)
     if violation:
         record(0.0, initial)
-        trace.error = violation
-        trace.events.append({"event": "abort", "step": 0, "t": 0.0,
-                             "error": violation})
-        return trace
+        return abort(0, 0.0, "state outside box", *violation)
 
     a_star = check_stability(system, initial, config)
     trace.a_star = a_star
@@ -310,17 +325,11 @@ def run(system, initial: GridField, config: SchemeConfig,
         t = i * k if i <= n_full else config.t_end
         trace.steps = i
         if not state.is_finite():
-            cell = state.first_nonfinite()
-            trace.error = f"non-finite state at cell {cell} after step {i}"
-            trace.events.append({"event": "abort", "step": i, "t": t,
-                                 "error": trace.error})
-            return trace
+            *cell, component = state.first_nonfinite()
+            return abort(i, t, "non-finite state", tuple(cell), component)
         violation = _box_violation(system, state)
         if violation:
-            trace.error = violation
-            trace.events.append({"event": "abort", "step": i, "t": t,
-                                 "error": violation})
-            return trace
+            return abort(i, t, "state outside box", *violation)
         if i % config.output_stride == 0 or i == total_steps:
             record(t, state)
 

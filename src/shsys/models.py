@@ -46,6 +46,16 @@ class ConstraintMonitor:
 # ---------------------------------------------------------------------------
 # scalar polynomial-flux laws
 
+def _horner(c: np.ndarray, x):
+    """sum_i c[i] x^i in ``numpy.polynomial.polynomial.polyval``'s own
+    operation order, so results agree bit for bit, without its per-call
+    argument handling."""
+    acc = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * x
+    return acc
+
+
 def polynomial_scalar_law(coeffs, state_box=(-3.0, 3.0)):
     """Scalar 1D law with flux f(u) = sum_i coeffs[i] u^i, plus the
     quadratic entropy pair U = u^2, F = int 2u f'(u) du (exact
@@ -58,10 +68,11 @@ def polynomial_scalar_law(coeffs, state_box=(-3.0, 3.0)):
 
     def flux(u):
         u = np.asarray(u, dtype=float)
-        return np.polynomial.polynomial.polyval(u[..., 0], c)[..., np.newaxis]
+        return _horner(c, u[..., 0])[..., np.newaxis]
 
     def jac(u):
-        return np.array([[np.polynomial.polynomial.polyval(float(u[0]), dc)]])
+        u = np.asarray(u, dtype=float)
+        return np.asarray(_horner(dc, u[..., 0]))[..., np.newaxis, np.newaxis]
 
     lo, hi = float(state_box[0]), float(state_box[1])
     law = ConservationLaw(n=1, m=1, flux=(flux,), state_box=([lo], [hi]),
@@ -69,11 +80,10 @@ def polynomial_scalar_law(coeffs, state_box=(-3.0, 3.0)):
     pair = EntropyPair(
         n=1, m=1,
         value=lambda u: float(u[0] ** 2),
-        flux=(lambda u: float(np.polynomial.polynomial.polyval(float(u[0]), fc)),),
+        flux=(lambda u: float(_horner(fc, float(u[0]))),),
         grad=lambda u: np.array([2.0 * u[0]]),
         hess=lambda u: np.array([[2.0]]),
-        flux_grad=(lambda u: np.array(
-            [np.polynomial.polynomial.polyval(float(u[0]), fprime_shift)]),),
+        flux_grad=(lambda u: np.array([_horner(fprime_shift, float(u[0]))]),),
     )
     return law, pair
 

@@ -155,6 +155,17 @@ class TestParseConfig:
             parse_config(text)
         assert any(f"'is_sh.{absent}'" in msg for _, msg in info.value.errors)
 
+    @pytest.mark.parametrize("model, key, value, accepted", [
+        ("burgers", "gamma", "2", "no keys"),
+        ("wave", "lam", "0.5", "aj, ajk"),
+    ])
+    def test_key_of_another_model_rejected(self, model, key, value, accepted):
+        text = f"[model]\n{key} = {value}\nname = {model}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == [
+            (2, f"model '{model}' does not take key '{key}' (it accepts: {accepted})")]
+
     def test_repeated_check_name_rejected(self):
         with pytest.raises(ConfigError) as info:
             parse_config(MINIMAL.replace("names = riemann", "names = riemann, riemann"))
@@ -228,6 +239,15 @@ names = is_sh
         events = read_events(tmp_path / "out")
         assert any(e.get("event") == "error" and "state outside box" in e.get("message", "")
                    for e in events)
+
+    def test_abort_event_is_located(self, tmp_path):
+        text = ("[model]\nname = euler_sh\n[grid]\nshape = 32\nh = 0.03125\n"
+                "[scheme]\nlambda = 0.3\nt_end = 0.1\n"
+                "[initial]\nprofile = constant\nvalue = -1.0, 0.0\n")
+        assert execute(parse_config(text), output_dir=str(tmp_path / "out")) == 2
+        abort = [e for e in read_events(tmp_path / "out") if e.get("event") == "abort"]
+        assert [(e["step"], e["cell"], e["component"], e["error"]) for e in abort] == [
+            (0, [0], 0, "state outside box at cell (0,) component 0 after step 0")]
 
     def test_failing_check_exits_1(self, tmp_path):
         text = """

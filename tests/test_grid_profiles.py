@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shsys import profiles
-from shsys.grid import GridField, centered_diff, interior_mask, l2_norm, shifted
+from shsys.grid import (GridField, centered_diff, interior_mask, l2_norm,
+                        neighbour_difference, second_difference, shift_into,
+                        shifted)
 
 
 def grid_1d(cells, extent=2.0, m=1, boundary="periodic"):
@@ -37,6 +39,35 @@ class TestGridField:
         g = g.with_data(data)
         assert not g.is_finite()
         assert g.first_nonfinite() == (1, 0, 1)
+
+    def test_is_finite_when_the_sum_overflows(self):
+        g = GridField.zeros((2,), 1.0, 0.0, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert g.with_data([[1e308], [1e308]]).is_finite()
+            for bad in (np.nan, np.inf, -np.inf):
+                assert not g.with_data([[1e308], [bad]]).is_finite()
+            assert not g.with_data([[np.inf], [-np.inf]]).is_finite()
+
+    def test_with_data_checks_shape_and_keeps_grid(self):
+        g = GridField.zeros((3, 2), (1.0, 0.5), (0.0, 10.0), 2, boundary="outflow")
+        with pytest.raises(ValueError, match=r"data shape \(3, 2\) does not match"):
+            g.with_data(np.zeros((3, 2)))
+        new = g.with_data(np.ones((3, 2, 2), dtype=int))
+        assert new.data.dtype == float and new.data.sum() == 12.0
+        assert (new.n, new.shape, new.h, new.origin, new.m, new.boundary) == (
+            g.n, g.shape, g.h, g.origin, g.m, g.boundary)
+        assert not g.data.any()
+
+
+def roll_shift(data, axis, direction, boundary):
+    """shifted() built from np.roll: periodic is the roll, outflow then
+    puts the edge cell back."""
+    ref = np.roll(data, -direction, axis=axis)
+    if boundary == "outflow":
+        idx = [slice(None)] * data.ndim
+        idx[axis] = -1 if direction > 0 else 0
+        ref[tuple(idx)] = data[tuple(idx)]
+    return ref
 
 
 class TestShifts:
@@ -73,6 +104,31 @@ class TestShifts:
                     assert out.shape == data.shape
                     assert out.tobytes() == ref.tobytes()
                     assert not np.shares_memory(out, data)
+
+    @settings(deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=4, max_side=3),
+                      elements=st.floats(allow_nan=True, allow_infinity=True)))
+    @example(np.array([[-0.0], [np.nan]]))
+    @example(np.array([[[np.inf, -0.0]], [[-np.inf, 0.0]]]))
+    @example(np.array([[[[-0.0]]]]))
+    @example(np.array([[[[1.0], [np.nan]], [[-0.0], [np.inf]]]]))
+    def test_stencils_match_roll_reference(self, data):
+        # bit for bit, signed zeros and non-finite values included, on
+        # every spatial axis of 1D, 2D and 3D arrays
+        for axis in range(data.ndim - 1):
+            for boundary in ("periodic", "outflow"):
+                plus, minus = (roll_shift(data, axis, d, boundary) for d in (+1, -1))
+                with np.errstate(invalid="ignore", over="ignore"):
+                    acc = np.zeros_like(data)
+                    shift_into(np.add, acc, data, axis, +1, boundary)
+                    shift_into(np.add, acc, data, axis, -1, boundary)
+                    assert acc.tobytes() == ((np.zeros_like(data) + plus) + minus).tobytes()
+                    diff = neighbour_difference(data, axis, boundary)
+                    assert diff.tobytes() == (plus - minus).tobytes()
+                    second = second_difference(data, axis, boundary)
+                    assert second.tobytes() == ((plus - 2.0 * data) + minus).tobytes()
+                assert shifted(data, axis, +1, boundary).tobytes() == plus.tobytes()
+                assert shifted(data, axis, -1, boundary).tobytes() == minus.tobytes()
 
     def test_centered_diff_exact_on_linear_data(self):
         g = grid_1d(16, boundary="outflow")

@@ -1,17 +1,20 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shsys import profiles
+from shsys.core import MatrixField, SystemDef, unit_normals
 from shsys.energy import energy
 from shsys.entropy import ConservationLaw
 from shsys.grid import GridField
-from shsys.lxf import (SchemeConfig, StabilityError, law_rhs, lxf_step,
-                       max_char_speed, run, system_rhs, viscous_step)
+from shsys.lxf import (SchemeConfig, StabilityError, _sample_cells, law_rhs,
+                       lxf_step, max_char_speed, run, system_rhs, viscous_step)
 from shsys.models import (advection_law, burgers_law, euler_conservative_1d,
-                          euler_primitive_to_conservative, maxwell_system,
-                          wave_system)
+                          euler_polytropic_sh, euler_primitive_to_conservative,
+                          maxwell_system, wave_system)
 
 RNG = np.random.default_rng(2718)
 
@@ -279,7 +282,49 @@ class TestRun:
                                               np.zeros(16), np.full(16, -1.0))
         trace = run(law, grid.with_data(bad), SchemeConfig(lam=0.1, t_end=1.0))
         assert not trace.completed
-        assert trace.error == "state outside box"
+        assert trace.error == "state outside box at cell (0,) after step 0"
+
+    def test_box_abort_names_cell_component_and_step(self):
+        # component 1 grows by k = 0.125 a step and leaves [-1, 0.05] at step 1
+        sys = SystemDef(
+            n=1, m=2, coeff=(MatrixField.constant(np.eye(2)),
+                             MatrixField.constant(np.zeros((2, 2)))),
+            source=lambda x, u: np.broadcast_to([0.0, 1.0], np.shape(u)),
+            state_box=([-1.0, -1.0], [1.0, 0.05]))
+        grid = grid_1d(8, m=2)
+        trace = run(sys, grid, SchemeConfig(lam=0.5, t_end=1.0))
+        assert not trace.completed and trace.steps == 1
+        assert trace.error == "state outside box at cell (0,) component 1 after step 1"
+        abort = trace.events[-1]
+        assert (abort["event"], abort["step"], abort["cell"], abort["component"]) == (
+            "abort", 1, (0,), 1)
+
+    def test_initial_box_abort_locates_the_first_cell(self):
+        sys = euler_polytropic_sh(1.4, n=2)
+        grid = GridField.zeros((3, 4), 0.25, 0.0, 3)
+        data = np.ones((3, 4, 3))
+        data[2, 1, 0] = data[2, 3, 0] = -1.0
+        trace = run(sys, grid.with_data(data), SchemeConfig(lam=0.1, t_end=0.1))
+        assert trace.error == "state outside box at cell (2, 1) component 0 after step 0"
+        assert (trace.events[-1]["cell"], trace.events[-1]["component"]) == ((2, 1), 0)
+        assert len(trace.snapshots) == 1
+
+    def test_nonfinite_abort_names_cell_and_component(self):
+        law = ConservationLaw(
+            n=1, m=1,
+            flux=(lambda u: np.zeros_like(np.asarray(u, dtype=float)),),
+            source=lambda x, u: np.asarray(u, dtype=float) ** 2,
+            state_box=([-1e9], [1e9]))
+        data = np.zeros((16, 1))
+        data[5, 0] = 100.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(law, grid_1d(16).with_data(data),
+                        SchemeConfig(lam=0.1, t_end=1.0))
+        step = trace.steps
+        assert re.fullmatch(r"non-finite state at cell \(\d+,\) component 0 "
+                            rf"after step {step}", trace.error)
+        abort = trace.events[-1]
+        assert abort["component"] == 0 and len(abort["cell"]) == 1
 
     def test_bit_identical_reruns(self):
         law, _ = burgers_law()
@@ -304,3 +349,130 @@ class TestMaxCharSpeed:
         sys, _ = wave_system(np.zeros(1), np.eye(1))
         grid = grid_1d(16, m=3)
         assert max_char_speed(sys, grid) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("law_name", ["burgers", "euler_cons", "test2d", "test2d_fd"])
+    def test_batched_law_speed_equals_per_sample_loop(self, law_name):
+        law, initial = law_speed_case(law_name)
+        assert max_char_speed(law, initial) == per_sample_speed(law, initial)
+
+
+def per_sample_speed(law, state):
+    """The CFL speed of a law, one sampled state at a time."""
+    u = state.data.reshape(-1, state.m)[_sample_cells(state)]
+    worst = 0.0
+    for u_i in u:
+        jacs = [law.jacobian(j, u_i) for j in range(law.n)]
+        for nu in unit_normals(law.n):
+            a = sum(nu[j] * jacs[j] for j in range(law.n))
+            worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(a)))))
+    return worst
+
+
+def law_speed_case(name):
+    """A law and a state with at least 512 cells, so sampling strides."""
+    if name == "burgers":
+        law, _ = burgers_law()
+        return law, grid_1d(700).with_data(RNG.uniform(-0.9, 0.9, size=(700, 1)))
+    if name == "euler_cons":
+        law = euler_conservative_1d(1.4)     # no exact Jacobian: central FD
+        grid = grid_1d(600, m=3)
+        x = grid.centers(0)
+        data = euler_primitive_to_conservative(
+            1.4, 1.0 + 0.2 * np.sin(np.pi * x), 0.3 * np.cos(np.pi * x),
+            1.0 + 0.1 * np.sin(2 * np.pi * x))
+        return law, grid.with_data(data)
+
+    def f1(u):
+        u = np.asarray(u, dtype=float)
+        return np.stack([0.5 * u[..., 0] ** 2 + u[..., 1], u[..., 0] * u[..., 1]], -1)
+
+    def f2(u):
+        u = np.asarray(u, dtype=float)
+        return np.stack([u[..., 1], u[..., 0] + u[..., 1] ** 2], -1)
+
+    def j1(u):
+        u0, u1 = u[..., 0], u[..., 1]
+        return np.stack([np.stack([u0, np.ones_like(u0)], -1),
+                         np.stack([u1, u0], -1)], -2)
+
+    def j2(u):
+        u1 = u[..., 1]
+        return np.stack([np.stack([np.zeros_like(u1), np.ones_like(u1)], -1),
+                         np.stack([np.ones_like(u1), 2.0 * u1], -1)], -2)
+
+    law = ConservationLaw(n=2, m=2, flux=(f1, f2), state_box=([-2, -2], [2, 2]),
+                          flux_jac=None if name.endswith("_fd") else (j1, j2))
+    grid = GridField.zeros((30, 20), 0.1, 0.0, 2)
+    return law, grid.with_data(RNG.uniform(-1.0, 1.0, size=(30, 20, 2)))
+
+
+class TestSingleCell:
+    @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+    @pytest.mark.parametrize("viscosity", [0.0, 0.01])
+    def test_law_cell_is_a_fixed_point(self, boundary, viscosity):
+        # both neighbours of the only cell are the cell itself
+        law, _ = burgers_law()
+        initial = GridField.zeros((1,), 0.5, 0.0, 1, boundary).with_data([[0.7]])
+        trace = run(law, initial, SchemeConfig(lam=0.5, t_end=0.5, viscosity=viscosity))
+        assert trace.completed and trace.steps == 2
+        assert all(np.array_equal(s.data, [[0.7]]) for s in trace.snapshots)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+    def test_system_cell_sees_only_its_source(self, boundary):
+        sys, _ = wave_system(np.zeros(1), np.eye(1))
+        initial = GridField.zeros((1,), 0.5, 0.0, 3, boundary).with_data([[0.1, 0.2, 0.3]])
+        trace = run(sys, initial, SchemeConfig(lam=0.5, t_end=1.0))
+        assert trace.completed and trace.steps == 4
+        # d_t v_0 = v_2; the derivative components stay put
+        assert trace.snapshots[-1].data[0] == pytest.approx([0.1 + 4 * 0.25 * 0.3, 0.2, 0.3])
+
+    def test_maxwell_cell_is_a_fixed_point(self):
+        sys, _ = maxwell_system()
+        values = np.arange(1.0, 7.0)
+        initial = GridField.zeros((1, 1, 1), 0.5, 0.0, 6).with_data(values[None, None, None])
+        trace = run(sys, initial, SchemeConfig(lam=0.25, t_end=0.5))
+        assert trace.completed and trace.steps == 4
+        assert np.array_equal(trace.snapshots[-1].data[0, 0, 0], values)
+
+
+def totals(snapshot):
+    """sum(u) h per component."""
+    return snapshot.data.sum(axis=0) * snapshot.h[0]
+
+
+def assert_totals_conserved(law, initial, lam):
+    trace = run(law, initial, SchemeConfig(lam=lam, t_end=0.5))
+    assert trace.completed
+    u0 = initial.data
+    scale = np.maximum(np.abs(u0).max(axis=0), np.abs(law.flux[0](u0)).max(axis=0))
+    # rounding of a few operations per cell and step, plus the sums themselves
+    tol = 8.0 * np.finfo(float).eps * (trace.steps + 1) * len(u0) * scale * initial.h[0]
+    start = totals(initial)
+    for snap in trace.snapshots:
+        assert np.all(np.abs(totals(snap) - start) <= tol)
+
+
+class TestConservation:
+    @settings(deadline=None, max_examples=25)
+    @given(mean=st.floats(-0.4, 0.4),
+           amplitudes=st.lists(st.floats(-0.15, 0.15), min_size=1, max_size=3),
+           phase=st.floats(0.0, 2.0 * np.pi), cells=st.integers(4, 96))
+    def test_periodic_burgers_keeps_its_total(self, mean, amplitudes, phase, cells):
+        law, _ = burgers_law()
+        grid = grid_1d(cells)
+        x = grid.centers(0)
+        u = mean + sum(a * np.sin(np.pi * (i + 1) * x + phase)
+                       for i, a in enumerate(amplitudes))
+        assert_totals_conserved(law, grid.with_data(u[:, None]), lam=0.5)
+
+    @settings(deadline=None, max_examples=25)
+    @given(amplitudes=st.tuples(*[st.floats(-0.2, 0.2)] * 3),
+           phase=st.floats(0.0, 2.0 * np.pi), cells=st.integers(4, 96))
+    def test_periodic_euler_keeps_its_totals(self, amplitudes, phase, cells):
+        law = euler_conservative_1d(1.4)
+        grid = grid_1d(cells, m=3)
+        wave = np.sin(np.pi * grid.centers(0) + phase)
+        a_rho, a_v, a_p = amplitudes
+        data = euler_primitive_to_conservative(
+            1.4, 1.0 + a_rho * wave, a_v * wave, 1.0 + a_p * wave)
+        assert_totals_conserved(law, grid.with_data(data), lam=0.4)

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
 from shsys import profiles
 from shsys.core import is_sh, symmetry_residual, system_samples
@@ -10,7 +13,7 @@ from shsys.models import (burgers_law, ck_realify, euler_conservative_1d,
                           euler_conservative_to_primitive,
                           euler_polytropic_sh, euler_primitive_to_conservative,
                           euler_sound_speed, maxwell_system,
-                          tricomi_certificate_matrix, tricomi_system,
+                          polynomial_scalar_law, tricomi_certificate_matrix, tricomi_system,
                           wave_system)
 
 RNG = np.random.default_rng(1119)
@@ -159,7 +162,7 @@ class TestEulerPolytropic:
         trace = run(sys, grid.with_data(data),
                     SchemeConfig(lam=0.1, t_end=0.1))
         assert not trace.completed
-        assert trace.error == "state outside box"
+        assert trace.error == "state outside box at cell (4,) component 0 after step 0"
 
 
 class TestEulerFormsAgree:
@@ -311,3 +314,25 @@ class TestBurgersLawVectorization:
     def test_exact_jacobian(self):
         law, _ = burgers_law()
         assert law.jacobian(0, np.array([0.7]))[0, 0] == pytest.approx(0.7)
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=5),
+           hnp.arrays(float, hnp.array_shapes(max_dims=2, max_side=4),
+                      elements=st.floats(allow_nan=True, allow_infinity=True)))
+    @example([0.0, 0.0, 0.5], np.array([-0.0, np.nan, np.inf, -np.inf, 1e200]))
+    def test_polynomial_flux_and_jacobian_equal_polyval(self, coeffs, x):
+        law, pair = polynomial_scalar_law(coeffs)
+        c = np.asarray(coeffs, dtype=float)
+        dc = P.polyder(c)
+        with np.errstate(invalid="ignore", over="ignore"):
+            flux = law.flux[0](x[..., None])
+            jac = law.jacobian(0, x[..., None])
+            assert flux.shape == x.shape + (1,) and jac.shape == x.shape + (1, 1)
+            assert flux.tobytes() == P.polyval(x, c)[..., None].tobytes()
+            assert jac.tobytes() == P.polyval(x, dc)[..., None, None].tobytes()
+            u0 = x.reshape(-1)[:1]
+            assert law.jacobian(0, u0).tobytes() == np.array(
+                [[P.polyval(float(u0[0]), dc)]]).tobytes()
+            fc = P.polyint(np.concatenate([[0.0], 2.0 * dc]))
+            assert np.array(pair.flux[0](u0)).tobytes() == np.array(
+                float(P.polyval(float(u0[0]), fc))).tobytes()
