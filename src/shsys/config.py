@@ -15,6 +15,7 @@ every error carries its line number.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import asdict, dataclass, field
 
 from . import registry
@@ -110,11 +111,17 @@ def _parse_value(kind, raw, line, errors):
         return None
     try:
         if kind.startswith("list_"):
-            return [_CONVERT[kind[5:]](v.strip()) for v in raw.split(",") if v.strip()]
-        return _CONVERT[kind](raw)
+            value = [_CONVERT[kind[5:]](v.strip()) for v in raw.split(",") if v.strip()]
+        else:
+            value = _CONVERT[kind](raw)
     except ValueError:
         errors.append((line, f"cannot parse '{raw}' as {kind}"))
         return None
+    numbers = value if kind.startswith("list_") else [value]
+    if kind.endswith("float") and not all(map(math.isfinite, numbers)):
+        errors.append((line, f"value '{raw}' is not finite (nan and inf are rejected)"))
+        return None
+    return value
 
 
 def parse_config(text: str) -> RunConfig:

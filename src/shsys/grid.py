@@ -37,6 +37,9 @@ class GridField:
             raise ValueError("shape, h and origin must all have length n")
         if any(s < 1 for s in self.shape):
             raise ValueError("grid shape entries must be >= 1")
+        if not all(map(math.isfinite, (*self.h, *self.origin))):
+            raise ValueError(f"grid spacing and origin must be finite, got h = "
+                             f"{self.h}, origin = {self.origin}")
         if any(hj <= 0 for hj in self.h):
             raise ValueError("grid spacing must be positive")
         if self.boundary not in BOUNDARY_MODES:

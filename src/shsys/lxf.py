@@ -8,7 +8,10 @@ space derivatives by centered differences:
 
 with RHS = M0^-1 [N - M^j D_j u] for quasi-linear systems and
 RHS = N - sum_j (tau_j f^j(u) - tau_j^-1 f^j(u)) / 2h for conservation
-laws.  The ratio lambda = k/h is fixed; stability is enforced at run
+laws.  A constant M^j is applied as one matrix product per single-entry
+layer (``single_entry_layers``), summed left to right in column order;
+on rows with at most two nonzeros that equals the per-cell contraction
+bit for bit.  The ratio lambda = k/h is fixed; stability is enforced at run
 start as lambda * a_star <= cfl_safety / n with a_star the sampled
 maximum characteristic speed (and k <= cfl_safety * h^2 / (2 eps) when
 viscosity is on).  Sources and state-dependent coefficients are evaluated
@@ -17,6 +20,7 @@ fully explicitly at (t, x, u(t)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -43,6 +47,9 @@ class SchemeConfig:
     viscosity: float = 0.0      # eps >= 0; 1D conservation laws only
 
     def __post_init__(self):
+        for name in ("lam", "t_end", "cfl_safety", "viscosity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam <= 0:
             raise ValueError("lambda (k/h) must be positive")
         if self.t_end < 0:
@@ -125,19 +132,55 @@ def lxf_average(state: GridField) -> np.ndarray:
     return acc
 
 
+def single_entry_layers(mat: np.ndarray) -> np.ndarray:
+    """Layers P_1..P_k of a constant (m, m) matrix, stored transposed as a
+    (k, m, m) array: P_s holds the s-th nonzero of each row, taken in
+    column order, so every row of a layer has at most one nonzero.  k is
+    the largest number of nonzeros in a row, and at least 1."""
+    m = mat.shape[0]
+    cols = [np.flatnonzero(row) for row in mat]
+    layers = np.zeros((max(1, *map(len, cols)), m, m))
+    for a, c in enumerate(cols):
+        layers[np.arange(len(c)), c, a] = mat[a, c]
+    return layers
+
+
+def apply_layers(layers: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """sum_B M[A, B] du[..., B] for the layers of M, as
+    du @ P_1^T + du @ P_2^T + ... + 0.0, summed left to right.
+
+    Each product has one rounded term per output and exact +-0 terms
+    besides.  With at most two nonzeros per row the sum does not depend
+    on the order, and adding 0.0 turns -0 into +0, so the result equals
+    the contraction summed from zero, einsum("AB,...B->...A", M, du), bit
+    for bit; rows with more nonzeros are summed in column order.  The
+    zero entries are multiplied too, so a NaN or inf in a cell makes every
+    component of that cell non-finite, as in the contraction."""
+    flat = du.reshape(-1, layers.shape[-1])
+    out = flat @ layers[0]
+    for layer in layers[1:]:
+        out += flat @ layer
+    out += 0.0
+    return out.reshape(du.shape)
+
+
 def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
     """RHS evaluator M0^-1 [N - M^j D_j u] for a quasi-linear system.
 
-    Every coefficient and the source are evaluated once per call on the
-    whole grid (the batched contract of SystemDef).  A constant field is
-    one (m, m) matrix applied to all cells in one contraction or one
-    factorization; a (..., m, m) field is applied by stacked products and
-    solves.  The cell coordinates are built only when some field or the
-    source needs them, and an identity M0 skips the solve.
+    Every state-dependent coefficient and the source are evaluated once
+    per call on the whole grid (the batched contract of SystemDef) and
+    applied by stacked products and solves.  A constant M^j is split into
+    its single-entry layers once, here, and applied to all cells by
+    ``apply_layers``: one matrix product per layer, summed in layer order;
+    a constant M0 is factorized against all cells at once.  The cell
+    coordinates are built only when some field or the source needs them,
+    and an identity M0 skips the solve.
     """
     m0_const = sys.coeff[0].const
     m0_is_identity = m0_const is not None and np.array_equal(m0_const, np.eye(sys.m))
     needs_x = sys.source is not None or any(c.const is None for c in sys.coeff)
+    layers = [None if c.const is None else single_entry_layers(c.const)
+              for c in sys.coeff[1:]]
 
     def rhs(t, state):
         u = state.data
@@ -151,15 +194,14 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
                     f"source returned shape {target.shape}, expected (..., m) = "
                     f"{u.shape}: it must evaluate every point of the batch")
         for j in range(sys.n):
-            mj, du = sys.coeff[j + 1](x, u), centered_diff(state, j)
-            target -= (np.einsum("AB,...B->...A", mj, du) if mj.ndim == 2
-                       else np.matmul(mj, du[..., None])[..., 0])
+            du = centered_diff(state, j)
+            target -= (np.matmul(sys.coeff[j + 1](x, u), du[..., None])[..., 0]
+                       if layers[j] is None else apply_layers(layers[j], du))
         if m0_is_identity:
             return target
-        m0 = sys.coeff[0](x, u)
-        if m0.ndim == 2:
-            return np.linalg.solve(m0, target.reshape(-1, sys.m).T).T.reshape(u.shape)
-        return np.linalg.solve(m0, target[..., None])[..., 0]
+        if m0_const is not None:
+            return np.linalg.solve(m0_const, target.reshape(-1, sys.m).T).T.reshape(u.shape)
+        return np.linalg.solve(sys.coeff[0](x, u), target[..., None])[..., 0]
 
     return rhs
 
@@ -236,6 +278,17 @@ def _box_violation(system, state: GridField) -> Optional[tuple]:
     return None
 
 
+def _state_violation(system, state: GridField) -> Optional[tuple]:
+    """(what, cell, component) for the first non-finite value, else for
+    the first state outside the system's box (``_box_violation``); None
+    when the state is finite and admissible."""
+    if not state.is_finite():
+        *cell, component = state.first_nonfinite()
+        return "non-finite state", tuple(cell), component
+    violation = _box_violation(system, state)
+    return None if violation is None else ("state outside box", *violation)
+
+
 def check_stability(system, initial: GridField, config: SchemeConfig) -> float:
     """Enforce the CFL precondition; returns the sampled max speed."""
     a_star = max_char_speed(system, initial, t=0.0)
@@ -280,11 +333,12 @@ def run(system, initial: GridField, config: SchemeConfig,
                              "component": component})
         return trace
 
-    # an inadmissible initial state aborts before any coefficient is evaluated
-    violation = _box_violation(system, initial)
+    # a non-finite or inadmissible initial state aborts before any
+    # coefficient is evaluated
+    violation = _state_violation(system, initial)
     if violation:
         record(0.0, initial)
-        return abort(0, 0.0, "state outside box", *violation)
+        return abort(0, 0.0, *violation)
 
     a_star = check_stability(system, initial, config)
     trace.a_star = a_star
@@ -324,12 +378,9 @@ def run(system, initial: GridField, config: SchemeConfig,
         state = stepper(state, t, k_step)
         t = i * k if i <= n_full else config.t_end
         trace.steps = i
-        if not state.is_finite():
-            *cell, component = state.first_nonfinite()
-            return abort(i, t, "non-finite state", tuple(cell), component)
-        violation = _box_violation(system, state)
+        violation = _state_violation(system, state)
         if violation:
-            return abort(i, t, "state outside box", *violation)
+            return abort(i, t, *violation)
         if i % config.output_stride == 0 or i == total_steps:
             record(t, state)
 

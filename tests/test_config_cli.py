@@ -172,6 +172,24 @@ class TestParseConfig:
         assert any("'riemann'" in msg and "more than once" in msg
                    for _, msg in info.value.errors)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("scheme", "lambda", "nan"),
+        ("scheme", "t_end", "inf"),
+        ("scheme", "viscosity", "-inf"),
+        ("grid", "h", "inf"),
+        ("grid", "origin", "0.0, nan"),
+        ("initial", "value", "1.0, -inf"),
+        ("checks", "riemann.u_left", "nan"),
+    ])
+    def test_nonfinite_numbers_rejected_with_line(self, section, key, value):
+        base = MINIMAL.replace("h = 0.005\norigin = -1.0\n", "")
+        base = base.replace("riemann.u_left = 1.0\n", "")
+        text = base + f"[{section}]\n{key} = {value}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert (len(text.splitlines()),
+                f"value '{value}' is not finite (nan and inf are rejected)") in info.value.errors
+
 
 class TestExecute:
     def test_burgers_riemann_verdicts(self, tmp_path):
@@ -478,6 +496,14 @@ class TestCliMain:
         assert main(["run", str(config_path)]) == 2
         captured = capsys.readouterr()
         assert "line 2" in captured.err
+
+    def test_nan_lambda_exits_2_before_any_log(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.txt"
+        config_path.write_text(MINIMAL + "\n[scheme]\nlambda = nan\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(config_path), "--output-dir", str(out_dir)]) == 2
+        assert "line 16: value 'nan' is not finite" in capsys.readouterr().err
+        assert not (out_dir / "run.ndjson").exists()
 
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/config.txt"]) == 2

@@ -24,6 +24,13 @@ class TestGridField:
         with pytest.raises(ValueError):
             GridField.zeros((4,), 0.5, 0.0, 1, boundary="reflect")
 
+    @pytest.mark.parametrize("h, origin", [
+        (np.inf, 0.0), (np.nan, 0.0), ((0.5, np.inf), 0.0),
+        (0.5, (0.0, np.nan)), (0.5, (-np.inf, 0.0))])
+    def test_nonfinite_spacing_or_origin_rejected(self, h, origin):
+        with pytest.raises(ValueError, match="spacing and origin must be finite"):
+            GridField.zeros((4, 3), h, origin, 1)
+
     def test_centers_and_coords(self):
         g = GridField.zeros((3, 2), (1.0, 0.5), (0.0, 10.0), 1)
         assert np.allclose(g.centers(0), [0.0, 1.0, 2.0])

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import hypothesis.extra.numpy as hnp
 from hypothesis import given, settings, strategies as st
 
 from shsys import profiles
@@ -10,8 +11,10 @@ from shsys.core import MatrixField, SystemDef, unit_normals
 from shsys.energy import energy
 from shsys.entropy import ConservationLaw
 from shsys.grid import GridField
-from shsys.lxf import (SchemeConfig, StabilityError, _sample_cells, law_rhs,
-                       lxf_step, max_char_speed, run, system_rhs, viscous_step)
+from shsys import lxf
+from shsys.lxf import (SchemeConfig, StabilityError, _sample_cells, apply_layers,
+                       law_rhs, lxf_step, max_char_speed, run, single_entry_layers,
+                       system_rhs, viscous_step)
 from shsys.models import (advection_law, burgers_law, euler_conservative_1d,
                           euler_polytropic_sh, euler_primitive_to_conservative,
                           maxwell_system, wave_system)
@@ -232,6 +235,15 @@ class TestRun:
         with pytest.raises(StabilityError):
             run(law, initial, SchemeConfig(lam=1.0, t_end=0.1))
 
+    @pytest.mark.parametrize("field_, value", [
+        ("lam", np.nan), ("lam", np.inf), ("t_end", np.inf), ("t_end", np.nan),
+        ("cfl_safety", np.nan), ("viscosity", np.nan), ("viscosity", np.inf)])
+    def test_nonfinite_scheme_parameters_rejected(self, field_, value):
+        params = dict(lam=0.5, t_end=1.0)
+        params[field_] = value
+        with pytest.raises(ValueError, match=f"{field_} must be finite"):
+            SchemeConfig(**params)
+
     def test_parabolic_bound_enforced(self):
         law, _ = burgers_law()
         grid = grid_1d(64)
@@ -307,6 +319,17 @@ class TestRun:
         trace = run(sys, grid.with_data(data), SchemeConfig(lam=0.1, t_end=0.1))
         assert trace.error == "state outside box at cell (2, 1) component 0 after step 0"
         assert (trace.events[-1]["cell"], trace.events[-1]["component"]) == ((2, 1), 0)
+        assert len(trace.snapshots) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nonfinite_initial_state_aborts_at_step_0(self, bad):
+        sys, _ = maxwell_system()
+        grid = GridField.zeros((4, 4, 4), 0.25, 0.125, 6)
+        data = grid.data.copy()
+        data[2, 1, 0, 3] = bad
+        trace = run(sys, grid.with_data(data), SchemeConfig(lam=0.25, t_end=0.5))
+        assert not trace.completed and trace.steps == 0
+        assert trace.error == "non-finite state at cell (2, 1, 0) component 3 after step 0"
         assert len(trace.snapshots) == 1
 
     def test_nonfinite_abort_names_cell_and_component(self):
@@ -476,3 +499,146 @@ class TestConservation:
         data = euler_primitive_to_conservative(
             1.4, 1.0 + a_rho * wave, a_v * wave, 1.0 + a_p * wave)
         assert_totals_conserved(law, grid.with_data(data), lam=0.4)
+
+
+def contraction(mat, du):
+    """The per-cell contraction summed from zero, as einsum computes it."""
+    return np.einsum("AB,...B->...A", mat, du)
+
+
+def layered(mat, du):
+    return apply_layers(single_entry_layers(mat), du)
+
+
+# coefficient and state entries: signs, general values, signed zeros,
+# subnormals and the extremes of the exponent range
+SPECIAL = [1.0, -1.0, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300]
+ENTRIES = st.one_of(st.sampled_from(SPECIAL),
+                    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True))
+
+
+@st.composite
+def sparse_matrices(draw, max_per_row):
+    """(m, m) matrices with at most ``max_per_row`` nonzeros in each row."""
+    m = draw(st.integers(1, 7))
+    mat = np.zeros((m, m))
+    for row in mat:
+        cols = draw(st.lists(st.integers(0, m - 1), unique=True,
+                             max_size=min(max_per_row, m)))
+        row[cols] = [draw(ENTRIES) for _ in cols]
+    return mat
+
+
+@st.composite
+def matrix_and_state(draw, max_per_row):
+    mat = draw(sparse_matrices(max_per_row))
+    batch = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=5))
+    du = draw(hnp.arrays(float, batch + mat.shape[:1], elements=ENTRIES))
+    return mat, du
+
+
+class TestLayeredProduct:
+    def test_layers_hold_one_entry_per_row_in_column_order(self):
+        mat = np.array([[0.0, 2.0, 0.0, 3.0], [0.0] * 4, [4.0, 5.0, 6.0, 0.0],
+                        [0.0, 0.0, 0.0, 7.0]])
+        layers = single_entry_layers(mat)
+        assert layers.shape == (3, 4, 4)
+        assert np.array_equal(layers.sum(axis=0).T, mat)
+        assert all(np.count_nonzero(layer, axis=0).max() <= 1 for layer in layers)
+        assert layers[0, 1, 0] == 2.0 and layers[1, 3, 0] == 3.0
+        assert [layers[s, s, 2] for s in range(3)] == [4.0, 5.0, 6.0]
+        assert single_entry_layers(np.zeros((3, 3))).shape == (1, 3, 3)
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=matrix_and_state(max_per_row=2))
+    def test_equals_the_contraction_bit_for_bit(self, case):
+        mat, du = case
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            expected, got = contraction(mat, du), layered(mat, du)
+        assert got.shape == du.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(case=matrix_and_state(max_per_row=7))
+    def test_longer_rows_sum_left_to_right(self, case):
+        mat, du = case
+        expected = np.empty_like(du)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for a, row in enumerate(mat):
+                cols = np.flatnonzero(row)
+                acc = row[cols[0]] * du[..., cols[0]] if len(cols) else np.zeros(du.shape[:-1])
+                for c in cols[1:]:
+                    acc = acc + row[c] * du[..., c]
+                expected[..., a] = acc + 0.0
+            got = layered(mat, du)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_cells_spread_as_in_the_contraction(self, bad):
+        mats = [maxwell_system()[0].coeff[j].const for j in (1, 2, 3)] + [
+            np.array([[0.0, 1.5, 0.0, -2.0], [0.0] * 4, [0.7, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, -3.0, 0.25]])]
+        for mat in mats:
+            m = mat.shape[0]
+            du = RNG.standard_normal((4, 3, m))
+            du[1, 2, RNG.integers(m)] = bad
+            du[3, 0, RNG.integers(m)] = bad
+            with np.errstate(invalid="ignore"):
+                expected, got = contraction(mat, du), layered(mat, du)
+            assert np.array_equal(np.isfinite(got), np.isfinite(expected))
+            assert not np.isfinite(got[1, 2]).any() and not np.isfinite(got[3, 0]).any()
+            # a NaN stays NaN; an inf meets zero entries of another layer
+            assert np.isnan(got[np.isnan(expected)]).all()
+            if np.isnan(bad):
+                assert np.array_equal(np.isnan(got), np.isnan(expected))
+            finite = np.isfinite(expected)
+            assert got[finite].tobytes() == expected[finite].tobytes()
+
+    @staticmethod
+    def contraction_rhs(sys):
+        """system_rhs with every constant M^j applied by the contraction."""
+        def rhs(t, state):
+            u = state.data
+            x = lxf._spacetime(t, state.coords())
+            target = np.array(sys.source(x, u), dtype=float) if sys.source else np.zeros_like(u)
+            for j in range(sys.n):
+                target -= contraction(sys.coeff[j + 1].const, lxf.centered_diff(state, j))
+            return target
+        return rhs
+
+    @pytest.mark.parametrize("case", ["maxwell", "wave"])
+    def test_runs_equal_a_contraction_stepper(self, case, monkeypatch):
+        if case == "maxwell":
+            sys, monitors = maxwell_system()
+            grid = GridField.zeros((8, 8, 8), 1.0 / 8, 1.0 / 16, 6)
+            initial = profiles.plane_wave(grid, [1.0, -0.5, 0.0, 0.3, 0.6, -0.2], [1, 2, 1])
+            config = SchemeConfig(lam=0.25, t_end=0.25, output_stride=3)
+        else:
+            # a_j != 0: the last row of each M^j has two general nonzeros
+            sys, monitor = wave_system(np.array([0.3, -0.15]), np.diag([1.3, 0.7]))
+            monitors = [monitor]
+            grid = GridField.zeros((24, 16), 1.0 / 16, 0.0, 4)
+            initial = profiles.plane_wave(grid, [0.4, 1.0, -0.3, 0.7], [2, 1])
+            config = SchemeConfig(lam=0.2, t_end=0.25, output_stride=4)
+        assert all(c.const is not None for c in sys.coeff)
+        layered_trace = run(sys, initial, config, monitors)
+        monkeypatch.setattr(lxf, "system_rhs", self.contraction_rhs)
+        reference = run(sys, initial, config, monitors)
+        assert layered_trace.completed and layered_trace.steps == reference.steps > 4
+        assert layered_trace.times == reference.times
+        assert layered_trace.monitors == reference.monitors
+        for a, b in zip(layered_trace.snapshots, reference.snapshots, strict=True):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_constant_fields_are_not_called_per_step(self, monkeypatch):
+        calls = []
+        original = MatrixField.__call__
+        monkeypatch.setattr(MatrixField, "__call__",
+                            lambda self, x, u: calls.append(self) or original(self, x, u))
+        sys, _ = maxwell_system()
+        grid = GridField.zeros((4, 4, 4), 0.25, 0.125, 6)
+        initial = profiles.plane_wave(grid, [1.0] * 6, [1, 0, 0])
+        rhs = system_rhs(sys)
+        before = len(calls)
+        rhs(0.0, initial)
+        assert len(calls) == before
