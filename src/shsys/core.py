@@ -27,6 +27,17 @@ SYMMETRY_RTOL = 1e-10
 PD_RTOL = 1e-10
 
 
+def batch_checked(out, expected: tuple, tail: int, what: str) -> np.ndarray:
+    """``out`` as a float array of shape ``expected``, whose last ``tail``
+    axes have length m; a callable that handles one point only fails here."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != expected:
+        pattern = ", ".join(["..."] + ["m"] * tail)
+        raise ValueError(f"{what} returned shape {out.shape}, expected ({pattern}) = "
+                         f"{expected}: it must evaluate every point of the batch")
+    return out
+
+
 @dataclass(frozen=True)
 class MatrixField:
     """An m x m matrix-valued function of space-time points x and states u.
@@ -60,13 +71,8 @@ class MatrixField:
             return self.const
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        mat = np.asarray(self.fn(x, u), dtype=float)
-        expected = np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (self.m, self.m)
-        if mat.shape != expected:
-            raise ValueError(
-                f"matrix field returned shape {mat.shape}, expected (..., m, m) = "
-                f"{expected}: fn must evaluate every point of the batch")
-        return mat
+        return batch_checked(self.fn(x, u), np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+                             + (self.m, self.m), 2, "matrix field")
 
 
 @dataclass(frozen=True)
@@ -112,10 +118,6 @@ class SystemDef:
             return np.eye(self.m)
         return self.symmetrizer(x, u)
 
-    def symmetrized_coeff(self, alpha: int, x, u) -> np.ndarray:
-        """sigma * M^alpha at (x, u)."""
-        return self.sigma(x, u) @ self.coeff[alpha](x, u)
-
 
 @dataclass(frozen=True)
 class SHVerdict:
@@ -134,25 +136,32 @@ class SHVerdict:
 
 def ldlt_pivots(mat: np.ndarray) -> np.ndarray:
     """Pivots of the symmetric triangular factorization, in elimination
-    order.  Stops early (repeating the offending pivot) if a pivot is too
-    small to divide by."""
+    order, of a matrix or of each matrix in a stack (..., m, m).  A matrix
+    whose pivot is too small to divide by stops there, repeating the
+    offending pivot to the end."""
     a = np.array(mat, dtype=float)
-    mm = a.shape[0]
-    pivots = np.empty(mm)
+    mm = a.shape[-1]
+    pivots = np.zeros(a.shape[:-1])
+    stopped = np.zeros(a.shape[:-2], dtype=bool)
     for i in range(mm):
-        d = a[i, i]
-        pivots[i] = d
-        if abs(d) < 1e-300:
-            pivots[i + 1:] = d
-            break
+        # a stopped matrix repeats its last pivot (none is stopped at i = 0)
+        d = pivots[..., i] = np.where(stopped, pivots[..., i - 1], a[..., i, i])
+        stopped = stopped | (np.abs(d) < 1e-300)
         if i + 1 < mm:
-            row = a[i, i + 1:] / d
-            a[i + 1:, i + 1:] -= np.outer(a[i + 1:, i], row)
+            row = np.where(stopped[..., None], 0.0,
+                           a[..., i, i + 1:] / np.where(stopped, 1.0, d)[..., None])
+            a[..., i + 1:, i + 1:] -= a[..., i + 1:, i, None] * row[..., None, :]
     return pivots
 
 
-def _asymmetry(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
+def _asymmetry(mat: np.ndarray, rtol: float = SYMMETRY_RTOL, tol: Optional[float] = None):
+    """(asymmetry, too_asymmetric) of a matrix or of each matrix in a stack:
+    the largest entry of |a - a^T|, and whether it exceeds ``tol`` (by
+    default rtol * max(1, largest |entry|))."""
+    asym = np.max(np.abs(mat - np.swapaxes(mat, -1, -2)), axis=(-2, -1), initial=0.0)
+    if tol is None:
+        tol = rtol * np.max(np.abs(mat), axis=(-2, -1), initial=1.0)
+    return asym, asym > tol
 
 
 def _sym_part(a: np.ndarray) -> np.ndarray:
@@ -160,98 +169,91 @@ def _sym_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def positive_definite(mat, tol: Optional[float] = None, sym_tol: Optional[float] = None) -> bool:
+def positive_definite(mat, tol: Optional[float] = None, sym_tol: Optional[float] = None):
     """True iff the triangular factorization of (mat + mat^T)/2 succeeds
-    with all pivots > tol.
+    with all pivots > tol; a stack (..., m, m) gives one verdict per
+    matrix, (...).
 
-    ``tol`` defaults to PD_RTOL relative to the largest diagonal entry;
-    input asymmetric beyond ``sym_tol`` (relative to the largest entry) is
-    an error, not a False.
+    ``tol`` defaults to PD_RTOL relative to the largest diagonal entry of
+    each matrix; input asymmetric beyond ``sym_tol`` (relative to its
+    largest entry) is an error, not a False.
     """
     a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    allowed = SYMMETRY_RTOL * scale if sym_tol is None else sym_tol
-    if _asymmetry(a) > allowed:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if np.any(_asymmetry(a, tol=sym_tol)[1]):
         raise ValueError("matrix is not symmetric within tolerance")
     s = _sym_part(a)
     if tol is None:
-        tol = PD_RTOL * max(1.0, float(np.max(np.diag(s))) if s.size else 1.0)
-    return bool(np.all(ldlt_pivots(s) > tol))
+        tol = PD_RTOL * np.max(np.diagonal(s, axis1=-2, axis2=-1), axis=-1, initial=1.0)
+    return np.all(ldlt_pivots(s) > np.asarray(tol)[..., None], axis=-1)
 
 
-def _check_sample(sys: SystemDef, x, u):
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (sys.n + 1,):
-        raise ValueError(f"sample point must have length n+1 = {sys.n + 1}")
-    if u.shape != (sys.m,):
-        raise ValueError(f"sample state must have length m = {sys.m}")
+def _unzip(pairs) -> tuple:
+    """A non-empty sequence of pairs as two stacked float arrays."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("need at least one sample")
+    return tuple(np.array(v, dtype=float) for v in zip(*pairs))
+
+
+def _stack_samples(sys: SystemDef, samples: Sequence):
+    """(x, u) sample pairs as a (S, n+1) stack of points and a (S, m)
+    stack of states."""
+    x, u = _unzip(samples)
+    if x.shape[1:] != (sys.n + 1,) or u.shape[1:] != (sys.m,):
+        raise ValueError(f"samples must pair points of length n+1 = {sys.n + 1} "
+                         f"with states of length m = {sys.m}")
     return x, u
+
+
+def _symmetrized(sys: SystemDef, x, u) -> list:
+    """sigma M^alpha for alpha = 0..n at points x (..., n+1) and states u
+    (..., m), with sigma evaluated once."""
+    sig = sys.sigma(x, u)
+    return [sig @ c(x, u) for c in sys.coeff]
 
 
 def symmetry_residual(sys: SystemDef, samples: Sequence) -> np.ndarray:
     """Per-alpha max over samples of the largest entry of |S - S^T| with
     S = sigma * M^alpha.  All-zero residuals certify symmetry at the
     sampled states."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    res = np.zeros(sys.n + 1)
-    for x, u in samples:
-        x, u = _check_sample(sys, x, u)
-        sig = sys.sigma(x, u)
-        for alpha in range(sys.n + 1):
-            s = sig @ sys.coeff[alpha](x, u)
-            res[alpha] = max(res[alpha], _asymmetry(s))
-    return res
+    x, u = _stack_samples(sys, samples)
+    return np.array([np.max(_asymmetry(s)[0]) for s in _symmetrized(sys, x, u)])
 
 
 def is_sh(sys: SystemDef, samples: Sequence, sym_tol: Optional[float] = None,
           pd_tol: Optional[float] = None) -> SHVerdict:
     """Check symmetry of all sigma*M^alpha and positive definiteness of
-    k_alpha * sigma M^alpha at every sample; reports the first failure."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    residuals = np.zeros(sys.n + 1)
-    symmetric = True
-    direction_pd = True
-    failing = None
-    reason = None
-    for x, u in samples:
-        x, u = _check_sample(sys, x, u)
-        sig = sys.sigma(x, u)
-        mats = [sig @ sys.coeff[alpha](x, u) for alpha in range(sys.n + 1)]
-        for alpha, s in enumerate(mats):
-            asym = _asymmetry(s)
-            residuals[alpha] = max(residuals[alpha], asym)
-            allowed = (SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(s))))
-                       if sym_tol is None else sym_tol)
-            if asym > allowed and symmetric:
-                symmetric = False
-                if failing is None:
-                    failing = (x, u)
-                    reason = f"sigma*M^{alpha} asymmetric by {asym:.3e}"
-        if direction_pd:
-            d = _sym_part(sum(sys.direction[alpha] * mats[alpha] for alpha in range(sys.n + 1)))
-            if not positive_definite(d, tol=pd_tol):
-                direction_pd = False
-                if failing is None:
-                    failing = (x, u)
-                    reason = "direction combination of coefficients is not positive definite"
+    k_alpha * sigma M^alpha at every sample; reports the first failing
+    sample, and there the asymmetry of the lowest alpha before the
+    direction combination."""
+    x, u = _stack_samples(sys, samples)
+    mats = [np.broadcast_to(s, (len(x), sys.m, sys.m)) for s in _symmetrized(sys, x, u)]
+    asym, bad = (np.stack(v, axis=-1) for v in zip(*(_asymmetry(s, tol=sym_tol) for s in mats)))
+    pd = positive_definite(_sym_part(sum(k * s for k, s in zip(sys.direction, mats))), tol=pd_tol)
+    asymmetric = bad.any(axis=-1)
+    fails = asymmetric | ~pd
+    failing = reason = None
+    if fails.any():
+        i = int(np.argmax(fails))
+        failing = (x[i], u[i])
+        if asymmetric[i]:
+            alpha = int(np.argmax(bad[i]))
+            reason = f"sigma*M^{alpha} asymmetric by {asym[i, alpha]:.3e}"
+        else:
+            reason = "direction combination of coefficients is not positive definite"
+    symmetric, direction_pd = not asymmetric.any(), bool(pd.all())
     return SHVerdict(is_sh=symmetric and direction_pd, symmetric=symmetric,
-                     direction_pd=direction_pd, residuals=residuals,
+                     direction_pd=direction_pd, residuals=np.max(asym, axis=0),
                      failing_sample=failing, reason=reason)
 
 
 def direction_matrix(sys: SystemDef, x, u) -> np.ndarray:
     """The quadratic form k_alpha * sigma M^alpha at one point (the matrix
     whose positive definiteness makes the system hyperbolic there)."""
-    x, u = _check_sample(sys, x, u)
-    return sum(sys.direction[alpha] * sys.symmetrized_coeff(alpha, x, u)
-               for alpha in range(sys.n + 1))
+    x, u = _stack_samples(sys, [(x, u)])
+    return sum(k * s for k, s in zip(sys.direction, _symmetrized(sys, x[0], u[0])))
 
 
 def unit_normals(n: int) -> np.ndarray:
@@ -276,9 +278,9 @@ def characteristic_speeds(sys: SystemDef, x, u, normal) -> np.ndarray:
     normal = np.asarray(normal, dtype=float)
     if normal.shape != (sys.n,):
         raise ValueError(f"normal must have length n = {sys.n}")
-    sig = sys.sigma(x, u)
-    s0 = _sym_part(sig @ sys.coeff[0](x, u))
-    a = _sym_part(sum(normal[j] * (sig @ sys.coeff[j + 1](x, u)) for j in range(sys.n)))
+    mats = _symmetrized(sys, x, u)
+    s0 = _sym_part(mats[0])
+    a = _sym_part(sum(normal[j] * mats[j + 1] for j in range(sys.n)))
     speeds = generalized_eigenvalues(a, s0)
     return np.broadcast_to(speeds, np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (sys.m,))
 

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fd
-from .core import (MatrixField, _asymmetry, _sym_part, generalized_eigenvalues,
-                   ldlt_pivots, positive_definite, unit_normals)
+from .core import (MatrixField, _asymmetry, _sym_part, _unzip, batch_checked,
+                   generalized_eigenvalues, ldlt_pivots, positive_definite, unit_normals)
 from .grid import GridField
 
 
@@ -44,10 +44,9 @@ def _evaluate(c, t, x, m) -> np.ndarray:
     (m, m) matrix for every point; other shapes come from a callable that
     handles one point only."""
     mat = np.asarray(c(t, x), dtype=float)
-    expected = np.shape(x)[:-1] + (m, m)
-    if mat.shape not in (expected, (m, m)):
-        raise ValueError(f"coefficient returned shape {mat.shape}, expected (..., m, m) = {expected}")
-    return mat
+    if mat.shape == (m, m):
+        return mat
+    return batch_checked(mat, np.shape(x)[:-1] + (m, m), 2, "coefficient")
 
 
 class LinearSystem:
@@ -86,17 +85,16 @@ class LinearSystem:
                     sym_tol: float = 1e-10) -> float:
         """Check symmetry of Q, A^j and min pivot of Q at the given (t, x)
         points; returns the smallest Q pivot seen."""
-        min_pivot = np.inf
-        for t, x in points:
-            x = np.asarray(x, dtype=float)
-            mats = [("Q", self.q(t, x))] + [
-                (f"A^{j + 1}", self.a[j](t, x)) for j in range(self.n)]
-            for name, mat in mats:
-                asym = _asymmetry(mat)
-                if asym > sym_tol * max(1.0, float(np.max(np.abs(mat)))):
-                    raise ValueError(f"{name} asymmetric by {asym:.3e} at t={t}, x={x}")
-            min_pivot = min(min_pivot, float(np.min(ldlt_pivots(
-                _sym_part(mats[0][1])))))
+        t, x = _unzip(points)
+        names = ["Q"] + [f"A^{j + 1}" for j in range(self.n)]
+        mats = [np.broadcast_to(_evaluate(c, t, x, self.m), t.shape + (self.m, self.m))
+                for c in (self.q,) + self.a]
+        asym, bad = (np.stack(v, axis=-1)
+                     for v in zip(*(_asymmetry(a, rtol=sym_tol) for a in mats)))
+        if bad.any():
+            i, k = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"{names[k]} asymmetric by {asym[i, k]:.3e} at t={t[i]}, x={x[i]}")
+        min_pivot = float(np.min(ldlt_pivots(_sym_part(mats[0]))))
         if min_pivot <= c_min:
             raise ValueError(f"Q has min pivot {min_pivot:.3e} <= {c_min}")
         return min_pivot
@@ -186,16 +184,17 @@ def damping_lambda(sys: LinearSystem, samples, bisect_tol: float = 1e-6) -> Damp
     energy.
     """
     samples = list(samples)
-    mats = []
-    for t, x in samples:
-        x = np.asarray(x, dtype=float)
-        qm = _sym_part(np.asarray(sys.q(t, x), dtype=float))
-        if not positive_definite(qm):
-            raise ValueError(f"Q not positive definite at t={t}, x={x}")
-        mats.append((_sym_part(c_matrix(sys, t, x)), qm))
+    t, x = _unzip(samples)
+    qm = _sym_part(np.broadcast_to(_evaluate(sys.q, t, x, sys.m), t.shape + (sys.m, sys.m)))
+    q_pd = positive_definite(qm)
+    if not q_pd.all():
+        i = int(np.argmin(q_pd))
+        raise ValueError(f"Q not positive definite at t={t[i]}, x={x[i]}")
+    # c_matrix differences one point at a time
+    cm = np.array([_sym_part(c_matrix(sys, ti, xi)) for ti, xi in samples])
 
     def pd_at(lam):
-        return all(positive_definite(c + 2.0 * lam * q) for c, q in mats)
+        return bool(np.all(positive_definite(cm + 2.0 * lam * qm)))
 
     if pd_at(0.0):
         return DampingResult(0.0, marginal=False)

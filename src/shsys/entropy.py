@@ -16,13 +16,14 @@ Jump convention used throughout the package: [q] = q_right - q_left.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import fd
-from .core import (MatrixField, SystemDef, _asymmetry, is_sh,
+from .core import (MatrixField, SystemDef, _asymmetry, batch_checked, is_sh,
                    positive_definite, sample_box)
 
 
@@ -72,24 +73,37 @@ class ConservationLaw:
             return np.asarray(self.flux_jac[j](u), dtype=float)
         return fd.jacobian(self.flux[j], u)
 
-    def contains(self, u, slack: float = 1e-9) -> bool:
+    def contains(self, u, slack: float = 1e-9):
+        """Whether each state of (..., m) lies in the box, as (...)."""
         lo, hi = self.state_box
         u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= lo - slack) and np.all(u <= hi + slack))
+        return np.all((u >= lo - slack) & (u <= hi + slack), axis=-1)
+
+
+def _batched(fn: Callable, what: str, tail: tuple = ()) -> Callable:
+    """fn on states (..., m), checked to return (...) + tail."""
+    def call(u):
+        u = np.asarray(u, dtype=float)
+        return batch_checked(fn(u), u.shape[:-1] + tail, len(tail), what)
+    return call
 
 
 @dataclass(frozen=True)
 class EntropyPair:
     """Scalar entropy U(u) with flux scalars U^j(u).
 
-    Exact ``grad``/``hess``/``flux_grad`` evaluators are used when given;
-    otherwise central finite differences stand in (degrading certified
-    tolerances by roughly a factor 1e3).
+    Every callable is batched: states of shape (..., m) give ``value`` and
+    ``flux[j]`` of shape (...), ``grad`` and ``flux_grad[j]`` of shape
+    (..., m) and ``hess`` of shape (..., m, m); a single state is the
+    empty batch, and any other shape raises a ValueError naming the
+    expected one.  Exact ``grad``/``hess``/``flux_grad`` evaluators are
+    used when given; otherwise central finite differences stand in
+    (degrading certified tolerances by roughly a factor 1e3).
     """
 
     n: int
     m: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     flux: tuple
     grad: Optional[Callable] = None
     hess: Optional[Callable] = None
@@ -98,39 +112,42 @@ class EntropyPair:
     def __post_init__(self):
         if len(self.flux) != self.n:
             raise ValueError(f"need n = {self.n} entropy flux functions")
+        m = self.m
+        checked = {
+            "value": _batched(self.value, "entropy value"),
+            "flux": tuple(_batched(f, "entropy flux") for f in self.flux),
+            "grad": self.grad and _batched(self.grad, "entropy gradient", (m,)),
+            "hess": self.hess and _batched(self.hess, "entropy Hessian", (m, m)),
+            "flux_grad": self.flux_grad and tuple(
+                _batched(g, "entropy flux gradient", (m,)) for g in self.flux_grad),
+        }
+        for name, fn in checked.items():
+            object.__setattr__(self, name, fn)
 
     def gradient(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(u), dtype=float)
-        return fd.gradient(self.value, u)
+        return self.grad(u) if self.grad is not None else fd.gradient(self.value, u)
 
     def hessian(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.hess is not None:
-            return np.asarray(self.hess(u), dtype=float)
-        return fd.hessian(self.value, u)
+        return self.hess(u) if self.hess is not None else fd.hessian(self.value, u)
 
     def flux_gradient(self, j: int, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.flux_grad is not None:
-            return np.asarray(self.flux_grad[j](u), dtype=float)
-        return fd.gradient(self.flux[j], u)
+        return (self.flux_grad[j](u) if self.flux_grad is not None
+                else fd.gradient(self.flux[j], u))
 
 
 @dataclass(frozen=True)
 class DiffusionTensor:
-    """Second-order coefficients B^Ajk_B: an m x m matrix per (j, k) pair."""
+    """Second-order coefficients B^Ajk_B: an m x m matrix per (j, k) pair.
+
+    ``fn(x, u, j, k)`` is batched like ``MatrixField.fn``: x of shape
+    (..., n+1) and u of shape (..., m) give (..., m, m)."""
 
     n: int
     m: int
     fn: Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
 
     def __call__(self, x, u, j: int, k: int) -> np.ndarray:
-        mat = np.asarray(self.fn(x, u, j, k), dtype=float)
-        if mat.shape != (self.m, self.m):
-            raise ValueError(f"diffusion block has shape {mat.shape}, expected {(self.m, self.m)}")
-        return mat
+        return MatrixField(self.m, lambda x, u: self.fn(x, u, j, k))(x, u)
 
 
 def _as_states(law_or_m, samples) -> np.ndarray:
@@ -146,15 +163,13 @@ def entropy_pair_residual(law: ConservationLaw, pair: EntropyPair, samples) -> f
     || grad U . df^j/du - grad U^j ||_inf.  Zero certifies the entropy
     identity at the sampled states."""
     states = _as_states(law, samples)
-    worst = 0.0
-    for u in states:
-        if not law.contains(u):
-            raise ValueError(f"sample {u} outside the admissible state box")
-        g = pair.gradient(u)
-        for j in range(law.n):
-            lhs = g @ law.jacobian(j, u)
-            worst = max(worst, float(np.max(np.abs(lhs - pair.flux_gradient(j, u)))))
-    return worst
+    inside = law.contains(states)
+    if not inside.all():
+        raise ValueError(f"sample {states[np.argmin(inside)]} outside the admissible state box")
+    g = pair.gradient(states)[..., np.newaxis, :]
+    return max(float(np.max(np.abs((g @ law.jacobian(j, states))[..., 0, :]
+                                    - pair.flux_gradient(j, states))))
+               for j in range(law.n))
 
 
 def entropy_variables(pair: EntropyPair, u) -> np.ndarray:
@@ -211,26 +226,20 @@ def hessian_symmetrizer(law: ConservationLaw, pair: EntropyPair,
     verdict comes from the SH check of the quasi-linear form
     M^0 = sigma, M^j = sigma . df^j/du over the samples (defaults to a
     tensor grid on the state box).  Convexity failure at a sample raises.
-    The entropy callables take one state at a time, so sigma and the
-    coefficients evaluate single points only.
     """
     states = (sample_box(*law.state_box, per_axis=per_axis)
               if samples is None else _as_states(law, samples))
-    for u in states:
-        if not positive_definite(pair.hessian(u)):
-            raise ValueError(f"entropy Hessian is not positive definite at {u}")
+    convex = positive_definite(pair.hessian(states))
+    if not convex.all():
+        raise ValueError(
+            f"entropy Hessian is not positive definite at {states[np.argmin(convex)]}")
 
     sigma = MatrixField.of_state(law.m, pair.hessian)
-
-    def coeff(j):
-        return MatrixField.of_state(
-            law.m, lambda u, j=j: pair.hessian(u) @ law.jacobian(j, u))
-
-    sys = SystemDef(n=law.n, m=law.m,
-                    coeff=tuple([sigma] + [coeff(j) for j in range(law.n)]))
-    x0 = np.zeros(law.n + 1)
+    sys = SystemDef(n=law.n, m=law.m, coeff=(sigma,) + tuple(
+        MatrixField.of_state(law.m, lambda u, j=j: pair.hessian(u) @ law.jacobian(j, u))
+        for j in range(law.n)))
     # FD Jacobians inside the coefficients loosen the symmetry tolerance
-    verdict = is_sh(sys, [(x0, u) for u in states],
+    verdict = is_sh(sys, zip(itertools.repeat(np.zeros(law.n + 1)), states),
                     sym_tol=None if law.flux_jac is not None else 1e-6)
     return sigma, verdict
 
@@ -269,16 +278,8 @@ def conservative_symmetry_check(law: ConservationLaw, samples,
     """Per space index: is df^j/du symmetric at all samples?  (A
     conservation law is symmetric exactly when its flux Jacobians are.)"""
     states = _as_states(law, samples)
-    out = []
-    for j in range(law.n):
-        ok = True
-        for u in states:
-            jac = law.jacobian(j, u)
-            if _asymmetry(jac) > tol * max(1.0, float(np.max(np.abs(jac)))):
-                ok = False
-                break
-        out.append(ok)
-    return out
+    return [not _asymmetry(law.jacobian(j, states), rtol=tol)[1].any()
+            for j in range(law.n)]
 
 
 def diffusion_symmetry_check(tensor: DiffusionTensor, samples,
@@ -287,12 +288,9 @@ def diffusion_symmetry_check(tensor: DiffusionTensor, samples,
     block (k,j)) within tol at all samples."""
     states = _as_states(tensor.m, samples)
     x = np.zeros(tensor.n + 1) if x is None else np.asarray(x, dtype=float)
-    for u in states:
-        for j in range(tensor.n):
-            for k in range(tensor.n):
-                bjk = tensor(x, u, j, k)
-                bkj = tensor(x, u, k, j)
-                scale = max(1.0, float(np.max(np.abs(bjk))))
-                if float(np.max(np.abs(bjk - bkj.T))) > tol * scale:
-                    return False
+    for j, k in itertools.product(range(tensor.n), repeat=2):
+        bjk = tensor(x, states, j, k)
+        gap = np.max(np.abs(bjk - np.swapaxes(tensor(x, states, k, j), -1, -2)), axis=(-2, -1))
+        if np.any(gap > tol * np.max(np.abs(bjk), axis=(-2, -1), initial=1.0)):
+            return False
     return True

@@ -20,6 +20,13 @@ def steps(u: np.ndarray, scale: float = STEP_FIRST) -> np.ndarray:
     return scale * np.maximum(1.0, np.abs(np.asarray(u, dtype=float)))
 
 
+def _step_along(hs: np.ndarray, i: int) -> np.ndarray:
+    """Zero steps except hs[..., i] in component i."""
+    e = np.zeros_like(hs)
+    e[..., i] = hs[..., i]
+    return e
+
+
 def jacobian(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector function, column per
     component; states of shape (..., m) give Jacobians (..., m, m)."""
@@ -27,40 +34,34 @@ def jacobian(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray
     hs = steps(u)
     cols = []
     for i in range(u.shape[-1]):
-        e = np.zeros_like(u)
-        e[..., i] = hs[..., i]
+        e = _step_along(hs, i)
         cols.append((np.asarray(f(u + e), dtype=float)
                      - np.asarray(f(u - e), dtype=float)) / (2.0 * hs[..., i, None]))
     return np.stack(cols, axis=-1)
 
 
-def gradient(f: Callable[[np.ndarray], float], u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    hs = steps(u)
-    g = np.empty_like(u)
-    for i in range(u.size):
-        e = np.zeros_like(u)
-        e[i] = hs[i]
-        g[i] = (float(f(u + e)) - float(f(u - e))) / (2.0 * hs[i])
-    return g
+def gradient(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function; states of shape
+    (..., m) give gradients (..., m)."""
+    return jacobian(lambda v: np.asarray(f(v), dtype=float)[..., np.newaxis], u)[..., 0, :]
 
 
-def hessian(f: Callable[[np.ndarray], float], u: np.ndarray) -> np.ndarray:
+def hessian(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian of a scalar function; states of shape
+    (..., m) give Hessians (..., m, m)."""
     u = np.asarray(u, dtype=float)
     hs = steps(u, STEP_SECOND)
-    m = u.size
-    out = np.empty((m, m))
-    f0 = float(f(u))
+    m = u.shape[-1]
+    out = np.empty(u.shape + (m,))
+    f0 = f(u)
     for i in range(m):
-        ei = np.zeros_like(u)
-        ei[i] = hs[i]
-        out[i, i] = (float(f(u + ei)) - 2.0 * f0 + float(f(u - ei))) / (hs[i] ** 2)
+        ei = _step_along(hs, i)
+        out[..., i, i] = (f(u + ei) - 2.0 * f0 + f(u - ei)) / (hs[..., i] ** 2)
         for j in range(i + 1, m):
-            ej = np.zeros_like(u)
-            ej[j] = hs[j]
-            cross = (float(f(u + ei + ej)) - float(f(u + ei - ej))
-                     - float(f(u - ei + ej)) + float(f(u - ei - ej)))
-            out[i, j] = out[j, i] = cross / (4.0 * hs[i] * hs[j])
+            ej = _step_along(hs, j)
+            cross = (f(u + ei + ej) - f(u + ei - ej)
+                     - f(u - ei + ej) + f(u - ei - ej))
+            out[..., i, j] = out[..., j, i] = cross / (4.0 * hs[..., i] * hs[..., j])
     return out
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import SystemDef, characteristic_speeds, unit_normals
+from .core import SystemDef, batch_checked, characteristic_speeds, unit_normals
 from .entropy import ConservationLaw
 from .grid import (GridField, centered_diff, first_true, neighbour_difference,
                    second_difference, shift_into)
@@ -188,11 +188,7 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
         if sys.source is None:
             target = np.zeros_like(u)
         else:
-            target = np.array(sys.source(x, u), dtype=float)
-            if target.shape != u.shape:
-                raise ValueError(
-                    f"source returned shape {target.shape}, expected (..., m) = "
-                    f"{u.shape}: it must evaluate every point of the batch")
+            target = batch_checked(sys.source(x, u), u.shape, 1, "source").copy()
         for j in range(sys.n):
             du = centered_diff(state, j)
             target -= (np.matmul(sys.coeff[j + 1](x, u), du[..., None])[..., 0]

@@ -79,11 +79,11 @@ def polynomial_scalar_law(coeffs, state_box=(-3.0, 3.0)):
                           flux_jac=(jac,))
     pair = EntropyPair(
         n=1, m=1,
-        value=lambda u: float(u[0] ** 2),
-        flux=(lambda u: float(_horner(fc, float(u[0]))),),
-        grad=lambda u: np.array([2.0 * u[0]]),
-        hess=lambda u: np.array([[2.0]]),
-        flux_grad=(lambda u: np.array([_horner(fprime_shift, float(u[0]))]),),
+        value=lambda u: u[..., 0] ** 2,
+        flux=(lambda u: _horner(fc, u[..., 0]),),
+        grad=lambda u: 2.0 * u,
+        hess=lambda u: np.full(u.shape + (1,), 2.0),
+        flux_grad=(lambda u: _horner(fprime_shift, u),),
     )
     return law, pair
 
@@ -364,9 +364,17 @@ class PositivityCertificate:
         return self.positive
 
 
-def tricomi_certificate_matrix(lam: float, y: float) -> np.ndarray:
-    """B - (d_x A1 + d_y A2)/2 = [[1/2 + lam y, lam y], [lam y, lam]]."""
-    return np.array([[0.5 + lam * y, lam * y], [lam * y, lam]])
+def _sym2(p, q, r) -> np.ndarray:
+    """[[p, q], [q, r]] at each point of the batch."""
+    p, q, r = np.broadcast_arrays(p, q, r)
+    return np.stack([np.stack([p, q], -1), np.stack([q, r], -1)], -2)
+
+
+def tricomi_certificate_matrix(lam: float, y) -> np.ndarray:
+    """B - (d_x A1 + d_y A2)/2 = [[1/2 + lam y, lam y], [lam y, lam]], one
+    per y: y of shape (...) gives (..., 2, 2)."""
+    y = np.asarray(y, dtype=float)
+    return _sym2(0.5 + lam * y, lam * y, float(lam))
 
 
 def tricomi_system(lam: float, y_bound: float, samples: int = 1001):
@@ -383,26 +391,17 @@ def tricomi_system(lam: float, y_bound: float, samples: int = 1001):
     if y_bound < 0:
         raise ValueError("y_bound must be non-negative")
 
-    def sym2(p, q, r):
-        """[[p, q], [q, r]] at each point of the batch."""
-        p, q, r = np.broadcast_arrays(p, q, r)
-        return np.stack([np.stack([p, q], -1), np.stack([q, r], -1)], -2)
-
-    a1 = MatrixField(2, lambda pt, u: sym2(pt[..., 1], pt[..., 1], 1.0))
+    a1 = MatrixField(2, lambda pt, u: _sym2(pt[..., 1], pt[..., 1], 1.0))
     system = TricomiSystem(
-        lam=lam, a1=a1, a2=MatrixField(2, lambda pt, u: sym2(-pt[..., 1], -1.0, -1.0)),
+        lam=lam, a1=a1, a2=MatrixField(2, lambda pt, u: _sym2(-pt[..., 1], -1.0, -1.0)),
         b=MatrixField(2, lambda pt, u: lam * a1(pt, u)))
 
     ys = np.linspace(-y_bound, y_bound, samples)
-    min_pivot = np.inf
-    worst_y = ys[0]
-    for y in ys:
-        piv = float(np.min(ldlt_pivots(tricomi_certificate_matrix(lam, y))))
-        if piv < min_pivot:
-            min_pivot = piv
-            worst_y = float(y)
+    pivots = np.min(ldlt_pivots(tricomi_certificate_matrix(lam, ys)), axis=-1)
+    worst = int(np.argmin(pivots))
+    min_pivot = float(pivots[worst])
     cert = PositivityCertificate(positive=min_pivot > 0.0, min_pivot=min_pivot,
-                                 worst_y=worst_y, samples=samples)
+                                 worst_y=float(ys[worst]), samples=samples)
     return system, cert
 
 

@@ -55,7 +55,8 @@ def plane_wave(grid: GridField, amplitude, modes, phase: float = 0.0) -> GridFie
 def from_csv(grid: GridField, path) -> GridField:
     """Tabulated data: one row per cell in lexicographic order, the last m
     columns holding u^1..u^m (leading coordinate columns are ignored).
-    A row holding nan or inf is rejected with its line number."""
+    A row holding nan or inf, or a column count other than the first
+    data row's, is rejected with its line number."""
     rows = []
     header_seen = False
     with open(path, newline="") as handle:
@@ -70,6 +71,9 @@ def from_csv(grid: GridField, path) -> GridField:
                     raise ValueError(f"{path}:{lineno}: cannot parse row {row}")
                 header_seen = True  # a single leading header line is allowed
                 continue
+            if rows and len(values) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: row has {len(values)} columns, "
+                                 f"expected {len(rows[0])}")
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}:{lineno}: non-finite value in row {row}")
             rows.append(values)

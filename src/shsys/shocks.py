@@ -27,8 +27,9 @@ def _scalar_flux(law: ConservationLaw) -> Callable[[np.ndarray], np.ndarray]:
                                 dtype=float)[..., 0]
 
 
-def _scalar_fprime(law: ConservationLaw) -> Callable[[float], float]:
-    return lambda u: float(law.jacobian(0, np.array([u]))[0, 0])
+def _scalar_fprime(law: ConservationLaw) -> Callable[[np.ndarray], np.ndarray]:
+    """f'(u) at scalar states u of any shape, in one Jacobian call."""
+    return lambda u: law.jacobian(0, np.asarray(u, dtype=float)[..., np.newaxis])[..., 0, 0]
 
 
 def _vec(u, m) -> np.ndarray:
@@ -157,7 +158,7 @@ class RiemannSolution:
 
 def _check_convex(fprime, u_lo: float, u_hi: float, tol: float = 1e-7):
     us = np.linspace(u_lo, u_hi, 201)
-    slopes = np.array([fprime(u) for u in us])
+    slopes = fprime(us)
     second = np.diff(slopes) / np.diff(us)
     scale = max(1.0, float(np.max(np.abs(slopes))))
     if second.size and float(np.min(second)) < -tol * scale:
@@ -187,7 +188,7 @@ def riemann_scalar(law: ConservationLaw, u_l: float, u_r: float,
                     f"{verdict.production:.3e} > 0")
         return RiemannSolution(kind="shock", u_left=u_l, u_right=u_r, speed=c)
 
-    xi_l, xi_r = fprime(u_l), fprime(u_r)
+    xi_l, xi_r = float(fprime(u_l)), float(fprime(u_r))
 
     def inverse(xi):
         xi = np.asarray(xi, dtype=float)
@@ -195,8 +196,7 @@ def riemann_scalar(law: ConservationLaw, u_l: float, u_r: float,
         b = np.full(xi.shape, u_r)
         for _ in range(60):
             mid = 0.5 * (a + b)
-            vals = np.array([fprime(v) for v in mid.reshape(-1)]).reshape(xi.shape)
-            take_hi = vals < xi
+            take_hi = fprime(mid) < xi
             a = np.where(take_hi, mid, a)
             b = np.where(take_hi, b, mid)
         return 0.5 * (a + b)
@@ -313,9 +313,8 @@ def viscous_limit_compare(law: ConservationLaw, pair: EntropyPair, u_l: float,
     h = grid.h[0]
     x = grid.centers(0)
     step_data = np.where(x < 0.0, u_l, u_r)[:, np.newaxis]
-    fprime = _scalar_fprime(law)
-    a_max = max(abs(fprime(u)) for u in np.linspace(min(u_l, u_r), max(u_l, u_r), 65))
-    a_max = max(a_max, 1e-12)
+    us = np.linspace(min(u_l, u_r), max(u_l, u_r), 65)
+    a_max = max(float(np.max(np.abs(_scalar_fprime(law)(us)))), 1e-12)
 
     rows = []
     for eps in eps_list:

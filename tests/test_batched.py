@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from shsys.core import MatrixField, SystemDef, characteristic_speeds
+from shsys.core import (MatrixField, SystemDef, characteristic_speeds, is_sh,
+                        ldlt_pivots, positive_definite, symmetry_residual)
 from shsys.energy import LinearSystem, cone_slope, energy
+from shsys.entropy import (ConservationLaw, DiffusionTensor, EntropyPair,
+                           diffusion_symmetry_check, entropy_pair_residual,
+                           hessian_symmetrizer)
 from shsys.grid import GridField, centered_diff
 from shsys.lxf import max_char_speed, system_rhs
 from shsys.models import (ck_realify, euler_polytropic_sh, maxwell_system,
+                          polynomial_scalar_law, tricomi_certificate_matrix,
                           tricomi_system, wave_system)
+from shsys.shocks import riemann_scalar
 
 RNG = np.random.default_rng(4242)
 
@@ -289,3 +295,215 @@ def test_per_point_energy_and_cone_slope_callables_rejected():
     lin = LinearSystem(1, 1, np.eye(1), [pointwise])
     with pytest.raises(ValueError, match=r"\(\.\.\., m, m\) = \(6, 1, 1\)"):
         cone_slope(lin, grid)
+
+
+# ---------------------------------------------------------------------------
+# certification: a stack of samples in one call gives, bit for bit, what
+# the same functions give one sample at a time
+
+def _is_sh_stack_vs_samples(sys, x, u):
+    """is_sh on the whole stack equals is_sh composed over single samples."""
+    samples = list(zip(x, u))
+    verdict = is_sh(sys, samples)
+    singles = [is_sh(sys, [s]) for s in samples]
+    assert_bitwise(verdict.residuals, np.max([v.residuals for v in singles], axis=0))
+    assert_bitwise(symmetry_residual(sys, samples), verdict.residuals)
+    assert verdict.symmetric == all(v.symmetric for v in singles)
+    assert verdict.direction_pd == all(v.direction_pd for v in singles)
+    assert verdict.is_sh == (verdict.symmetric and verdict.direction_pd)
+    first = next((v for v in singles if v.failing_sample is not None), None)
+    assert verdict.reason == (None if first is None else first.reason)
+    if first is None:
+        assert verdict.failing_sample is None
+    else:
+        for got, want in zip(verdict.failing_sample, first.failing_sample):
+            assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_is_sh_stack_equals_per_sample_on_models(name, data):
+    sys, lo, hi = MODELS[name]
+    x, u = data.draw(points(sys, lo, hi))
+    _is_sh_stack_vs_samples(sys, x.reshape(-1, sys.n + 1), u.reshape(-1, sys.m))
+
+
+# entries with exact zeros and small integers, so that singular matrices and
+# zero pivots come up often, plus general floats of moderate size
+ENTRIES = st.one_of(st.integers(-2, 2).map(float),
+                    st.floats(-3.0, 3.0, allow_subnormal=False).filter(
+                        lambda v: v == 0.0 or abs(v) > 1e-3))
+KINDS = ("symmetric", "asymmetric", "indefinite", "singular")
+
+
+def _matrix(draw, m, kind):
+    a = draw(hnp.arrays(np.float64, (m, m), elements=ENTRIES))
+    if kind == "asymmetric":
+        return a
+    s = a + a.T
+    if kind == "symmetric":
+        return s + 2.0 * m * 3.0 * np.eye(m)   # diagonally dominant: PD
+    if kind == "singular":
+        s[:, 0] = s[0, :] = 0.0
+    return s
+
+
+@st.composite
+def random_system(draw):
+    """A constant system of random kinds, or a state-dependent one whose
+    symmetric positive definite base gets a slope of random kind where
+    u_0 > 0, so that failures start at any sample."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kinds = [draw(st.sampled_from(KINDS)) for _ in range(n + 1)]
+    if draw(st.booleans()):
+        coeff = tuple(MatrixField.constant(_matrix(draw, m, kind)) for kind in kinds)
+    else:
+        def field(base, slope):
+            # exactly rounded per entry, so batches and single points agree
+            return MatrixField(m, lambda x, u: base + (np.maximum(u[..., 0], 0.0) * x[..., 0])[
+                ..., None, None] * slope)
+
+        coeff = tuple(field(_matrix(draw, m, "symmetric"), _matrix(draw, m, kind))
+                      for kind in kinds)
+    sigma = None
+    if draw(st.booleans()):
+        sigma = MatrixField.of_state(m, lambda u: np.eye(m) * (1.0 + u[..., :1, None] ** 2))
+    direction = draw(hnp.arrays(np.float64, (n + 1,), elements=st.integers(0, 2).map(float)))
+    direction[0] += 1.0
+    sys = SystemDef(n=n, m=m, coeff=coeff, symmetrizer=sigma, direction=direction)
+    count = draw(st.integers(1, 6))
+    x = draw(hnp.arrays(np.float64, (count, n + 1), elements=ENTRIES))
+    u = draw(hnp.arrays(np.float64, (count, m), elements=ENTRIES))
+    return sys, x, u
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=random_system())
+def test_is_sh_stack_equals_per_sample_on_random_systems(case):
+    _is_sh_stack_vs_samples(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 7), count=st.integers(1, 8),
+       kind=st.sampled_from(KINDS))
+def test_pivot_oracle_stack_equals_per_matrix(data, m, count, kind):
+    mats = np.stack([_matrix(data.draw, m, kind) for _ in range(count)])
+    pivots = ldlt_pivots(mats)
+    assert_bitwise(pivots, np.stack([ldlt_pivots(a) for a in mats]))
+    if kind == "asymmetric":
+        return
+    for tol in (None, 1e-12):
+        verdicts = positive_definite(mats, tol=tol)
+        assert verdicts.shape == (count,)
+        assert verdicts.tolist() == [bool(positive_definite(a, tol=tol)) for a in mats]
+
+
+def test_pivots_stop_per_matrix_at_a_zero_pivot():
+    stack = np.array([[[0.0, 1.0], [1.0, 5.0]], [[2.0, 1.0], [1.0, 5.0]]])
+    assert ldlt_pivots(stack).tolist() == [[0.0, 0.0], [2.0, 4.5]]
+    assert positive_definite(stack).tolist() == [False, True]
+
+
+def _quadratic_form_pair(m):
+    """U = |u|^2 / 2 with a zero entropy flux: for f = A u the residual is
+    the largest |u . A|."""
+    return EntropyPair(n=1, m=m, value=lambda u: 0.5 * np.sum(u * u, axis=-1),
+                       flux=(lambda u: np.zeros(u.shape[:-1]),),
+                       flux_grad=(lambda u: np.zeros(u.shape),))
+
+
+@st.composite
+def law_and_states(draw):
+    kind = draw(st.sampled_from(["polynomial", "polynomial_fd", "linear"]))
+    count = draw(st.integers(1, 8))
+    if kind == "linear":
+        m = draw(st.integers(1, 4))
+        a = draw(hnp.arrays(np.float64, (m, m), elements=ENTRIES))
+        law = ConservationLaw(n=1, m=m, flux=(lambda u: u @ a.T,),
+                              state_box=(-3.0 * np.ones(m), 3.0 * np.ones(m)),
+                              flux_jac=(lambda u: np.broadcast_to(a, u.shape + (m,)),))
+        pair = _quadratic_form_pair(m)
+    else:
+        coeffs = draw(hnp.arrays(np.float64, (4,), elements=ENTRIES))
+        law, pair = polynomial_scalar_law(coeffs)
+        if kind == "polynomial_fd":
+            law = ConservationLaw(n=1, m=1, flux=law.flux, state_box=law.state_box)
+            pair = EntropyPair(n=1, m=1, value=pair.value, flux=pair.flux)
+    states = draw(hnp.arrays(np.float64, (count, law.m), elements=ENTRIES))
+    return law, pair, states
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=law_and_states())
+def test_entropy_pair_residual_stack_equals_max_of_single_states(case):
+    law, pair, states = case
+    single = [entropy_pair_residual(law, pair, s[None, :]) for s in states]
+    assert entropy_pair_residual(law, pair, states) == max(single)
+
+
+def test_entropy_pair_residual_names_the_first_state_outside_the_box():
+    law, pair = polynomial_scalar_law([0.0, 0.0, 0.5], state_box=(-2.0, 2.0))
+    with pytest.raises(ValueError, match=r"sample \[5\.\] outside"):
+        entropy_pair_residual(law, pair, [[0.0], [5.0], [-7.0]])
+
+
+def test_tricomi_certificate_equals_per_y_loop():
+    lam, ys = 10.0, np.linspace(-1.0, 1.0, 1001)
+    stacked = tricomi_certificate_matrix(lam, ys)
+    assert_bitwise(stacked, np.stack([tricomi_certificate_matrix(lam, y) for y in ys]))
+    pivots = [float(np.min(ldlt_pivots(tricomi_certificate_matrix(lam, y)))) for y in ys]
+    _, cert = tricomi_system(lam, 1.0)
+    assert cert.min_pivot == min(pivots)
+    assert cert.worst_y == float(ys[int(np.argmin(pivots))])
+
+
+# ---------------------------------------------------------------------------
+# per-state entropy callables fail early; batched ones evaluate every state
+
+def test_per_state_entropy_pair_rejected_on_a_batch():
+    pair = EntropyPair(n=1, m=1, value=lambda u: u[0] ** 2,
+                       flux=(lambda u: u[0] ** 3,),
+                       grad=lambda u: np.array([2.0 * u[0]]))
+    states = np.linspace(-1.0, 1.0, 5)[:, None]
+    assert pair.gradient(np.array([0.5])).shape == (1,)   # one state is fine
+    with pytest.raises(ValueError, match=r"\(\.\.\., m\) = \(5, 1\)"):
+        pair.gradient(states)
+    with pytest.raises(ValueError, match=r"\(\.\.\.\) = \(5,\)"):
+        pair.value(states)
+    with pytest.raises(ValueError, match=r"\(\.\.\.\) = \(5,\)"):
+        pair.flux[0](states)
+
+
+def test_per_state_diffusion_tensor_rejected_on_a_batch():
+    tensor = DiffusionTensor(n=1, m=2, fn=lambda x, u, j, k: np.eye(2))
+    with pytest.raises(ValueError, match=r"\(\.\.\., m, m\) = \(3, 2, 2\)"):
+        diffusion_symmetry_check(tensor, np.zeros((3, 2)))
+
+
+def test_hessian_symmetrizer_fields_take_batches():
+    law, pair = polynomial_scalar_law([0.0, 1.0, 0.5, 0.25])
+    sigma, verdict = hessian_symmetrizer(law, pair)
+    states = np.linspace(-1.0, 1.0, 5)[:, None]
+    assert verdict.is_sh
+    assert sigma(np.zeros(2), states).shape == (5, 1, 1)
+    assert_bitwise(pair.gradient(states), per_point(lambda x, u: pair.gradient(u),
+                                                    np.zeros((5, 2)), states))
+
+
+def test_rarefaction_evaluates_the_fan_in_one_jacobian_call_per_bisection_step():
+    law, pair = polynomial_scalar_law([0.0, 0.0, 0.5])
+    shapes = []
+
+    def jac(u):
+        shapes.append(u.shape)
+        return law.flux_jac[0](u)
+
+    counted = ConservationLaw(n=1, m=1, flux=law.flux, state_box=law.state_box,
+                              flux_jac=(jac,))
+    sol = riemann_scalar(counted, 0.0, 1.0, pair=pair)
+    shapes.clear()
+    xi = np.linspace(-0.5, 1.5, 2000)
+    fan = sol(xi)
+    assert set(shapes) == {(2000, 1)} and len(shapes) < 100
+    assert np.allclose(fan, np.clip(xi, 0.0, 1.0), atol=1e-10)

@@ -67,7 +67,7 @@ class TestSymmetryResidual:
     def test_one_component_always_symmetric(self):
         sys = SystemDef(n=1, m=1, coeff=(
             MatrixField.constant([[1.0]]),
-            MatrixField.of_state(1, lambda u: np.array([[u[0]]]))))
+            MatrixField.of_state(1, lambda u: u[..., np.newaxis])))
         res = symmetry_residual(sys, origin_samples(sys, [[2.0], [-1.0]]))
         assert np.all(res == 0.0)
 
@@ -104,13 +104,29 @@ class TestIsSh:
 
     def test_tricomi_first_order_form_not_sh_for_negative_y(self):
         # before the multiplier stage: time matrix diag(y, 1), pivot y
-        coeff = (MatrixField(2, lambda x, u: np.diag([x[1], 1.0])),
+        coeff = (MatrixField(2, lambda x, u: np.eye(2) * np.stack(
+                     [x[..., 1], np.ones_like(x[..., 1])], -1)[..., None, :]),
                  MatrixField.constant(-np.array([[0.0, 1.0], [1.0, 0.0]])))
         sys = SystemDef(n=1, m=2, coeff=coeff)
         verdict = is_sh(sys, [(np.array([0.0, -1.0]), np.zeros(2))])
         assert not verdict.is_sh
         assert not verdict.direction_pd
         assert verdict.failing_sample is not None
+
+    def test_first_failing_sample_reports_its_lowest_asymmetric_alpha(self):
+        # M^0 = I + u_0 C_0, M^1 = u_0 C_1: sample 0 passes; at u_0 = 1 both
+        # are asymmetric (by 1 and 3) and M^0 is negative definite
+        c0 = np.array([[-2.0, 1.0], [0.0, -2.0]])
+        c1 = np.array([[0.0, 3.0], [0.0, 0.0]])
+        sys = SystemDef(n=1, m=2, coeff=(
+            MatrixField.of_state(2, lambda u: np.eye(2) + u[..., :1, None] * c0),
+            MatrixField.of_state(2, lambda u: u[..., :1, None] * c1)))
+        samples = origin_samples(sys, [[0.0, 0.0], [1.0, 0.0], [1.0, 5.0]])
+        verdict = is_sh(sys, samples)
+        assert not verdict.symmetric and not verdict.direction_pd
+        assert verdict.residuals.tolist() == [1.0, 3.0]
+        assert verdict.failing_sample[1].tolist() == [1.0, 0.0]
+        assert verdict.reason == "sigma*M^0 asymmetric by 1.000e+00"
 
     def test_valid_symmetrizer_implies_sh(self):
         # random symmetric coefficients, sigma = identity

@@ -15,10 +15,10 @@ RNG = np.random.default_rng(7121)
 def quadratic_pair(m):
     return EntropyPair(
         n=1, m=m,
-        value=lambda u: 0.5 * float(u @ u),
-        flux=(lambda u: 0.0,),
+        value=lambda u: 0.5 * np.sum(u * u, axis=-1),
+        flux=(lambda u: np.zeros(u.shape[:-1]),),
         grad=lambda u: np.asarray(u, dtype=float),
-        hess=lambda u: np.eye(m))
+        hess=lambda u: np.broadcast_to(np.eye(m), u.shape + (m,)))
 
 
 def shallow_water_law():
@@ -33,12 +33,13 @@ def shallow_water_law():
                           state_box=([0.5, -1.0], [2.0, 1.0]))
     pair = EntropyPair(
         n=1, m=2,
-        value=lambda u: 0.5 * (u[1] ** 2 / u[0] + u[0] ** 2),
-        flux=(lambda u: u[1] ** 3 / (2.0 * u[0] ** 2) + u[0] * u[1],),
-        grad=lambda u: np.array([-0.5 * u[1] ** 2 / u[0] ** 2 + u[0],
-                                 u[1] / u[0]]),
-        hess=lambda u: np.array([[u[1] ** 2 / u[0] ** 3 + 1.0, -u[1] / u[0] ** 2],
-                                 [-u[1] / u[0] ** 2, 1.0 / u[0]]]))
+        value=lambda u: 0.5 * (u[..., 1] ** 2 / u[..., 0] + u[..., 0] ** 2),
+        flux=(lambda u: u[..., 1] ** 3 / (2.0 * u[..., 0] ** 2) + u[..., 0] * u[..., 1],),
+        grad=lambda u: np.stack([-0.5 * u[..., 1] ** 2 / u[..., 0] ** 2 + u[..., 0],
+                                 u[..., 1] / u[..., 0]], -1),
+        hess=lambda u: np.stack(
+            [np.stack([u[..., 1] ** 2 / u[..., 0] ** 3 + 1.0, -u[..., 1] / u[..., 0] ** 2], -1),
+             np.stack([-u[..., 1] / u[..., 0] ** 2, 1.0 / u[..., 0]], -1)], -2))
     return law, pair
 
 
@@ -57,22 +58,22 @@ class TestEntropyPairResidual:
 
     def test_constant_pair_vanishes(self):
         law, _ = burgers_law((-2.0, 2.0))
-        pair = EntropyPair(n=1, m=1, value=lambda u: 3.0,
-                           flux=(lambda u: 7.0,),
-                           grad=lambda u: np.zeros(1),
-                           hess=lambda u: np.zeros((1, 1)),
-                           flux_grad=(lambda u: np.zeros(1),))
+        pair = EntropyPair(n=1, m=1, value=lambda u: np.full(u.shape[:-1], 3.0),
+                           flux=(lambda u: np.full(u.shape[:-1], 7.0),),
+                           grad=lambda u: np.zeros(u.shape),
+                           hess=lambda u: np.zeros(u.shape + (1,)),
+                           flux_grad=(lambda u: np.zeros(u.shape),))
         states = np.linspace(-2, 2, 9)[:, None]
         assert entropy_pair_residual(law, pair, states) == 0.0
 
     def test_wrong_flux_residual_is_closed_form(self):
         # F = u^3 instead of (2/3) u^3: residual max |2u^2 - 3u^2| = 4 on [-2, 2]
         law, _ = burgers_law((-2.0, 2.0))
-        pair = EntropyPair(n=1, m=1, value=lambda u: float(u[0] ** 2),
-                           flux=(lambda u: float(u[0] ** 3),),
-                           grad=lambda u: np.array([2.0 * u[0]]),
-                           hess=lambda u: np.array([[2.0]]),
-                           flux_grad=(lambda u: np.array([3.0 * u[0] ** 2]),))
+        pair = EntropyPair(n=1, m=1, value=lambda u: u[..., 0] ** 2,
+                           flux=(lambda u: u[..., 0] ** 3,),
+                           grad=lambda u: 2.0 * u,
+                           hess=lambda u: np.full(u.shape + (1,), 2.0),
+                           flux_grad=(lambda u: 3.0 * u ** 2,))
         states = np.linspace(-2, 2, 41)[:, None]
         assert entropy_pair_residual(law, pair, states) == pytest.approx(4.0, abs=1e-10)
 
@@ -189,10 +190,10 @@ class TestHessianSymmetrizer:
 
     def test_nonconvex_entropy_rejected(self):
         law, _ = burgers_law((-2.0, 2.0))
-        pair = EntropyPair(n=1, m=1, value=lambda u: -float(u[0] ** 2),
-                           flux=(lambda u: 0.0,),
-                           grad=lambda u: np.array([-2.0 * u[0]]),
-                           hess=lambda u: np.array([[-2.0]]))
+        pair = EntropyPair(n=1, m=1, value=lambda u: -u[..., 0] ** 2,
+                           flux=(lambda u: np.zeros(u.shape[:-1]),),
+                           grad=lambda u: -2.0 * u,
+                           hess=lambda u: np.full(u.shape + (1,), -2.0))
         with pytest.raises(ValueError):
             hessian_symmetrizer(law, pair)
 
@@ -265,17 +266,18 @@ class TestDiffusionSymmetry:
         d = np.diag([1.0, 2.0])
 
         tensor = DiffusionTensor(n=2, m=3,
-                                 fn=lambda x, u, j, k: d[j, k] * np.eye(3))
+                                 fn=lambda x, u, j, k: d[j, k] * np.broadcast_to(
+                                     np.eye(3), u.shape + (3,)))
         assert diffusion_symmetry_check(tensor, [np.zeros(3)])
 
     def test_scalar_component_symmetric_jk(self):
         b = np.array([[1.0, 0.5], [0.5, 2.0]])
         tensor = DiffusionTensor(n=2, m=1,
-                                 fn=lambda x, u, j, k: np.array([[b[j, k]]]))
+                                 fn=lambda x, u, j, k: np.full(u.shape + (1,), b[j, k]))
         assert diffusion_symmetry_check(tensor, [np.zeros(1)])
 
     def test_asymmetric_block_fails(self):
         tensor = DiffusionTensor(n=1, m=2,
-                                 fn=lambda x, u, j, k: np.array([[0.0, 1.0],
-                                                                 [0.0, 0.0]]))
+                                 fn=lambda x, u, j, k: np.broadcast_to(
+                                     [[0.0, 1.0], [0.0, 0.0]], u.shape + (2,)))
         assert not diffusion_symmetry_check(tensor, [np.zeros(2)])

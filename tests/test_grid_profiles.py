@@ -211,6 +211,16 @@ class TestProfiles:
         with pytest.raises(ValueError, match="nonfinite.csv:3: non-finite"):
             profiles.from_csv(g, path)
 
+    @pytest.mark.parametrize("ragged", ["0.0", "0.0,1.0,2.0"])
+    def test_from_csv_ragged_row_reports_line(self, tmp_path, ragged):
+        g = grid_1d(3)
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"x1,u1\n-0.5,1.0\n{ragged}\n0.5,2.0\n")
+        k = ragged.count(",") + 1
+        with pytest.raises(ValueError,
+                           match=rf"ragged.csv:3: row has {k} columns, expected 2$"):
+            profiles.from_csv(g, path)
+
     def test_from_csv_row_count_checked(self, tmp_path):
         g = grid_1d(6)
         path = tmp_path / "short.csv"

@@ -27,6 +27,21 @@ class TestWaveSystem:
         assert np.max(symmetry_residual(sys, samples)) < 1e-14
         assert is_sh(sys, samples).is_sh
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3))
+    def test_random_spd_coefficients_symmetric_hyperbolic(self, data, n):
+        entries = st.floats(-3.0, 3.0, allow_subnormal=False)
+        a_j = data.draw(hnp.arrays(float, (n,), elements=entries))
+        b = data.draw(hnp.arrays(float, (n, n), elements=entries))
+        a_jk = b @ b.T
+        a_jk = 0.5 * (a_jk + a_jk.T) + 0.5 * np.eye(n)
+        sys, _ = wave_system(a_j, a_jk)
+        samples = system_samples(sys, -np.ones(n + 2), np.ones(n + 2), per_axis=2,
+                                 x=data.draw(hnp.arrays(float, (n + 1,), elements=entries)))
+        verdict = is_sh(sys, samples)
+        assert np.all(verdict.residuals == 0.0)
+        assert verdict.is_sh
+
     def test_non_pd_coefficients_rejected(self):
         with pytest.raises(ValueError):
             wave_system(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -254,6 +269,27 @@ class TestCkRealify:
             samples = [(np.zeros(3), np.zeros(2 * mc))]
             assert np.max(symmetry_residual(sys, samples)) <= 1e-12
             assert is_sh(sys, samples).is_sh
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), mc=st.integers(1, 3), batched=st.booleans())
+    def test_realified_is_symmetric_hyperbolic(self, data, mc, batched):
+        entries = st.floats(-4.0, 4.0, allow_subnormal=False)
+        parts = [data.draw(hnp.arrays(float, (3, mc, mc), elements=entries)) for _ in range(2)]
+        coeffs = parts[0] + 1j * parts[1]  # A(x) = A0 + x1 A1 + x2 A2
+        x = data.draw(hnp.arrays(float, (5, 3), elements=st.floats(-2.0, 2.0)))
+        u = data.draw(hnp.arrays(float, (5, 2 * mc), elements=st.floats(-2.0, 2.0)))
+        if batched:
+            def a(pt):
+                return (coeffs[0] + pt[..., 0, None, None] * coeffs[1]
+                        + pt[..., 1, None, None] * coeffs[2])
+            size = float(np.max(np.abs(a(x[:, 1:]))))
+        else:
+            a = coeffs[0]
+            size = float(np.max(np.abs(a)))
+        sys, _ = ck_realify(a)
+        verdict = is_sh(sys, list(zip(x, u)))
+        assert np.max(verdict.residuals) <= 1e-12 * max(1.0, size)
+        assert verdict.is_sh
 
     def test_imaginary_coefficient_moves_along_y(self):
         sys, _ = ck_realify(np.array([[1j]]))

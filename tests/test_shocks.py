@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shsys import profiles
 from shsys.entropy import ConservationLaw
@@ -169,16 +171,21 @@ class TestRiemannScalar:
             sol = riemann_scalar(law, ul, ur, pair=pair)
             assert sol.kind in ("rarefaction", "constant")
 
-    def test_lax_inequalities_for_random_shocks(self):
-        law, pair = burgers_law()
-        for _ in range(10):
-            ur, ul = sorted(RNG.uniform(-2, 2, size=2))
-            if ul - ur < 1e-6:
-                continue
-            sol = riemann_scalar(law, ul, ur, pair=pair)
-            assert sol.kind == "shock"
-            # characteristics impinge: f'(ur) < c < f'(ul)
-            assert ur < sol.speed < ul
+    # convex quartic fluxes f = c0 + c1 u + c2 u^2 + c4 u^4 (c2 > 0, c4 >= 0)
+    @settings(max_examples=60, deadline=None)
+    @given(c0=st.floats(-2.0, 2.0), c1=st.floats(-2.0, 2.0),
+           c2=st.floats(0.1, 2.0), c4=st.floats(0.0, 1.0),
+           ur=st.floats(-2.0, 1.95), jump=st.floats(0.05, 4.0))
+    @example(c0=0.0, c1=0.0, c2=0.5, c4=0.0, ur=-1.0, jump=1.5)  # Burgers
+    def test_lax_inequalities_for_random_shocks(self, c0, c1, c2, c4, ur, jump):
+        law, pair = polynomial_scalar_law([c0, c1, c2, 0.0, c4])
+        ul = min(ur + jump, 2.0)
+        sol = riemann_scalar(law, ul, ur, pair=pair)
+        assert sol.kind == "shock"
+        # characteristics impinge: f'(ur) < c < f'(ul)
+        slope_r, slope_l = law.jacobian(0, np.array([[ur], [ul]]))[:, 0, 0]
+        assert slope_r < sol.speed < slope_l
+        assert entropy_admissible(law, pair, [ul], [ur], sol.speed).production <= 0.0
 
     def test_nonconvex_flux_rejected(self):
         law, _ = polynomial_scalar_law([0.0, 0.0, 0.0, 1.0])  # f = u^3
