@@ -157,11 +157,13 @@ def ldlt_pivots(mat: np.ndarray) -> np.ndarray:
 def _asymmetry(mat: np.ndarray, rtol: float = SYMMETRY_RTOL, tol: Optional[float] = None):
     """(asymmetry, too_asymmetric) of a matrix or of each matrix in a stack:
     the largest entry of |a - a^T|, and whether it exceeds ``tol`` (by
-    default rtol * max(1, largest |entry|))."""
-    asym = np.max(np.abs(mat - np.swapaxes(mat, -1, -2)), axis=(-2, -1), initial=0.0)
+    default rtol * max(1, largest |entry|)).  A matrix with a non-finite
+    entry has a NaN asymmetry and counts as asymmetric."""
+    with np.errstate(invalid="ignore"):
+        asym = np.max(np.abs(mat - np.swapaxes(mat, -1, -2)), axis=(-2, -1), initial=0.0)
     if tol is None:
         tol = rtol * np.max(np.abs(mat), axis=(-2, -1), initial=1.0)
-    return asym, asym > tol
+    return asym, ~(asym <= tol)
 
 
 def _sym_part(a: np.ndarray) -> np.ndarray:
@@ -175,18 +177,22 @@ def positive_definite(mat, tol: Optional[float] = None, sym_tol: Optional[float]
     matrix, (...).
 
     ``tol`` defaults to PD_RTOL relative to the largest diagonal entry of
-    each matrix; input asymmetric beyond ``sym_tol`` (relative to its
-    largest entry) is an error, not a False.
+    each matrix; finite input asymmetric beyond ``sym_tol`` (relative to
+    its largest entry) is an error, not a False.  A matrix with a NaN or
+    infinite entry is not positive definite.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if np.any(_asymmetry(a, tol=sym_tol)[1]):
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if np.any(_asymmetry(a, tol=sym_tol)[1] & finite):
         raise ValueError("matrix is not symmetric within tolerance")
     s = _sym_part(a)
     if tol is None:
         tol = PD_RTOL * np.max(np.diagonal(s, axis1=-2, axis2=-1), axis=-1, initial=1.0)
-    return np.all(ldlt_pivots(s) > np.asarray(tol)[..., None], axis=-1)
+    with np.errstate(invalid="ignore"):
+        pivots = ldlt_pivots(s)
+    return np.all(pivots > np.asarray(tol)[..., None], axis=-1) & finite
 
 
 def _unzip(pairs) -> tuple:

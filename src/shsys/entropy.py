@@ -291,6 +291,6 @@ def diffusion_symmetry_check(tensor: DiffusionTensor, samples,
     for j, k in itertools.product(range(tensor.n), repeat=2):
         bjk = tensor(x, states, j, k)
         gap = np.max(np.abs(bjk - np.swapaxes(tensor(x, states, k, j), -1, -2)), axis=(-2, -1))
-        if np.any(gap > tol * np.max(np.abs(bjk), axis=(-2, -1), initial=1.0)):
+        if not np.all(gap <= tol * np.max(np.abs(bjk), axis=(-2, -1), initial=1.0)):
             return False
     return True

@@ -81,6 +81,14 @@ class GridField:
         axes = [self.centers(j) for j in range(self.n)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
+    def cell_coords(self, flat: np.ndarray) -> np.ndarray:
+        """Coordinates of the cells at C-order flat indices, shape
+        ``flat.shape + (n,)``: the values ``coords()`` holds there, built
+        without the whole grid."""
+        cells = np.unravel_index(flat, self.shape)
+        return np.stack([self.origin[j] + self.h[j] * cells[j] for j in range(self.n)],
+                        axis=-1)
+
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
@@ -160,9 +168,12 @@ def shift_into(ufunc, out: np.ndarray, data: np.ndarray, axis: int,
     return out
 
 
-def neighbour_difference(data: np.ndarray, axis: int, boundary: str) -> np.ndarray:
-    """shifted(+1) - shifted(-1) along one axis, in one pass over the data."""
-    out = np.empty(data.shape, dtype=np.result_type(data, 1.0))
+def neighbour_difference(data: np.ndarray, axis: int, boundary: str,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """shifted(+1) - shifted(-1) along one axis, in one pass over the data,
+    written to ``out`` (a new array when None)."""
+    if out is None:
+        out = np.empty(data.shape, dtype=np.result_type(data, 1.0))
     for cells, plus, minus in _difference_regions(axis, data.shape[axis], boundary):
         np.subtract(data[plus], data[minus], out=out[cells])
     return out
@@ -175,10 +186,12 @@ def second_difference(data: np.ndarray, axis: int, boundary: str) -> np.ndarray:
     return shift_into(np.add, out, data, axis, -1, boundary)
 
 
-def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarray] = None) -> np.ndarray:
-    """Centered difference (u(x+h) - u(x-h)) / (2h) along one spatial axis."""
+def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarray] = None,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Centered difference (u(x+h) - u(x-h)) / (2h) along one spatial axis,
+    written to ``out`` (a new array when None)."""
     data = field.data if component_data is None else component_data
-    diff = neighbour_difference(data, axis, field.boundary)
+    diff = neighbour_difference(data, axis, field.boundary, out=out)
     diff /= 2.0 * field.h[axis]
     return diff
 

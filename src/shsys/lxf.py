@@ -16,6 +16,12 @@ start as lambda * a_star <= cfl_safety / n with a_star the sampled
 maximum characteristic speed (and k <= cfl_safety * h^2 / (2 eps) when
 viscosity is on).  Sources and state-dependent coefficients are evaluated
 fully explicitly at (t, x, u(t)).
+
+The steps follow numpy's ``out=`` idiom: ``lxf_average``, ``lxf_step``,
+``viscous_step`` and the RHS closures write into a given array, and
+allocate one only when none is given.  ``run`` alternates two state
+buffers, and each RHS closure keeps its own scratch, so a step allocates
+no state-sized array beyond what user callables return.
 """
 
 from __future__ import annotations
@@ -103,28 +109,31 @@ def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
     normals of ``unit_normals`` (axes plus diagonals).  A system whose
     fields are all constant is evaluated at one cell."""
     idx = _sample_cells(state)
-    u = state.data.reshape(-1, state.m)[idx]
     normals = unit_normals(system.n)
     worst = 0.0
     if isinstance(system, ConservationLaw):
+        u = state.data.reshape(-1, state.m)[idx]
         jacs = [system.jacobian(j, u) for j in range(system.n)]
         for nu in normals:
             a = sum(nu[j] * jacs[j] for j in range(system.n))
             worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(a)))))
         return worst
-    x = _spacetime(t, state.coords().reshape(-1, state.n)[idx])
     fields = (*system.coeff, system.symmetrizer)
     if all(f is None or f.const is not None for f in fields):
-        x, u = x[:1], u[:1]
+        idx = idx[:1]
+    x = _spacetime(t, state.cell_coords(idx))
+    u = state.data.reshape(-1, state.m)[idx]
     for nu in normals:
         speeds = characteristic_speeds(system, x, u, nu)
         worst = max(worst, float(np.max(np.abs(speeds))))
     return worst
 
 
-def lxf_average(state: GridField) -> np.ndarray:
-    """(1/2n) sum over axes of both neighbor translates."""
-    acc = np.zeros_like(state.data)
+def lxf_average(state: GridField, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(1/2n) sum over axes of both neighbor translates, summed from zero
+    in ``out`` (a new array when None)."""
+    acc = np.empty_like(state.data) if out is None else out
+    acc.fill(0.0)
     for j in range(state.n):
         shift_into(np.add, acc, state.data, j, +1, state.boundary)
         shift_into(np.add, acc, state.data, j, -1, state.boundary)
@@ -145,9 +154,12 @@ def single_entry_layers(mat: np.ndarray) -> np.ndarray:
     return layers
 
 
-def apply_layers(layers: np.ndarray, du: np.ndarray) -> np.ndarray:
+def apply_layers(layers: np.ndarray, du: np.ndarray, out: Optional[np.ndarray] = None,
+                 spare: Optional[np.ndarray] = None) -> np.ndarray:
     """sum_B M[A, B] du[..., B] for the layers of M, as
-    du @ P_1^T + du @ P_2^T + ... + 0.0, summed left to right.
+    du @ P_1^T + du @ P_2^T + ... + 0.0, summed left to right, written to
+    ``out``; ``spare`` holds each product of the layers after the first.
+    Both are C-contiguous arrays shaped like du, new ones when None.
 
     Each product has one rounded term per output and exact +-0 terms
     besides.  With at most two nonzeros per row the sum does not depend
@@ -156,16 +168,37 @@ def apply_layers(layers: np.ndarray, du: np.ndarray) -> np.ndarray:
     for bit; rows with more nonzeros are summed in column order.  The
     zero entries are multiplied too, so a NaN or inf in a cell makes every
     component of that cell non-finite, as in the contraction."""
-    flat = du.reshape(-1, layers.shape[-1])
-    out = flat @ layers[0]
+    m = layers.shape[-1]
+    flat = du.reshape(-1, m)
+    acc = np.matmul(flat, layers[0], out=None if out is None else out.reshape(-1, m))
     for layer in layers[1:]:
-        out += flat @ layer
-    out += 0.0
-    return out.reshape(du.shape)
+        product = np.matmul(flat, layer, out=None if spare is None else spare.reshape(-1, m))
+        np.add(acc, product, out=acc)
+    np.add(acc, 0.0, out=acc)
+    return acc.reshape(du.shape)
 
 
-def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
-    """RHS evaluator M0^-1 [N - M^j D_j u] for a quasi-linear system.
+def _workspace() -> Callable[[str, tuple], np.ndarray]:
+    """scratch(name, shape): an array kept between calls under ``name``,
+    allocated again only when the shape changes."""
+    arrays = {}
+
+    def scratch(name, shape):
+        buf = arrays.get(name)
+        if buf is None or buf.shape != shape:
+            buf = arrays[name] = np.empty(shape)
+        return buf
+
+    return scratch
+
+
+def system_rhs(sys: SystemDef) -> Callable[..., np.ndarray]:
+    """RHS evaluator ``rhs(t, state, out=None)`` of M0^-1 [N - M^j D_j u]
+    for a quasi-linear system.  The result is written to ``out``; without
+    one it goes to the evaluator's own target array, which the next call
+    overwrites.  The differences and products live in scratch arrays the
+    evaluator keeps, so a call allocates only what the fields and the
+    source return.
 
     Every state-dependent coefficient and the source are evaluated once
     per call on the whole grid (the batched contract of SystemDef) and
@@ -181,59 +214,83 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
     needs_x = sys.source is not None or any(c.const is None for c in sys.coeff)
     layers = [None if c.const is None else single_entry_layers(c.const)
               for c in sys.coeff[1:]]
+    needs_spare = any(lay is not None and len(lay) > 1 for lay in layers)
+    scratch = _workspace()
 
-    def rhs(t, state):
+    def rhs(t, state, out=None):
         u = state.data
+        target = scratch("target", u.shape) if out is None else out
+        du, product = scratch("du", u.shape), scratch("product", u.shape)
+        spare = scratch("spare", u.shape) if needs_spare else None
         x = _spacetime(t, state.coords()) if needs_x else None
         if sys.source is None:
-            target = np.zeros_like(u)
+            target.fill(0.0)
         else:
-            target = batch_checked(sys.source(x, u), u.shape, 1, "source").copy()
+            np.copyto(target, batch_checked(sys.source(x, u), u.shape, 1, "source"))
         for j in range(sys.n):
-            du = centered_diff(state, j)
-            target -= (np.matmul(sys.coeff[j + 1](x, u), du[..., None])[..., 0]
-                       if layers[j] is None else apply_layers(layers[j], du))
-        if m0_is_identity:
-            return target
-        if m0_const is not None:
-            return np.linalg.solve(m0_const, target.reshape(-1, sys.m).T).T.reshape(u.shape)
-        return np.linalg.solve(sys.coeff[0](x, u), target[..., None])[..., 0]
+            centered_diff(state, j, out=du)
+            if layers[j] is None:
+                np.matmul(sys.coeff[j + 1](x, u), du[..., None],
+                          out=product.reshape(u.shape + (1,)))
+            else:
+                apply_layers(layers[j], du, out=product, spare=spare)
+            np.subtract(target, product, out=target)
+        if m0_const is None:
+            np.copyto(target, np.linalg.solve(sys.coeff[0](x, u), target[..., None])[..., 0])
+        elif not m0_is_identity:
+            np.copyto(target, np.linalg.solve(m0_const, target.reshape(-1, sys.m).T)
+                      .T.reshape(u.shape))
+        return target
 
     return rhs
 
 
-def law_rhs(law: ConservationLaw) -> Callable[[float, GridField], np.ndarray]:
-    """RHS evaluator N - sum_j (tau_j f^j - tau_j^-1 f^j) / 2h for a
-    conservation law (flux evaluators are vectorized over cells)."""
+def law_rhs(law: ConservationLaw) -> Callable[..., np.ndarray]:
+    """RHS evaluator ``rhs(t, state, out=None)`` of
+    N - sum_j (tau_j f^j - tau_j^-1 f^j) / 2h for a conservation law (flux
+    evaluators are vectorized over cells).  Like ``system_rhs``, it writes
+    to ``out`` or else to its own target array, and keeps the differences
+    in scratch."""
+    scratch = _workspace()
 
-    def rhs(t, state):
-        out = np.zeros_like(state.data)
+    def rhs(t, state, out=None):
+        target = scratch("target", state.data.shape) if out is None else out
+        diff = scratch("diff", state.data.shape)
+        target.fill(0.0)
         for j in range(law.n):
             fu = np.asarray(law.flux[j](state.data), dtype=float)
-            out -= centered_diff(state, j, fu)
+            np.subtract(target, centered_diff(state, j, fu, out=diff), out=target)
         if law.source is not None:
             x = _spacetime(t, state.coords())
-            out += np.asarray(law.source(x, state.data), dtype=float)
-        return out
+            np.add(target, np.asarray(law.source(x, state.data), dtype=float), out=target)
+        return target
 
     return rhs
 
 
 def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
-             config: SchemeConfig, t: float = 0.0,
-             k: Optional[float] = None) -> GridField:
-    """One Lax-Friedrichs step of size k (default lam * h)."""
+             config: SchemeConfig, t: float = 0.0, k: Optional[float] = None,
+             out: Optional[np.ndarray] = None) -> GridField:
+    """One Lax-Friedrichs step of size k (default lam * h), its state's
+    data written to ``out`` (a new array when None; it must not be
+    ``state.data``).  The array ``rhs(t, state)`` returns is scaled by k
+    in place, as the RHS closures allow."""
     if k is None:
         k = config.lam * _uniform_h(state)
-    new = lxf_average(state)
-    new += k * rhs(t, state)
+    new = lxf_average(state, out=out)
+    scaled = rhs(t, state)
+    np.multiply(scaled, k, out=scaled)
+    new += scaled
     return state.with_data(new)
 
 
 def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
-                 t: float = 0.0, k: Optional[float] = None) -> GridField:
+                 t: float = 0.0, k: Optional[float] = None,
+                 out: Optional[np.ndarray] = None) -> GridField:
     """Forward-Euler step of d_t u + d_x f(u) = eps d_xx u (1D only):
-    centered flux difference plus the explicit three-point heat stencil."""
+    centered flux difference plus the explicit three-point heat stencil.
+    The new data is written to ``out`` (a new array when None; it must
+    not be ``state.data``)."""
     if state.n != 1 or law.n != 1:
         raise ValueError("viscous stepping is implemented for one space dimension")
     h = state.h[0]
@@ -247,11 +304,11 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     flux_diff *= k / (2.0 * h)
     laplacian = second_difference(data, 0, state.boundary)
     laplacian *= eps * k / h ** 2
-    new = data - flux_diff
+    new = np.subtract(data, flux_diff, out=out)
     new += laplacian
     if law.source is not None:
         x = _spacetime(t, state.coords())
-        new = new + k * np.asarray(law.source(x, data), dtype=float)
+        new += k * np.asarray(law.source(x, data), dtype=float)
     return state.with_data(new)
 
 
@@ -312,6 +369,11 @@ def run(system, initial: GridField, config: SchemeConfig,
     ``system`` is a SystemDef or a ConservationLaw; a positive
     config.viscosity selects the viscous stepper (1D laws only).
     ``monitors`` are objects with a name and evaluate(snapshot) -> float.
+
+    The run owns two state buffers and alternates between them, step i
+    reading one and writing the other through the steppers' ``out=``; the
+    RHS closure it builds keeps one scratch set.  A state handed to a
+    monitor is valid only during that call; the trace keeps copies.
     """
     trace = Trace(monitors={mon.name: [] for mon in monitors})
 
@@ -343,13 +405,13 @@ def run(system, initial: GridField, config: SchemeConfig,
     if viscous:
         if not isinstance(system, ConservationLaw):
             raise ValueError("viscosity applies to conservation laws only")
-        stepper = lambda st, t, k: viscous_step(st, system, config, t=t, k=k)
+        stepper = lambda st, t, k, out: viscous_step(st, system, config, t=t, k=k, out=out)
     elif isinstance(system, ConservationLaw):
         rhs = law_rhs(system)
-        stepper = lambda st, t, k: lxf_step(st, rhs, config, t=t, k=k)
+        stepper = lambda st, t, k, out: lxf_step(st, rhs, config, t=t, k=k, out=out)
     elif isinstance(system, SystemDef):
         rhs = system_rhs(system)
-        stepper = lambda st, t, k: lxf_step(st, rhs, config, t=t, k=k)
+        stepper = lambda st, t, k, out: lxf_step(st, rhs, config, t=t, k=k, out=out)
     else:
         raise TypeError(f"cannot integrate object of type {type(system).__name__}")
 
@@ -366,12 +428,14 @@ def run(system, initial: GridField, config: SchemeConfig,
                          "lambda": config.lam, "k": k, "steps": total_steps,
                          "ok": True})
 
+    # step i writes buffers[i % 2] and reads the other (the initial data at i = 1)
+    buffers = (np.empty(initial.data.shape), np.empty(initial.data.shape))
     state = initial
     record(0.0, state)
     t = 0.0
     for i in range(1, total_steps + 1):
         k_step = k if i <= n_full else remainder
-        state = stepper(state, t, k_step)
+        state = stepper(state, t, k_step, buffers[i % 2])
         t = i * k if i <= n_full else config.t_end
         trace.steps = i
         violation = _state_violation(system, state)

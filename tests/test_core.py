@@ -48,6 +48,16 @@ class TestPositiveDefinite:
             assert positive_definite(pb)
             assert positive_definite(pa + pb)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_not_positive_definite(self, bad):
+        mat = np.eye(3)
+        mat[0, 2] = mat[2, 0] = bad
+        assert not positive_definite(mat)
+        diag = np.eye(3)
+        diag[1, 1] = bad
+        assert positive_definite(np.stack([np.eye(3), mat, diag, 2.0 * np.eye(3)])).tolist() == [
+            True, False, False, True]
+
     def test_pivots_match_sylvester_minors(self):
         a = RNG.normal(size=(5, 5))
         s = a @ a.T + np.eye(5)
@@ -127,6 +137,13 @@ class TestIsSh:
         assert verdict.residuals.tolist() == [1.0, 3.0]
         assert verdict.failing_sample[1].tolist() == [1.0, 0.0]
         assert verdict.reason == "sigma*M^0 asymmetric by 1.000e+00"
+
+    def test_nan_coefficient_is_asymmetric(self):
+        sys = one_d_system(np.array([[0.0, np.nan], [1.0, 0.0]]))
+        verdict = is_sh(sys, origin_samples(sys, [[0.0, 0.0]]))
+        assert not verdict.symmetric and not verdict.is_sh
+        assert np.isnan(verdict.residuals[1]) and verdict.residuals[0] == 0.0
+        assert verdict.reason.startswith("sigma*M^1 asymmetric")
 
     def test_valid_symmetrizer_implies_sh(self):
         # random symmetric coefficients, sigma = identity

@@ -260,6 +260,21 @@ class TestConservativeSymmetry:
                               state_box=(-np.ones(2), np.ones(2)))
         assert conservative_symmetry_check(law, [[0.3, -0.2]]) == [False]
 
+    def test_nan_jacobian_is_not_symmetric(self):
+        def flux(u):
+            u = np.asarray(u, dtype=float)
+            return np.stack([u[..., 1], u[..., 0]], axis=-1)
+
+        def jac(u):
+            # the swap Jacobian, but with a NaN where the flux breaks down
+            out = np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]]), u.shape + (2,)).copy()
+            out[..., 1, 1] = np.where(u[..., 0] > 0.2, np.nan, 0.0)
+            return out
+
+        law = ConservationLaw(n=1, m=2, flux=(flux,), flux_jac=(jac,),
+                              state_box=(-np.ones(2), np.ones(2)))
+        assert conservative_symmetry_check(law, [[0.3, -0.2], [0.1, 0.0]]) == [False]
+
 
 class TestDiffusionSymmetry:
     def test_diagonal_scalar_blocks(self):
@@ -269,6 +284,12 @@ class TestDiffusionSymmetry:
                                  fn=lambda x, u, j, k: d[j, k] * np.broadcast_to(
                                      np.eye(3), u.shape + (3,)))
         assert diffusion_symmetry_check(tensor, [np.zeros(3)])
+
+    def test_nan_block_is_not_symmetric(self):
+        d = np.array([[1.0, np.nan], [np.nan, 2.0]])
+        tensor = DiffusionTensor(n=2, m=1,
+                                 fn=lambda x, u, j, k: np.full(u.shape + (1,), d[j, k]))
+        assert not diffusion_symmetry_check(tensor, [np.zeros(1)])
 
     def test_scalar_component_symmetric_jk(self):
         b = np.array([[1.0, 0.5], [0.5, 2.0]])
