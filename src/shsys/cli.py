@@ -73,7 +73,7 @@ def execute(cfg: RunConfig, output_dir=None, threads: int = 1,
             profile = cfg.initial.get("profile")
             if profile is None:
                 raise ExecutionError("[initial] needs a profile for time integration")
-            trace = run_scheme(model.system, PROFILES[profile](cfg.initial, grid),
+            trace = run_scheme(model.system, PROFILES[profile].build(cfg.initial, grid),
                                scheme, monitors=model.monitors)
             for event in trace.events:
                 log.event("scheme", **event)

@@ -42,15 +42,8 @@ _SCHEMA = {
     },
     "initial": {
         "profile": "enum:" + ",".join(registry.PROFILES),
-        "value": "list_float",
-        "left": "list_float",
-        "right": "list_float",
-        "jump_at": "float",
-        "center": "list_float",
-        "radius": "float",
-        "amplitude": "list_float",
-        "modes": "list_int",
-        "csv": "str",
+        **{key: kind for entry in registry.PROFILES.values()
+           for key, kind in entry.keys.items()},
     },
     "checks": {"names": "list_str"},
     "output": {"dir": "str"},
@@ -67,6 +60,7 @@ _LIMITS = {
     ("grid", "shape"): (lambda v: any(s < 1 for s in v), "entries must be >= 1"),
     ("model", "gamma"): (lambda v: v <= 1, "must exceed 1"),
     ("model", "lam"): (lambda v: v < 0, "must be non-negative"),
+    ("model", "flux_coeffs"): (lambda v: not v, "must list at least one coefficient"),
 }
 _CONVERT = {"float": float, "int": int, "str": str}
 
@@ -122,6 +116,23 @@ def _parse_value(kind, raw, line, errors):
         errors.append((line, f"value '{raw}' is not finite (nan and inf are rejected)"))
         return None
     return value
+
+
+def _entry_errors(section: str, selector: str, what: str, table: dict,
+                  values: dict, lines: dict, seen: set) -> list:
+    """Errors for the keys of a ``[model]`` or ``[initial]`` section
+    against the table entry its ``selector`` key names: each key the entry
+    does not take, on its line, and each required key never given, on the
+    selector's line."""
+    name = values.get(selector)
+    if name is None:
+        return []
+    entry = table[name]
+    errors = [(lines[section, key], f"{what} '{name}' does not take key '{key}'"
+               f" (it accepts: {', '.join(entry.keys) or 'no keys'})")
+              for key in values if key != selector and key not in entry.keys]
+    return errors + [(lines[section, selector], f"{what} '{name}' needs key '{key}'")
+                     for key in entry.required if (section, key) not in seen]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -186,14 +197,12 @@ def parse_config(text: str) -> RunConfig:
             if bad is not None and bad(value):
                 errors.append((lineno, f"'{key}' {rule}"))
 
-    model = sections["model"].get("name")
-    if model is None:
+    if "name" not in sections["model"]:
         errors.append((0, "missing required key 'name' in [model]"))
-    else:
-        accepted = registry.MODELS[model].keys
-        errors += [(lines["model", key], f"model '{model}' does not take key '{key}'"
-                    f" (it accepts: {', '.join(accepted) or 'no keys'})")
-                   for key in sections["model"] if key != "name" and key not in accepted]
+    errors += _entry_errors("model", "name", "model", registry.MODELS,
+                            sections["model"], lines, seen)
+    errors += _entry_errors("initial", "profile", "profile", registry.PROFILES,
+                            sections["initial"], lines, seen)
     names = sections["checks"].get("names", [])
     given = sections["checks"].get("_params", {})
     for i, check in enumerate(names):

@@ -21,43 +21,48 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fd
-from .core import (MatrixField, _asymmetry, _sym_part, _unzip, batch_checked,
-                   generalized_eigenvalues, ldlt_pivots, positive_definite, unit_normals)
+from .core import (MatrixField, SystemDef, _asymmetry, _sym_part, _unzip,
+                   characteristic_speeds, ldlt_pivots, positive_definite, unit_normals)
 from .grid import GridField
 
 
-def _coeff_callable(c, m):
-    """Normalize a coefficient given as an array or a batched callable
-    (t, x) -> (..., m, m)."""
-    if c is None:
-        return None, None
+def _coefficient(c, m: int) -> MatrixField:
+    """A coefficient given as an (m, m) array or a batched callable
+    (t, x) -> (..., m, m), as a MatrixField of space-time points
+    (t, x_1..x_n), the contract of SystemDef."""
     if callable(c):
-        return c, None
+        return MatrixField(m, lambda xst, u: c(xst[..., 0], xst[..., 1:]))
     mat = np.asarray(c, dtype=float)
     if mat.shape != (m, m):
         raise ValueError(f"coefficient must be {m} x {m}, got {mat.shape}")
-    return (lambda t, x: np.broadcast_to(mat, np.shape(x)[:-1] + mat.shape)), mat
+    return MatrixField.constant(mat)
 
 
-def _evaluate(c, t, x, m) -> np.ndarray:
-    """c(t, x) at space points x of shape (..., n): (..., m, m), or one
-    (m, m) matrix for every point; other shapes come from a callable that
-    handles one point only."""
-    mat = np.asarray(c(t, x), dtype=float)
-    if mat.shape == (m, m):
-        return mat
-    return batch_checked(mat, np.shape(x)[:-1] + (m, m), 2, "coefficient")
+def _spacetime(t, x) -> np.ndarray:
+    """Points (t, x_1..x_n) of shape (..., n+1) for space points x of shape
+    (..., n) and t a float or an array of shape (...)."""
+    x = np.asarray(x, dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
+    return np.concatenate([t[..., None], x], axis=-1)
+
+
+def _at(field: MatrixField, points) -> np.ndarray:
+    """``field`` at space-time points (..., n+1) as (..., m, m), with u = 0:
+    linear coefficients do not read the state."""
+    return np.broadcast_to(field(points, np.zeros(field.m)),
+                           points.shape[:-1] + (field.m, field.m))
 
 
 class LinearSystem:
     """Container for Q, A^j, B and the forcing of a linear system.
 
     Coefficients may be constant matrices or batched callables of (t, x):
-    x of shape (..., n) and t a float or an array of shape (...) give
-    (..., m, m), and the forcing likewise gives (..., m).  Symmetry of Q
-    and the A^j, and positivity of Q, are verified by sampling at
-    construction when ``check_points`` (a sequence of (t, x) pairs) is
-    provided.
+    x of shape (..., n) and t an array of shape (...) give (..., m, m),
+    and the forcing likewise gives (..., m).  ``q``, ``a[j]`` and ``b`` are
+    stored as MatrixFields of the space-time points (t, x_1..x_n), the
+    contract of SystemDef.  Symmetry of Q and the A^j, and positivity of
+    Q, are verified by sampling at construction when ``check_points`` (a
+    sequence of (t, x) pairs) is provided.
     """
 
     def __init__(self, n: int, m: int, q, a: Sequence, b=None, forcing=None,
@@ -66,20 +71,12 @@ class LinearSystem:
             raise ValueError(f"need n = {n} advection coefficients, got {len(a)}")
         self.n = int(n)
         self.m = int(m)
-        self.q, self.q_const = _coeff_callable(q, m)
-        pairs = [_coeff_callable(aj, m) for aj in a]
-        self.a = tuple(p[0] for p in pairs)
-        self.a_const = tuple(p[1] for p in pairs)
-        self.b, self.b_const = _coeff_callable(b, m)
+        self.q = _coefficient(q, m)
+        self.a = tuple(_coefficient(aj, m) for aj in a)
+        self.b = None if b is None else _coefficient(b, m)
         self.forcing = forcing
         if check_points is not None:
             self.validate_on(check_points, c_min=c_min)
-
-    @property
-    def constant_coefficients(self) -> bool:
-        return (self.q_const is not None
-                and all(c is not None for c in self.a_const)
-                and (self.b is None or self.b_const is not None))
 
     def validate_on(self, points, c_min: float = 0.0,
                     sym_tol: float = 1e-10) -> float:
@@ -87,8 +84,7 @@ class LinearSystem:
         points; returns the smallest Q pivot seen."""
         t, x = _unzip(points)
         names = ["Q"] + [f"A^{j + 1}" for j in range(self.n)]
-        mats = [np.broadcast_to(_evaluate(c, t, x, self.m), t.shape + (self.m, self.m))
-                for c in (self.q,) + self.a]
+        mats = [_at(c, _spacetime(t, x)) for c in (self.q, *self.a)]
         asym, bad = (np.stack(v, axis=-1)
                      for v in zip(*(_asymmetry(a, rtol=sym_tol) for a in mats)))
         if bad.any():
@@ -99,73 +95,57 @@ class LinearSystem:
             raise ValueError(f"Q has min pivot {min_pivot:.3e} <= {c_min}")
         return min_pivot
 
-    def as_system(self):
+    def as_system(self) -> SystemDef:
         """Quasi-linear view M^0 = Q, M^j = A^j, N = f - B u for stepping."""
-        from .core import SystemDef
-
-        def wrap(c, const):
-            if const is not None:
-                return MatrixField.constant(const)
-            return MatrixField(self.m, lambda xst, u, c=c: c(xst[..., 0], xst[..., 1:]))
-
-        coeff = [wrap(self.q, self.q_const)] + [
-            wrap(self.a[j], self.a_const[j]) for j in range(self.n)]
-
         source = None
         if self.b is not None or self.forcing is not None:
             def source(xst, u):
-                t, x = xst[..., 0], xst[..., 1:]
                 out = np.zeros(np.shape(u))
                 if self.forcing is not None:
-                    out += np.asarray(self.forcing(t, x), dtype=float)
+                    out += np.asarray(self.forcing(xst[..., 0], xst[..., 1:]), dtype=float)
                 if self.b is not None:
-                    out -= np.matmul(self.b(t, x), u[..., None])[..., 0]
+                    out -= np.matmul(self.b(xst, u), u[..., None])[..., 0]
                 return out
 
-        return SystemDef(n=self.n, m=self.m, coeff=tuple(coeff), source=source)
+        return SystemDef(n=self.n, m=self.m, coeff=(self.q, *self.a), source=source)
 
 
 def energy(field: GridField, q, t: float = 0.0) -> float:
     """Integral of u^T Q u over the grid (cell sum times cell volume).
 
-    ``q`` is a constant matrix or a batched callable (t, x) -> (..., m, m),
-    called once with the (cells, n) array of cell centers; a returned
-    (m, m) matrix broadcasts over the cells.  The reduction is numpy's
+    ``q`` is a constant (m, m) matrix or a batched callable
+    (t, x) -> (..., m, m), evaluated like a LinearSystem coefficient at the
+    cell centers, t included as an array.  The reduction is numpy's
     fixed-topology pairwise sum over lexicographic cell order, so repeated
     runs are bit-identical.
     """
     if not field.is_finite():
         raise ValueError(f"non-finite field value at cell {field.first_nonfinite()}")
     u = field.data.reshape(-1, field.m)
-    if callable(q):
-        mat = _evaluate(q, t, field.coords().reshape(-1, field.n), field.m)
-        dens = np.einsum("ca,cab,cb->c", u, np.broadcast_to(mat, u.shape + (field.m,)), u)
+    q = _coefficient(q, field.m)
+    if q.const is None:
+        mat = _at(q, _spacetime(t, field.coords().reshape(-1, field.n)))
+        dens = np.einsum("ca,cab,cb->c", u, mat, u)
     else:
-        mat = np.asarray(q, dtype=float)
-        dens = np.einsum("ca,ab,cb->c", u, mat, u)
+        dens = np.einsum("ca,ab,cb->c", u, q.const, u)
     return float(np.sum(dens) * field.cell_volume())
 
 
 def c_matrix(sys: LinearSystem, t: float, x) -> np.ndarray:
-    """C = 2B - d_t Q - d_j A^j at (t, x), by centered differences (exact
-    up to rounding for coefficients polynomial of degree <= 2)."""
-    x = np.asarray(x, dtype=float)
-    m = sys.m
-    c = np.zeros((m, m))
+    """C = 2B - d_t Q - d_j A^j at (t, x), by centered differences along
+    each space-time axis whose coefficient is not constant (exact up to
+    rounding for coefficients polynomial of degree <= 2)."""
+    point = _spacetime(t, x)
+    c = np.zeros((sys.m, sys.m))
     if sys.b is not None:
-        c += 2.0 * np.asarray(sys.b(t, x), dtype=float)
-    if sys.q_const is None:
-        ht = fd.STEP_FIRST * max(1.0, abs(t))
-        c -= (np.asarray(sys.q(t + ht, x), dtype=float)
-              - np.asarray(sys.q(t - ht, x), dtype=float)) / (2.0 * ht)
-    for j in range(sys.n):
-        if sys.a_const[j] is not None:
+        c += 2.0 * _at(sys.b, point)
+    for alpha, coeff in enumerate((sys.q, *sys.a)):
+        if coeff.const is not None:
             continue
-        hj = fd.STEP_FIRST * max(1.0, abs(x[j]))
-        e = np.zeros_like(x)
-        e[j] = hj
-        c -= (np.asarray(sys.a[j](t, x + e), dtype=float)
-              - np.asarray(sys.a[j](t, x - e), dtype=float)) / (2.0 * hj)
+        h = fd.STEP_FIRST * max(1.0, abs(point[alpha]))
+        e = np.zeros_like(point)
+        e[alpha] = h
+        c -= (_at(coeff, point + e) - _at(coeff, point - e)) / (2.0 * h)
     return c
 
 
@@ -185,7 +165,7 @@ def damping_lambda(sys: LinearSystem, samples, bisect_tol: float = 1e-6) -> Damp
     """
     samples = list(samples)
     t, x = _unzip(samples)
-    qm = _sym_part(np.broadcast_to(_evaluate(sys.q, t, x, sys.m), t.shape + (sys.m, sys.m)))
+    qm = _sym_part(_at(sys.q, _spacetime(t, x)))
     q_pd = positive_definite(qm)
     if not q_pd.all():
         i = int(np.argmin(q_pd))
@@ -216,24 +196,24 @@ def damping_lambda(sys: LinearSystem, samples, bisect_tol: float = 1e-6) -> Damp
 
 
 def cone_slope(sys: LinearSystem, grid: GridField, t: float = 0.0) -> float:
-    """Sampled bound on the propagation speed: the largest generalized
-    eigenvalue of (sum_j nu_j A^j, Q) over grid points and unit normals nu
-    (plus and minus ``unit_normals``: the 2n axis directions and the 2^n
-    diagonals).  Constant coefficients are evaluated at one point.
+    """Sampled bound on the propagation speed: the largest
+    |characteristic speed| of ``as_system()`` over grid points and the
+    ``unit_normals`` (the n axis directions and the diagonals; the speeds
+    of -nu are those of nu negated).  Constant coefficients are evaluated
+    at one point.
 
     Finitely many normals give a lower bound on the true maximum over all
     directions; callers testing support should inflate by a small safety
     factor (the CLI uses 1.01).
     """
-    normals = unit_normals(sys.n)
-    x = np.zeros(sys.n) if sys.constant_coefficients else grid.coords().reshape(-1, grid.n)
-    qm = _sym_part(_evaluate(sys.q, t, x, sys.m))
-    amats = [_evaluate(a_j, t, x, sys.m) for a_j in sys.a]
-    worst = 0.0
-    for nu in np.concatenate([normals, -normals]):
-        a = _sym_part(sum(nu[j] * amats[j] for j in range(sys.n)))
-        worst = max(worst, float(np.max(generalized_eigenvalues(a, qm))))
-    return worst
+    system = sys.as_system()
+    if all(c.const is not None for c in system.coeff):
+        xst = np.zeros(sys.n + 1)
+    else:
+        xst = _spacetime(t, grid.coords().reshape(-1, grid.n))
+    u = np.zeros(sys.m)
+    return max(0.0, *(float(np.max(np.abs(characteristic_speeds(system, xst, u, nu))))
+                      for nu in unit_normals(sys.n)))
 
 
 @dataclass(frozen=True)

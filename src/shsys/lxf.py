@@ -17,17 +17,19 @@ maximum characteristic speed (and k <= cfl_safety * h^2 / (2 eps) when
 viscosity is on).  Sources and state-dependent coefficients are evaluated
 fully explicitly at (t, x, u(t)).
 
-The steps follow numpy's ``out=`` idiom: ``lxf_average``, ``lxf_step``,
-``viscous_step`` and the RHS closures write into a given array, and
-allocate one only when none is given.  ``run`` alternates two state
-buffers, and each RHS closure keeps its own scratch, so a step allocates
-no state-sized array beyond what user callables return.
+The steps follow numpy's ``out=`` idiom: ``lxf_average``, ``lxf_step``
+and ``viscous_step`` write into a given array, and allocate one only
+when none is given.  An RHS closure ``rhs(t, state)`` writes into a
+target array of its own.  ``run`` alternates two state buffers, and each
+RHS closure keeps its own scratch, so an LxF step allocates no
+state-sized array beyond what user callables return.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -192,13 +194,12 @@ def _workspace() -> Callable[[str, tuple], np.ndarray]:
     return scratch
 
 
-def system_rhs(sys: SystemDef) -> Callable[..., np.ndarray]:
-    """RHS evaluator ``rhs(t, state, out=None)`` of M0^-1 [N - M^j D_j u]
-    for a quasi-linear system.  The result is written to ``out``; without
-    one it goes to the evaluator's own target array, which the next call
-    overwrites.  The differences and products live in scratch arrays the
-    evaluator keeps, so a call allocates only what the fields and the
-    source return.
+def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
+    """RHS evaluator ``rhs(t, state)`` of M0^-1 [N - M^j D_j u] for a
+    quasi-linear system.  The result is written to the evaluator's own
+    target array, which the next call overwrites.  The differences and
+    products live in scratch arrays the evaluator keeps too, so a call
+    allocates only what the fields and the source return.
 
     Every state-dependent coefficient and the source are evaluated once
     per call on the whole grid (the batched contract of SystemDef) and
@@ -217,9 +218,9 @@ def system_rhs(sys: SystemDef) -> Callable[..., np.ndarray]:
     needs_spare = any(lay is not None and len(lay) > 1 for lay in layers)
     scratch = _workspace()
 
-    def rhs(t, state, out=None):
+    def rhs(t, state):
         u = state.data
-        target = scratch("target", u.shape) if out is None else out
+        target = scratch("target", u.shape)
         du, product = scratch("du", u.shape), scratch("product", u.shape)
         spare = scratch("spare", u.shape) if needs_spare else None
         x = _spacetime(t, state.coords()) if needs_x else None
@@ -245,16 +246,15 @@ def system_rhs(sys: SystemDef) -> Callable[..., np.ndarray]:
     return rhs
 
 
-def law_rhs(law: ConservationLaw) -> Callable[..., np.ndarray]:
-    """RHS evaluator ``rhs(t, state, out=None)`` of
+def law_rhs(law: ConservationLaw) -> Callable[[float, GridField], np.ndarray]:
+    """RHS evaluator ``rhs(t, state)`` of
     N - sum_j (tau_j f^j - tau_j^-1 f^j) / 2h for a conservation law (flux
     evaluators are vectorized over cells).  Like ``system_rhs``, it writes
-    to ``out`` or else to its own target array, and keeps the differences
-    in scratch."""
+    to its own target array and keeps the differences in scratch."""
     scratch = _workspace()
 
-    def rhs(t, state, out=None):
-        target = scratch("target", state.data.shape) if out is None else out
+    def rhs(t, state):
+        target = scratch("target", state.data.shape)
         diff = scratch("diff", state.data.shape)
         target.fill(0.0)
         for j in range(law.n):
@@ -401,19 +401,18 @@ def run(system, initial: GridField, config: SchemeConfig,
     a_star = check_stability(system, initial, config)
     trace.a_star = a_star
 
-    viscous = config.viscosity > 0
-    if viscous:
-        if not isinstance(system, ConservationLaw):
-            raise ValueError("viscosity applies to conservation laws only")
-        stepper = lambda st, t, k, out: viscous_step(st, system, config, t=t, k=k, out=out)
-    elif isinstance(system, ConservationLaw):
+    if config.viscosity > 0 and not isinstance(system, ConservationLaw):
+        raise ValueError("viscosity applies to conservation laws only")
+    if isinstance(system, ConservationLaw):
         rhs = law_rhs(system)
-        stepper = lambda st, t, k, out: lxf_step(st, rhs, config, t=t, k=k, out=out)
     elif isinstance(system, SystemDef):
         rhs = system_rhs(system)
-        stepper = lambda st, t, k, out: lxf_step(st, rhs, config, t=t, k=k, out=out)
     else:
         raise TypeError(f"cannot integrate object of type {type(system).__name__}")
+    if config.viscosity > 0:
+        stepper = partial(viscous_step, law=system, config=config)
+    else:
+        stepper = partial(lxf_step, rhs=rhs, config=config)
 
     h = _uniform_h(initial)
     k = config.lam * h
@@ -435,7 +434,7 @@ def run(system, initial: GridField, config: SchemeConfig,
     t = 0.0
     for i in range(1, total_steps + 1):
         k_step = k if i <= n_full else remainder
-        state = stepper(state, t, k_step, buffers[i % 2])
+        state = stepper(state, t=t, k=k_step, out=buffers[i % 2])
         t = i * k if i <= n_full else config.t_end
         trace.steps = i
         violation = _state_violation(system, state)

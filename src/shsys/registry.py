@@ -3,8 +3,10 @@ name, each declared once, in the order ``shsys models`` and the README list
 them; ``config`` derives its enums and schemas from these tables.
 
 * ``MODELS``: name -> (doc line, ``[model]`` keys and their value kinds,
-  ``build(spec, n)`` from the ``[model]`` section and the grid dimension).
-* ``PROFILES``: name -> ``build(init, grid)`` from the ``[initial]`` section.
+  ``build(spec, n)`` from the ``[model]`` section and the grid dimension,
+  required keys).
+* ``PROFILES``: name -> (``[initial]`` keys and their value kinds, required
+  keys, ``build(init, grid)`` from the ``[initial]`` section).
 * ``CHECKS``: name -> (``check.param`` kinds, required parameters, what it
   needs, ``fn(params, model, trace, out_dir, make_grid)`` -> verdict rows).
 """
@@ -52,6 +54,13 @@ class ModelEntry(NamedTuple):
     doc: str
     keys: dict
     build: Callable
+    required: tuple = ()
+
+
+class Profile(NamedTuple):
+    keys: dict
+    required: tuple
+    build: Callable
 
 
 class Check(NamedTuple):
@@ -60,13 +69,6 @@ class Check(NamedTuple):
     needs: str | None      # a key of NEEDS, or None
     fn: Callable
     together: tuple = ()   # parameter groups given all or none
-
-
-def _need(section: dict, what: str, *keys):
-    """The values of ``keys`` in ``section``; ExecutionError if one is absent."""
-    if any(key not in section for key in keys):
-        raise ExecutionError(f"{what} needs " + " and ".join(f"'{k}'" for k in keys))
-    return [section[key] for key in keys]
 
 
 def _law(law, pair=None, q_energy=None):
@@ -81,9 +83,7 @@ def _linear_system(system, monitors):
 
 
 def _scalar(spec, n):
-    coeffs = spec.get("flux_coeffs")
-    if not coeffs:
-        raise ExecutionError("model 'scalar' needs flux_coeffs")
+    coeffs = spec["flux_coeffs"]
     return _law(*polynomial_scalar_law(coeffs),
                 q_energy=np.eye(1) if len(coeffs) <= 2 else None)
 
@@ -103,8 +103,7 @@ def _euler_sh(spec, n):
 
 
 def _tricomi(spec, n):
-    lam, = _need(spec, "model 'tricomi'", "lam")
-    system, cert = tricomi_system(lam, spec.get("y_bound", 1.0))
+    system, cert = tricomi_system(spec["lam"], spec.get("y_bound", 1.0))
     return Model("tricomi", system, tricomi=cert)
 
 
@@ -116,7 +115,7 @@ def _ck(spec, n):
 
 MODELS = {
     "scalar": ModelEntry("scalar 1D law with polynomial flux (flux_coeffs = c0, c1, ...)",
-                         {"flux_coeffs": "list_float"}, _scalar),
+                         {"flux_coeffs": "list_float"}, _scalar, ("flux_coeffs",)),
     "burgers": ModelEntry("scalar 1D law f = u^2/2 with entropy pair (u^2, 2u^3/3)",
                           {}, lambda spec, n: _law(*burgers_law())),
     "advection": ModelEntry("scalar 1D law f = a u (parameter a)", {"a": "float"},
@@ -133,25 +132,27 @@ MODELS = {
                                  euler_conservative_1d(spec.get("gamma", 1.4)))),
     "tricomi": ModelEntry(
         "Tricomi-type symmetric positive system (lam, y_bound); no integration",
-        {"lam": "float", "y_bound": "float"}, _tricomi),
+        {"lam": "float", "y_bound": "float"}, _tricomi, ("lam",)),
     "ck": ModelEntry("realified one-complex-variable analytic system (a_re, a_im)",
                      {"a_re": "float", "a_im": "float"}, _ck),
 }
 
 PROFILES = {
-    "constant": lambda init, grid: profiles.constant(
-        grid, init.get("value", [0.0] * grid.m)),
-    "step": lambda init, grid: profiles.step(
-        grid, *_need(init, "step profile", "left", "right"),
-        init.get("jump_at", 0.0)),
-    "bump": lambda init, grid: profiles.bump(
-        grid, init.get("amplitude", [1.0] * grid.m),
-        *_need(init, "bump profile", "radius"), init.get("center")),
-    "plane-wave": lambda init, grid: profiles.plane_wave(
-        grid, init.get("amplitude", [1.0] * grid.m),
-        init.get("modes", [1] * grid.n)),
-    "file": lambda init, grid: profiles.from_csv(
-        grid, *_need(init, "file profile", "csv")),
+    "constant": Profile({"value": "list_float"}, (), lambda init, grid: profiles.constant(
+        grid, init.get("value", [0.0] * grid.m))),
+    "step": Profile({"left": "list_float", "right": "list_float", "jump_at": "float"},
+                    ("left", "right"), lambda init, grid: profiles.step(
+                        grid, init["left"], init["right"], init.get("jump_at", 0.0))),
+    "bump": Profile({"amplitude": "list_float", "radius": "float", "center": "list_float"},
+                    ("radius",), lambda init, grid: profiles.bump(
+                        grid, init.get("amplitude", [1.0] * grid.m), init["radius"],
+                        init.get("center"))),
+    "plane-wave": Profile({"amplitude": "list_float", "modes": "list_int"}, (),
+                          lambda init, grid: profiles.plane_wave(
+                              grid, init.get("amplitude", [1.0] * grid.m),
+                              init.get("modes", [1] * grid.n))),
+    "file": Profile({"csv": "str"}, ("csv",),
+                    lambda init, grid: profiles.from_csv(grid, init["csv"])),
 }
 
 

@@ -15,7 +15,7 @@ from shsys.entropy import (ConservationLaw, DiffusionTensor, EntropyPair,
                            diffusion_symmetry_check, entropy_pair_residual,
                            hessian_symmetrizer)
 from shsys.grid import GridField, centered_diff
-from shsys.lxf import max_char_speed, system_rhs
+from shsys.lxf import SchemeConfig, max_char_speed, run, system_rhs
 from shsys.models import (ck_realify, euler_polytropic_sh, maxwell_system,
                           polynomial_scalar_law, tricomi_certificate_matrix,
                           tricomi_system, wave_system)
@@ -295,6 +295,21 @@ def test_per_point_energy_and_cone_slope_callables_rejected():
     lin = LinearSystem(1, 1, np.eye(1), [pointwise])
     with pytest.raises(ValueError, match=r"\(\.\.\., m, m\) = \(6, 1, 1\)"):
         cone_slope(lin, grid)
+
+
+def test_one_matrix_for_a_batch_rejected_by_every_linear_system_path():
+    one = lambda t, x: np.array([[1.0]])  # noqa: E731
+    lin = LinearSystem(1, 1, np.eye(1), [one])
+    grid = GridField.zeros((8,), 0.25, 0.125, 1).with_data(np.ones((8, 1)))
+    shape_error = r"matrix field returned shape \(1, 1\), expected \(\.\.\., m, m\)"
+    with pytest.raises(ValueError, match=shape_error):
+        LinearSystem(1, 1, np.eye(1), [one], check_points=[(0.0, [0.1]), (0.5, [0.2])])
+    with pytest.raises(ValueError, match=shape_error):
+        energy(grid, one)
+    with pytest.raises(ValueError, match=shape_error):
+        cone_slope(lin, grid)
+    with pytest.raises(ValueError, match=shape_error):
+        run(lin.as_system(), grid, SchemeConfig(lam=0.5, t_end=0.25))
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,26 @@ class TestParseConfig:
         assert info.value.errors == [
             (2, f"model '{model}' does not take key '{key}' (it accepts: {accepted})")]
 
+    @pytest.mark.parametrize("text, error", [
+        ("[model]\nname = tricomi\ny_bound = 2\n", (2, "model 'tricomi' needs key 'lam'")),
+        ("[model]\n\nname = scalar\n", (3, "model 'scalar' needs key 'flux_coeffs'")),
+        ("[model]\nname = scalar\nflux_coeffs =\n",
+         (3, "'flux_coeffs' must list at least one coefficient")),
+        ("[model]\nname = burgers\n[initial]\nprofile = step\nleft = 1\n",
+         (4, "profile 'step' needs key 'right'")),
+        ("[model]\nname = burgers\n[initial]\nprofile = file\n",
+         (4, "profile 'file' needs key 'csv'")),
+        ("[model]\nname = burgers\n[initial]\nmodes = 2\nprofile = bump\nradius = 0.1\n",
+         (4, "profile 'bump' does not take key 'modes' (it accepts: amplitude, radius, center)")),
+        ("[model]\nname = burgers\n[initial]\nprofile = constant\nvalue = 1\njump_at = 0\n",
+         (6, "profile 'constant' does not take key 'jump_at' (it accepts: value)")),
+    ], ids=["tricomi-lam", "scalar-flux_coeffs", "scalar-empty", "step-right", "file-csv",
+            "bump-modes", "constant-jump_at"])
+    def test_required_and_foreign_entry_keys_rejected(self, text, error):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == [error]
+
     def test_repeated_check_name_rejected(self):
         with pytest.raises(ConfigError) as info:
             parse_config(MINIMAL.replace("names = riemann", "names = riemann, riemann"))

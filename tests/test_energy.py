@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from shsys import profiles
+from shsys import fd, profiles
+from shsys.core import _sym_part, generalized_eigenvalues, unit_normals
 from shsys.energy import (LinearSystem, c_matrix, cone_slope, damping_lambda,
                           energy, support_test)
 from shsys.grid import GridField
@@ -44,7 +48,7 @@ class TestEnergy:
     def test_callable_q(self):
         g = grid_1d(8)
         g = g.with_data(np.ones((8, 1)))
-        e = energy(g, lambda t, x: np.array([[2.0]]))
+        e = energy(g, lambda t, x: np.full(x.shape[:-1] + (1, 1), 2.0))
         assert e == pytest.approx(2.0 * 8 * g.h[0], rel=1e-14)
 
     def test_rejects_nonfinite(self):
@@ -191,3 +195,102 @@ class TestLinearSystemValidation:
         with pytest.raises(ValueError):
             LinearSystem(1, 2, -np.eye(2), [np.zeros((2, 2))],
                          check_points=[(0.0, np.zeros(1))])
+
+
+# ---------------------------------------------------------------------------
+# c_matrix and cone_slope against the two-branch derivative and the
+# +-normal generalized eigenvalue loop, on the raw (t, x) callables
+
+def _value(c, t, x):
+    """A coefficient at (t, x), a constant broadcast over the points."""
+    if callable(c):
+        return np.asarray(c(t, x), dtype=float)
+    return np.broadcast_to(c, np.shape(x)[:-1] + c.shape)
+
+
+def reference_c_matrix(n, m, q, a, b, t, x):
+    x = np.asarray(x, dtype=float)
+    c = np.zeros((m, m))
+    if b is not None:
+        c += 2.0 * _value(b, t, x)
+    if callable(q):
+        ht = fd.STEP_FIRST * max(1.0, abs(t))
+        c -= (_value(q, t + ht, x) - _value(q, t - ht, x)) / (2.0 * ht)
+    for j in range(n):
+        if not callable(a[j]):
+            continue
+        hj = fd.STEP_FIRST * max(1.0, abs(x[j]))
+        e = np.zeros_like(x)
+        e[j] = hj
+        c -= (_value(a[j], t, x + e) - _value(a[j], t, x - e)) / (2.0 * hj)
+    return c
+
+
+def reference_cone_slope(n, q, a, grid, t):
+    normals = unit_normals(n)
+    constant = not callable(q) and not any(map(callable, a))
+    x = np.zeros(n) if constant else grid.coords().reshape(-1, n)
+    qm = _sym_part(_value(q, t, x))
+    amats = [_value(a_j, t, x) for a_j in a]
+    worst = 0.0
+    for nu in np.concatenate([normals, -normals]):
+        mat = _sym_part(sum(nu[j] * amats[j] for j in range(n)))
+        worst = max(worst, float(np.max(generalized_eigenvalues(mat, qm))))
+    return worst
+
+
+# exact zeros and small integers, so sparse matrices come up, plus floats
+ENTRIES = st.one_of(st.integers(-2, 2).map(float),
+                    st.floats(-2.0, 2.0, allow_subnormal=False))
+COORDS = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def linear_system(draw):
+    """(n, m, q, a, b): symmetric Q and A^j and any B, each a constant or a
+    quadratic in s = c t + w . x; Q stays positive definite for |t|, |x_j|
+    <= 1."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def symmetric(scale=1.0):
+        r = draw(hnp.arrays(np.float64, (m, m), elements=ENTRIES))
+        return scale * (r + r.T)
+
+    def coefficient(base, scale):
+        if not draw(st.booleans()):
+            return base
+        lin, quad = symmetric(scale), symmetric(scale)
+        c = draw(st.floats(-0.5, 0.5))
+        w = draw(hnp.arrays(np.float64, (n,), elements=st.floats(-0.5, 0.5)))
+
+        def fn(t, x):
+            s = c * np.asarray(t) + np.sum(x * w, axis=-1)
+            return base + s[..., None, None] * lin + (s * s)[..., None, None] * quad
+        return fn
+
+    q = coefficient(symmetric(0.1) + 4.0 * np.eye(m), 0.02)
+    a = [coefficient(symmetric(), 1.0) for _ in range(n)]
+    b = draw(st.sampled_from([None, "constant", "variable"]))
+    if b is not None:
+        base = draw(hnp.arrays(np.float64, (m, m), elements=ENTRIES))
+        b = base if b == "constant" else coefficient(base, 1.0)
+    return n, m, q, a, b
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=linear_system(), data=st.data())
+def test_c_matrix_and_cone_slope_equal_the_two_branch_reference(case, data):
+    n, m, q, a, b = case
+    lin = LinearSystem(n, m, q, a, b=b)
+    t = data.draw(COORDS)
+    x = data.draw(hnp.arrays(np.float64, (n,), elements=COORDS))
+    assert_bitwise(c_matrix(lin, t, x), reference_c_matrix(n, m, q, a, b, t, x))
+    grid = GridField.zeros((4, 3, 2)[:n], 0.5, -0.75, m)
+    t = data.draw(st.floats(0.0, 1.0))
+    assert_bitwise(cone_slope(lin, grid, t=t), reference_cone_slope(n, q, a, grid, t))
