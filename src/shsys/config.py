@@ -197,12 +197,16 @@ def parse_config(text: str) -> RunConfig:
             if bad is not None and bad(value):
                 errors.append((lineno, f"'{key}' {rule}"))
 
-    if "name" not in sections["model"]:
+    # a selector given with a bad value has its own error on its line
+    if ("model", "name") not in seen:
         errors.append((0, "missing required key 'name' in [model]"))
     errors += _entry_errors("model", "name", "model", registry.MODELS,
                             sections["model"], lines, seen)
     errors += _entry_errors("initial", "profile", "profile", registry.PROFILES,
                             sections["initial"], lines, seen)
+    if ("initial", "profile") not in seen:
+        errors += [(lines["initial", key], f"[initial] key '{key}' needs a 'profile'")
+                   for key in sections["initial"]]
     names = sections["checks"].get("names", [])
     given = sections["checks"].get("_params", {})
     for i, check in enumerate(names):

@@ -236,7 +236,7 @@ def is_sh(sys: SystemDef, samples: Sequence, sym_tol: Optional[float] = None,
     direction combination."""
     x, u = _stack_samples(sys, samples)
     mats = [np.broadcast_to(s, (len(x), sys.m, sys.m)) for s in _symmetrized(sys, x, u)]
-    asym, bad = (np.stack(v, axis=-1) for v in zip(*(_asymmetry(s, tol=sym_tol) for s in mats)))
+    asym, bad = _asymmetry(np.stack(mats, axis=1), tol=sym_tol)
     pd = positive_definite(_sym_part(sum(k * s for k, s in zip(sys.direction, mats))), tol=pd_tol)
     asymmetric = bad.any(axis=-1)
     fails = asymmetric | ~pd
@@ -289,6 +289,24 @@ def characteristic_speeds(sys: SystemDef, x, u, normal) -> np.ndarray:
     a = _sym_part(sum(normal[j] * mats[j + 1] for j in range(sys.n)))
     speeds = generalized_eigenvalues(a, s0)
     return np.broadcast_to(speeds, np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (sys.m,))
+
+
+def max_abs_speed(sys: SystemDef, x, u) -> float:
+    """Largest |characteristic speed| over the ``unit_normals`` at points x
+    (..., n+1) and states u (..., m); evaluated at one point when every
+    coefficient and the symmetrizer is constant."""
+    if all(f is None or f.const is not None for f in (*sys.coeff, sys.symmetrizer)):
+        x, u = np.reshape(x, (-1, sys.n + 1))[:1], np.reshape(u, (-1, sys.m))[:1]
+    return max(0.0, *(float(np.max(np.abs(characteristic_speeds(sys, x, u, nu))))
+                      for nu in unit_normals(sys.n)))
+
+
+def spacetime(t, x) -> np.ndarray:
+    """Points (t, x_1..x_n) of shape (..., n+1) for space points x of shape
+    (..., n) and t a float or an array of shape (...)."""
+    x = np.asarray(x, dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
+    return np.concatenate([t[..., None], x], axis=-1)
 
 
 def generalized_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fd
-from .core import (MatrixField, SystemDef, _asymmetry, _sym_part, _unzip,
-                   characteristic_speeds, ldlt_pivots, positive_definite, unit_normals)
+from .core import (MatrixField, SystemDef, _asymmetry, _sym_part, _unzip, ldlt_pivots,
+                   max_abs_speed, positive_definite, spacetime)
 from .grid import GridField
 
 
@@ -36,14 +36,6 @@ def _coefficient(c, m: int) -> MatrixField:
     if mat.shape != (m, m):
         raise ValueError(f"coefficient must be {m} x {m}, got {mat.shape}")
     return MatrixField.constant(mat)
-
-
-def _spacetime(t, x) -> np.ndarray:
-    """Points (t, x_1..x_n) of shape (..., n+1) for space points x of shape
-    (..., n) and t a float or an array of shape (...)."""
-    x = np.asarray(x, dtype=float)
-    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
-    return np.concatenate([t[..., None], x], axis=-1)
 
 
 def _at(field: MatrixField, points) -> np.ndarray:
@@ -84,9 +76,8 @@ class LinearSystem:
         points; returns the smallest Q pivot seen."""
         t, x = _unzip(points)
         names = ["Q"] + [f"A^{j + 1}" for j in range(self.n)]
-        mats = [_at(c, _spacetime(t, x)) for c in (self.q, *self.a)]
-        asym, bad = (np.stack(v, axis=-1)
-                     for v in zip(*(_asymmetry(a, rtol=sym_tol) for a in mats)))
+        mats = [_at(c, spacetime(t, x)) for c in (self.q, *self.a)]
+        asym, bad = _asymmetry(np.stack(mats, axis=1), rtol=sym_tol)
         if bad.any():
             i, k = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(f"{names[k]} asymmetric by {asym[i, k]:.3e} at t={t[i]}, x={x[i]}")
@@ -124,7 +115,7 @@ def energy(field: GridField, q, t: float = 0.0) -> float:
     u = field.data.reshape(-1, field.m)
     q = _coefficient(q, field.m)
     if q.const is None:
-        mat = _at(q, _spacetime(t, field.coords().reshape(-1, field.n)))
+        mat = _at(q, spacetime(t, field.coords().reshape(-1, field.n)))
         dens = np.einsum("ca,cab,cb->c", u, mat, u)
     else:
         dens = np.einsum("ca,ab,cb->c", u, q.const, u)
@@ -135,7 +126,7 @@ def c_matrix(sys: LinearSystem, t: float, x) -> np.ndarray:
     """C = 2B - d_t Q - d_j A^j at (t, x), by centered differences along
     each space-time axis whose coefficient is not constant (exact up to
     rounding for coefficients polynomial of degree <= 2)."""
-    point = _spacetime(t, x)
+    point = spacetime(t, x)
     c = np.zeros((sys.m, sys.m))
     if sys.b is not None:
         c += 2.0 * _at(sys.b, point)
@@ -165,7 +156,7 @@ def damping_lambda(sys: LinearSystem, samples, bisect_tol: float = 1e-6) -> Damp
     """
     samples = list(samples)
     t, x = _unzip(samples)
-    qm = _sym_part(_at(sys.q, _spacetime(t, x)))
+    qm = _sym_part(_at(sys.q, spacetime(t, x)))
     q_pd = positive_definite(qm)
     if not q_pd.all():
         i = int(np.argmin(q_pd))
@@ -206,14 +197,8 @@ def cone_slope(sys: LinearSystem, grid: GridField, t: float = 0.0) -> float:
     directions; callers testing support should inflate by a small safety
     factor (the CLI uses 1.01).
     """
-    system = sys.as_system()
-    if all(c.const is not None for c in system.coeff):
-        xst = np.zeros(sys.n + 1)
-    else:
-        xst = _spacetime(t, grid.coords().reshape(-1, grid.n))
-    u = np.zeros(sys.m)
-    return max(0.0, *(float(np.max(np.abs(characteristic_speeds(system, xst, u, nu))))
-                      for nu in unit_normals(sys.n)))
+    return max_abs_speed(sys.as_system(), spacetime(t, grid.coords().reshape(-1, grid.n)),
+                         np.zeros(sys.m))
 
 
 @dataclass(frozen=True)

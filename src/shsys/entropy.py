@@ -189,33 +189,29 @@ def legendre_dual(pair: EntropyPair, v, u_guess, newton_tol: float = 1e-10,
     u = np.atleast_1d(np.asarray(u_guess, dtype=float)).copy()
     scale = max(1.0, float(np.max(np.abs(target))))
     res = pair.gradient(u) - target
-    for _ in range(max_iter):
-        if float(np.max(np.abs(res))) <= newton_tol * scale:
-            g0 = float(u @ target - pair.value(u))
-            return u, g0
-        hess = pair.hessian(u)
+    iterations = 0
+    # a NaN residual is not converged
+    while not float(np.max(np.abs(res))) <= newton_tol * scale:
+        if iterations == max_iter:
+            raise ConvergenceError(
+                f"Newton did not reach tolerance {newton_tol:g} in {max_iter} iterations "
+                f"(residual {float(np.max(np.abs(res))):.3e})", last=u)
+        iterations += 1
         try:
-            step = np.linalg.solve(hess, -res)
+            step = np.linalg.solve(pair.hessian(u), -res)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular Hessian during Newton iteration",
                                    last=u) from exc
         best = float(np.max(np.abs(res)))
-        frac = 1.0
-        for _ in range(8):
+        # halve the step until the residual drops; the last fraction is
+        # taken even when it does not
+        for frac in 0.5 ** np.arange(9):
             trial = u + frac * step
             trial_res = pair.gradient(trial) - target
             if float(np.max(np.abs(trial_res))) < best:
                 break
-            frac *= 0.5
-        else:
-            trial = u + frac * step
-            trial_res = pair.gradient(trial) - target
         u, res = trial, trial_res
-    if float(np.max(np.abs(res))) <= newton_tol * scale:
-        return u, float(u @ target - pair.value(u))
-    raise ConvergenceError(
-        f"Newton did not reach tolerance {newton_tol:g} in {max_iter} iterations "
-        f"(residual {float(np.max(np.abs(res))):.3e})", last=u)
+    return u, float(u @ target - pair.value(u))
 
 
 def hessian_symmetrizer(law: ConservationLaw, pair: EntropyPair,

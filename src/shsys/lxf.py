@@ -34,7 +34,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import SystemDef, batch_checked, characteristic_speeds, unit_normals
+from .core import (SystemDef, batch_checked, max_abs_speed, spacetime as _spacetime,
+                   unit_normals)
 from .entropy import ConservationLaw
 from .grid import (GridField, centered_diff, first_true, neighbour_difference,
                    second_difference, shift_into)
@@ -101,33 +102,19 @@ def _sample_cells(field_: GridField, max_samples: int = 512) -> np.ndarray:
     return np.arange(0, total, stride)
 
 
-def _spacetime(t: float, coords: np.ndarray) -> np.ndarray:
-    """Points (t, x) of shape (..., n+1) for space points of shape (..., n)."""
-    return np.concatenate([np.full(coords.shape[:-1] + (1,), t), coords], axis=-1)
-
-
 def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
     """Largest |characteristic speed| over sampled cells and the unit
     normals of ``unit_normals`` (axes plus diagonals).  A system whose
     fields are all constant is evaluated at one cell."""
     idx = _sample_cells(state)
-    normals = unit_normals(system.n)
-    worst = 0.0
-    if isinstance(system, ConservationLaw):
-        u = state.data.reshape(-1, state.m)[idx]
-        jacs = [system.jacobian(j, u) for j in range(system.n)]
-        for nu in normals:
-            a = sum(nu[j] * jacs[j] for j in range(system.n))
-            worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(a)))))
-        return worst
-    fields = (*system.coeff, system.symmetrizer)
-    if all(f is None or f.const is not None for f in fields):
-        idx = idx[:1]
-    x = _spacetime(t, state.cell_coords(idx))
     u = state.data.reshape(-1, state.m)[idx]
-    for nu in normals:
-        speeds = characteristic_speeds(system, x, u, nu)
-        worst = max(worst, float(np.max(np.abs(speeds))))
+    if not isinstance(system, ConservationLaw):
+        return max_abs_speed(system, _spacetime(t, state.cell_coords(idx)), u)
+    worst = 0.0
+    jacs = [system.jacobian(j, u) for j in range(system.n)]
+    for nu in unit_normals(system.n):
+        a = sum(nu[j] * jacs[j] for j in range(system.n))
+        worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(a)))))
     return worst
 
 

@@ -101,13 +101,21 @@ def advection_law(speed: float, state_box=(-3.0, 3.0)):
 # ---------------------------------------------------------------------------
 # wave equation reduction
 
-def _as_field_of_x(value):
-    """Accept a constant array or a batched callable of space points x of
-    shape (..., n); a constant is broadcast over the batch."""
-    if callable(value):
-        return value, None
-    arr = np.asarray(value, dtype=float)
-    return (lambda x: np.broadcast_to(arr, np.shape(x)[:-1] + arr.shape)), arr
+def _field_of_x(m: int, build, *inputs, dtype=float) -> MatrixField:
+    """The MatrixField build(*values) of inputs that are each a constant
+    array or a batched callable of space points x of shape (..., n):
+    ``MatrixField.constant`` when every input is an array, otherwise a
+    batched field of x that broadcasts the constant inputs."""
+    consts = [None if callable(v) else np.asarray(v, dtype=dtype) for v in inputs]
+    if all(c is not None for c in consts):
+        return MatrixField.constant(build(*consts))
+
+    def fn(xst, u):
+        x = xst[..., 1:]
+        return build(*(np.asarray(v(x), dtype=dtype) if c is None
+                       else np.broadcast_to(c, x.shape[:-1] + c.shape)
+                       for v, c in zip(inputs, consts)))
+    return MatrixField(m, fn)
 
 
 def wave_system(a_j, a_jk, forcing=None, n=None):
@@ -126,20 +134,16 @@ def wave_system(a_j, a_jk, forcing=None, n=None):
     ``forcing`` is a batched callable (t, x) -> (...).  A constant a^jk
     must be symmetric positive definite.
     """
-    aj_fn, aj_const = _as_field_of_x(a_j)
-    ajk_fn, ajk_const = _as_field_of_x(a_jk)
     if n is None:
-        if ajk_const is not None:
-            n = ajk_const.shape[0]
-        elif aj_const is not None:
-            n = aj_const.shape[0]
-        else:
+        given = [v for v in (a_jk, a_j) if not callable(v)]
+        if not given:
             raise ValueError("pass n explicitly when both coefficients are callables")
+        n = np.shape(given[0])[0]
     m = n + 2
-    if ajk_const is not None:
-        if ajk_const.shape != (n, n):
+    if not callable(a_jk):
+        if np.shape(a_jk) != (n, n):
             raise ValueError(f"a_jk must be {n} x {n}")
-        if not positive_definite(ajk_const):
+        if not positive_definite(a_jk):
             raise ValueError("a_jk must be symmetric positive definite")
 
     def mj_at(ajv, ajkv, j):
@@ -155,18 +159,10 @@ def wave_system(a_j, a_jk, forcing=None, n=None):
         s[..., 1:n + 1, 1:n + 1] = ajkv
         return s
 
-    if aj_const is not None and ajk_const is not None:
-        coeff = [MatrixField.constant(np.eye(m))] + [
-            MatrixField.constant(mj_at(aj_const, ajk_const, j)) for j in range(n)]
-        sigma = MatrixField.constant(sigma_at(ajk_const))
-    else:
-        coeff = [MatrixField.constant(np.eye(m))] + [
-            MatrixField(m, lambda xst, u, j=j: mj_at(
-                np.asarray(aj_fn(xst[..., 1:]), dtype=float),
-                np.asarray(ajk_fn(xst[..., 1:]), dtype=float), j))
-            for j in range(n)]
-        sigma = MatrixField(m, lambda xst, u: sigma_at(
-            np.asarray(ajk_fn(xst[..., 1:]), dtype=float)))
+    coeff = [MatrixField.constant(np.eye(m))] + [
+        _field_of_x(m, lambda ajv, ajkv, j=j: mj_at(ajv, ajkv, j), a_j, a_jk)
+        for j in range(n)]
+    sigma = _field_of_x(m, sigma_at, a_jk)
 
     def source(xst, u):
         out = np.zeros(np.shape(u))
@@ -430,26 +426,15 @@ def ck_realify(a, b=None):
     constant complex vector, or a batched callable (x, u_complex) ->
     (..., mc).
     """
-    a_const = None if callable(a) else np.asarray(a, dtype=complex)
-    mc = (a_const.shape[0] if a_const is not None
-          else np.asarray(a(np.zeros(2)), dtype=complex).shape[0])
+    mc = np.shape(a(np.zeros(2)) if callable(a) else a)[0]
     m = 2 * mc
 
     def split(mat):
         herm = np.swapaxes(mat.conj(), -1, -2)
         return -_real_rep(0.5 * (mat + herm)), -_real_rep((mat - herm) / 2j)
 
-    if a_const is not None:
-        m1c, m2c = split(a_const)
-        coeff = [MatrixField.constant(np.eye(m)),
-                 MatrixField.constant(m1c), MatrixField.constant(m2c)]
-    else:
-        def coeff_fn(idx):
-            def fn(xst, u):
-                return split(np.asarray(a(xst[..., 1:]), dtype=complex))[idx]
-            return fn
-        coeff = [MatrixField.constant(np.eye(m)),
-                 MatrixField(m, coeff_fn(0)), MatrixField(m, coeff_fn(1))]
+    coeff = [MatrixField.constant(np.eye(m))] + [
+        _field_of_x(m, lambda mat, i=i: split(mat)[i], a, dtype=complex) for i in (0, 1)]
 
     source = None
     if b is not None:

@@ -186,6 +186,23 @@ class TestParseConfig:
             parse_config(text)
         assert info.value.errors == [error]
 
+    @pytest.mark.parametrize("text, error", [
+        ("[model]\nname = burgerz\n",
+         (2, f"value 'burgerz' not one of {list(registry.MODELS)}")),
+        ("[model]\nname = burgers\n[initial]\nprofile = stepp\nleft = 1\n",
+         (4, f"value 'stepp' not one of {list(registry.PROFILES)}")),
+    ], ids=["model", "profile"])
+    def test_bad_selector_value_reports_only_its_enum_error(self, text, error):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == [error]
+
+    def test_initial_keys_without_profile_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("[model]\nname = burgers\n[initial]\nleft = 1\nmodes = 3\n")
+        assert info.value.errors == [(4, "[initial] key 'left' needs a 'profile'"),
+                                     (5, "[initial] key 'modes' needs a 'profile'")]
+
     def test_repeated_check_name_rejected(self):
         with pytest.raises(ConfigError) as info:
             parse_config(MINIMAL.replace("names = riemann", "names = riemann, riemann"))
@@ -433,6 +450,22 @@ viscous_limit.t = 0.2
         messages = error_messages(out)
         assert len(messages) == 1 and check in messages[0] and needs in messages[0]
 
+    @pytest.mark.parametrize("sections, message", [
+        ("[scheme]\nt_end = 0.1\n[grid]\nshape = 10\nh = 0.1\n[initial]\nprofile = constant\n",
+         "[scheme] needs 'lambda' and 't_end'"),
+        ("[scheme]\nlambda = 0.5\nt_end = 0.1\n[grid]\nh = 0.1\n",
+         "[grid] needs at least 'shape' and 'h'"),
+        ("[scheme]\nlambda = 0.5\nt_end = 0.1\n[grid]\nshape = 10\nh = 0.1\norigin = 0, 1\n",
+         "[grid] origin length must match shape"),
+        ("[scheme]\nlambda = 0.5\nt_end = 0.1\n[grid]\nshape = 10\nh = 0.1\n",
+         "[initial] needs a profile for time integration"),
+    ], ids=["scheme-lambda", "grid-keys", "grid-origin", "profile"])
+    def test_run_set_up_errors_exit_2(self, tmp_path, sections, message):
+        out = tmp_path / "out"
+        assert execute(parse_config("[model]\nname = burgers\n" + sections),
+                       output_dir=str(out)) == 2
+        assert error_messages(out) == [message]
+
     def test_artifacts_written(self, tmp_path):
         text = """
 [model]
@@ -483,6 +516,20 @@ class TestCliMain:
                      str(tmp_path / "a")]) == 0
         assert main(["check", str(config_path), "--output-dir",
                      str(tmp_path / "b")]) == 0
+
+    @pytest.mark.parametrize("model, check", [
+        ("wave\naj = 0.3, -0.1\najk = 1.3, 0.2, 0.2, 0.7", "is_sh"),
+        ("ck\na_re = 1.0\na_im = 0.5", "is_sh"),
+        ("scalar\nflux_coeffs = 0, 1, 0.5", "entropy_pair"),
+    ], ids=["wave", "ck", "scalar"])
+    def test_check_builds_the_model_and_passes(self, tmp_path, model, check):
+        config_path = tmp_path / "cfg.txt"
+        config_path.write_text(f"[model]\nname = {model}\n[grid]\nshape = 8, 8\n"
+                               f"h = 0.125\n[checks]\nnames = {check}\n")
+        assert main(["check", str(config_path), "--output-dir", str(tmp_path / "c")]) == 0
+        # the is_sh tolerance text holds a comma, so read the row as raw text
+        rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith(f"{check},true,")
 
     @pytest.mark.parametrize("check", SIM_CHECKS)
     def test_check_refuses_simulation_checks(self, tmp_path, capsys, check):

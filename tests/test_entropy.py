@@ -159,6 +159,28 @@ class TestLegendreDual:
             legendre_dual(pair, [1.0], [0.0], max_iter=0)
         assert info.value.last is not None
 
+    def test_step_that_no_halving_improves_is_taken_at_the_last_fraction(self):
+        # with the Hessian's sign flipped every Newton step points uphill
+        calls = []
+
+        def grad(u):
+            calls.append(u)
+            return 2.0 * u
+
+        pair = EntropyPair(n=1, m=1, value=lambda u: u[..., 0] ** 2,
+                           flux=(lambda u: 0.0 * u[..., 0],), grad=grad,
+                           hess=lambda u: np.full(u.shape + (1,), -2.0))
+        with pytest.raises(ConvergenceError) as info:
+            legendre_dual(pair, [1.0], [0.7], max_iter=3)
+        u = 0.7
+        for _ in range(3):
+            u = u + 0.5 ** 8 * (2.0 * u - 1.0) / 2.0
+        assert info.value.last[0] == u
+        # one gradient for the start, nine fractions per iteration
+        assert len(calls) == 1 + 9 * 3
+        assert str(info.value) == ("Newton did not reach tolerance 1e-10 in 3 iterations "
+                                   f"(residual {abs(2.0 * u - 1.0):.3e})")
+
 
 class TestHessianSymmetrizer:
     def test_burgers_scalar(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from shsys import profiles
 from shsys.core import MatrixField, SystemDef, unit_normals
-from shsys.energy import energy
+from shsys.energy import LinearSystem, energy
 from shsys.entropy import ConservationLaw
 from shsys.grid import GridField
 from shsys import lxf
@@ -642,3 +642,18 @@ class TestLayeredProduct:
         before = len(calls)
         rhs(0.0, initial)
         assert len(calls) == before
+
+    def test_constant_m0_is_solved_against_every_cell(self):
+        # a constant SPD M0 that is not the identity takes the stacked solve
+        m = 3
+        root = RNG.normal(size=(m, m))
+        q = root @ root.T + m * np.eye(m)
+        a = [(lambda s: s + s.T)(RNG.normal(size=(m, m))) for _ in range(2)]
+        b = RNG.normal(size=(m, m))
+        sys = LinearSystem(2, m, q, a, b=b).as_system()
+        state = GridField.zeros((6, 5), 0.2, 0.1, m).with_data(RNG.normal(size=(6, 5, m)))
+        got = system_rhs(sys)(0.3, state)
+        diffs = [lxf.centered_diff(state, j) for j in range(2)]
+        for cell in np.ndindex(state.shape):
+            forcing = -b @ state.data[cell] - sum(a[j] @ diffs[j][cell] for j in range(2))
+            assert np.max(np.abs(got[cell] - np.linalg.solve(q, forcing))) <= 1e-13
