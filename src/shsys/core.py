@@ -274,21 +274,22 @@ def characteristic_speeds(sys: SystemDef, x, u, normal) -> np.ndarray:
     """Generalized eigenvalues lambda of (sum_j normal_j S^j) w = lambda S^0 w
     with S^alpha = sigma M^alpha, sorted ascending.
 
-    Batched: x of shape (..., n+1) and u of shape (..., m) give (..., m).
-    Computed by reducing with a triangular factor of S^0, which must be
-    positive definite.
+    Batched: x (..., n+1), u (..., m) and normals (..., n) broadcast and
+    give (..., m).  S^alpha and the triangular factor of S^0, which must be
+    positive definite, are formed once for all normals.
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     if x.shape[-1:] != (sys.n + 1,) or u.shape[-1:] != (sys.m,):
         raise ValueError(f"points must have length n+1 = {sys.n + 1}, states m = {sys.m}")
     normal = np.asarray(normal, dtype=float)
-    if normal.shape != (sys.n,):
-        raise ValueError(f"normal must have length n = {sys.n}")
+    if normal.shape[-1:] != (sys.n,):
+        raise ValueError(f"normals must have length n = {sys.n}")
     mats = _symmetrized(sys, x, u)
     s0 = _sym_part(mats[0])
-    a = _sym_part(sum(normal[j] * mats[j + 1] for j in range(sys.n)))
+    a = _sym_part(sum(normal[..., j, None, None] * mats[j + 1] for j in range(sys.n)))
     speeds = generalized_eigenvalues(a, s0)
-    return np.broadcast_to(speeds, np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (sys.m,))
+    return np.broadcast_to(speeds, np.broadcast_shapes(
+        normal.shape[:-1], x.shape[:-1], u.shape[:-1]) + (sys.m,))
 
 
 def max_abs_speed(sys: SystemDef, x, u) -> float:
@@ -297,8 +298,10 @@ def max_abs_speed(sys: SystemDef, x, u) -> float:
     coefficient and the symmetrizer is constant."""
     if all(f is None or f.const is not None for f in (*sys.coeff, sys.symmetrizer)):
         x, u = np.reshape(x, (-1, sys.n + 1))[:1], np.reshape(u, (-1, sys.m))[:1]
-    return max(0.0, *(float(np.max(np.abs(characteristic_speeds(sys, x, u, nu))))
-                      for nu in unit_normals(sys.n)))
+    normals = unit_normals(sys.n)
+    batch = (1,) * (max(np.ndim(x), np.ndim(u)) - 1)
+    speeds = characteristic_speeds(sys, x, u, normals.reshape((-1,) + batch + (sys.n,)))
+    return max(0.0, *np.max(np.abs(speeds.reshape(len(normals), -1)), axis=1).tolist())
 
 
 def spacetime(t, x) -> np.ndarray:

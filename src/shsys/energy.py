@@ -122,21 +122,22 @@ def energy(field: GridField, q, t: float = 0.0) -> float:
     return float(np.sum(dens) * field.cell_volume())
 
 
-def c_matrix(sys: LinearSystem, t: float, x) -> np.ndarray:
-    """C = 2B - d_t Q - d_j A^j at (t, x), by centered differences along
-    each space-time axis whose coefficient is not constant (exact up to
-    rounding for coefficients polynomial of degree <= 2)."""
+def c_matrix(sys: LinearSystem, t, x) -> np.ndarray:
+    """C = 2B - d_t Q - d_j A^j at (t, x), x of shape (..., n) and t a float
+    or of shape (...), as (..., m, m), by centered differences along each
+    space-time axis whose coefficient is not constant (exact up to rounding
+    for coefficients polynomial of degree <= 2)."""
     point = spacetime(t, x)
-    c = np.zeros((sys.m, sys.m))
+    c = np.zeros(point.shape[:-1] + (sys.m, sys.m))
     if sys.b is not None:
         c += 2.0 * _at(sys.b, point)
     for alpha, coeff in enumerate((sys.q, *sys.a)):
         if coeff.const is not None:
             continue
-        h = fd.STEP_FIRST * max(1.0, abs(point[alpha]))
+        h = fd.STEP_FIRST * np.maximum(1.0, np.abs(point[..., alpha]))
         e = np.zeros_like(point)
-        e[alpha] = h
-        c -= (_at(coeff, point + e) - _at(coeff, point - e)) / (2.0 * h)
+        e[..., alpha] = h
+        c -= (_at(coeff, point + e) - _at(coeff, point - e)) / (2.0 * h[..., None, None])
     return c
 
 
@@ -154,15 +155,13 @@ def damping_lambda(sys: LinearSystem, samples, bisect_tol: float = 1e-6) -> Damp
     C + 2 lam Q, so solutions damped at this rate have non-increasing
     energy.
     """
-    samples = list(samples)
     t, x = _unzip(samples)
     qm = _sym_part(_at(sys.q, spacetime(t, x)))
     q_pd = positive_definite(qm)
     if not q_pd.all():
         i = int(np.argmin(q_pd))
         raise ValueError(f"Q not positive definite at t={t[i]}, x={x[i]}")
-    # c_matrix differences one point at a time
-    cm = np.array([_sym_part(c_matrix(sys, ti, xi)) for ti, xi in samples])
+    cm = _sym_part(c_matrix(sys, t, x))
 
     def pd_at(lam):
         return bool(np.all(positive_definite(cm + 2.0 * lam * qm)))
@@ -190,8 +189,8 @@ def cone_slope(sys: LinearSystem, grid: GridField, t: float = 0.0) -> float:
     """Sampled bound on the propagation speed: the largest
     |characteristic speed| of ``as_system()`` over grid points and the
     ``unit_normals`` (the n axis directions and the diagonals; the speeds
-    of -nu are those of nu negated).  Constant coefficients are evaluated
-    at one point.
+    of -nu are those of nu negated in exact arithmetic, not always in
+    floating point).  Constant coefficients are evaluated at one point.
 
     Finitely many normals give a lower bound on the true maximum over all
     directions; callers testing support should inflate by a small safety

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -183,35 +184,41 @@ def legendre_dual(pair: EntropyPair, v, u_guess, newton_tol: float = 1e-10,
 
     Returns (u, g0) with g0 = u . v - U(u), the dual potential value.
     The residual contract is ||grad U(u) - v||_inf <= newton_tol relative
-    to max(1, |v|).
+    to max(1, |v|).  Stacks (..., m) give g0 of shape (...); each state
+    stops once it meets the contract and halves its own step.
     """
-    target = np.atleast_1d(np.asarray(v, dtype=float))
-    u = np.atleast_1d(np.asarray(u_guess, dtype=float)).copy()
-    scale = max(1.0, float(np.max(np.abs(target))))
+    target, u = np.broadcast_arrays(np.atleast_1d(np.asarray(v, dtype=float)),
+                                    np.atleast_1d(np.asarray(u_guess, dtype=float)))
+    u = u.copy()
+    scale = np.maximum(1.0, np.max(np.abs(target), axis=-1))
     res = pair.gradient(u) - target
-    iterations = 0
-    # a NaN residual is not converged
-    while not float(np.max(np.abs(res))) <= newton_tol * scale:
+    for iterations in itertools.count():
+        err = np.max(np.abs(res), axis=-1)
+        active = ~(err <= newton_tol * scale)  # a NaN residual is not converged
+        if not active.any():
+            break
         if iterations == max_iter:
             raise ConvergenceError(
                 f"Newton did not reach tolerance {newton_tol:g} in {max_iter} iterations "
-                f"(residual {float(np.max(np.abs(res))):.3e})", last=u)
-        iterations += 1
+                f"(residual {float(np.max(err)):.3e})", last=u)
+        # converged states solve with I and never take their step
+        hess = np.where(active[..., None, None], pair.hessian(u), np.eye(u.shape[-1]))
         try:
-            step = np.linalg.solve(pair.hessian(u), -res)
+            step = np.linalg.solve(hess, -res[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular Hessian during Newton iteration",
                                    last=u) from exc
-        best = float(np.max(np.abs(res)))
-        # halve the step until the residual drops; the last fraction is
+        # halve each step until its residual drops; the last fraction is
         # taken even when it does not
+        start, searching = u, active
         for frac in 0.5 ** np.arange(9):
-            trial = u + frac * step
-            trial_res = pair.gradient(trial) - target
-            if float(np.max(np.abs(trial_res))) < best:
+            u = np.where(searching[..., None], start + frac * step, u)
+            res = np.where(searching[..., None], pair.gradient(u) - target, res)
+            searching = searching & ~(np.max(np.abs(res), axis=-1) < err)
+            if not searching.any():
                 break
-        u, res = trial, trial_res
-    return u, float(u @ target - pair.value(u))
+    g0 = np.sum(u * target, axis=-1) - pair.value(u)
+    return u, float(g0) if u.ndim == 1 else g0
 
 
 def hessian_symmetrizer(law: ConservationLaw, pair: EntropyPair,
@@ -219,9 +226,10 @@ def hessian_symmetrizer(law: ConservationLaw, pair: EntropyPair,
     """The Hessian of U as a candidate symmetrizer.
 
     Returns (sigma, verdict): sigma is hess U as a MatrixField and the
-    verdict comes from the SH check of the quasi-linear form
-    M^0 = sigma, M^j = sigma . df^j/du over the samples (defaults to a
-    tensor grid on the state box).  Convexity failure at a sample raises.
+    verdict comes from the SH check of the quasi-linear form M^0 = I,
+    M^j = df^j/du with symmetrizer sigma over the samples (defaults to a
+    tensor grid on the state box), so hess U is evaluated once per
+    sample.  Convexity failure at a sample raises.
     """
     states = (sample_box(*law.state_box, per_axis=per_axis)
               if samples is None else _as_states(law, samples))
@@ -231,9 +239,9 @@ def hessian_symmetrizer(law: ConservationLaw, pair: EntropyPair,
             f"entropy Hessian is not positive definite at {states[np.argmin(convex)]}")
 
     sigma = MatrixField.of_state(law.m, pair.hessian)
-    sys = SystemDef(n=law.n, m=law.m, coeff=(sigma,) + tuple(
-        MatrixField.of_state(law.m, lambda u, j=j: pair.hessian(u) @ law.jacobian(j, u))
-        for j in range(law.n)))
+    sys = SystemDef(n=law.n, m=law.m, symmetrizer=sigma, coeff=(
+        MatrixField.constant(np.eye(law.m)),
+        *(MatrixField.of_state(law.m, partial(law.jacobian, j)) for j in range(law.n))))
     # FD Jacobians inside the coefficients loosen the symmetry tolerance
     verdict = is_sh(sys, zip(itertools.repeat(np.zeros(law.n + 1)), states),
                     sym_tol=None if law.flux_jac is not None else 1e-6)
@@ -245,28 +253,20 @@ def flux_potential_check(law: ConservationLaw, pair: EntropyPair, samples,
     """Verify the dual potentials: with v = grad U(u) and
     g^j(v) = v . f^j(u(v)) - U^j(u(v)), centered differences in v must give
     dg^j/dv = f^j(u(v)), and U must equal v . u - g0.  Returns the max of
-    both residuals over the samples."""
+    both residuals over the samples, from one stacked dual solve at every v
+    and one at every v +- h_a e_a."""
     states = _as_states(law, samples)
-    worst = 0.0
-
-    def g_j(j, v, guess):
-        u_v, _ = legendre_dual(pair, v, guess, newton_tol=newton_tol)
-        return float(v @ law.flux[j](u_v) - pair.flux[j](u_v)), u_v
-
-    for u in states:
-        v = pair.gradient(u)
-        u_c, g0 = legendre_dual(pair, v, u, newton_tol=newton_tol)
-        worst = max(worst, abs(float(v @ u) - g0 - float(pair.value(u))))
-        hs = fd.steps(v)
-        for j in range(law.n):
-            f_c = np.asarray(law.flux[j](u_c), dtype=float)
-            for a in range(law.m):
-                e = np.zeros_like(v)
-                e[a] = hs[a]
-                gp, _ = g_j(j, v + e, u_c)
-                gm, _ = g_j(j, v - e, u_c)
-                worst = max(worst, abs((gp - gm) / (2.0 * hs[a]) - f_c[a]))
-    return worst
+    v = pair.gradient(states)
+    u_c, g0 = legendre_dual(pair, v, states, newton_tol=newton_tol)
+    worst = [np.abs(np.sum(v * states, axis=-1) - g0 - pair.value(states))]
+    hs = fd.steps(v)
+    e = hs[..., None] * np.eye(law.m)  # row a is h_a e_a
+    shifted = np.stack([v[:, None] + e, v[:, None] - e])
+    u_s, _ = legendre_dual(pair, shifted, u_c[:, None], newton_tol=newton_tol)
+    for j in range(law.n):
+        g = np.sum(shifted * law.flux[j](u_s), axis=-1) - pair.flux[j](u_s)
+        worst.append(np.abs((g[0] - g[1]) / (2.0 * hs) - law.flux[j](u_c)))
+    return float(np.max([np.max(w) for w in worst]))
 
 
 def conservative_symmetry_check(law: ConservationLaw, samples,
@@ -284,9 +284,9 @@ def diffusion_symmetry_check(tensor: DiffusionTensor, samples,
     block (k,j)) within tol at all samples."""
     states = _as_states(tensor.m, samples)
     x = np.zeros(tensor.n + 1) if x is None else np.asarray(x, dtype=float)
-    for j, k in itertools.product(range(tensor.n), repeat=2):
-        bjk = tensor(x, states, j, k)
-        gap = np.max(np.abs(bjk - np.swapaxes(tensor(x, states, k, j), -1, -2)), axis=(-2, -1))
+    blocks = {jk: tensor(x, states, *jk) for jk in itertools.product(range(tensor.n), repeat=2)}
+    for (j, k), bjk in blocks.items():
+        gap = np.max(np.abs(bjk - np.swapaxes(blocks[k, j], -1, -2)), axis=(-2, -1))
         if not np.all(gap <= tol * np.max(np.abs(bjk), axis=(-2, -1), initial=1.0)):
             return False
     return True

@@ -110,12 +110,9 @@ def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
     u = state.data.reshape(-1, state.m)[idx]
     if not isinstance(system, ConservationLaw):
         return max_abs_speed(system, _spacetime(t, state.cell_coords(idx)), u)
-    worst = 0.0
-    jacs = [system.jacobian(j, u) for j in range(system.n)]
-    for nu in unit_normals(system.n):
-        a = sum(nu[j] * jacs[j] for j in range(system.n))
-        worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(a)))))
-    return worst
+    normals = unit_normals(system.n)[:, None]
+    a = sum(normals[..., j, None, None] * system.jacobian(j, u) for j in range(system.n))
+    return max(0.0, *np.max(np.abs(np.linalg.eigvals(a)), axis=(1, 2)).tolist())
 
 
 def lxf_average(state: GridField, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -13,13 +13,14 @@ from shsys.core import (MatrixField, SystemDef, characteristic_speeds, is_sh,
 from shsys.energy import LinearSystem, cone_slope, energy
 from shsys.entropy import (ConservationLaw, DiffusionTensor, EntropyPair,
                            diffusion_symmetry_check, entropy_pair_residual,
-                           hessian_symmetrizer)
+                           hessian_symmetrizer, legendre_dual)
 from shsys.grid import GridField, centered_diff
 from shsys.lxf import SchemeConfig, max_char_speed, run, system_rhs
-from shsys.models import (ck_realify, euler_polytropic_sh, maxwell_system,
+from shsys.models import (burgers_law, ck_realify, euler_polytropic_sh, maxwell_system,
                           polynomial_scalar_law, tricomi_certificate_matrix,
                           tricomi_system, wave_system)
 from shsys.shocks import riemann_scalar
+from test_entropy import shallow_water_law
 
 RNG = np.random.default_rng(4242)
 
@@ -225,6 +226,18 @@ def test_max_char_speed_matches_per_cell_maximum():
                    np.array([1.0, -1.0]) / np.sqrt(2.0)):
             worst = max(worst, float(np.max(np.abs(characteristic_speeds(sys, xst, u, nu)))))
     assert max_char_speed(sys, state) == worst
+
+
+@pytest.mark.parametrize("name", ["euler_2d", "wave_callable"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_speeds_over_a_normal_stack_equal_the_per_normal_loop(name, data):
+    sys, lo, hi = MODELS[name]
+    x, u = data.draw(points(sys, lo, hi))
+    normals = data.draw(hnp.arrays(np.float64, (3, sys.n), elements=st.floats(-1.0, 1.0)))
+    stack = normals.reshape((3,) + (1,) * (x.ndim - 1) + (sys.n,))
+    assert_bitwise(characteristic_speeds(sys, x, u, stack),
+                   np.stack([characteristic_speeds(sys, x, u, nu) for nu in normals]))
 
 
 def test_wave_callable_rhs_matches_constant_rhs():
@@ -455,6 +468,28 @@ def test_entropy_pair_residual_stack_equals_max_of_single_states(case):
     law, pair, states = case
     single = [entropy_pair_residual(law, pair, s[None, :]) for s in states]
     assert entropy_pair_residual(law, pair, states) == max(single)
+
+
+@st.composite
+def dual_case(draw):
+    """An entropy pair, targets v = grad U(u) and guesses near the u."""
+    law, pair = draw(st.sampled_from([burgers_law(), shallow_water_law()]))
+    batch = draw(st.sampled_from([(1,), (4,), (2, 3)]))
+    lo, hi = law.state_box
+    frac = draw(hnp.arrays(np.float64, batch + (law.m,), elements=st.floats(0.1, 0.9)))
+    states = lo + frac * (hi - lo)
+    nudge = draw(hnp.arrays(np.float64, batch + (law.m,), elements=st.floats(-0.2, 0.2)))
+    return pair, pair.gradient(states), states + nudge
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=dual_case())
+def test_legendre_dual_stack_equals_single_states(case):
+    pair, v, guess = case
+    u, g0 = legendre_dual(pair, v, guess)
+    rows = [legendre_dual(pair, v[i], guess[i]) for i in np.ndindex(v.shape[:-1])]
+    assert_bitwise(u, np.reshape([r[0] for r in rows], u.shape))
+    assert_bitwise(g0, np.reshape([r[1] for r in rows], g0.shape))
 
 
 def test_entropy_pair_residual_names_the_first_state_outside_the_box():

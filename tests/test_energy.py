@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -199,7 +199,7 @@ class TestLinearSystemValidation:
 
 # ---------------------------------------------------------------------------
 # c_matrix and cone_slope against the two-branch derivative and the
-# +-normal generalized eigenvalue loop, on the raw (t, x) callables
+# per-normal generalized eigenvalue loop, on the raw (t, x) callables
 
 def _value(c, t, x):
     """A coefficient at (t, x), a constant broadcast over the points."""
@@ -227,15 +227,17 @@ def reference_c_matrix(n, m, q, a, b, t, x):
 
 
 def reference_cone_slope(n, q, a, grid, t):
-    normals = unit_normals(n)
+    # the largest |lambda| over the unit normals; taking the largest lambda
+    # over +-nu instead assumes eigvalsh(-A) = -eigvalsh(A), which can be
+    # one ulp off
     constant = not callable(q) and not any(map(callable, a))
     x = np.zeros(n) if constant else grid.coords().reshape(-1, n)
     qm = _sym_part(_value(q, t, x))
     amats = [_value(a_j, t, x) for a_j in a]
     worst = 0.0
-    for nu in np.concatenate([normals, -normals]):
+    for nu in unit_normals(n):
         mat = _sym_part(sum(nu[j] * amats[j] for j in range(n)))
-        worst = max(worst, float(np.max(generalized_eigenvalues(mat, qm))))
+        worst = max(worst, float(np.max(np.abs(generalized_eigenvalues(mat, qm)))))
     return worst
 
 
@@ -283,8 +285,23 @@ def assert_bitwise(actual, expected):
     assert actual.tobytes() == expected.tobytes(), (actual, expected)
 
 
+class Draws:
+    """Stands in for ``st.data()`` in an explicit example: ``draw`` returns
+    the given values in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=linear_system(), data=st.data())
+@example(case=(1, 4, 4.0 * np.eye(4), [np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 2.0],
+                                                 [0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])],
+               None),
+         data=Draws(0.0, np.zeros(1), 0.0))
 def test_c_matrix_and_cone_slope_equal_the_two_branch_reference(case, data):
     n, m, q, a, b = case
     lin = LinearSystem(n, m, q, a, b=b)
@@ -294,3 +311,15 @@ def test_c_matrix_and_cone_slope_equal_the_two_branch_reference(case, data):
     grid = GridField.zeros((4, 3, 2)[:n], 0.5, -0.75, m)
     t = data.draw(st.floats(0.0, 1.0))
     assert_bitwise(cone_slope(lin, grid, t=t), reference_cone_slope(n, q, a, grid, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=linear_system(), data=st.data())
+def test_c_matrix_on_a_stack_equals_the_per_point_loop(case, data):
+    n, m, q, a, b = case
+    lin = LinearSystem(n, m, q, a, b=b)
+    batch = data.draw(st.sampled_from([(1,), (5,), (2, 3)]))
+    t = data.draw(hnp.arrays(np.float64, batch, elements=COORDS))
+    x = data.draw(hnp.arrays(np.float64, batch + (n,), elements=COORDS))
+    per_point = [c_matrix(lin, t[i], x[i]) for i in np.ndindex(batch)]
+    assert_bitwise(c_matrix(lin, t, x), np.reshape(per_point, batch + (m, m)))

@@ -231,10 +231,10 @@ class TestFluxPotential:
             return np.zeros_like(np.asarray(u, dtype=float))
 
         law = ConservationLaw(n=1, m=1, flux=(flux,), state_box=([-1], [1]))
-        pair = EntropyPair(n=1, m=1, value=lambda u: float(u[0] ** 2),
-                           flux=(lambda u: 0.0,),
-                           grad=lambda u: np.array([2.0 * u[0]]),
-                           hess=lambda u: np.array([[2.0]]))
+        pair = EntropyPair(n=1, m=1, value=lambda u: u[..., 0] ** 2,
+                           flux=(lambda u: np.zeros(u.shape[:-1]),),
+                           grad=lambda u: 2.0 * u,
+                           hess=lambda u: np.full(u.shape + (1,), 2.0))
         assert flux_potential_check(law, pair, [[0.5]]) <= 1e-9
 
     def test_two_component_system_potentials(self):
@@ -246,7 +246,7 @@ class TestFluxPotential:
         # U^1 off by +u shifts dg/dv by du/dv = 1/2 for the Burgers pair
         law, clean = burgers_law((-2.0, 2.0))
         pair = EntropyPair(n=1, m=1, value=clean.value,
-                           flux=(lambda u: (2.0 / 3.0) * u[0] ** 3 + u[0],),
+                           flux=(lambda u: (2.0 / 3.0) * u[..., 0] ** 3 + u[..., 0],),
                            grad=clean.grad, hess=clean.hess)
         resid = flux_potential_check(law, pair, [[0.5], [1.0]])
         assert resid == pytest.approx(0.5, rel=1e-4)
