@@ -148,11 +148,14 @@ def _difference_regions(axis: int, length: int, boundary: str) -> tuple:
     return tuple(triples)
 
 
-def shifted(data: np.ndarray, axis: int, direction: int, boundary: str) -> np.ndarray:
+def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
     """Neighbor values along a spatial axis: direction +1 samples at x + h
     (the forward translate), -1 at x - h.  Periodic wraps the far edge
-    cell in, outflow replicates the near one."""
-    out = np.empty(data.shape, dtype=data.dtype)
+    cell in, outflow replicates the near one.  Written to ``out`` (a new
+    array when None; it must not be ``data``)."""
+    if out is None:
+        out = np.empty(data.shape, dtype=data.dtype)
     for cells, sources in _regions(axis, data.shape[axis], direction, boundary):
         out[cells] = data[sources]
     return out
@@ -179,10 +182,14 @@ def neighbour_difference(data: np.ndarray, axis: int, boundary: str,
     return out
 
 
-def second_difference(data: np.ndarray, axis: int, boundary: str) -> np.ndarray:
-    """(shifted(+1) - 2 data) + shifted(-1) along one axis, in one array."""
-    out = shifted(data, axis, +1, boundary)
-    out -= 2.0 * data
+def second_difference(data: np.ndarray, axis: int, boundary: str,
+                      out: Optional[np.ndarray] = None,
+                      spare: Optional[np.ndarray] = None) -> np.ndarray:
+    """(shifted(+1) - 2 data) + shifted(-1) along one axis, written to
+    ``out``; ``spare`` holds 2 data.  Both are arrays shaped like data,
+    other than data, new ones when None."""
+    out = shifted(data, axis, +1, boundary, out=out)
+    out -= np.multiply(data, 2.0, out=spare)
     return shift_into(np.add, out, data, axis, -1, boundary)
 
 

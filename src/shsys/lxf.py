@@ -21,8 +21,8 @@ The steps follow numpy's ``out=`` idiom: ``lxf_average``, ``lxf_step``
 and ``viscous_step`` write into a given array, and allocate one only
 when none is given.  An RHS closure ``rhs(t, state)`` writes into a
 target array of its own.  ``run`` alternates two state buffers, and each
-RHS closure keeps its own scratch, so an LxF step allocates no
-state-sized array beyond what user callables return.
+RHS closure keeps its own scratch (a viscous run one spare array), so a
+step allocates no state-sized array beyond what user callables return.
 """
 
 from __future__ import annotations
@@ -270,11 +270,13 @@ def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
 
 def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
                  t: float = 0.0, k: Optional[float] = None,
-                 out: Optional[np.ndarray] = None) -> GridField:
+                 out: Optional[np.ndarray] = None,
+                 spare: Optional[np.ndarray] = None) -> GridField:
     """Forward-Euler step of d_t u + d_x f(u) = eps d_xx u (1D only):
     centered flux difference plus the explicit three-point heat stencil.
-    The new data is written to ``out`` (a new array when None; it must
-    not be ``state.data``)."""
+    The new data is written to ``out``; ``spare`` holds the heat term.
+    Both are arrays shaped like the state, other than ``state.data`` and
+    each other, new ones when None."""
     if state.n != 1 or law.n != 1:
         raise ValueError("viscous stepping is implemented for one space dimension")
     h = state.h[0]
@@ -283,12 +285,12 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     data = state.data
     fu = np.asarray(law.flux[0](data), dtype=float)
     # the operations of data - c (tau+ f - tau- f) + d ((tau+ u - 2u) + tau- u),
-    # in that order
-    flux_diff = neighbour_difference(fu, 0, state.boundary)
-    flux_diff *= k / (2.0 * h)
-    laplacian = second_difference(data, 0, state.boundary)
+    # in that order; out holds 2u until the flux difference overwrites it
+    laplacian = second_difference(data, 0, state.boundary, out=spare, spare=out)
     laplacian *= eps * k / h ** 2
-    new = np.subtract(data, flux_diff, out=out)
+    new = neighbour_difference(fu, 0, state.boundary, out=out)
+    new *= k / (2.0 * h)
+    np.subtract(data, new, out=new)
     new += laplacian
     if law.source is not None:
         x = _spacetime(t, state.coords())
@@ -356,7 +358,8 @@ def run(system, initial: GridField, config: SchemeConfig,
 
     The run owns two state buffers and alternates between them, step i
     reading one and writing the other through the steppers' ``out=``; the
-    RHS closure it builds keeps one scratch set.  A state handed to a
+    RHS closure it builds keeps one scratch set, and a viscous run keeps
+    one more array for the heat term.  A state handed to a
     monitor is valid only during that call; the trace keeps copies.
     """
     trace = Trace(monitors={mon.name: [] for mon in monitors})
@@ -394,7 +397,8 @@ def run(system, initial: GridField, config: SchemeConfig,
     else:
         raise TypeError(f"cannot integrate object of type {type(system).__name__}")
     if config.viscosity > 0:
-        stepper = partial(viscous_step, law=system, config=config)
+        stepper = partial(viscous_step, law=system, config=config,
+                          spare=np.empty(initial.data.shape))
     else:
         stepper = partial(lxf_step, rhs=rhs, config=config)
 

@@ -1,7 +1,10 @@
 """Artifact writers pinned byte for byte: the block-batched snapshot writer
-against a per-cell reference, the snapshot round trip through
-profiles.from_csv, and the monitor CSV format."""
+against a per-cell reference (signed zeros and NaN bit patterns that its
+text dedup must keep apart, and grids beyond its axis-text cache), the
+snapshot round trip through profiles.from_csv, and the monitor CSV
+format."""
 
+import itertools
 import os
 import tempfile
 
@@ -12,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from shsys import profiles
 from shsys.grid import GridField
-from shsys.output import _BLOCK, fmt, write_monitor_csv, write_snapshot_csv
+from shsys.output import (_BLOCK, _axis_text, fmt, write_monitor_csv,
+                          write_snapshot_csv)
 
 SPECIALS = [-0.0, 1e16, 1e-5, 5e-324, 0.1 + 0.2, float("nan"), float("inf"),
             -float("inf")]
@@ -114,6 +118,57 @@ def test_snapshot_reads_back_bit_for_bit(field):
         write_snapshot_csv(path, field)
         back = profiles.from_csv(field.with_data(np.zeros_like(field.data)), path)
     assert back.data.tobytes() == field.data.tobytes()
+
+
+# values that share a float value or a repr but not a bit pattern, and
+# neighbours in repr: NaNs of both signs, quiet and signalling, with payloads
+NAN_BITS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0x7FF8DEAD00000000, 0xFFF0000000000ABC], dtype=np.uint64)
+POOL = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, 1e16, 9999999999999998.0,
+                        1e-4, 9.999e-05], NAN_BITS.view(float)])
+
+
+@st.composite
+def pool_fields(draw):
+    """Fields drawn from POOL, shaped to cross the writer's row blocks."""
+    cells = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    shape = draw(st.sampled_from([(cells,), (1, cells), (cells, 1)]))
+    m = draw(st.integers(1, 4))
+    picks = draw(hnp.arrays(np.intp, shape + (m,), elements=st.integers(0, len(POOL) - 1)))
+    return GridField.zeros(shape, 0.1, -1.0, m).with_data(POOL[picks])
+
+
+@settings(deadline=None, max_examples=40)
+@given(pool_fields())
+def test_snapshot_pool_property_matches_reference(field):
+    assert written(field) == reference_snapshot(field)
+
+
+def test_snapshot_keeps_bit_patterns_apart():
+    # column u1 runs through POOL, u2 through POOL reversed: 0.0 sits
+    # beside a NaN with -0.0 one row down, and NaN bits survive the field
+    g = GridField.zeros((len(POOL),), 1.0, 0.0, 2)
+    field = g.with_data(np.stack([POOL, POOL[::-1]], axis=-1))
+    assert field.data[-len(NAN_BITS):, 0].view(np.uint64).tolist() == NAN_BITS.tolist()
+    text = written(field)
+    assert text == reference_snapshot(field)
+    assert text.decode().splitlines()[1:3] == ["0.0,0.0,nan", "1.0,-0.0,nan"]
+
+
+def test_snapshot_coordinates_beyond_axis_cache():
+    # more distinct axes than the cache holds, written twice over, so
+    # entries are evicted and rebuilt; int and float, -0.0 and 0.0 keys
+    # too, whose centers differ in type or not at all
+    grids = [GridField.zeros((2 + i % 3, 1 + i % 2), (0.1 + 0.01 * i, 1.0 / (i + 3)),
+                             (-1.0 + 0.1 * (i % 5), 0.25 * i), 1)
+             for i in range(_axis_text.cache_info().maxsize + 8)]
+    grids.append(GridField(n=1, shape=(3,), h=(1,), origin=(0,), m=1, data=np.zeros((3, 1))))
+    grids += [GridField.zeros((3,), 1.0, origin, 1) for origin in (0.0, -0.0)]
+    for field in grids + grids:
+        lines = written(field).decode().splitlines()[1:]
+        columns = [",".join(line.split(",")[:field.n]) for line in lines]
+        assert columns == [",".join(cell) for cell in itertools.product(
+            *(list(map(repr, field.centers(j).tolist())) for j in range(field.n)))]
 
 
 def test_monitor_csv_bytes_pinned(tmp_path):

@@ -153,6 +153,10 @@ def test_viscous_step_into_out_equals_allocating_step():
     into = viscous_step(initial, law, config, t=0.2, out=buf)
     assert into.data is buf
     assert into.data.tobytes() == state.data.tobytes()
+    spare = np.full(initial.data.shape, np.nan)
+    into = viscous_step(initial, law, config, t=0.2, out=buf, spare=spare)
+    assert into.data is buf
+    assert into.data.tobytes() == state.data.tobytes()
 
 
 def maxwell_wave(cells):
@@ -181,22 +185,53 @@ def test_run_memory_does_not_grow_with_steps():
     assert traced_run(initial, 40) - traced_run(initial, 8) < initial.data.nbytes
 
 
-def test_steps_allocate_no_state_sized_arrays(monkeypatch):
-    # numpy's buffered iterator takes about 3 x 64 KB for a ufunc over a
-    # strided view, whatever the grid; a 32^3 state is 1.5 MB
-    initial = maxwell_wave(32)
-    step_peaks = []
-    original = lxf.lxf_step
+def step_peaks(monkeypatch, system, initial, config):
+    """Traced peak memory of each step of run(), above what was held when
+    the step began."""
+    name = "viscous_step" if config.viscosity > 0 else "lxf_step"
+    original = getattr(lxf, name)
+    peaks = []
 
     def measured(*args, **kwargs):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = original(*args, **kwargs)
-        step_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
         return result
 
-    monkeypatch.setattr(lxf, "lxf_step", measured)
-    traced_run(initial, 6)
+    monkeypatch.setattr(lxf, name, measured)
+    tracemalloc.start()
+    try:
+        trace = run(system, initial, config)
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    assert trace.completed
+    return peaks
+
+
+def test_steps_allocate_no_state_sized_arrays(monkeypatch):
+    # numpy's buffered iterator takes about 3 x 64 KB for a ufunc over a
+    # strided view, whatever the grid; a 32^3 state is 1.5 MB
+    initial = maxwell_wave(32)
+    sys, _ = maxwell_system()
+    config = SchemeConfig(lam=0.25, t_end=6 * 0.25 * initial.h[0], output_stride=10 ** 6)
+    peaks = step_peaks(monkeypatch, sys, initial, config)
     # the first step allocates the RHS scratch
-    assert len(step_peaks) == 6
-    assert max(step_peaks[1:]) < initial.data.nbytes / 2
+    assert len(peaks) == 6
+    assert max(peaks[1:]) < initial.data.nbytes / 2
+
+
+def test_viscous_step_allocates_no_more_than_lxf_step(monkeypatch):
+    # both steps evaluate the same Burgers flux, which allocates; beyond
+    # that, run's spare array leaves the heat stencil nothing to allocate
+    law, _ = burgers_law()
+    h = 2.0 / 20_000
+    grid = GridField.zeros((20_000,), h, -1.0 + h / 2, 1, "outflow")
+    initial = profiles.step(grid, [1.0], [-0.5], jump_at=0.1)
+    config = SchemeConfig(lam=0.5, t_end=6 * 0.5 * h, output_stride=10 ** 6)
+    lxf_peaks = step_peaks(monkeypatch, law, initial, config)
+    viscous_peaks = step_peaks(monkeypatch, law, initial, replace(config, viscosity=0.4 * h))
+    assert len(lxf_peaks) == len(viscous_peaks) == 6
+    # a first step allocates the RHS scratch or fills region-table caches
+    assert max(viscous_peaks[1:]) <= max(lxf_peaks[1:])
