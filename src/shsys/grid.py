@@ -110,6 +110,33 @@ def first_true(mask: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
 
 
+# Byte budget of one row window (``row_windows``): a window of the state
+# and the scratch sized to it stay in a per-core L2 cache through every
+# stencil pass of a step.
+WINDOW_BYTES = 256 * 1024
+
+
+@lru_cache(maxsize=None)
+def _window_table(shape: tuple, itemsize: int, budget: int) -> tuple:
+    rows = shape[0]
+    row_bytes = itemsize * math.prod(shape[1:])
+    count = -(-rows // max(1, budget // max(1, row_bytes)))
+    if count <= 1:
+        return (None,), rows
+    # near-equal windows, the longer ones first
+    size, longer = divmod(rows, count)
+    stops = [r * size + min(r, longer) for r in range(count + 1)]
+    return tuple(zip(stops[:-1], stops[1:])), size + (longer > 0)
+
+
+def row_windows(data: np.ndarray) -> tuple:
+    """(windows, depth): the row windows (r0, r1) that split axis 0 of an
+    array into near-equal parts of at most ``WINDOW_BYTES`` each (at least
+    one row), and the largest window's row count.  An array that fits the
+    budget has the single window None, the whole axis."""
+    return _window_table(data.shape, data.itemsize, WINDOW_BYTES)
+
+
 def _runs(length: int, direction: int, boundary: str) -> list:
     """(start, stop, offset) runs with shifted(a)[i] == a[i + offset] for
     start <= i < stop along one axis.  The interior takes its neighbour
@@ -124,25 +151,36 @@ def _runs(length: int, direction: int, boundary: str) -> list:
 
 
 @lru_cache(maxsize=None)
-def _regions(axis: int, length: int, direction: int, boundary: str) -> tuple:
-    """(cells, sources) index pairs with shifted(a)[cells] == a[sources]."""
+def _regions(axis: int, length: int, direction: int, boundary: str,
+             rows: Optional[tuple] = None) -> tuple:
+    """(cells, sources) index pairs with shifted(a)[cells] == a[sources],
+    for the cells in the window ``rows`` = (r0, r1) of the axis, indexed
+    from r0 (the whole axis when None)."""
+    r0, r1 = (0, length) if rows is None else rows
     lead = (slice(None),) * axis
-    return tuple((lead + (slice(start, stop),), lead + (slice(start + off, stop + off),))
-                 for start, stop, off in _runs(length, direction, boundary))
+    regions = []
+    for start, stop, off in _runs(length, direction, boundary):
+        lo, hi = max(start, r0), min(stop, r1)
+        if lo < hi:
+            regions.append((lead + (slice(lo - r0, hi - r0),),
+                            lead + (slice(lo + off, hi + off),)))
+    return tuple(regions)
 
 
 @lru_cache(maxsize=None)
-def _difference_regions(axis: int, length: int, boundary: str) -> tuple:
+def _difference_regions(axis: int, length: int, boundary: str,
+                        rows: Optional[tuple] = None) -> tuple:
     """(cells, plus, minus) index triples with shifted(a, +1)[cells] ==
     a[plus] and shifted(a, -1)[cells] == a[minus]: the overlaps of the
-    runs of both directions."""
+    runs of both directions, in the window ``rows`` as in ``_regions``."""
+    r0, r1 = (0, length) if rows is None else rows
     lead = (slice(None),) * axis
     triples = []
     for start_p, stop_p, off_p in _runs(length, +1, boundary):
         for start_m, stop_m, off_m in _runs(length, -1, boundary):
-            lo, hi = max(start_p, start_m), min(stop_p, stop_m)
+            lo, hi = max(start_p, start_m, r0), min(stop_p, stop_m, r1)
             if lo < hi:
-                triples.append((lead + (slice(lo, hi),),
+                triples.append((lead + (slice(lo - r0, hi - r0),),
                                 lead + (slice(lo + off_p, hi + off_p),),
                                 lead + (slice(lo + off_m, hi + off_m),)))
     return tuple(triples)
@@ -162,22 +200,33 @@ def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
 
 
 def shift_into(ufunc, out: np.ndarray, data: np.ndarray, axis: int,
-               direction: int, boundary: str) -> np.ndarray:
+               direction: int, boundary: str, rows: Optional[tuple] = None) -> np.ndarray:
     """out = ufunc(out, shifted(data, axis, direction, boundary)) in place,
-    region by region, without building the translate."""
-    for cells, sources in _regions(axis, data.shape[axis], direction, boundary):
+    region by region, without building the translate.  With ``rows`` =
+    (r0, r1), ``out`` holds only the rows r0 <= i < r1 of axis 0: axis 0
+    reads its neighbours across the window's edges, any other axis reads
+    only data[r0:r1]."""
+    if rows is not None and axis:
+        data, rows = data[rows[0]:rows[1]], None
+    for cells, sources in _regions(axis, data.shape[axis], direction, boundary, rows):
         view = out[cells]
         ufunc(view, data[sources], out=view)
     return out
 
 
 def neighbour_difference(data: np.ndarray, axis: int, boundary: str,
-                         out: Optional[np.ndarray] = None) -> np.ndarray:
+                         out: Optional[np.ndarray] = None,
+                         rows: Optional[tuple] = None) -> np.ndarray:
     """shifted(+1) - shifted(-1) along one axis, in one pass over the data,
-    written to ``out`` (a new array when None)."""
+    written to ``out`` (a new array when None).  With ``rows`` = (r0, r1),
+    only the rows r0 <= i < r1 of axis 0, which ``out`` holds, as in
+    ``shift_into``."""
     if out is None:
-        out = np.empty(data.shape, dtype=np.result_type(data, 1.0))
-    for cells, plus, minus in _difference_regions(axis, data.shape[axis], boundary):
+        shape = data.shape if rows is None else (rows[1] - rows[0],) + data.shape[1:]
+        out = np.empty(shape, dtype=np.result_type(data, 1.0))
+    if rows is not None and axis:
+        data, rows = data[rows[0]:rows[1]], None
+    for cells, plus, minus in _difference_regions(axis, data.shape[axis], boundary, rows):
         np.subtract(data[plus], data[minus], out=out[cells])
     return out
 
@@ -194,11 +243,12 @@ def second_difference(data: np.ndarray, axis: int, boundary: str,
 
 
 def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarray] = None,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+                  out: Optional[np.ndarray] = None, rows: Optional[tuple] = None) -> np.ndarray:
     """Centered difference (u(x+h) - u(x-h)) / (2h) along one spatial axis,
-    written to ``out`` (a new array when None)."""
+    written to ``out`` (a new array when None).  With ``rows`` = (r0, r1),
+    only the rows r0 <= i < r1 of axis 0, which ``out`` holds."""
     data = field.data if component_data is None else component_data
-    diff = neighbour_difference(data, axis, field.boundary, out=out)
+    diff = neighbour_difference(data, axis, field.boundary, out=out, rows=rows)
     diff /= 2.0 * field.h[axis]
     return diff
 

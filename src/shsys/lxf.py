@@ -23,6 +23,18 @@ when none is given.  An RHS closure ``rhs(t, state)`` writes into a
 target array of its own.  ``run`` alternates two state buffers, and each
 RHS closure keeps its own scratch (a viscous run one spare array), so a
 step allocates no state-sized array beyond what user callables return.
+
+The stencils sweep the grid in row windows along axis 0
+(``grid.row_windows``, at most ``grid.WINDOW_BYTES`` of state each): an
+RHS closure runs every difference and product of one window, over all
+axes, before the next, and ``lxf_step`` builds the average and adds
+k * RHS window by window, so each window's data is reused while it is
+still in cache.  Only the traversal order changes: every element goes
+through the same operations in the same order, so the results do not
+depend on the windows.  Fields, fluxes and sources are evaluated once per
+call on the whole grid, and the scratch of the differences and products
+is sized to the largest window.  A state that fits one window is swept
+whole.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from .core import (SystemDef, batch_checked, max_abs_speed, spacetime as _spacet
                    unit_normals)
 from .entropy import ConservationLaw
 from .grid import (GridField, centered_diff, first_true, neighbour_difference,
-                   second_difference, shift_into)
+                   row_windows, second_difference, shift_into)
 
 
 class StabilityError(RuntimeError):
@@ -115,14 +127,38 @@ def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
     return max(0.0, *np.max(np.abs(np.linalg.eigvals(a)), axis=(1, 2)).tolist())
 
 
-def lxf_average(state: GridField, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _rows(a: np.ndarray, rows: Optional[tuple]) -> np.ndarray:
+    """Rows r0:r1 of a grid-sized array; the array itself for the whole axis."""
+    return a if rows is None else a[rows[0]:rows[1]]
+
+
+def _head(a: Optional[np.ndarray], rows: Optional[tuple]) -> Optional[np.ndarray]:
+    """The first r1 - r0 rows of a window-sized scratch array."""
+    return a if rows is None or a is None else a[:rows[1] - rows[0]]
+
+
+def _output(data: np.ndarray, out: Optional[np.ndarray],
+            rows: Optional[tuple] = None) -> np.ndarray:
+    """``out``, checked not to overlap ``data``; when None, a new array for
+    the rows ``rows`` of data (all of them when None)."""
+    if out is None:
+        return np.empty_like(data if rows is None else data[rows[0]:rows[1]])
+    if np.may_share_memory(out, data):
+        raise ValueError("out must not overlap the input state's data")
+    return out
+
+
+def lxf_average(state: GridField, out: Optional[np.ndarray] = None,
+                rows: Optional[tuple] = None) -> np.ndarray:
     """(1/2n) sum over axes of both neighbor translates, summed from zero
-    in ``out`` (a new array when None)."""
-    acc = np.empty_like(state.data) if out is None else out
+    in ``out`` (a new array when None; it must not overlap ``state.data``).
+    With ``rows`` = (r0, r1), only the rows r0 <= i < r1 of axis 0, which
+    ``out`` holds."""
+    acc = _output(state.data, out, rows)
     acc.fill(0.0)
     for j in range(state.n):
-        shift_into(np.add, acc, state.data, j, +1, state.boundary)
-        shift_into(np.add, acc, state.data, j, -1, state.boundary)
+        shift_into(np.add, acc, state.data, j, +1, state.boundary, rows)
+        shift_into(np.add, acc, state.data, j, -1, state.boundary, rows)
     acc /= 2.0 * state.n
     return acc
 
@@ -182,12 +218,15 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
     """RHS evaluator ``rhs(t, state)`` of M0^-1 [N - M^j D_j u] for a
     quasi-linear system.  The result is written to the evaluator's own
     target array, which the next call overwrites.  The differences and
-    products live in scratch arrays the evaluator keeps too, so a call
-    allocates only what the fields and the source return.
+    products live in scratch arrays the evaluator keeps too, sized to the
+    largest row window, so a call allocates only what the fields and the
+    source return.  Each window gets the differences and products of
+    every axis before the next window starts.
 
     Every state-dependent coefficient and the source are evaluated once
     per call on the whole grid (the batched contract of SystemDef) and
-    applied by stacked products and solves.  A constant M^j is split into
+    applied by stacked products and solves; a field is dropped after its
+    last window.  A constant M^j is split into
     its single-entry layers once, here, and applied to all cells by
     ``apply_layers``: one matrix product per layer, summed in layer order;
     a constant M0 is factorized against all cells at once.  The cell
@@ -204,22 +243,34 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
 
     def rhs(t, state):
         u = state.data
+        windows, depth = row_windows(u)
         target = scratch("target", u.shape)
-        du, product = scratch("du", u.shape), scratch("product", u.shape)
-        spare = scratch("spare", u.shape) if needs_spare else None
+        part = (depth,) + u.shape[1:]
+        du, product = scratch("du", part), scratch("product", part)
+        spare = scratch("spare", part) if needs_spare else None
         x = _spacetime(t, state.coords()) if needs_x else None
-        if sys.source is None:
-            target.fill(0.0)
-        else:
-            np.copyto(target, batch_checked(sys.source(x, u), u.shape, 1, "source"))
-        for j in range(sys.n):
-            centered_diff(state, j, out=du)
-            if layers[j] is None:
-                np.matmul(sys.coeff[j + 1](x, u), du[..., None],
-                          out=product.reshape(u.shape + (1,)))
+        source = (None if sys.source is None
+                  else batch_checked(sys.source(x, u), u.shape, 1, "source"))
+        fields = [None] * sys.n
+        for rows in windows:
+            acc, du_w, product_w = _rows(target, rows), _head(du, rows), _head(product, rows)
+            if source is None:
+                acc.fill(0.0)
             else:
-                apply_layers(layers[j], du, out=product, spare=spare)
-            np.subtract(target, product, out=target)
+                np.copyto(acc, _rows(source, rows))
+            for j in range(sys.n):
+                centered_diff(state, j, out=du_w, rows=rows)
+                if layers[j] is not None:
+                    apply_layers(layers[j], du_w, out=product_w, spare=_head(spare, rows))
+                else:
+                    if fields[j] is None:
+                        fields[j] = sys.coeff[j + 1](x, u)
+                    np.matmul(_rows(fields[j], rows), du_w[..., None],
+                              out=product_w.reshape(product_w.shape + (1,)))
+                    if rows is windows[-1]:
+                        # one field at a time is alive when the grid is one window
+                        fields[j] = None
+                np.subtract(acc, product_w, out=acc)
         if m0_const is None:
             np.copyto(target, np.linalg.solve(sys.coeff[0](x, u), target[..., None])[..., 0])
         elif not m0_is_identity:
@@ -238,12 +289,16 @@ def law_rhs(law: ConservationLaw) -> Callable[[float, GridField], np.ndarray]:
     scratch = _workspace()
 
     def rhs(t, state):
-        target = scratch("target", state.data.shape)
-        diff = scratch("diff", state.data.shape)
-        target.fill(0.0)
-        for j in range(law.n):
-            fu = np.asarray(law.flux[j](state.data), dtype=float)
-            np.subtract(target, centered_diff(state, j, fu, out=diff), out=target)
+        u = state.data
+        windows, depth = row_windows(u)
+        target = scratch("target", u.shape)
+        diff = scratch("diff", (depth,) + u.shape[1:])
+        fluxes = [np.asarray(flux(u), dtype=float) for flux in law.flux]
+        for rows in windows:
+            acc, diff_w = _rows(target, rows), _head(diff, rows)
+            acc.fill(0.0)
+            for j, fu in enumerate(fluxes):
+                np.subtract(acc, centered_diff(state, j, fu, out=diff_w, rows=rows), out=acc)
         if law.source is not None:
             x = _spacetime(t, state.coords())
             np.add(target, np.asarray(law.source(x, state.data), dtype=float), out=target)
@@ -256,15 +311,19 @@ def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
              config: SchemeConfig, t: float = 0.0, k: Optional[float] = None,
              out: Optional[np.ndarray] = None) -> GridField:
     """One Lax-Friedrichs step of size k (default lam * h), its state's
-    data written to ``out`` (a new array when None; it must not be
+    data written to ``out`` (a new array when None; it must not overlap
     ``state.data``).  The array ``rhs(t, state)`` returns is scaled by k
-    in place, as the RHS closures allow."""
+    in place, as the RHS closures allow.  The average and the update run
+    window by window (``row_windows``)."""
     if k is None:
         k = config.lam * _uniform_h(state)
-    new = lxf_average(state, out=out)
+    new = _output(state.data, out)
     scaled = rhs(t, state)
-    np.multiply(scaled, k, out=scaled)
-    new += scaled
+    for rows in row_windows(state.data)[0]:
+        part, step = _rows(new, rows), _rows(scaled, rows)
+        lxf_average(state, out=part, rows=rows)
+        np.multiply(step, k, out=step)
+        np.add(part, step, out=part)
     return state.with_data(new)
 
 
@@ -276,9 +335,11 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     centered flux difference plus the explicit three-point heat stencil.
     The new data is written to ``out``; ``spare`` holds the heat term.
     Both are arrays shaped like the state, other than ``state.data`` and
-    each other, new ones when None."""
+    each other, new ones when None; an ``out`` that overlaps
+    ``state.data`` is rejected."""
     if state.n != 1 or law.n != 1:
         raise ValueError("viscous stepping is implemented for one space dimension")
+    out = _output(state.data, out)
     h = state.h[0]
     k = config.lam * h if k is None else k
     eps = config.viscosity

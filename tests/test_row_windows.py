@@ -1,0 +1,271 @@
+"""Cache-blocked stepping: the stencils of a step sweep axis 0 in row
+windows (grid.row_windows).  Only the traversal order depends on the
+windows, so these tests hold windowed steps and runs to one-window ones,
+bit for bit, and check the window table, the scratch sizes and the
+rejection of an output that overlaps the input."""
+
+import contextlib
+import tracemalloc
+from dataclasses import replace
+
+import hypothesis.extra.numpy as hnp
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from shsys import grid, profiles
+from shsys.core import MatrixField, SystemDef
+from shsys.entropy import ConservationLaw
+from shsys.grid import (GridField, _regions, _difference_regions, centered_diff,
+                        row_windows, shift_into)
+from shsys.lxf import (SchemeConfig, law_rhs, lxf_average, lxf_step, run, system_rhs,
+                       viscous_step)
+from shsys.models import maxwell_system, wave_system
+
+from test_step_workspace import CASES, burgers_case, maxwell_wave
+
+WHOLE = 10 ** 12    # a budget every test grid fits
+
+
+@contextlib.contextmanager
+def budget(nbytes):
+    saved = grid.WINDOW_BYTES
+    grid.WINDOW_BYTES = nbytes
+    try:
+        yield
+    finally:
+        grid.WINDOW_BYTES = saved
+
+
+def row_bytes(data):
+    return data.nbytes // data.shape[0]
+
+
+def same_trace(a, b):
+    assert (a.completed, a.steps, a.error, a.times) == (b.completed, b.steps, b.error, b.times)
+    assert a.events == b.events
+    assert a.monitors == b.monitors
+    for x, y in zip(a.snapshots, b.snapshots, strict=True):
+        assert x.data.tobytes() == y.data.tobytes()
+
+
+class TestWindowTable:
+    @pytest.mark.parametrize("shape, windows", [
+        ((32, 32, 32, 6), 7),       # Maxwell 32^3: 1.5 MB
+        ((128, 128, 4), 2),         # wave 128^2: 512 KiB
+        ((64, 64, 3), 1),           # euler_sh 64^2: 96 KB
+        ((2000, 1), 1),             # Burgers: 16 KB
+    ])
+    def test_benchmark_grids(self, shape, windows):
+        table, depth = row_windows(np.empty(shape))
+        assert len(table) == windows
+        if windows == 1:
+            assert table == (None,) and depth == shape[0]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 31, 32, 33, 100])
+    @pytest.mark.parametrize("per_window", [1, 2, 3, 4, 10])
+    def test_windows_split_axis_0_near_equally(self, rows, per_window):
+        data = np.empty((rows, 3, 2))
+        with budget(per_window * row_bytes(data) + 7):
+            table, depth = row_windows(data)
+        if rows <= per_window:
+            assert table == (None,) and depth == rows
+            return
+        assert table[0][0] == 0 and table[-1][1] == rows
+        assert all(a[1] == b[0] for a, b in zip(table, table[1:]))
+        sizes = [r1 - r0 for r0, r1 in table]
+        assert max(sizes) == depth <= per_window
+        assert max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_a_row_larger_than_the_budget_is_one_window(self):
+        with budget(1):
+            table, depth = row_windows(np.empty((4, 5)))
+        assert table == ((0, 1), (1, 2), (2, 3), (3, 4)) and depth == 1
+
+    @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_whole_axis_window_is_the_default_table(self, length, boundary):
+        for axis in range(3):
+            for direction in (1, -1):
+                assert (_regions(axis, length, direction, boundary, (0, length))
+                        == _regions(axis, length, direction, boundary))
+            assert (_difference_regions(axis, length, boundary, (0, length))
+                    == _difference_regions(axis, length, boundary))
+
+
+class TestWindowedStencils:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_window_rows_equal_the_whole_axis_sweep(self, draw):
+        n = draw.draw(st.integers(1, 3))
+        shape = (draw.draw(st.integers(1, 5)),) + tuple(
+            draw.draw(st.integers(1, 4)) for _ in range(n - 1))
+        boundary = draw.draw(st.sampled_from(["periodic", "outflow"]))
+        data = draw.draw(hnp.arrays(float, shape + (2,), elements=st.floats(
+            -4.0, 4.0, allow_subnormal=False) | st.sampled_from([0.0, -0.0, np.nan])))
+        field = GridField.zeros(shape, 0.25, 0.0, 2, boundary).with_data(data)
+        r0 = draw.draw(st.integers(0, shape[0] - 1))
+        r1 = draw.draw(st.integers(r0 + 1, shape[0]))
+        rows = (r0, r1)
+        whole_avg = lxf_average(field)
+        for axis in range(n):
+            whole = centered_diff(field, axis)
+            assert centered_diff(field, axis, rows=rows).tobytes() == whole[r0:r1].tobytes()
+            acc = np.zeros_like(data)
+            part = np.zeros((r1 - r0,) + data.shape[1:])
+            shift_into(np.add, acc, data, axis, -1, boundary)
+            shift_into(np.add, part, data, axis, -1, boundary, rows)
+            assert part.tobytes() == acc[r0:r1].tobytes()
+        assert lxf_average(field, rows=rows).tobytes() == whole_avg[r0:r1].tobytes()
+
+
+def linear_system(n, m, rng, source):
+    """A constant-coefficient system whose rows have up to m nonzeros, so
+    the layer products need the spare array."""
+    coeff = [MatrixField.constant(np.eye(m))]
+    for _ in range(n):
+        mat = rng.normal(size=(m, m))
+        mat[rng.uniform(size=(m, m)) < 0.3] = 0.0
+        mat[0, 0] = -0.0
+        coeff.append(MatrixField.constant(mat + mat.T))
+    src = (lambda x, u: np.cos(x[..., 1:2]) * u[..., ::-1]) if source else None
+    return SystemDef(n=n, m=m, coeff=tuple(coeff), source=src)
+
+
+def state_field(m):
+    """A state-dependent symmetric field of the state alone."""
+    def fn(u):
+        out = np.zeros(u.shape[:-1] + (m, m))
+        idx = np.arange(m)
+        out[..., idx, idx] = 1.0 + 0.1 * np.tanh(u)
+        out[..., 0, m - 1] = out[..., m - 1, 0] = 0.05 * u[..., 0]
+        return out
+    return MatrixField.of_state(m, fn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_windowed_steps_equal_one_window_steps(draw):
+    n = draw.draw(st.integers(1, 3))
+    m = 3
+    shape = (draw.draw(st.integers(1, 5)),) + tuple(
+        draw.draw(st.integers(1, 4)) for _ in range(n - 1))
+    boundary = draw.draw(st.sampled_from(["periodic", "outflow"]))
+    data = draw.draw(hnp.arrays(float, shape + (m,), elements=st.floats(
+        -2.0, 2.0, allow_subnormal=False) | st.sampled_from([0.0, -0.0])))
+    state = GridField.zeros(shape, 0.25, 0.125, m, boundary).with_data(data)
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2 ** 16)))
+    kind = draw.draw(st.sampled_from(["const", "const_source", "field", "law"]))
+    if kind == "law":
+        law = ConservationLaw(n=n, m=m, flux=tuple(
+            (lambda u, j=j: 0.5 * u * u[..., (j + 1) % m, None]) for j in range(n)),
+            state_box=(np.full(m, -10.0), np.full(m, 10.0)))
+        build = lambda: law_rhs(law)
+    else:
+        sys = linear_system(n, m, rng, kind == "const_source")
+        if kind == "field":
+            sys = replace(sys, coeff=(sys.coeff[0],) + tuple(
+                state_field(m) for _ in range(n)))
+        build = lambda: system_rhs(sys)
+    config = SchemeConfig(lam=0.2, t_end=1.0)
+    with budget(WHOLE):
+        want = lxf_step(state, build(), config, t=0.3).data
+    per_window = draw.draw(st.integers(1, 3))
+    with budget(per_window * row_bytes(data)):
+        got = lxf_step(state, build(), config, t=0.3).data
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("per_window", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_windowed_runs_equal_one_window_runs(case, per_window):
+    system, initial, config, monitors = CASES[case]()
+    with budget(WHOLE):
+        want = run(system, initial, config, monitors)
+    with budget(per_window * row_bytes(initial.data)):
+        assert len(row_windows(initial.data)[0]) > 1
+        got = run(system, initial, config, monitors)
+    assert got.completed and got.steps > 4
+    same_trace(got, want)
+
+
+def test_nan_at_a_window_edge_aborts_at_the_same_step_and_cell():
+    # the forcing turns non-finite at the first row of the second window
+    # once t > 0.03, so the NaN enters the state through the RHS there
+    def forcing(t, x):
+        edge = np.isclose(x[..., 0], 2.0 / 16) & np.isclose(x[..., 1], 5.0 / 16)
+        return np.where(edge & (t > 0.03), np.nan, np.sin(x[..., 0] + t))
+
+    sys, monitor = wave_system(np.array([0.3, -0.15]), np.diag([1.3, 0.7]), forcing=forcing)
+    grid_ = GridField.zeros((12, 8), 1.0 / 16, 0.0, 4)
+    initial = profiles.plane_wave(grid_, [0.4, 1.0, -0.3, 0.7], [2, 1])
+    config = SchemeConfig(lam=0.2, t_end=0.1)
+    with budget(WHOLE):
+        want = run(sys, initial, config, [monitor])
+    with budget(2 * row_bytes(initial.data)):
+        assert row_windows(initial.data)[0][1] == (2, 4)
+        got = run(sys, initial, config, [monitor])
+    abort = want.events[-1]
+    assert abort["event"] == "abort" and abort["step"] == 4
+    assert (abort["cell"], abort["component"]) == ((2, 5), 3)
+    same_trace(got, want)
+
+
+def test_first_rhs_call_allocates_one_state_and_two_windows():
+    # the target is state-sized; the differences and products are sized
+    # to the largest window (Maxwell's layers have one nonzero a row, so
+    # no spare); numpy's buffered iterator adds a few 64 KB buffers
+    state = maxwell_wave(32)
+    sys, _ = maxwell_system()
+    rhs = system_rhs(sys)
+    windows, depth = row_windows(state.data)
+    window = depth * row_bytes(state.data)
+    assert len(windows) > 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rhs(0.0, state)
+        held, peak = (v - before for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert held < state.data.nbytes + 2 * window + 64 * 1024
+    assert peak < state.data.nbytes + 3 * window
+
+
+class TestOverlappingOutput:
+    def test_lxf_step_rejects_the_input_data(self):
+        law, initial, config, _ = burgers_case("periodic")
+        data = initial.data.copy()
+        with pytest.raises(ValueError, match="out must not overlap"):
+            lxf_step(initial, law_rhs(law), config, out=initial.data)
+        assert initial.data.tobytes() == data.tobytes()
+
+    def test_lxf_step_rejects_a_view_of_the_input(self):
+        sys, initial, config, _ = CASES["maxwell"]()
+        buf = np.concatenate([initial.data, initial.data])
+        state = initial.with_data(buf[2:10])
+        with pytest.raises(ValueError, match="out must not overlap"):
+            lxf_step(state, system_rhs(sys), config, out=buf[:8])
+
+    def test_lxf_average_rejects_the_input_data(self):
+        _, initial, _, _ = CASES["maxwell"]()
+        with pytest.raises(ValueError, match="out must not overlap"):
+            lxf_average(initial, out=initial.data)
+        with pytest.raises(ValueError, match="out must not overlap"):
+            lxf_average(initial, out=initial.data[2:4], rows=(2, 4))
+
+    def test_viscous_step_rejects_the_input_data(self):
+        law, initial, config, _ = burgers_case("outflow", viscosity=0.01)
+        with pytest.raises(ValueError, match="out must not overlap"):
+            viscous_step(initial, law, config, out=initial.data)
+        with pytest.raises(ValueError, match="out must not overlap"):
+            viscous_step(initial, law, config, out=initial.data[::-1])
+
+    def test_separate_buffers_are_accepted(self):
+        law, initial, config, _ = burgers_case("periodic")
+        buf = np.empty((2,) + initial.data.shape)
+        state = initial.with_data(buf[0])
+        np.copyto(buf[0], initial.data)
+        out = buf[1]
+        assert lxf_step(state, law_rhs(law), config, out=out).data is out
