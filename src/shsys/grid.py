@@ -1,5 +1,23 @@
 """Uniform Cartesian grids of cell-centered states, with shift and
-centered-difference operators for periodic and outflow boundaries."""
+centered-difference operators for periodic and outflow boundaries.
+
+The boundary rule is written once, in ``_runs``: each translate is a
+table of regions (``_regions``, ``_difference_regions``), an interior run
+and the edge cell.  Off axis 0, numpy runs a ufunc over such a strided
+region through its buffered iterator, which copies the operands through
+buffers of up to 64 KB each.  So when the input and the output are
+C-contiguous arrays of one shape, ``shift_into`` and
+``neighbour_difference`` take the flat pass along an axis j >= 1 longer
+than 2: a step of one cell along j is a step of s = prod(shape[j+1:])
+in the flat view, so the whole array is one contiguous ufunc call, and
+the seam cells (axis index 0 or L-1, where the flat step crosses into
+the next line) are then rewritten from the edge entries of the same
+tables.  Every element still gets one operation on the same operands in
+the same order, so the results are bit-identical to the region path,
+except for which NaN comes back where both operands are NaNs: numpy's
+loops return either one.
+Axis 0 (already contiguous), axes of length 2 or less and non-contiguous
+inputs (component slices) keep the region path."""
 
 from __future__ import annotations
 
@@ -141,7 +159,8 @@ def _runs(length: int, direction: int, boundary: str) -> list:
     """(start, stop, offset) runs with shifted(a)[i] == a[i + offset] for
     start <= i < stop along one axis.  The interior takes its neighbour
     one cell along ``direction``; the edge cell left over takes the far
-    edge cell (periodic) or itself (outflow)."""
+    edge cell (periodic) or itself (outflow).  The interior run comes
+    first, so the tables built from the runs end with their edge cells."""
     edge = length - 1 if direction > 0 else 0
     source = edge if boundary == "outflow" else length - 1 - edge
     runs = [(edge, edge + 1, source - edge)]
@@ -199,18 +218,44 @@ def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
     return out
 
 
+def _flat_step(out: np.ndarray, data: np.ndarray, axis: int) -> Optional[int]:
+    """The flat stride s of one cell along ``axis`` when the flat pass
+    applies: an axis j >= 1 longer than 2 of C-contiguous ``out`` and
+    ``data`` of one shape.  None selects the region path."""
+    if (axis and data.shape[axis] > 2 and out.shape == data.shape
+            and out.flags.c_contiguous and data.flags.c_contiguous):
+        return math.prod(data.shape[axis + 1:])
+    return None
+
+
 def shift_into(ufunc, out: np.ndarray, data: np.ndarray, axis: int,
                direction: int, boundary: str, rows: Optional[tuple] = None) -> np.ndarray:
     """out = ufunc(out, shifted(data, axis, direction, boundary)) in place,
-    region by region, without building the translate.  With ``rows`` =
-    (r0, r1), ``out`` holds only the rows r0 <= i < r1 of axis 0: axis 0
-    reads its neighbours across the window's edges, any other axis reads
-    only data[r0:r1]."""
+    without building the translate: region by region, or as one flat call
+    whose seam is taken from the edge region (see the module docstring).
+    With ``rows`` = (r0, r1), ``out`` holds only the rows r0 <= i < r1 of
+    axis 0: axis 0 reads its neighbours across the window's edges, any
+    other axis reads only data[r0:r1]."""
     if rows is not None and axis:
         data, rows = data[rows[0]:rows[1]], None
-    for cells, sources in _regions(axis, data.shape[axis], direction, boundary, rows):
-        view = out[cells]
-        ufunc(view, data[sources], out=view)
+    regions = _regions(axis, data.shape[axis], direction, boundary, rows)
+    s = _flat_step(out, data, axis)
+    if s is None:
+        for cells, sources in regions:
+            view = out[cells]
+            ufunc(view, data[sources], out=view)
+        return out
+    # the edge cells get their value before the flat call overwrites them;
+    # a contiguous copy leaves one operand to numpy's buffers
+    cells, sources = regions[-1]
+    seam = out[cells].copy()
+    ufunc(seam, data[sources], out=seam)
+    o, d = out.ravel(), data.ravel()
+    if direction > 0:
+        ufunc(o[:-s], d[s:], out=o[:-s])
+    else:
+        ufunc(o[s:], d[:-s], out=o[s:])
+    out[cells] = seam
     return out
 
 
@@ -218,16 +263,28 @@ def neighbour_difference(data: np.ndarray, axis: int, boundary: str,
                          out: Optional[np.ndarray] = None,
                          rows: Optional[tuple] = None) -> np.ndarray:
     """shifted(+1) - shifted(-1) along one axis, in one pass over the data,
-    written to ``out`` (a new array when None).  With ``rows`` = (r0, r1),
-    only the rows r0 <= i < r1 of axis 0, which ``out`` holds, as in
-    ``shift_into``."""
+    written to ``out`` (a new array when None): region by region, or as
+    one flat call with the two edge regions written after it (see the
+    module docstring).  With ``rows`` = (r0, r1), only the rows
+    r0 <= i < r1 of axis 0, which ``out`` holds, as in ``shift_into``."""
     if out is None:
         shape = data.shape if rows is None else (rows[1] - rows[0],) + data.shape[1:]
         out = np.empty(shape, dtype=np.result_type(data, 1.0))
     if rows is not None and axis:
         data, rows = data[rows[0]:rows[1]], None
-    for cells, plus, minus in _difference_regions(axis, data.shape[axis], boundary, rows):
-        np.subtract(data[plus], data[minus], out=out[cells])
+    triples = _difference_regions(axis, data.shape[axis], boundary, rows)
+    s = _flat_step(out, data, axis)
+    if s is None:
+        for cells, plus, minus in triples:
+            np.subtract(data[plus], data[minus], out=out[cells])
+        return out
+    o, d = out.ravel(), data.ravel()
+    np.subtract(d[2 * s:], d[:-2 * s], out=o[s:-s])
+    for cells, plus, minus in triples[1:]:
+        # the edge cells, through a contiguous copy as in shift_into
+        seam = data[plus].copy()
+        np.subtract(seam, data[minus], out=seam)
+        out[cells] = seam
     return out
 
 

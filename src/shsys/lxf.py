@@ -35,6 +35,9 @@ depend on the windows.  Fields, fluxes and sources are evaluated once per
 call on the whole grid, and the scratch of the differences and products
 is sized to the largest window.  A state that fits one window is swept
 whole.
+
+Off axis 0 a translate is one flat ufunc call (``grid.shift_into``), and
+no sum starts from a zero fill.
 """
 
 from __future__ import annotations
@@ -155,12 +158,20 @@ def lxf_average(state: GridField, out: Optional[np.ndarray] = None,
     With ``rows`` = (r0, r1), only the rows r0 <= i < r1 of axis 0, which
     ``out`` holds."""
     acc = _output(state.data, out, rows)
-    acc.fill(0.0)
-    for j in range(state.n):
+    # the sum starts as translate + 0.0, which is 0.0 + translate bit for bit
+    shift_into(_plus_zero, acc, state.data, 0, +1, state.boundary, rows)
+    shift_into(np.add, acc, state.data, 0, -1, state.boundary, rows)
+    for j in range(1, state.n):
         shift_into(np.add, acc, state.data, j, +1, state.boundary, rows)
         shift_into(np.add, acc, state.data, j, -1, state.boundary, rows)
     acc /= 2.0 * state.n
     return acc
+
+
+def _plus_zero(_, translate, out=None):
+    """The ufunc form of ``shift_into`` that writes translate + 0.0 and
+    ignores what ``out`` held."""
+    return np.add(translate, 0.0, out=out)
 
 
 def single_entry_layers(mat: np.ndarray) -> np.ndarray:
@@ -254,10 +265,8 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
         fields = [None] * sys.n
         for rows in windows:
             acc, du_w, product_w = _rows(target, rows), _head(du, rows), _head(product, rows)
-            if source is None:
-                acc.fill(0.0)
-            else:
-                np.copyto(acc, _rows(source, rows))
+            # the sum starts from 0.0 or the source: start - M^1 D_1 u
+            start = 0.0 if source is None else _rows(source, rows)
             for j in range(sys.n):
                 centered_diff(state, j, out=du_w, rows=rows)
                 if layers[j] is not None:
@@ -270,7 +279,7 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
                     if rows is windows[-1]:
                         # one field at a time is alive when the grid is one window
                         fields[j] = None
-                np.subtract(acc, product_w, out=acc)
+                np.subtract(acc if j else start, product_w, out=acc)
         if m0_const is None:
             np.copyto(target, np.linalg.solve(sys.coeff[0](x, u), target[..., None])[..., 0])
         elif not m0_is_identity:
@@ -296,9 +305,9 @@ def law_rhs(law: ConservationLaw) -> Callable[[float, GridField], np.ndarray]:
         fluxes = [np.asarray(flux(u), dtype=float) for flux in law.flux]
         for rows in windows:
             acc, diff_w = _rows(target, rows), _head(diff, rows)
-            acc.fill(0.0)
             for j, fu in enumerate(fluxes):
-                np.subtract(acc, centered_diff(state, j, fu, out=diff_w, rows=rows), out=acc)
+                np.subtract(acc if j else 0.0, centered_diff(state, j, fu, out=diff_w, rows=rows),
+                            out=acc)
         if law.source is not None:
             x = _spacetime(t, state.coords())
             np.add(target, np.asarray(law.source(x, state.data), dtype=float), out=target)
@@ -336,10 +345,13 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     The new data is written to ``out``; ``spare`` holds the heat term.
     Both are arrays shaped like the state, other than ``state.data`` and
     each other, new ones when None; an ``out`` that overlaps
-    ``state.data`` is rejected."""
+    ``state.data``, or a ``spare`` that overlaps either, is rejected."""
     if state.n != 1 or law.n != 1:
         raise ValueError("viscous stepping is implemented for one space dimension")
     out = _output(state.data, out)
+    if spare is not None and (np.may_share_memory(spare, state.data)
+                              or np.may_share_memory(spare, out)):
+        raise ValueError("spare must not overlap the input state's data or out")
     h = state.h[0]
     k = config.lam * h if k is None else k
     eps = config.viscosity

@@ -5,6 +5,7 @@ bit for bit, and check the window table, the scratch sizes and the
 rejection of an output that overlaps the input."""
 
 import contextlib
+import gc
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from shsys import grid, profiles
 from shsys.core import MatrixField, SystemDef
 from shsys.entropy import ConservationLaw
 from shsys.grid import (GridField, _regions, _difference_regions, centered_diff,
-                        row_windows, shift_into)
+                        neighbour_difference, row_windows, shift_into)
 from shsys.lxf import (SchemeConfig, law_rhs, lxf_average, lxf_step, run, system_rhs,
                        viscous_step)
 from shsys.models import maxwell_system, wave_system
@@ -118,6 +119,139 @@ class TestWindowedStencils:
             shift_into(np.add, part, data, axis, -1, boundary, rows)
             assert part.tobytes() == acc[r0:r1].tobytes()
         assert lxf_average(field, rows=rows).tobytes() == whole_avg[r0:r1].tobytes()
+
+
+def region_shift_into(ufunc, out, data, axis, direction, boundary, rows):
+    """shift_into's region path: one ufunc call per region of the table."""
+    if rows is not None and axis:
+        data, rows = data[rows[0]:rows[1]], None
+    for cells, sources in _regions(axis, data.shape[axis], direction, boundary, rows):
+        view = out[cells]
+        ufunc(view, data[sources], out=view)
+    return out
+
+
+def region_difference(data, axis, boundary, out, rows):
+    """neighbour_difference's region path."""
+    if rows is not None and axis:
+        data, rows = data[rows[0]:rows[1]], None
+    for cells, plus, minus in _difference_regions(axis, data.shape[axis], boundary, rows):
+        np.subtract(data[plus], data[minus], out=out[cells])
+    return out
+
+
+def as_floats(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(float).tolist()
+
+
+# quiet NaNs with payloads and signs, and a signalling NaN
+NANS = as_floats(0x7FF8000000000000, 0x7FF80000DEADBEEF, 0xFFF8000000000123,
+                 0x7FF0000000000001)
+
+
+def stencil_arrays(draw, shape, nan):
+    """Finite values, signed zeros, infinities and the NaN ``nan``.  Of two
+    NaN operands numpy's loops return either (a one-element in-place loop
+    runs as a reduction and returns the other), so an example holds one
+    NaN bit pattern."""
+    special = as_floats(0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000)
+    return draw.draw(hnp.arrays(float, shape, elements=st.floats(
+        -4.0, 4.0, allow_subnormal=False) | st.sampled_from(special + [nan])))
+
+
+def bits(a):
+    return a.view(np.int64)
+
+
+class TestFlatPass:
+    """Off axis 0, shift_into and neighbour_difference take one flat
+    ufunc call on C-contiguous arrays and rewrite the seam cells from the
+    edge regions; the region path is the reference, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_flat_pass_equals_the_region_path(self, draw):
+        n = draw.draw(st.integers(2, 3))
+        m = draw.draw(st.integers(1, 3))
+        shape = tuple(draw.draw(st.integers(1, 5)) for _ in range(n)) + (m,)
+        axis = draw.draw(st.integers(0, n - 1))
+        boundary = draw.draw(st.sampled_from(["periodic", "outflow"]))
+        rows = None
+        if draw.draw(st.booleans()):
+            r0 = draw.draw(st.integers(0, shape[0] - 1))
+            rows = (r0, draw.draw(st.integers(r0 + 1, shape[0])))
+        part = shape if rows is None else (rows[1] - rows[0],) + shape[1:]
+        nan = draw.draw(st.sampled_from(NANS))
+        data = stencil_arrays(draw, shape, nan)
+        start = stencil_arrays(draw, part, nan)
+        with np.errstate(all="ignore"):
+            for ufunc in (np.add, np.subtract):
+                for direction in (1, -1):
+                    got = shift_into(ufunc, start.copy(), data, axis, direction, boundary, rows)
+                    want = region_shift_into(ufunc, start.copy(), data, axis, direction,
+                                             boundary, rows)
+                    np.testing.assert_array_equal(bits(got), bits(want))
+            got = neighbour_difference(data, axis, boundary, rows=rows)
+            want = region_difference(data, axis, boundary, np.full(part, np.nan), rows)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+    def test_component_slice_equals_its_contiguous_copy(self, boundary):
+        # a component slice is not contiguous, so it takes the region path
+        data = RNG.normal(size=(4, 5, 3, 3))
+        data[1, 2, 0] = [-0.0, np.nan, np.inf]
+        component = data[..., 1]
+        assert not component.flags.c_contiguous
+        copy = np.ascontiguousarray(component)
+        start = RNG.normal(size=component.shape)
+        with np.errstate(all="ignore"):
+            for axis in range(3):
+                got = neighbour_difference(component, axis, boundary)
+                want = neighbour_difference(copy, axis, boundary)
+                np.testing.assert_array_equal(bits(got), bits(want))
+                for direction in (1, -1):
+                    got = shift_into(np.add, start.copy(), component, axis, direction, boundary)
+                    want = shift_into(np.add, start.copy(), copy, axis, direction, boundary)
+                    np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_off_axis_stencils_allocate_only_a_seam(self, axis, boundary):
+        # the region path ran numpy's buffered iterator, 175-199 KB a call;
+        # the flat pass allocates a seam of 1/16 of the state (12 KB) and
+        # one operand buffer of that size
+        data = RNG.normal(size=(16, 16, 16, 6))
+        out = np.empty_like(data)
+        calls = [lambda: shift_into(np.add, out, data, axis, 1, boundary),
+                 lambda: shift_into(np.add, out, data, axis, -1, boundary),
+                 lambda: neighbour_difference(data, axis, boundary, out=out)]
+        for call in calls:
+            assert call_peak(call) < 32 * 1024
+
+
+def call_peak(call, repeats=3):
+    """Traced peak memory of a call above what was held when it began, the
+    smallest over ``repeats`` calls after a warm-up that fills the
+    region-table caches.  The cyclic collector is paused, and a call that
+    something else allocated during counts only if every call did."""
+    call()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        peaks = []
+        for _ in range(repeats):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return min(peaks)
+
+
+RNG = np.random.default_rng(1515)
 
 
 def linear_system(n, m, rng, source):
@@ -261,6 +395,30 @@ class TestOverlappingOutput:
             viscous_step(initial, law, config, out=initial.data)
         with pytest.raises(ValueError, match="out must not overlap"):
             viscous_step(initial, law, config, out=initial.data[::-1])
+
+    def test_viscous_step_rejects_a_spare_overlapping_the_input(self):
+        # the spare held the heat term over the state, which came back up
+        # to 1.39 away from the right step, silently
+        law, initial, config, _ = burgers_case("outflow", viscosity=0.01)
+        data = initial.data.copy()
+        with pytest.raises(ValueError, match="spare must not overlap"):
+            viscous_step(initial, law, config, spare=initial.data)
+        with pytest.raises(ValueError, match="spare must not overlap"):
+            viscous_step(initial, law, config, spare=initial.data[::-1])
+        assert initial.data.tobytes() == data.tobytes()
+
+    def test_viscous_step_rejects_a_spare_overlapping_out(self):
+        law, initial, config, _ = burgers_case("outflow", viscosity=0.01)
+        out = np.empty_like(initial.data)
+        with pytest.raises(ValueError, match="spare must not overlap"):
+            viscous_step(initial, law, config, out=out, spare=out)
+        buf = np.empty((2,) + initial.data.shape)
+        with pytest.raises(ValueError, match="spare must not overlap"):
+            viscous_step(initial, law, config, out=buf[0], spare=buf.reshape(-1)[5:5 + out.size]
+                         .reshape(out.shape))
+        want = viscous_step(initial, law, config).data
+        got = viscous_step(initial, law, config, out=buf[0], spare=buf[1]).data
+        assert got.tobytes() == want.tobytes()
 
     def test_separate_buffers_are_accepted(self):
         law, initial, config, _ = burgers_case("periodic")
