@@ -77,6 +77,14 @@ def roll_shift(data, axis, direction, boundary):
     return ref
 
 
+def same_bits(got, want):
+    """Bit for bit, except that where both sides are NaN any NaN matches:
+    of two NaN operands numpy does not fix which one a loop returns."""
+    both = np.isnan(got) & np.isnan(want)
+    return np.array_equal(np.where(both, 0, got.view(np.int64)),
+                          np.where(both, 0, want.view(np.int64)))
+
+
 class TestShifts:
     def test_periodic_wraps(self):
         data = np.arange(4.0)[:, None]
@@ -119,9 +127,11 @@ class TestShifts:
     @example(np.array([[[np.inf, -0.0]], [[-np.inf, 0.0]]]))
     @example(np.array([[[[-0.0]]]]))
     @example(np.array([[[[1.0], [np.nan]], [[-0.0], [np.inf]]]]))
+    @example(np.array([[np.nan] * 3, [np.nan] * 3, [np.nan, np.nan, np.inf]]))
     def test_stencils_match_roll_reference(self, data):
         # bit for bit, signed zeros and non-finite values included, on
-        # every spatial axis of 1D, 2D and 3D arrays
+        # every spatial axis of 1D, 2D and 3D arrays; the sums may differ
+        # only in which NaN they keep where both sides are NaN
         for axis in range(data.ndim - 1):
             for boundary in ("periodic", "outflow"):
                 plus, minus = (roll_shift(data, axis, d, boundary) for d in (+1, -1))
@@ -129,11 +139,11 @@ class TestShifts:
                     acc = np.zeros_like(data)
                     shift_into(np.add, acc, data, axis, +1, boundary)
                     shift_into(np.add, acc, data, axis, -1, boundary)
-                    assert acc.tobytes() == ((np.zeros_like(data) + plus) + minus).tobytes()
+                    assert same_bits(acc, (np.zeros_like(data) + plus) + minus)
                     diff = neighbour_difference(data, axis, boundary)
-                    assert diff.tobytes() == (plus - minus).tobytes()
+                    assert same_bits(diff, plus - minus)
                     second = second_difference(data, axis, boundary)
-                    assert second.tobytes() == ((plus - 2.0 * data) + minus).tobytes()
+                    assert same_bits(second, (plus - 2.0 * data) + minus)
                 assert shifted(data, axis, +1, boundary).tobytes() == plus.tobytes()
                 assert shifted(data, axis, -1, boundary).tobytes() == minus.tobytes()
 
