@@ -67,7 +67,9 @@ def test_snapshot_matches_per_cell_reference(shape, m):
     assert written(field) == reference_snapshot(field)
 
 
-@pytest.mark.parametrize("cells", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+# the edges of the writer's block, and of 256-row blocks
+@pytest.mark.parametrize("cells", sorted({255, 256, 257, 513, _BLOCK - 1, _BLOCK,
+                                          _BLOCK + 1, 2 * _BLOCK + 1}))
 def test_snapshot_block_boundaries(cells):
     field = sample_field((cells,), 2, seed=cells)
     assert written(field) == reference_snapshot(field)
