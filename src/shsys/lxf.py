@@ -211,6 +211,28 @@ def apply_layers(layers: np.ndarray, du: np.ndarray, out: Optional[np.ndarray] =
     return acc.reshape(du.shape)
 
 
+def stacked_solve(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(mats, b[..., None])[..., 0] bit for bit: b divided
+    by the diagonal when every matrix is diagonal, else the LU solve.
+
+    The division is taken only when every off-diagonal entry is +-0, every
+    diagonal entry is > 0, b is finite with no -0 in it and every quotient
+    is finite; otherwise the whole stack is solved.  Under that guard the
+    LU factors have no row swaps and +-0 multipliers, so both substitutions
+    leave b as it is (they only subtract +-0 products from finite nonzero
+    or +0 entries; -0 - (-0) would give +0), and the triangular solve for
+    one right-hand side ends with the division (test_lxf.py checks this
+    against the BLAS in use)."""
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    if (np.all(diag > 0) and np.count_nonzero(mats) == diag.size
+            and np.all(np.isfinite(b)) and not np.any(np.signbit(b[b == 0]))):
+        with np.errstate(over="ignore"):
+            quotient = b / diag
+        if np.all(np.isfinite(quotient)):
+            return quotient
+    return np.linalg.solve(mats, b[..., None])[..., 0]
+
+
 def _workspace() -> Callable[[str, tuple], np.ndarray]:
     """scratch(name, shape): an array kept between calls under ``name``,
     allocated again only when the shape changes."""
@@ -243,6 +265,14 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
     a constant M0 is factorized against all cells at once.  The cell
     coordinates are built only when some field or the source needs them,
     and an identity M0 skips the solve.
+
+    A state-dependent M0 goes through ``stacked_solve``: a diagonal stack
+    (euler_sh's diag(1/gamma p, rho I)) divides the target by its diagonal,
+    which under that helper's guard (diagonal > 0, finite target without
+    -0, finite quotients) is exactly what the LU solve computes; any other
+    stack, or a call that fails the guard, is solved whole.  A constant M0
+    is not divided: its one solve with many right-hand sides multiplies by
+    reciprocals, which differs from division in the last bit.
     """
     m0_const = sys.coeff[0].const
     m0_is_identity = m0_const is not None and np.array_equal(m0_const, np.eye(sys.m))
@@ -281,7 +311,7 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
                         fields[j] = None
                 np.subtract(acc if j else start, product_w, out=acc)
         if m0_const is None:
-            np.copyto(target, np.linalg.solve(sys.coeff[0](x, u), target[..., None])[..., 0])
+            np.copyto(target, stacked_solve(sys.coeff[0](x, u), target))
         elif not m0_is_identity:
             np.copyto(target, np.linalg.solve(m0_const, target.reshape(-1, sys.m).T)
                       .T.reshape(u.shape))

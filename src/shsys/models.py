@@ -245,6 +245,8 @@ def maxwell_system(rho=None, current=None):
 # p^(1/gamma) element by element through the C library's pow: numpy's array
 # power takes a SIMD route that differs from it in the last bit for some
 # pressures, and results must not depend on how many cells share a call.
+# It costs a Python call per cell, so euler_polytropic_sh keeps the last
+# rho it built and M0 and every M^j of one RHS call share one pass.
 _libm_pow = np.frompyfunc(math.pow, 2, 1)
 
 
@@ -263,8 +265,18 @@ def euler_polytropic_sh(gamma: float, n: int = 1) -> SystemDef:
     m = 1 + n
     vel = np.arange(1, m)
 
+    last = {}
+
     def rho_of(p):
-        return np.asarray(_libm_pow(p, 1.0 / gamma), dtype=float)
+        # keyed on the values, not on the array: run overwrites its state
+        # buffers in place; the shape is part of the key, since equal bytes
+        # of another shape would broadcast wrongly
+        key = (p.dtype.str, p.shape, p.tobytes())
+        if last.get("key") != key:
+            rho = np.asarray(_libm_pow(p, 1.0 / gamma), dtype=float)
+            rho.flags.writeable = False
+            last.update(key=key, rho=rho)
+        return last["rho"]
 
     def m0(u):
         p = u[..., 0]

@@ -215,6 +215,25 @@ def test_euler_sh_rhs_matches_per_cell_reference(seed):
     assert_bitwise(rhs(0.0, state), euler_rhs_per_cell(1.4, 2, 0.0, state))
 
 
+def test_euler_sh_overflowing_rhs_matches_per_cell_reference():
+    """A target with inf in it fails the guard of the diagonal division and
+    is solved whole, as the reference solves each cell: the non-finite
+    values sit in the same cells and components, so a located non-finite
+    abort names the same ones."""
+    state = euler_state(12, 5)
+    data = state.data.copy()
+    data[3:6, 4:8, 1] *= 1e306
+    state = state.with_data(data)
+    rhs = system_rhs(euler_polytropic_sh(1.4, n=2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = rhs(0.0, state)
+        expected = euler_rhs_per_cell(1.4, 2, 0.0, state)
+    # the LU solve spreads an inf in a cell's target to NaN in its other
+    # components, where a division would leave them finite
+    assert np.isnan(got).any() and np.isfinite(got).any()
+    assert_bitwise(got, expected)
+
+
 def test_max_char_speed_matches_per_cell_maximum():
     sys = euler_polytropic_sh(1.4, n=2)
     state = euler_state(16, 3)

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from shsys.grid import GridField
 from shsys import lxf
 from shsys.lxf import (SchemeConfig, StabilityError, _sample_cells, apply_layers,
                        law_rhs, lxf_step, max_char_speed, run, single_entry_layers,
-                       system_rhs, viscous_step)
+                       stacked_solve, system_rhs, viscous_step)
 from shsys.models import (advection_law, burgers_law, euler_conservative_1d,
                           euler_polytropic_sh, euler_primitive_to_conservative,
                           maxwell_system, wave_system)
@@ -662,3 +663,101 @@ class TestLayeredProduct:
         for cell in np.ndindex(state.shape):
             forcing = -b @ state.data[cell] - sum(a[j] @ diffs[j][cell] for j in range(2))
             assert np.max(np.abs(got[cell] - np.linalg.solve(q, forcing))) <= 1e-13
+
+
+# diagonals: general positive values, subnormal, tiny and huge ones, and
+# the non-positive or non-finite ones that must take the solve
+DIAGONALS = [1.0, 0.1, 7.0, 5e-324, 2.5e-310, 1e-300, 1e300, 1.7976931348623157e308,
+             np.inf, 0.0, -0.0, -1.0, -np.inf, np.nan]
+# right-hand sides: signed zeros, subnormals, extremes and non-finite values
+RHS_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, -2.5e-310, 1e300, -1e300,
+                     np.inf, -np.inf, np.nan]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True))
+
+
+@st.composite
+def m0_stacks(draw):
+    """(stack, b): a stack of (m, m) matrices, m = 1-4, whose off-diagonal
+    entries are signed zeros in half the draws and may be general values in
+    the others, and right-hand sides b."""
+    m = draw(st.integers(1, 4))
+    batch = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=4))
+    diagonal = draw(st.booleans())
+    off = st.sampled_from([0.0, -0.0])
+    if not diagonal:
+        off = st.one_of(off, st.floats(-2.0, 2.0, allow_nan=False))
+    stack = draw(hnp.arrays(float, batch + (m, m), elements=off))
+    diag = draw(hnp.arrays(float, batch + (m,), elements=st.one_of(
+        st.sampled_from(DIAGONALS), st.floats(1e-3, 1e3))))
+    stack[..., np.arange(m), np.arange(m)] = diag
+    b = draw(hnp.arrays(float, batch + (m,), elements=RHS_ENTRIES))
+    return stack, b
+
+
+def solve_or_error(mats, b):
+    try:
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as spy:
+            return stacked_solve(mats, b), spy.called
+    except np.linalg.LinAlgError as exc:
+        return exc, True
+
+
+class TestStackedSolve:
+    @settings(deadline=None, max_examples=400)
+    @given(case=m0_stacks())
+    def test_equals_the_lu_solve_bit_for_bit(self, case):
+        stack, b = case
+        try:
+            expected = np.linalg.solve(stack, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            expected = None
+        got, solved = solve_or_error(stack, b)
+        if expected is None:
+            assert isinstance(got, np.linalg.LinAlgError)
+            return
+        # signed zeros and the place and payload of every NaN included
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        off_diagonal = stack.copy()
+        np.einsum("...ii->...i", off_diagonal)[...] = 0.0
+        if np.any(off_diagonal) or not np.all(np.einsum("...ii->...i", stack) > 0):
+            assert solved
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_diagonal_stacks_are_divided(self, m):
+        diag = RNG.uniform(0.5, 2.0, size=(5, 6, m))
+        stack = np.zeros((5, 6, m, m))
+        stack[..., np.arange(m), np.arange(m)] = diag
+        b = RNG.standard_normal((5, 6, m))
+        got, solved = solve_or_error(stack, b)
+        assert not solved
+        assert got.tobytes() == np.linalg.solve(stack, b[..., None])[..., 0].tobytes()
+
+    def test_guard_failures_solve_the_whole_stack(self):
+        stack = np.zeros((4, 2, 2))
+        stack[:, [0, 1], [0, 1]] = 2.0
+        b = np.ones((4, 2))
+        cases = {"off-diagonal": (1, 0, 1), "diagonal": (2, 1, 1)}
+        for name, idx in cases.items():
+            bent = stack.copy()
+            bent[idx] = 0.5 if name == "off-diagonal" else -2.0
+            assert solve_or_error(bent, b)[1], name
+        for bad in (-0.0, np.inf, np.nan):
+            rhs = b.copy()
+            rhs[3, 1] = bad
+            assert solve_or_error(stack, rhs)[1], bad
+        # a quotient that overflows
+        tiny = stack.copy()
+        tiny[0, 1, 1] = 1e-310
+        rhs = b.copy()
+        rhs[0, 1] = 1e300
+        assert solve_or_error(tiny, rhs)[1]
+
+    def test_euler_sh_m0_is_divided(self):
+        state = np.stack([RNG.uniform(0.5, 2.0, (6, 5)), *RNG.standard_normal((2, 6, 5))], -1)
+        m0 = euler_polytropic_sh(1.4, n=2).coeff[0](np.zeros((6, 5, 3)), state)
+        b = RNG.standard_normal((6, 5, 3))
+        got, solved = solve_or_error(m0, b)
+        assert not solved
+        assert got.tobytes() == np.linalg.solve(m0, b[..., None])[..., 0].tobytes()

@@ -8,7 +8,8 @@ from shsys import profiles
 from shsys.core import is_sh, symmetry_residual, system_samples
 from shsys.energy import energy
 from shsys.grid import GridField
-from shsys.lxf import SchemeConfig, max_char_speed, run
+from shsys import models
+from shsys.lxf import SchemeConfig, max_char_speed, run, system_rhs
 from shsys.models import (burgers_law, ck_realify, euler_conservative_1d,
                           euler_conservative_to_primitive,
                           euler_polytropic_sh, euler_primitive_to_conservative,
@@ -178,6 +179,68 @@ class TestEulerPolytropic:
                     SchemeConfig(lam=0.1, t_end=0.1))
         assert not trace.completed
         assert trace.error == "state outside box at cell (4,) component 0 after step 0"
+
+
+class TestEulerDensityCache:
+    """rho = p^(1/gamma) is built once per RHS call and shared by M0 and
+    every M^j; the one-entry cache is keyed on the dtype, shape and bytes
+    of p."""
+
+    @staticmethod
+    def counted_pow(monkeypatch):
+        calls = []
+        original = models._libm_pow
+        monkeypatch.setattr(models, "_libm_pow",
+                            lambda p, e: calls.append(np.shape(p)) or original(p, e))
+        return calls
+
+    @staticmethod
+    def state_2d(seed=0):
+        rng = np.random.default_rng(seed)
+        grid = GridField.zeros((10, 7), 0.1, 0.05, 3)
+        data = np.empty(grid.shape + (3,))
+        data[..., 0] = rng.uniform(0.5, 1.5, grid.shape)
+        data[..., 1:] = 0.1 * rng.standard_normal(grid.shape + (2,))
+        return grid.with_data(data)
+
+    def test_one_pow_pass_per_rhs_call(self, monkeypatch):
+        calls = self.counted_pow(monkeypatch)
+        rhs = system_rhs(euler_polytropic_sh(1.4, n=2))
+        state = self.state_2d()
+        rhs(0.0, state)
+        # M0, M^1 and M^2 share one pass, down from three
+        assert calls == [(10, 7)]
+        rhs(0.0, self.state_2d(seed=1))
+        assert calls == [(10, 7)] * 2
+
+    def test_buffer_overwritten_in_place_gets_a_fresh_rho(self, monkeypatch):
+        calls = self.counted_pow(monkeypatch)
+        rhs = system_rhs(euler_polytropic_sh(1.4, n=2))
+        state = self.state_2d()
+        first = rhs(0.0, state).copy()
+        # run steps into the same two buffers, so the array object repeats
+        state.data[..., 0] *= 1.25
+        second = rhs(0.0, state)
+        assert len(calls) == 2
+        assert not np.array_equal(first, second)
+        fresh = system_rhs(euler_polytropic_sh(1.4, n=2))(0.0, state)
+        assert second.tobytes() == fresh.tobytes()
+
+    def test_equal_bytes_of_another_shape_do_not_collide(self):
+        """A cache keyed on the bytes of p alone hands a rho of the wrong
+        shape to a batch with the same values laid out otherwise; it broke
+        test_row_windows.py::test_windowed_runs_equal_one_window_runs[euler_sh-*]
+        and test_step_workspace.py::test_run_equals_allocating_steps[euler_sh-None]
+        with a broadcast error."""
+        sys = euler_polytropic_sh(1.4, n=1)
+        u = np.stack([RNG.uniform(0.5, 1.5, (4, 6)), RNG.standard_normal((4, 6))], -1)
+        for field in sys.coeff:
+            mats = field(np.zeros((4, 6, 2)), u)
+            for flat in (u.reshape(24, 2), u.reshape(6, 4, 2)):
+                assert flat[..., 0].tobytes() == u[..., 0].tobytes()
+                got = field(np.zeros(flat.shape), flat)
+                assert got.shape == flat.shape[:-1] + (2, 2)
+                assert got.tobytes() == mats.tobytes()
 
 
 class TestEulerFormsAgree:
