@@ -1,23 +1,19 @@
 """Uniform Cartesian grids of cell-centered states, with shift and
 centered-difference operators for periodic and outflow boundaries.
 
-The boundary rule is written once, in ``_runs``: each translate is a
-table of regions (``_regions``, ``_difference_regions``), an interior run
-and the edge cell.  Off axis 0, numpy runs a ufunc over such a strided
-region through its buffered iterator, which copies the operands through
-buffers of up to 64 KB each.  So when the input and the output are
-C-contiguous arrays of one shape, ``shift_into`` and
-``neighbour_difference`` take the flat pass along an axis j >= 1 longer
-than 2: a step of one cell along j is a step of s = prod(shape[j+1:])
-in the flat view, so the whole array is one contiguous ufunc call, and
-the seam cells (axis index 0 or L-1, where the flat step crosses into
-the next line) are then rewritten from the edge entries of the same
-tables.  Every element still gets one operation on the same operands in
-the same order, so the results are bit-identical to the region path,
-except for which NaN comes back where both operands are NaNs: numpy's
-loops return either one.
-Axis 0 (already contiguous), axes of length 2 or less and non-contiguous
-inputs (component slices) keep the region path."""
+The boundary rule is written once, in ``_source``, and every translate
+and difference runs one cached plan (``_plan``): one interior call, then
+the edge cells.  On axis 0 the interior is a slice of rows.  Along an
+axis j >= 1 of a C-contiguous array one cell is a step of
+s = prod(shape[j+1:]) in the flat view, so the interiors of all lines are
+one contiguous call, ufunc(out[:-s], data[s:]) or its mirror, where a
+strided region would go through numpy's buffered iterator.  That call
+crosses the edge cells between lines (the seams), which are computed
+apart and written after it.  ``out`` must be C-contiguous; off axis 0 a
+strided ``data`` is copied once by its flat view.  Every element gets one
+operation on the same operands in the same order, so the results are
+bit-identical on every axis, window and layout, except for which NaN
+comes back where both operands are NaNs: numpy's loops return either."""
 
 from __future__ import annotations
 
@@ -155,54 +151,58 @@ def row_windows(data: np.ndarray) -> tuple:
     return _window_table(data.shape, data.itemsize, WINDOW_BYTES)
 
 
-def _runs(length: int, direction: int, boundary: str) -> list:
-    """(start, stop, offset) runs with shifted(a)[i] == a[i + offset] for
-    start <= i < stop along one axis.  The interior takes its neighbour
-    one cell along ``direction``; the edge cell left over takes the far
-    edge cell (periodic) or itself (outflow).  The interior run comes
-    first, so the tables built from the runs end with their edge cells."""
-    edge = length - 1 if direction > 0 else 0
-    source = edge if boundary == "outflow" else length - 1 - edge
-    runs = [(edge, edge + 1, source - edge)]
-    if length > 1:
-        runs.insert(0, (0, length - 1, 1) if direction > 0 else (1, length, -1))
-    return runs
+def _source(cell: int, direction: int, length: int, boundary: str) -> int:
+    """The cell that shifted(a, direction)[cell] reads along an axis: the
+    neighbour, or past the edge the far edge cell (periodic) or itself."""
+    near = cell + direction
+    if 0 <= near < length:
+        return near
+    return near % length if boundary == "periodic" else cell
 
 
 @lru_cache(maxsize=None)
-def _regions(axis: int, length: int, direction: int, boundary: str,
-             rows: Optional[tuple] = None) -> tuple:
-    """(cells, sources) index pairs with shifted(a)[cells] == a[sources],
-    for the cells in the window ``rows`` = (r0, r1) of the axis, indexed
-    from r0 (the whole axis when None)."""
+def _plan(contiguous: bool, shape: tuple, axis: int, boundary: str, direction: int,
+          rows: Optional[tuple] = None) -> tuple:
+    """(flat, interior, edges, seams) of a translate (``direction`` +1 or
+    -1) or a difference (0) along ``axis`` of an array of ``shape``, for
+    the rows ``rows`` of axis 0 that a C-contiguous out holds.
+    ``interior`` = (cells, *sources) slices, of the flat views when
+    ``flat``; edges and seams = (cells, *sources) of the edge cells, which
+    the interior call crosses only when they are seams."""
+    if not contiguous:
+        raise ValueError("out must be a C-contiguous array")
+    directions = (direction,) if direction else (+1, -1)
+    length = shape[axis]
     r0, r1 = (0, length) if rows is None else rows
-    lead = (slice(None),) * axis
-    regions = []
-    for start, stop, off in _runs(length, direction, boundary):
-        lo, hi = max(start, r0), min(stop, r1)
-        if lo < hi:
-            regions.append((lead + (slice(lo - r0, hi - r0),),
-                            lead + (slice(lo + off, hi + off),)))
-    return tuple(regions)
+    # interior cells have every neighbour inside the axis; off axis 0 one
+    # cell is a step of s in the flat view, and one run spans all lines
+    lo = max(r0, 1 if -1 in directions else 0)
+    hi = min(r1, length - 1 if +1 in directions else length)
+    interior = (slice(0, 0),) * (1 + len(directions))
+    if lo < hi:
+        s = math.prod(shape[axis + 1:]) if axis else 1
+        cells = slice((lo - r0) * s, math.prod(shape) - (length - hi) * s if axis else hi - r0)
+        interior = (cells,) + tuple(slice(cells.start + (r0 + d) * s, cells.stop + (r0 + d) * s)
+                                    for d in directions)
+    # the other cells of the window, each with its source per direction
+    picks = [(i - r0,) + tuple(_source(i, d, length, boundary) for d in directions)
+             for i in sorted({*range(r0, lo), *range(hi, r1)})]
+    if axis:
+        lead = (slice(None),) * axis
+        return True, interior, (), tuple(tuple(lead + (slice(j, j + 1),) for j in pick)
+                                         for pick in picks)
+    # on axis 0 both edge cells go in one strided call when slices pick them
+    if len(picks) == 2 and all(a != b for a, b in zip(*picks)):
+        return False, interior, (tuple(slice(a, 2 * b - a if 2 * b >= a else None, b - a)
+                                       for a, b in zip(*picks)),), ()
+    return False, interior, tuple(tuple(slice(j, j + 1) for j in pick) for pick in picks), ()
 
 
-@lru_cache(maxsize=None)
-def _difference_regions(axis: int, length: int, boundary: str,
-                        rows: Optional[tuple] = None) -> tuple:
-    """(cells, plus, minus) index triples with shifted(a, +1)[cells] ==
-    a[plus] and shifted(a, -1)[cells] == a[minus]: the overlaps of the
-    runs of both directions, in the window ``rows`` as in ``_regions``."""
-    r0, r1 = (0, length) if rows is None else rows
-    lead = (slice(None),) * axis
-    triples = []
-    for start_p, stop_p, off_p in _runs(length, +1, boundary):
-        for start_m, stop_m, off_m in _runs(length, -1, boundary):
-            lo, hi = max(start_p, start_m, r0), min(stop_p, stop_m, r1)
-            if lo < hi:
-                triples.append((lead + (slice(lo - r0, hi - r0),),
-                                lead + (slice(lo + off_p, hi + off_p),),
-                                lead + (slice(lo + off_m, hi + off_m),)))
-    return tuple(triples)
+def _flat_views(out: np.ndarray, data: np.ndarray) -> tuple:
+    """The flat views that an off-axis plan indexes; out holds data's shape."""
+    if out.shape != data.shape:
+        raise ValueError(f"out must have the shape {data.shape}, got {out.shape}")
+    return out.ravel(), data.ravel()
 
 
 def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
@@ -210,52 +210,46 @@ def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
     """Neighbor values along a spatial axis: direction +1 samples at x + h
     (the forward translate), -1 at x - h.  Periodic wraps the far edge
     cell in, outflow replicates the near one.  Written to ``out`` (a new
-    array when None; it must not be ``data``)."""
+    array when None; one that overlaps ``data`` is rejected)."""
     if out is None:
         out = np.empty(data.shape, dtype=data.dtype)
-    for cells, sources in _regions(axis, data.shape[axis], direction, boundary):
+    elif np.may_share_memory(out, data):
+        raise ValueError("out must not overlap data")
+    flat, (cells, sources), edges, seams = _plan(
+        out.flags.c_contiguous, data.shape, axis, boundary, direction)
+    o, d = _flat_views(out, data) if flat else (out, data)
+    o[cells] = d[sources]
+    for cells, sources in edges + seams:
         out[cells] = data[sources]
     return out
-
-
-def _flat_step(out: np.ndarray, data: np.ndarray, axis: int) -> Optional[int]:
-    """The flat stride s of one cell along ``axis`` when the flat pass
-    applies: an axis j >= 1 longer than 2 of C-contiguous ``out`` and
-    ``data`` of one shape.  None selects the region path."""
-    if (axis and data.shape[axis] > 2 and out.shape == data.shape
-            and out.flags.c_contiguous and data.flags.c_contiguous):
-        return math.prod(data.shape[axis + 1:])
-    return None
 
 
 def shift_into(ufunc, out: np.ndarray, data: np.ndarray, axis: int,
                direction: int, boundary: str, rows: Optional[tuple] = None) -> np.ndarray:
     """out = ufunc(out, shifted(data, axis, direction, boundary)) in place,
-    without building the translate: region by region, or as one flat call
-    whose seam is taken from the edge region (see the module docstring).
-    With ``rows`` = (r0, r1), ``out`` holds only the rows r0 <= i < r1 of
-    axis 0: axis 0 reads its neighbours across the window's edges, any
-    other axis reads only data[r0:r1]."""
+    without building the translate (see the module docstring); ``out`` is
+    C-contiguous.  With ``rows`` = (r0, r1), ``out`` holds only the rows
+    r0 <= i < r1 of axis 0: axis 0 reads its neighbours across the
+    window's edges, any other axis reads only data[r0:r1]."""
     if rows is not None and axis:
         data, rows = data[rows[0]:rows[1]], None
-    regions = _regions(axis, data.shape[axis], direction, boundary, rows)
-    s = _flat_step(out, data, axis)
-    if s is None:
-        for cells, sources in regions:
-            view = out[cells]
-            ufunc(view, data[sources], out=view)
-        return out
-    # the edge cells get their value before the flat call overwrites them;
-    # a contiguous copy leaves one operand to numpy's buffers
-    cells, sources = regions[-1]
-    seam = out[cells].copy()
-    ufunc(seam, data[sources], out=seam)
-    o, d = out.ravel(), data.ravel()
-    if direction > 0:
-        ufunc(o[:-s], d[s:], out=o[:-s])
-    else:
-        ufunc(o[s:], d[:-s], out=o[s:])
-    out[cells] = seam
+    flat, (cells, sources), edges, seams = _plan(
+        out.flags.c_contiguous, data.shape, axis, boundary, direction, rows)
+    o, d = _flat_views(out, data) if flat else (out, data)
+    if seams:
+        # their values, before the interior call overwrites them; a
+        # contiguous copy leaves one operand to numpy's buffers
+        saved = [out[seam].copy() for seam, _ in seams]
+        for value, (_, source) in zip(saved, seams):
+            ufunc(value, data[source], out=value)
+    view = o[cells]
+    ufunc(view, d[sources], out=view)
+    for cells, sources in edges:
+        # not in place: on a one-element row numpy takes twice as long in place
+        out[cells] = ufunc(out[cells], data[sources])
+    if seams:
+        for value, (seam, _) in zip(saved, seams):
+            out[seam] = value
     return out
 
 
@@ -263,39 +257,44 @@ def neighbour_difference(data: np.ndarray, axis: int, boundary: str,
                          out: Optional[np.ndarray] = None,
                          rows: Optional[tuple] = None) -> np.ndarray:
     """shifted(+1) - shifted(-1) along one axis, in one pass over the data,
-    written to ``out`` (a new array when None): region by region, or as
-    one flat call with the two edge regions written after it (see the
-    module docstring).  With ``rows`` = (r0, r1), only the rows
-    r0 <= i < r1 of axis 0, which ``out`` holds, as in ``shift_into``."""
+    written to ``out`` (a new array when None; C-contiguous), the edge
+    cells after the interior (see the module docstring).  With ``rows`` =
+    (r0, r1), only the rows r0 <= i < r1 of axis 0, which ``out`` holds,
+    as in ``shift_into``."""
     if out is None:
         shape = data.shape if rows is None else (rows[1] - rows[0],) + data.shape[1:]
         out = np.empty(shape, dtype=np.result_type(data, 1.0))
     if rows is not None and axis:
         data, rows = data[rows[0]:rows[1]], None
-    triples = _difference_regions(axis, data.shape[axis], boundary, rows)
-    s = _flat_step(out, data, axis)
-    if s is None:
-        for cells, plus, minus in triples:
-            np.subtract(data[plus], data[minus], out=out[cells])
-        return out
-    o, d = out.ravel(), data.ravel()
-    np.subtract(d[2 * s:], d[:-2 * s], out=o[s:-s])
-    for cells, plus, minus in triples[1:]:
-        # the edge cells, through a contiguous copy as in shift_into
-        seam = data[plus].copy()
-        np.subtract(seam, data[minus], out=seam)
-        out[cells] = seam
+    flat, (cells, plus, minus), edges, seams = _plan(
+        out.flags.c_contiguous, data.shape, axis, boundary, 0, rows)
+    o, d = _flat_views(out, data) if flat else (out, data)
+    np.subtract(d[plus], d[minus], out=o[cells])
+    for cells, plus, minus in edges:
+        np.subtract(data[plus], data[minus], out=out[cells])
+    for cells, plus, minus in seams:
+        # through a contiguous copy, as in shift_into
+        value = data[plus].copy()
+        np.subtract(value, data[minus], out=value)
+        out[cells] = value
     return out
 
 
+def _subtract_from(held, translate, out=None):
+    """The ufunc form of ``shift_into`` that writes translate - held."""
+    return np.subtract(translate, held, out=out)
+
+
 def second_difference(data: np.ndarray, axis: int, boundary: str,
-                      out: Optional[np.ndarray] = None,
-                      spare: Optional[np.ndarray] = None) -> np.ndarray:
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """(shifted(+1) - 2 data) + shifted(-1) along one axis, written to
-    ``out``; ``spare`` holds 2 data.  Both are arrays shaped like data,
-    other than data, new ones when None."""
-    out = shifted(data, axis, +1, boundary, out=out)
-    out -= np.multiply(data, 2.0, out=spare)
+    ``out`` (a new array when None; C-contiguous, other than data), which
+    holds 2 data until the +1 translate is subtracted from it."""
+    if out is None:
+        out = np.empty(data.shape, dtype=np.result_type(data, 1.0))
+    # data + data is 2 data bit for bit, without a scalar operand
+    np.add(data, data, out=out)
+    shift_into(_subtract_from, out, data, axis, +1, boundary)
     return shift_into(np.add, out, data, axis, -1, boundary)
 
 

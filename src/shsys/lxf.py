@@ -36,8 +36,8 @@ call on the whole grid, and the scratch of the differences and products
 is sized to the largest window.  A state that fits one window is swept
 whole.
 
-Off axis 0 a translate is one flat ufunc call (``grid.shift_into``), and
-no sum starts from a zero fill.
+A translate is one interior ufunc call (flat off axis 0) and its edge
+cells (``grid.shift_into``), and no sum starts from a zero fill.
 """
 
 from __future__ import annotations
@@ -388,8 +388,8 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     data = state.data
     fu = np.asarray(law.flux[0](data), dtype=float)
     # the operations of data - c (tau+ f - tau- f) + d ((tau+ u - 2u) + tau- u),
-    # in that order; out holds 2u until the flux difference overwrites it
-    laplacian = second_difference(data, 0, state.boundary, out=spare, spare=out)
+    # in that order; the heat term is built in spare, from 2u up
+    laplacian = second_difference(data, 0, state.boundary, out=spare)
     laplacian *= eps * k / h ** 2
     new = neighbour_difference(fu, 0, state.boundary, out=out)
     new *= k / (2.0 * h)

@@ -100,6 +100,18 @@ class TestShifts:
         out = shifted(data, 0, -1, "outflow")
         assert np.allclose(out[:, 0], [0, 0, 1, 2])
 
+    def test_shifted_rejects_an_out_overlapping_data(self):
+        # shifted(x, out=x) returned [1, 2, 3, 4, 1] here, without an error
+        data = np.arange(5.0)
+        with pytest.raises(ValueError, match="out must not overlap"):
+            shifted(data, 0, +1, "periodic", out=data)
+        with pytest.raises(ValueError, match="out must not overlap"):
+            shifted(data[:4], 0, -1, "outflow", out=data[1:])
+        assert data.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        out = np.empty(5)
+        assert shifted(data, 0, +1, "periodic", out=out) is out
+        assert out.tolist() == [1.0, 2.0, 3.0, 4.0, 0.0]
+
     @settings(deadline=None)
     @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=4, max_side=5),
                       elements=st.floats(-1e3, 1e3)))

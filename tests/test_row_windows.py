@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 from shsys import grid, profiles
 from shsys.core import MatrixField, SystemDef
 from shsys.entropy import ConservationLaw
-from shsys.grid import (GridField, _regions, _difference_regions, centered_diff,
+from shsys.grid import (GridField, _plan, _subtract_from, centered_diff,
                         neighbour_difference, row_windows, shift_into)
 from shsys.lxf import (SchemeConfig, law_rhs, lxf_average, lxf_step, run, system_rhs,
                        viscous_step)
 from shsys.models import maxwell_system, wave_system
 
+from test_grid_profiles import roll_shift
 from test_step_workspace import CASES, burgers_case, maxwell_wave
 
 WHOLE = 10 ** 12    # a budget every test grid fits
@@ -87,12 +88,12 @@ class TestWindowTable:
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_whole_axis_window_is_the_default_table(self, length, boundary):
-        for axis in range(3):
-            for direction in (1, -1):
-                assert (_regions(axis, length, direction, boundary, (0, length))
-                        == _regions(axis, length, direction, boundary))
-            assert (_difference_regions(axis, length, boundary, (0, length))
-                    == _difference_regions(axis, length, boundary))
+        # rows reach the stencil plans on axis 0 only: off axis 0 they are
+        # cut from the data before the plan is looked up
+        for shape in [(length,), (length, 3), (length, 2, 4)]:
+            for direction in [1, -1, 0]:
+                assert (_plan(True, shape, 0, boundary, direction, (0, length))
+                        == _plan(True, shape, 0, boundary, direction))
 
 
 class TestWindowedStencils:
@@ -121,25 +122,6 @@ class TestWindowedStencils:
         assert lxf_average(field, rows=rows).tobytes() == whole_avg[r0:r1].tobytes()
 
 
-def region_shift_into(ufunc, out, data, axis, direction, boundary, rows):
-    """shift_into's region path: one ufunc call per region of the table."""
-    if rows is not None and axis:
-        data, rows = data[rows[0]:rows[1]], None
-    for cells, sources in _regions(axis, data.shape[axis], direction, boundary, rows):
-        view = out[cells]
-        ufunc(view, data[sources], out=view)
-    return out
-
-
-def region_difference(data, axis, boundary, out, rows):
-    """neighbour_difference's region path."""
-    if rows is not None and axis:
-        data, rows = data[rows[0]:rows[1]], None
-    for cells, plus, minus in _difference_regions(axis, data.shape[axis], boundary, rows):
-        np.subtract(data[plus], data[minus], out=out[cells])
-    return out
-
-
 def as_floats(*patterns):
     return np.array(patterns, dtype=np.uint64).view(float).tolist()
 
@@ -164,35 +146,36 @@ def bits(a):
 
 
 class TestFlatPass:
-    """Off axis 0, shift_into and neighbour_difference take one flat
-    ufunc call on C-contiguous arrays and rewrite the seam cells from the
-    edge regions; the region path is the reference, bit for bit."""
+    """Every stencil call runs one plan: one interior call, on the flat
+    views off axis 0, and the edge cells.  The np.roll reference holds the
+    results, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_flat_pass_equals_the_region_path(self, draw):
-        n = draw.draw(st.integers(2, 3))
+    def test_plan_path_equals_the_roll_reference(self, draw):
+        n = draw.draw(st.integers(1, 3))
         m = draw.draw(st.integers(1, 3))
         shape = tuple(draw.draw(st.integers(1, 5)) for _ in range(n)) + (m,)
         axis = draw.draw(st.integers(0, n - 1))
         boundary = draw.draw(st.sampled_from(["periodic", "outflow"]))
-        rows = None
+        rows, window = None, slice(None)
         if draw.draw(st.booleans()):
             r0 = draw.draw(st.integers(0, shape[0] - 1))
             rows = (r0, draw.draw(st.integers(r0 + 1, shape[0])))
+            window = slice(*rows)
         part = shape if rows is None else (rows[1] - rows[0],) + shape[1:]
         nan = draw.draw(st.sampled_from(NANS))
         data = stencil_arrays(draw, shape, nan)
         start = stencil_arrays(draw, part, nan)
+        plus, minus = (roll_shift(data, axis, d, boundary)[window] for d in (1, -1))
         with np.errstate(all="ignore"):
-            for ufunc in (np.add, np.subtract):
-                for direction in (1, -1):
+            for ufunc in (np.add, np.subtract, _subtract_from):
+                for direction, translate in ((1, plus), (-1, minus)):
                     got = shift_into(ufunc, start.copy(), data, axis, direction, boundary, rows)
-                    want = region_shift_into(ufunc, start.copy(), data, axis, direction,
-                                             boundary, rows)
+                    want = ufunc(start, translate)
                     np.testing.assert_array_equal(bits(got), bits(want))
             got = neighbour_difference(data, axis, boundary, rows=rows)
-            want = region_difference(data, axis, boundary, np.full(part, np.nan), rows)
+            want = plus - minus
         np.testing.assert_array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
@@ -214,12 +197,37 @@ class TestFlatPass:
                     want = shift_into(np.add, start.copy(), copy, axis, direction, boundary)
                     np.testing.assert_array_equal(bits(got), bits(want))
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_a_strided_out_is_rejected(self, axis):
+        # the flat views of a strided out would be a copy, so the writes
+        # would be lost without an error
+        data = RNG.normal(size=(4, 5, 3, 2))
+        buf = np.zeros((4, 5, 3, 4))
+        field = GridField.zeros((4, 5, 3), 0.5, 0.0, 2).with_data(data)
+        for out in (buf[..., ::2], buf[..., :2], np.zeros((4, 5, 3, 2), order="F")):
+            assert not out.flags.c_contiguous
+            with pytest.raises(ValueError, match="out must be a C-contiguous"):
+                shift_into(np.add, out, data, axis, 1, "periodic")
+            with pytest.raises(ValueError, match="out must be a C-contiguous"):
+                neighbour_difference(data, axis, "outflow", out=out)
+            with pytest.raises(ValueError, match="out must be a C-contiguous"):
+                centered_diff(field, axis, out=out)
+        assert not buf.any()
+
+    def test_an_out_of_another_shape_is_rejected_off_axis_0(self):
+        data = RNG.normal(size=(4, 5, 3, 2))
+        with pytest.raises(ValueError, match="out must have the shape"):
+            shift_into(np.add, np.zeros((4, 5, 6)), data, 1, 1, "periodic")
+        with pytest.raises(ValueError, match="out must have the shape"):
+            neighbour_difference(data, 2, "outflow", out=np.zeros((4, 3, 5, 2)))
+
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
-    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_off_axis_stencils_allocate_only_a_seam(self, axis, boundary):
-        # the region path ran numpy's buffered iterator, 175-199 KB a call;
-        # the flat pass allocates a seam of 1/16 of the state (12 KB) and
-        # one operand buffer of that size
+        # a strided region runs through numpy's buffered iterator, 175-199
+        # KB a call; off axis 0 the flat pass allocates a seam of 1/16 of
+        # the state (12 KB) and one operand buffer of that size, and axis
+        # 0 has no seam
         data = RNG.normal(size=(16, 16, 16, 6))
         out = np.empty_like(data)
         calls = [lambda: shift_into(np.add, out, data, axis, 1, boundary),
@@ -232,7 +240,7 @@ class TestFlatPass:
 def call_peak(call, repeats=3):
     """Traced peak memory of a call above what was held when it began, the
     smallest over ``repeats`` calls after a warm-up that fills the
-    region-table caches.  The cyclic collector is paused, and a call that
+    plan cache.  The cyclic collector is paused, and a call that
     something else allocated during counts only if every call did."""
     call()
     gc.collect()
