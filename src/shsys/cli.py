@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import MISSING, fields
 
 from .config import ConfigError, RunConfig, parse_config
 from .grid import GridField
-from .lxf import SchemeConfig, run as run_scheme
+from .lxf import SCHEME_KEYS, SchemeConfig, run as run_scheme
 from .output import RunLog, write_trace, write_verdicts_csv
 from .registry import CHECKS, MODELS, NEEDS, PROFILES, ExecutionError
 
@@ -41,20 +42,23 @@ def _build_grid(cfg: RunConfig, m: int = 1) -> GridField:
 
 
 def _scheme_config(cfg: RunConfig) -> SchemeConfig:
-    s = cfg.scheme
-    if "lambda" not in s or "t_end" not in s:
-        raise ExecutionError("[scheme] needs 'lambda' and 't_end'")
-    return SchemeConfig(lam=s["lambda"], t_end=s["t_end"],
-                        cfl_safety=s.get("cfl_safety", 0.9), viscosity=s.get("viscosity", 0.0),
-                        output_stride=s.get("output_stride", 1))
+    required = [SCHEME_KEYS[f.name].key for f in fields(SchemeConfig) if f.default is MISSING]
+    if any(key not in cfg.scheme for key in required):
+        raise ExecutionError("[scheme] needs " + " and ".join(f"'{key}'" for key in required))
+    return SchemeConfig(**{name: cfg.scheme[spec.key] for name, spec in SCHEME_KEYS.items()
+                           if spec.key in cfg.scheme})
 
 
 def execute(cfg: RunConfig, output_dir=None, threads: int = 1,
             seed: int = 0, checks_only: bool = False) -> int:
     """Run a validated config; writes artifacts and returns the exit code."""
     out_dir = output_dir or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    log = RunLog(os.path.join(out_dir, "run.ndjson"))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        log = RunLog(os.path.join(out_dir, "run.ndjson"))
+    except OSError as exc:
+        print(f"error: cannot write the output directory: {exc}", file=sys.stderr)
+        return 2
     log.event("config", **cfg.echo())
     log.event("invocation", threads=threads, seed=seed, checks_only=checks_only)
 
@@ -125,10 +129,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        with open(args.config) as handle:
+        with open(args.config, encoding="utf-8") as handle:
             cfg = parse_config(handle.read())
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config file {args.config}: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         for line, message in exc.errors:

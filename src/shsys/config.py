@@ -19,6 +19,8 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from . import registry
+from .grid import BOUNDARY_MODES
+from .lxf import SCHEME_KEYS
 
 # value kinds: float, int, str, list_float, list_int, list_str, enum:<...>
 _SCHEMA = {
@@ -31,15 +33,9 @@ _SCHEMA = {
         "shape": "list_int",
         "h": "float",
         "origin": "list_float",
-        "boundary": "enum:periodic,outflow",
+        "boundary": "enum:" + ",".join(BOUNDARY_MODES),
     },
-    "scheme": {
-        "lambda": "float",
-        "cfl_safety": "float",
-        "t_end": "float",
-        "output_stride": "int",
-        "viscosity": "float",
-    },
+    "scheme": {spec.key: spec.kind for spec in SCHEME_KEYS.values()},
     "initial": {
         "profile": "enum:" + ",".join(registry.PROFILES),
         **{key: kind for entry in registry.PROFILES.values()
@@ -51,11 +47,7 @@ _SCHEMA = {
 
 # (section, key) -> (test that flags a bad parsed value, what the error says)
 _LIMITS = {
-    ("scheme", "lambda"): (lambda v: v <= 0, "must be positive"),
-    ("scheme", "cfl_safety"): (lambda v: not 0 < v <= 1, "must lie in (0, 1]"),
-    ("scheme", "t_end"): (lambda v: v < 0, "must be non-negative"),
-    ("scheme", "output_stride"): (lambda v: v < 1, "must be >= 1"),
-    ("scheme", "viscosity"): (lambda v: v < 0, "must be non-negative"),
+    **{("scheme", spec.key): (spec.bad, spec.rule) for spec in SCHEME_KEYS.values()},
     ("grid", "h"): (lambda v: v <= 0, "must be positive"),
     ("grid", "shape"): (lambda v: any(s < 1 for s in v), "entries must be >= 1"),
     ("model", "gamma"): (lambda v: v <= 1, "must exceed 1"),
@@ -119,7 +111,7 @@ def _parse_value(kind, raw, line, errors):
 
 
 def _entry_errors(section: str, selector: str, what: str, table: dict,
-                  values: dict, lines: dict, seen: set) -> list:
+                  values: dict, lines: dict) -> list:
     """Errors for the keys of a ``[model]`` or ``[initial]`` section
     against the table entry its ``selector`` key names: each key the entry
     does not take, on its line, and each required key never given, on the
@@ -132,7 +124,7 @@ def _entry_errors(section: str, selector: str, what: str, table: dict,
                f" (it accepts: {', '.join(entry.keys) or 'no keys'})")
               for key in values if key != selector and key not in entry.keys]
     return errors + [(lines[section, selector], f"{what} '{name}' needs key '{key}'")
-                     for key in entry.required if (section, key) not in seen]
+                     for key in entry.required if (section, key) not in lines]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -140,8 +132,7 @@ def parse_config(text: str) -> RunConfig:
     its line number."""
     errors = []
     sections = {name: {} for name in _SCHEMA}
-    seen = set()
-    lines = {}
+    lines = {}  # (section, key) -> the line that gives it, valid or not
     current = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -164,10 +155,10 @@ def parse_config(text: str) -> RunConfig:
             continue
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        if (current, key) in seen:
+        if (current, key) in lines:
             errors.append((lineno, f"duplicate key '{key}' in [{current}]"))
             continue
-        seen.add((current, key))
+        lines[current, key] = lineno
 
         if current == "checks" and "." in key:
             check, _, param = key.partition(".")
@@ -192,19 +183,18 @@ def parse_config(text: str) -> RunConfig:
         value = _parse_value(_SCHEMA[current][key], raw_value, lineno, errors)
         if value is not None:
             sections[current][key] = value
-            lines[current, key] = lineno
             bad, rule = _LIMITS.get((current, key), (None, ""))
             if bad is not None and bad(value):
                 errors.append((lineno, f"'{key}' {rule}"))
 
     # a selector given with a bad value has its own error on its line
-    if ("model", "name") not in seen:
+    if ("model", "name") not in lines:
         errors.append((0, "missing required key 'name' in [model]"))
     errors += _entry_errors("model", "name", "model", registry.MODELS,
-                            sections["model"], lines, seen)
+                            sections["model"], lines)
     errors += _entry_errors("initial", "profile", "profile", registry.PROFILES,
-                            sections["initial"], lines, seen)
-    if ("initial", "profile") not in seen:
+                            sections["initial"], lines)
+    if ("initial", "profile") not in lines:
         errors += [(lines["initial", key], f"[initial] key '{key}' needs a 'profile'")
                    for key in sections["initial"]]
     names = sections["checks"].get("names", [])

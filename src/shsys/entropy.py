@@ -228,8 +228,10 @@ def hessian_symmetrizer(law: ConservationLaw, pair: EntropyPair,
     Returns (sigma, verdict): sigma is hess U as a MatrixField and the
     verdict comes from the SH check of the quasi-linear form M^0 = I,
     M^j = df^j/du with symmetrizer sigma over the samples (defaults to a
-    tensor grid on the state box), so hess U is evaluated once per
-    sample.  Convexity failure at a sample raises.
+    tensor grid on the state box).  hess U is evaluated twice per
+    sample, in two stacked calls: once for the convexity test and once as
+    the symmetrizer inside ``is_sh``.  Convexity failure at a sample
+    raises.
     """
     states = (sample_box(*law.state_box, per_axis=per_axis)
               if samples is None else _as_states(law, samples))

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,9 +60,30 @@ class StabilityError(RuntimeError):
     """CFL precondition violated at run start."""
 
 
+class SchemeKey(NamedTuple):
+    """A SchemeConfig field's ``[scheme]`` key, its value kind (as in
+    ``config``), the test that flags a bad value and what the error says."""
+
+    key: str
+    kind: str
+    bad: Callable[[float], bool]
+    rule: str
+
+
+# field -> its [scheme] key and limit; the defaults live on SchemeConfig only
+SCHEME_KEYS = {
+    "lam": SchemeKey("lambda", "float", lambda v: v <= 0, "must be positive"),
+    "t_end": SchemeKey("t_end", "float", lambda v: v < 0, "must be non-negative"),
+    "cfl_safety": SchemeKey("cfl_safety", "float", lambda v: not 0 < v <= 1, "must lie in (0, 1]"),
+    "output_stride": SchemeKey("output_stride", "int", lambda v: v < 1, "must be >= 1"),
+    "viscosity": SchemeKey("viscosity", "float", lambda v: v < 0, "must be non-negative"),
+}
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Integration parameters.  The time step is always k = lam * h."""
+    """Integration parameters, bounded by ``SCHEME_KEYS``.  The time step
+    is always k = lam * h."""
 
     lam: float                  # CFL ratio k/h
     t_end: float
@@ -71,19 +92,12 @@ class SchemeConfig:
     viscosity: float = 0.0      # eps >= 0; 1D conservation laws only
 
     def __post_init__(self):
-        for name in ("lam", "t_end", "cfl_safety", "viscosity"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lam <= 0:
-            raise ValueError("lambda (k/h) must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be non-negative")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.output_stride < 1:
-            raise ValueError("output_stride must be >= 1")
-        if self.viscosity < 0:
-            raise ValueError("viscosity must be non-negative")
+        for name, spec in SCHEME_KEYS.items():
+            value = getattr(self, name)
+            if spec.kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if spec.bad(value):
+                raise ValueError(f"{name} {spec.rule}, got {value}")
 
 
 @dataclass
@@ -491,19 +505,16 @@ def run(system, initial: GridField, config: SchemeConfig,
     a_star = check_stability(system, initial, config)
     trace.a_star = a_star
 
-    if config.viscosity > 0 and not isinstance(system, ConservationLaw):
-        raise ValueError("viscosity applies to conservation laws only")
-    if isinstance(system, ConservationLaw):
-        rhs = law_rhs(system)
-    elif isinstance(system, SystemDef):
-        rhs = system_rhs(system)
-    else:
-        raise TypeError(f"cannot integrate object of type {type(system).__name__}")
     if config.viscosity > 0:
+        if not isinstance(system, ConservationLaw):
+            raise ValueError("viscosity applies to conservation laws only")
         stepper = partial(viscous_step, law=system, config=config,
                           spare=np.empty(initial.data.shape))
-    else:
+    elif isinstance(system, (ConservationLaw, SystemDef)):
+        rhs = law_rhs(system) if isinstance(system, ConservationLaw) else system_rhs(system)
         stepper = partial(lxf_step, rhs=rhs, config=config)
+    else:
+        raise TypeError(f"cannot integrate object of type {type(system).__name__}")
 
     h = _uniform_h(initial)
     k = config.lam * h

@@ -32,15 +32,21 @@ from .grid import GridField, centered_diff, interior_mask, l2_norm
 
 @dataclass(frozen=True)
 class ConstraintMonitor:
-    """Named scalar diagnostic of a snapshot (a norm of a constraint
-    residual field; zero on constraint-satisfying data up to
-    discretization error)."""
+    """Named scalar diagnostic of a snapshot: the L2 norm over the cells of
+    ``interior_mask`` of the constraint residual ``fn(snapshot)``, a field
+    of the grid's shape with at most one component axis (zero on
+    constraint-satisfying data up to discretization error)."""
 
     name: str
-    fn: Callable[[GridField], float]
+    fn: Callable[[GridField], np.ndarray]
 
     def evaluate(self, snapshot: GridField) -> float:
-        return float(self.fn(snapshot))
+        residual = self.fn(snapshot)
+        shape = np.shape(residual)
+        if shape[:snapshot.n] != snapshot.shape or len(shape) > snapshot.n + 1:
+            raise ValueError(f"monitor '{self.name}' residual has shape {shape}; "
+                             f"expected {snapshot.shape} or {snapshot.shape} + (c,)")
+        return l2_norm(snapshot, residual, mask=interior_mask(snapshot))
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +180,10 @@ def wave_system(a_j, a_jk, forcing=None, n=None):
     sys = SystemDef(n=n, m=m, coeff=tuple(coeff), source=source,
                     symmetrizer=sigma)
 
-    def gradient_residual(field: GridField) -> float:
-        mask = interior_mask(field)
-        resid = np.stack(
+    def gradient_residual(field: GridField) -> np.ndarray:
+        return np.stack(
             [field.data[..., 1 + j] - centered_diff(field, j, field.data[..., 0])
              for j in range(n)], axis=-1)
-        return l2_norm(field, resid, mask=mask)
 
     return sys, ConstraintMonitor("gradient_constraint", gradient_residual)
 
@@ -227,16 +231,8 @@ def maxwell_system(rho=None, current=None):
 
     rho_fn = rho if callable(rho) else (lambda coords, r=float(rho or 0.0): r)
 
-    def div_e_residual(field: GridField) -> float:
-        mask = interior_mask(field)
-        return l2_norm(field, _div(field, 0) - rho_fn(field.coords()), mask=mask)
-
-    def div_b_residual(field: GridField) -> float:
-        mask = interior_mask(field)
-        return l2_norm(field, _div(field, 3), mask=mask)
-
-    return sys, (ConstraintMonitor("div_e", div_e_residual),
-                 ConstraintMonitor("div_b", div_b_residual))
+    return sys, (ConstraintMonitor("div_e", lambda f: _div(f, 0) - rho_fn(f.coords())),
+                 ConstraintMonitor("div_b", lambda f: _div(f, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +462,7 @@ def ck_realify(a, b=None):
     if float(np.max(res)) > 1e-12:
         raise RuntimeError(f"realified coefficients asymmetric by {np.max(res):.3e}")
 
-    def cr_residual(field: GridField) -> float:
-        mask = interior_mask(field)
+    def cr_residual(field: GridField) -> np.ndarray:
         parts = []
         for comp in range(mc):
             u_c = field.data[..., comp] + 1j * field.data[..., mc + comp]
@@ -476,6 +471,6 @@ def ck_realify(a, b=None):
             resid = resid + 1j * (centered_diff(field, 1, u_c.real)
                                   + 1j * centered_diff(field, 1, u_c.imag))
             parts.extend([resid.real, resid.imag])
-        return l2_norm(field, np.stack(parts, axis=-1), mask=mask)
+        return np.stack(parts, axis=-1)
 
     return sys, ConstraintMonitor("cauchy_riemann", cr_residual)

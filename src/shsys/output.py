@@ -113,18 +113,13 @@ def _jsonable(value):
 
 
 def write_trace(out_dir, trace):
-    """snapshots/NNNN.csv and monitors/<name>.csv under out_dir; returns
-    the snapshot index -> time mapping."""
+    """snapshots/NNNN.csv and monitors/<name>.csv under out_dir."""
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
-    mapping = []
-    for i, (t, snap) in enumerate(zip(trace.times, trace.snapshots)):
-        name = f"{i:04d}.csv"
-        write_snapshot_csv(os.path.join(snap_dir, name), snap)
-        mapping.append((name, t))
+    for i, snap in enumerate(trace.snapshots):
+        write_snapshot_csv(os.path.join(snap_dir, f"{i:04d}.csv"), snap)
     if trace.monitors:
         mon_dir = os.path.join(out_dir, "monitors")
         os.makedirs(mon_dir, exist_ok=True)
         for name, series in trace.monitors.items():
             write_monitor_csv(os.path.join(mon_dir, f"{name}.csv"), series)
-    return mapping

@@ -298,12 +298,12 @@ class ResolutionError(RuntimeError):
 
 def viscous_limit_compare(law: ConservationLaw, pair: EntropyPair, u_l: float,
                           u_r: float, eps_list: Sequence[float],
-                          grid: GridField, t: float,
-                          cfl_safety: float = 0.9) -> list:
+                          grid: GridField, t: float) -> list:
     """Evolve step data under decreasing viscosities and measure the L1
     distance to the exact Riemann solution at time t.
 
     Refuses h > eps/4 (unresolved viscosity invalidates the comparison).
+    Each run takes SchemeConfig's default cfl_safety.
     Returns rows (eps, l1_distance, final snapshot); distances are
     expected non-increasing along a decreasing eps list.
     """
@@ -321,9 +321,8 @@ def viscous_limit_compare(law: ConservationLaw, pair: EntropyPair, u_l: float,
         if h > eps / 4.0:
             raise ResolutionError(
                 f"h = {h:.4g} exceeds eps/4 = {eps / 4.0:.4g}: viscosity unresolved")
-        k = cfl_safety * min(h ** 2 / (2.0 * eps), h / (2.0 * a_max))
-        config = SchemeConfig(lam=k / h, t_end=t, cfl_safety=cfl_safety,
-                              output_stride=10 ** 9, viscosity=eps)
+        k = SchemeConfig.cfl_safety * min(h ** 2 / (2.0 * eps), h / (2.0 * a_max))
+        config = SchemeConfig(lam=k / h, t_end=t, output_stride=10 ** 9, viscosity=eps)
         initial = grid.with_data(step_data.copy())
         trace = run(law, initial, config)
         if not trace.completed:

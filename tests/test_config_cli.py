@@ -8,6 +8,7 @@ from shsys import registry
 from shsys.cli import execute, main
 from shsys.config import ConfigError, parse_config
 from shsys.entropy import ConvergenceError
+from shsys.lxf import SCHEME_KEYS, SchemeConfig
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 SIM_CHECKS = [name for name, check in registry.CHECKS.items()
@@ -226,6 +227,21 @@ class TestParseConfig:
             parse_config(text)
         assert (len(text.splitlines()),
                 f"value '{value}' is not finite (nan and inf are rejected)") in info.value.errors
+
+    # a value outside each SchemeConfig field's limit, keyed by field
+    OUT_OF_LIMIT = {"lam": 0.0, "t_end": -0.5, "cfl_safety": 1.5,
+                    "output_stride": 0, "viscosity": -0.1}
+
+    @pytest.mark.parametrize("name, spec", SCHEME_KEYS.items(), ids=list(SCHEME_KEYS))
+    def test_scheme_limits_follow_the_table(self, name, spec):
+        value = self.OUT_OF_LIMIT[name]
+        assert spec.bad(value)
+        text = f"[model]\nname = burgers\n[scheme]\n{spec.key} = {value}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == [(4, f"'{spec.key}' {spec.rule}")]
+        with pytest.raises(ValueError, match=re.escape(f"{name} {spec.rule}")):
+            SchemeConfig(**{"lam": 0.5, "t_end": 1.0, name: value})
 
 
 class TestExecute:
@@ -575,6 +591,25 @@ class TestCliMain:
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/config.txt"]) == 2
 
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.txt"
+        config_path.write_bytes(b"[model]\nname = burgers\n# \xff\xfe\n")
+        assert main(["run", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    def test_output_dir_is_a_file(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.txt"
+        config_path.write_text(MINIMAL)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(config_path), "--output-dir", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write the output directory")
+        assert taken.read_text() == ""
+
 
 class TestReproducibility:
     def test_two_runs_byte_identical(self, tmp_path):
@@ -621,3 +656,57 @@ rh.u_right = 0.0
         assert trees[0].keys() == trees[1].keys()
         for rel in trees[0]:
             assert trees[0][rel] == trees[1][rel], rel
+
+
+# the rerun-and-diff configs of the CI workflow, each with its last snapshot
+WORKFLOW_RERUNS = {
+    "wave": ("[model]\nname = wave\n[grid]\nshape = 32, 32\nh = 0.03125\n"
+             "boundary = periodic\n[scheme]\nlambda = 0.4\nt_end = 0.05\n"
+             "output_stride = 1\n[initial]\nprofile = plane-wave\n"
+             "amplitude = 1.0, -0.5, 0.25, 0.75\nmodes = 1, 2\n", "0004.csv"),
+    "wave-outflow": ("[model]\nname = wave\n[grid]\nshape = 32, 32\nh = 0.03125\n"
+                     "boundary = outflow\n[scheme]\nlambda = 0.4\nt_end = 0.05\n"
+                     "output_stride = 1\n[initial]\nprofile = bump\nradius = 0.6\n"
+                     "center = 0.5, 0.5\n", "0004.csv"),
+    "burgers": ("[model]\nname = burgers\n[grid]\nshape = 2500\nh = 0.0008\n"
+                "origin = -0.9996\nboundary = outflow\n[scheme]\nlambda = 0.9\n"
+                "t_end = 0.2\noutput_stride = 25\n[initial]\nprofile = step\n"
+                "left = 1.0\nright = 0.0\njump_at = -0.3\n", "0012.csv"),
+    "euler": ("[model]\nname = euler_sh\n[grid]\nshape = 32, 32\nh = 0.03125\n"
+              "boundary = outflow\n[scheme]\nlambda = 0.2\nt_end = 0.05\n"
+              "output_stride = 2\n[initial]\nprofile = step\nleft = 1.2, 0.1, 0.0\n"
+              "right = 1.0, 0.1, 0.0\njump_at = 0.4\n", "0004.csv"),
+    "maxwell": ("[model]\nname = maxwell\n[grid]\nshape = 12, 12, 12\n"
+                "h = 0.0833333333333333\nboundary = outflow\n[scheme]\nlambda = 0.25\n"
+                "t_end = 0.1\noutput_stride = 2\n[initial]\nprofile = bump\n"
+                "radius = 0.4\ncenter = 0.5, 0.5, 0.5\n", "0002.csv"),
+    "wave-short": ("[model]\nname = wave\n[grid]\nshape = 32, 2\nh = 0.03125\n"
+                   "boundary = periodic\n[scheme]\nlambda = 0.4\nt_end = 0.05\n"
+                   "output_stride = 1\n[initial]\nprofile = plane-wave\n"
+                   "amplitude = 1.0, -0.5, 0.25, 0.75\nmodes = 1, 1\n", "0004.csv"),
+}
+
+
+def read_tree(root_dir):
+    """Relative path -> bytes of every file under root_dir."""
+    tree = {}
+    for root, _, files in os.walk(root_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                tree[os.path.relpath(path, root_dir)] = handle.read()
+    return tree
+
+
+@pytest.mark.parametrize("name", WORKFLOW_RERUNS)
+def test_workflow_config_reruns_byte_identical(tmp_path, name):
+    text, last_snapshot = WORKFLOW_RERUNS[name]
+    config_path = tmp_path / f"{name}.cfg"
+    config_path.write_text(text)
+    trees = []
+    for run_dir in ("a", "b"):
+        out_dir = tmp_path / run_dir
+        assert main(["run", str(config_path), "--output-dir", str(out_dir)]) == 0
+        assert (out_dir / "snapshots" / last_snapshot).is_file()
+        trees.append(read_tree(out_dir))
+    assert trees[0] == trees[1]

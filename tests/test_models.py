@@ -7,10 +7,10 @@ from numpy.polynomial import polynomial as P
 from shsys import profiles
 from shsys.core import is_sh, symmetry_residual, system_samples
 from shsys.energy import energy
-from shsys.grid import GridField
+from shsys.grid import GridField, centered_diff, interior_mask, l2_norm
 from shsys import models
 from shsys.lxf import SchemeConfig, max_char_speed, run, system_rhs
-from shsys.models import (burgers_law, ck_realify, euler_conservative_1d,
+from shsys.models import (ConstraintMonitor, burgers_law, ck_realify, euler_conservative_1d,
                           euler_conservative_to_primitive,
                           euler_polytropic_sh, euler_primitive_to_conservative,
                           euler_sound_speed, maxwell_system,
@@ -435,3 +435,54 @@ class TestBurgersLawVectorization:
             fc = P.polyint(np.concatenate([[0.0], 2.0 * dc]))
             assert np.array(pair.flux[0](u0)).tobytes() == np.array(
                 float(P.polyval(float(u0[0]), fc))).tobytes()
+
+
+def _masked_norm(field: GridField, residual) -> float:
+    return l2_norm(field, residual, mask=interior_mask(field))
+
+
+class TestConstraintMonitor:
+    """Each shipped monitor is the interior-masked L2 norm of its residual
+    field, bit for bit; the residuals below are spelled out by hand."""
+
+    def test_wave_gradient_constraint_on_outflow_grid(self):
+        _, monitor = wave_system(np.array([0.1, -0.2]), np.array([[2.0, 0.3], [0.3, 1.0]]))
+        field = GridField.zeros((7, 6), 0.125, 0.0, 4, boundary="outflow")
+        field = field.with_data(RNG.normal(size=field.data.shape))
+        u = field.data
+        residual = np.stack([u[..., 1 + j] - centered_diff(field, j, u[..., 0])
+                             for j in range(2)], axis=-1)
+        assert monitor.evaluate(field) == _masked_norm(field, residual)
+
+    def test_maxwell_divergences_on_outflow_grid(self):
+        _, (div_e, div_b) = maxwell_system(rho=lambda x: x[..., 0] * x[..., 2])
+        field = GridField.zeros((5, 6, 4), 0.25, 0.125, 6, boundary="outflow")
+        field = field.with_data(RNG.normal(size=field.data.shape))
+        u, x = field.data, field.coords()
+        div = [sum(centered_diff(field, j, u[..., offset + j]) for j in range(3))
+               for offset in (0, 3)]
+        assert div_e.evaluate(field) == _masked_norm(field, div[0] - x[..., 0] * x[..., 2])
+        assert div_b.evaluate(field) == _masked_norm(field, div[1])
+
+    def test_cauchy_riemann_on_outflow_grid(self):
+        _, monitor = ck_realify(np.array([[1.0 + 0.5j, 0.0], [0.2j, 2.0]]))
+        field = GridField.zeros((6, 5), 0.25, 0.0, 4, boundary="outflow")
+        field = field.with_data(RNG.normal(size=field.data.shape))
+        parts = []
+        for comp in range(2):
+            re, im = field.data[..., comp], field.data[..., 2 + comp]
+            d_x = centered_diff(field, 0, re) + 1j * centered_diff(field, 0, im)
+            d_y = centered_diff(field, 1, re) + 1j * centered_diff(field, 1, im)
+            resid = d_x + 1j * d_y
+            parts.extend([resid.real, resid.imag])
+        assert monitor.evaluate(field) == _masked_norm(field, np.stack(parts, axis=-1))
+
+    @pytest.mark.parametrize("fn", [
+        lambda f: 1.0,                                   # the old float contract
+        lambda f: f.data[1:, :, 0],                      # one row short
+        lambda f: f.data[..., None],                     # two component axes
+    ])
+    def test_residual_not_shaped_like_the_grid_raises(self, fn):
+        field = GridField.zeros((4, 3), 0.25, 0.0, 2)
+        with pytest.raises(ValueError, match=r"monitor 'bad'.*expected \(4, 3\)"):
+            ConstraintMonitor("bad", fn).evaluate(field)

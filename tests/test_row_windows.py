@@ -180,7 +180,8 @@ class TestFlatPass:
 
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
     def test_component_slice_equals_its_contiguous_copy(self, boundary):
-        # a component slice is not contiguous, so it takes the region path
+        # a component slice is not contiguous: the plan reads it in place
+        # along axis 0 and copies it once by its flat view along the others
         data = RNG.normal(size=(4, 5, 3, 3))
         data[1, 2, 0] = [-0.0, np.nan, np.inf]
         component = data[..., 1]
