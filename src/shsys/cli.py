@@ -41,12 +41,14 @@ def _build_grid(cfg: RunConfig, m: int = 1) -> GridField:
                            m=m, boundary=grid.get("boundary", "periodic"))
 
 
-def _scheme_config(cfg: RunConfig) -> SchemeConfig:
+def _scheme_config(cfg: RunConfig) -> SchemeConfig | None:
+    """The ``[scheme]`` SchemeConfig; None when no required key is given."""
     required = [SCHEME_KEYS[f.name].key for f in fields(SchemeConfig) if f.default is MISSING]
-    if any(key not in cfg.scheme for key in required):
+    given = [key for key in required if key in cfg.scheme]
+    if given and given != required:
         raise ExecutionError("[scheme] needs " + " and ".join(f"'{key}'" for key in required))
     return SchemeConfig(**{name: cfg.scheme[spec.key] for name, spec in SCHEME_KEYS.items()
-                           if spec.key in cfg.scheme})
+                           if spec.key in cfg.scheme}) if given else None
 
 
 def execute(cfg: RunConfig, output_dir=None, threads: int = 1,
@@ -70,9 +72,8 @@ def execute(cfg: RunConfig, output_dir=None, threads: int = 1,
             cfg.model, max(1, len(cfg.grid.get("shape", [1]))))
 
         trace = None
-        if (not checks_only and model.kind in ("law", "system")
-                and cfg.scheme.get("t_end", 0.0) > 0.0):
-            scheme = _scheme_config(cfg)
+        scheme = None if checks_only else _scheme_config(cfg)
+        if scheme is not None and scheme.t_end > 0.0 and model.kind in ("law", "system"):
             grid = _build_grid(cfg, model.system.m)
             profile = cfg.initial.get("profile")
             if profile is None:
@@ -83,8 +84,7 @@ def execute(cfg: RunConfig, output_dir=None, threads: int = 1,
                 log.event("scheme", **event)
             write_trace(out_dir, trace)
             if trace.error is not None:
-                log.event("error", message=trace.error)
-                return 2
+                raise ExecutionError(trace.error)
 
         rows = []
         for name in cfg.checks:

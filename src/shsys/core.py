@@ -25,6 +25,8 @@ import numpy as np
 SYMMETRY_RTOL = 1e-10
 #: relative pivot tolerance for positive-definiteness
 PD_RTOL = 1e-10
+#: symmetry tolerance where finite-difference Jacobians enter the matrices
+FD_SYMMETRY_TOL = 1e-6
 
 
 def batch_checked(out, expected: tuple, tail: int, what: str) -> np.ndarray:
@@ -171,21 +173,21 @@ def _sym_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def positive_definite(mat, tol: Optional[float] = None, sym_tol: Optional[float] = None):
+def positive_definite(mat, tol: Optional[float] = None):
     """True iff the triangular factorization of (mat + mat^T)/2 succeeds
     with all pivots > tol; a stack (..., m, m) gives one verdict per
     matrix, (...).
 
     ``tol`` defaults to PD_RTOL relative to the largest diagonal entry of
-    each matrix; finite input asymmetric beyond ``sym_tol`` (relative to
-    its largest entry) is an error, not a False.  A matrix with a NaN or
+    each matrix; finite input asymmetric beyond SYMMETRY_RTOL (relative
+    to its largest entry) is an error, not a False.  A matrix with a NaN or
     infinite entry is not positive definite.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     finite = np.isfinite(a).all(axis=(-2, -1))
-    if np.any(_asymmetry(a, tol=sym_tol)[1] & finite):
+    if np.any(_asymmetry(a)[1] & finite):
         raise ValueError("matrix is not symmetric within tolerance")
     s = _sym_part(a)
     if tol is None:
@@ -228,8 +230,7 @@ def symmetry_residual(sys: SystemDef, samples: Sequence) -> np.ndarray:
     return np.array([np.max(_asymmetry(s)[0]) for s in _symmetrized(sys, x, u)])
 
 
-def is_sh(sys: SystemDef, samples: Sequence, sym_tol: Optional[float] = None,
-          pd_tol: Optional[float] = None) -> SHVerdict:
+def is_sh(sys: SystemDef, samples: Sequence, sym_tol: Optional[float] = None) -> SHVerdict:
     """Check symmetry of all sigma*M^alpha and positive definiteness of
     k_alpha * sigma M^alpha at every sample; reports the first failing
     sample, and there the asymmetry of the lowest alpha before the
@@ -237,7 +238,7 @@ def is_sh(sys: SystemDef, samples: Sequence, sym_tol: Optional[float] = None,
     x, u = _stack_samples(sys, samples)
     mats = [np.broadcast_to(s, (len(x), sys.m, sys.m)) for s in _symmetrized(sys, x, u)]
     asym, bad = _asymmetry(np.stack(mats, axis=1), tol=sym_tol)
-    pd = positive_definite(_sym_part(sum(k * s for k, s in zip(sys.direction, mats))), tol=pd_tol)
+    pd = positive_definite(_sym_part(sum(k * s for k, s in zip(sys.direction, mats))))
     asymmetric = bad.any(axis=-1)
     fails = asymmetric | ~pd
     failing = reason = None

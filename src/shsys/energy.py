@@ -58,7 +58,7 @@ class LinearSystem:
     """
 
     def __init__(self, n: int, m: int, q, a: Sequence, b=None, forcing=None,
-                 check_points=None, c_min: float = 0.0):
+                 check_points=None):
         if len(a) != n:
             raise ValueError(f"need n = {n} advection coefficients, got {len(a)}")
         self.n = int(n)
@@ -68,22 +68,21 @@ class LinearSystem:
         self.b = None if b is None else _coefficient(b, m)
         self.forcing = forcing
         if check_points is not None:
-            self.validate_on(check_points, c_min=c_min)
+            self.validate_on(check_points)
 
-    def validate_on(self, points, c_min: float = 0.0,
-                    sym_tol: float = 1e-10) -> float:
-        """Check symmetry of Q, A^j and min pivot of Q at the given (t, x)
-        points; returns the smallest Q pivot seen."""
+    def validate_on(self, points) -> float:
+        """Check symmetry of Q, A^j (to SYMMETRY_RTOL) and min pivot of Q > 0 at
+        the given (t, x) points; returns the smallest Q pivot seen."""
         t, x = _unzip(points)
         names = ["Q"] + [f"A^{j + 1}" for j in range(self.n)]
         mats = [_at(c, spacetime(t, x)) for c in (self.q, *self.a)]
-        asym, bad = _asymmetry(np.stack(mats, axis=1), rtol=sym_tol)
+        asym, bad = _asymmetry(np.stack(mats, axis=1))
         if bad.any():
             i, k = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(f"{names[k]} asymmetric by {asym[i, k]:.3e} at t={t[i]}, x={x[i]}")
         min_pivot = float(np.min(ldlt_pivots(_sym_part(mats[0]))))
-        if min_pivot <= c_min:
-            raise ValueError(f"Q has min pivot {min_pivot:.3e} <= {c_min}")
+        if min_pivot <= 0.0:
+            raise ValueError(f"Q has min pivot {min_pivot:.3e} <= 0.0")
         return min_pivot
 
     def as_system(self) -> SystemDef:
@@ -147,8 +146,8 @@ class DampingResult:
     marginal: bool  # PD holds only at the tolerance boundary (lam -> 0+)
 
 
-def damping_lambda(sys: LinearSystem, samples, bisect_tol: float = 1e-6) -> DampingResult:
-    """Smallest lam >= 0 (bisection to bisect_tol) making C + 2 lam Q
+def damping_lambda(sys: LinearSystem, samples) -> DampingResult:
+    """Smallest lam >= 0 (bisection to a width of 1e-6) making C + 2 lam Q
     positive definite at all (t, x) samples.
 
     Replacing u by v exp(lam t) turns B into B + lam Q, hence C into
@@ -173,14 +172,14 @@ def damping_lambda(sys: LinearSystem, samples, bisect_tol: float = 1e-6) -> Damp
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("no damping rate below 1e12 makes C positive definite")
-    lo = 0.0
-    while hi - lo > bisect_tol:
+    lo, width = 0.0, 1e-6
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if pd_at(mid):
             hi = mid
         else:
             lo = mid
-    if hi <= bisect_tol:
+    if hi <= width:
         return DampingResult(0.0, marginal=True)
     return DampingResult(hi, marginal=False)
 

@@ -24,8 +24,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .core import (MatrixField, SystemDef, _asymmetry, batch_checked, is_sh,
-                   positive_definite, sample_box)
+from .core import (FD_SYMMETRY_TOL, SYMMETRY_RTOL, MatrixField, SystemDef, _asymmetry,
+                   batch_checked, is_sh, positive_definite, sample_box)
+
+#: Newton tolerance of ``legendre_dual``, relative to max(1, |v|)
+NEWTON_RTOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -74,11 +77,11 @@ class ConservationLaw:
             return np.asarray(self.flux_jac[j](u), dtype=float)
         return fd.jacobian(self.flux[j], u)
 
-    def contains(self, u, slack: float = 1e-9):
-        """Whether each state of (..., m) lies in the box, as (...)."""
+    def contains(self, u):
+        """Whether each state of (..., m) lies in the box (to 1e-9), as (...)."""
         lo, hi = self.state_box
         u = np.asarray(u, dtype=float)
-        return np.all((u >= lo - slack) & (u <= hi + slack), axis=-1)
+        return np.all((u >= lo - 1e-9) & (u <= hi + 1e-9), axis=-1)
 
 
 def _batched(fn: Callable, what: str, tail: tuple = ()) -> Callable:
@@ -178,12 +181,11 @@ def entropy_variables(pair: EntropyPair, u) -> np.ndarray:
     return pair.gradient(u)
 
 
-def legendre_dual(pair: EntropyPair, v, u_guess, newton_tol: float = 1e-10,
-                  max_iter: int = 50):
+def legendre_dual(pair: EntropyPair, v, u_guess, max_iter: int = 50):
     """Solve grad U(u) = v by damped Newton from u_guess.
 
     Returns (u, g0) with g0 = u . v - U(u), the dual potential value.
-    The residual contract is ||grad U(u) - v||_inf <= newton_tol relative
+    The residual contract is ||grad U(u) - v||_inf <= NEWTON_RTOL relative
     to max(1, |v|).  Stacks (..., m) give g0 of shape (...); each state
     stops once it meets the contract and halves its own step.
     """
@@ -194,12 +196,12 @@ def legendre_dual(pair: EntropyPair, v, u_guess, newton_tol: float = 1e-10,
     res = pair.gradient(u) - target
     for iterations in itertools.count():
         err = np.max(np.abs(res), axis=-1)
-        active = ~(err <= newton_tol * scale)  # a NaN residual is not converged
+        active = ~(err <= NEWTON_RTOL * scale)  # a NaN residual is not converged
         if not active.any():
             break
         if iterations == max_iter:
             raise ConvergenceError(
-                f"Newton did not reach tolerance {newton_tol:g} in {max_iter} iterations "
+                f"Newton did not reach tolerance {NEWTON_RTOL:g} in {max_iter} iterations "
                 f"(residual {float(np.max(err)):.3e})", last=u)
         # converged states solve with I and never take their step
         hess = np.where(active[..., None, None], pair.hessian(u), np.eye(u.shape[-1]))
@@ -246,12 +248,11 @@ def hessian_symmetrizer(law: ConservationLaw, pair: EntropyPair,
         *(MatrixField.of_state(law.m, partial(law.jacobian, j)) for j in range(law.n))))
     # FD Jacobians inside the coefficients loosen the symmetry tolerance
     verdict = is_sh(sys, zip(itertools.repeat(np.zeros(law.n + 1)), states),
-                    sym_tol=None if law.flux_jac is not None else 1e-6)
+                    sym_tol=None if law.flux_jac is not None else FD_SYMMETRY_TOL)
     return sigma, verdict
 
 
-def flux_potential_check(law: ConservationLaw, pair: EntropyPair, samples,
-                         newton_tol: float = 1e-10) -> float:
+def flux_potential_check(law: ConservationLaw, pair: EntropyPair, samples) -> float:
     """Verify the dual potentials: with v = grad U(u) and
     g^j(v) = v . f^j(u(v)) - U^j(u(v)), centered differences in v must give
     dg^j/dv = f^j(u(v)), and U must equal v . u - g0.  Returns the max of
@@ -259,36 +260,35 @@ def flux_potential_check(law: ConservationLaw, pair: EntropyPair, samples,
     and one at every v +- h_a e_a."""
     states = _as_states(law, samples)
     v = pair.gradient(states)
-    u_c, g0 = legendre_dual(pair, v, states, newton_tol=newton_tol)
+    u_c, g0 = legendre_dual(pair, v, states)
     worst = [np.abs(np.sum(v * states, axis=-1) - g0 - pair.value(states))]
     hs = fd.steps(v)
     e = hs[..., None] * np.eye(law.m)  # row a is h_a e_a
     shifted = np.stack([v[:, None] + e, v[:, None] - e])
-    u_s, _ = legendre_dual(pair, shifted, u_c[:, None], newton_tol=newton_tol)
+    u_s, _ = legendre_dual(pair, shifted, u_c[:, None])
     for j in range(law.n):
         g = np.sum(shifted * law.flux[j](u_s), axis=-1) - pair.flux[j](u_s)
         worst.append(np.abs((g[0] - g[1]) / (2.0 * hs) - law.flux[j](u_c)))
     return float(np.max([np.max(w) for w in worst]))
 
 
-def conservative_symmetry_check(law: ConservationLaw, samples,
-                                tol: float = 1e-6) -> list:
-    """Per space index: is df^j/du symmetric at all samples?  (A
-    conservation law is symmetric exactly when its flux Jacobians are.)"""
+def conservative_symmetry_check(law: ConservationLaw, samples) -> list:
+    """Per space index: is df^j/du symmetric (rtol FD_SYMMETRY_TOL) at all
+    samples?  (A conservation law is symmetric exactly when its flux
+    Jacobians are.)"""
     states = _as_states(law, samples)
-    return [not _asymmetry(law.jacobian(j, states), rtol=tol)[1].any()
+    return [not _asymmetry(law.jacobian(j, states), rtol=FD_SYMMETRY_TOL)[1].any()
             for j in range(law.n)]
 
 
-def diffusion_symmetry_check(tensor: DiffusionTensor, samples,
-                             tol: float = 1e-10, x=None) -> bool:
+def diffusion_symmetry_check(tensor: DiffusionTensor, samples) -> bool:
     """True iff B^Ajk_B = B^Bkj_A (block (j,k) equals the transpose of
-    block (k,j)) within tol at all samples."""
+    block (k,j)) within SYMMETRY_RTOL at all samples, at the origin."""
     states = _as_states(tensor.m, samples)
-    x = np.zeros(tensor.n + 1) if x is None else np.asarray(x, dtype=float)
+    x = np.zeros(tensor.n + 1)
     blocks = {jk: tensor(x, states, *jk) for jk in itertools.product(range(tensor.n), repeat=2)}
     for (j, k), bjk in blocks.items():
         gap = np.max(np.abs(bjk - np.swapaxes(blocks[k, j], -1, -2)), axis=(-2, -1))
-        if not np.all(gap <= tol * np.max(np.abs(bjk), axis=(-2, -1), initial=1.0)):
+        if not np.all(gap <= SYMMETRY_RTOL * np.max(np.abs(bjk), axis=(-2, -1), initial=1.0)):
             return False
     return True

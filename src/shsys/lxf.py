@@ -125,9 +125,9 @@ def _uniform_h(state: GridField) -> float:
     return state.h[0]
 
 
-def _sample_cells(field_: GridField, max_samples: int = 512) -> np.ndarray:
+def _sample_cells(field_: GridField) -> np.ndarray:
     total = int(np.prod(field_.shape))
-    stride = max(1, -(-total // max_samples))
+    stride = max(1, -(-total // 512))
     return np.arange(0, total, stride)
 
 

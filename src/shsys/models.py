@@ -381,14 +381,14 @@ def tricomi_certificate_matrix(lam: float, y) -> np.ndarray:
     return _sym2(0.5 + lam * y, lam * y, float(lam))
 
 
-def tricomi_system(lam: float, y_bound: float, samples: int = 1001):
+def tricomi_system(lam: float, y_bound: float):
     """Multiplier form of the Tricomi-type system.
 
     Starting from L = diag(y, 1)(d_x + lam) - [[0,1],[1,0]] d_y, the
     multiplier Z = [[1, y], [1, 1]] yields K = Z L whose positivity matrix
     is [[1/2 + lam y, lam y], [lam y, lam]].  The certificate samples its
-    smallest factorization pivot on |y| <= y_bound; it is positive exactly
-    when lam is positive and small enough for the bound.
+    smallest factorization pivot at 1001 points of |y| <= y_bound; it is
+    positive exactly when lam is positive and small enough for the bound.
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
@@ -400,12 +400,12 @@ def tricomi_system(lam: float, y_bound: float, samples: int = 1001):
         lam=lam, a1=a1, a2=MatrixField(2, lambda pt, u: _sym2(-pt[..., 1], -1.0, -1.0)),
         b=MatrixField(2, lambda pt, u: lam * a1(pt, u)))
 
-    ys = np.linspace(-y_bound, y_bound, samples)
+    ys = np.linspace(-y_bound, y_bound, 1001)
     pivots = np.min(ldlt_pivots(tricomi_certificate_matrix(lam, ys)), axis=-1)
     worst = int(np.argmin(pivots))
     min_pivot = float(pivots[worst])
     cert = PositivityCertificate(positive=min_pivot > 0.0, min_pivot=min_pivot,
-                                 worst_y=float(ys[worst]), samples=samples)
+                                 worst_y=float(ys[worst]), samples=ys.size)
     return system, cert
 
 

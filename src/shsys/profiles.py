@@ -39,8 +39,8 @@ def bump(grid: GridField, amplitude, radius: float, center=None) -> GridField:
     return grid.with_data(profile[..., np.newaxis] * amplitude)
 
 
-def plane_wave(grid: GridField, amplitude, modes, phase: float = 0.0) -> GridField:
-    """amp_A * sin(sum_j 2 pi modes_j (x_j - origin_j) / L_j + phase) with
+def plane_wave(grid: GridField, amplitude, modes) -> GridField:
+    """amp_A * sin(sum_j 2 pi modes_j (x_j - origin_j) / L_j) with
     L_j the domain extent, so integer modes are grid-periodic."""
     amplitude = np.broadcast_to(np.asarray(amplitude, dtype=float), (grid.m,))
     modes = np.broadcast_to(np.asarray(modes, dtype=float), (grid.n,))
@@ -49,7 +49,7 @@ def plane_wave(grid: GridField, amplitude, modes, phase: float = 0.0) -> GridFie
     for j in range(grid.n):
         extent = grid.shape[j] * grid.h[j]
         arg += 2.0 * np.pi * modes[j] * (coords[..., j] - grid.origin[j]) / extent
-    return grid.with_data(np.sin(arg + phase)[..., np.newaxis] * amplitude)
+    return grid.with_data(np.sin(arg)[..., np.newaxis] * amplitude)
 
 
 def from_csv(grid: GridField, path) -> GridField:

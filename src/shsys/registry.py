@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import profiles
-from .core import is_sh, sample_box, system_samples
+from .core import SYMMETRY_RTOL, is_sh, sample_box, system_samples
 from .energy import energy as grid_energy, support_test
 from .entropy import entropy_pair_residual, hessian_symmetrizer
 from .models import (advection_law, burgers_law, ck_realify,
@@ -169,7 +169,7 @@ def _is_sh(params, model, trace, out_dir, make_grid):
     else:
         verdict = is_sh(model.system, system_samples(model.system, *box, per_axis))
     return [VerdictRow("is_sh", verdict.is_sh, float(np.max(verdict.residuals)),
-                       "symmetry rtol 1e-10, pivots > 0")]
+                       f"symmetry rtol {SYMMETRY_RTOL:g}, pivots > 0")]
 
 
 def _entropy_pair(params, model, trace, out_dir, make_grid):
@@ -223,7 +223,7 @@ def _rh(params, model, trace, out_dir, make_grid):
     resid = float(np.max(np.abs(rh_residual(law, ul, ur, c))))
     rows.append(VerdictRow("rh.residual", resid <= tol, resid, tol))
     if model.pair is not None:
-        verdict = entropy_admissible(law, model.pair, ul, ur, c)
+        verdict = entropy_admissible(law, model.pair, ul, ur, c, tol=tol)
         rows.append(VerdictRow("rh.production", verdict.admissible,
                                verdict.production, tol))
     return rows
@@ -238,7 +238,7 @@ def _riemann(params, model, trace, out_dir, make_grid):
         kind_code = {"constant": 0.0, "rarefaction": 1.0}[sol.kind]
         return [VerdictRow(f"riemann.{sol.kind}", True, kind_code, "-")]
     resid = float(np.max(np.abs(rh_residual(law, [ul], [ur], sol.speed))))
-    verdict = entropy_admissible(law, pair, [ul], [ur], sol.speed)
+    verdict = entropy_admissible(law, pair, [ul], [ur], sol.speed, tol=tol)
     return [VerdictRow("riemann.rh_speed", True, sol.speed, "derived"),
             VerdictRow("riemann.rh_residual", resid <= tol, resid, tol),
             VerdictRow("riemann.entropy_production", verdict.admissible,

@@ -101,13 +101,12 @@ def shock_candidate(law: ConservationLaw, pair: EntropyPair, u_l, u_r,
                           production=verdict.production)
 
 
-def genuine_nonlinearity(law: ConservationLaw, u, index: int,
-                         gap_tol: float = 1e-8) -> float:
+def genuine_nonlinearity(law: ConservationLaw, u, index: int) -> float:
     """Directional derivative of the index-th characteristic speed along
     its right eigenvector (unit norm, first nonzero component positive).
 
     Zero marks a linearly degenerate field.  The eigenvalue must be simple:
-    a neighbor closer than gap_tol raises.
+    a neighbor closer than 1e-8 raises.
     """
     u = _vec(u, law.m)
 
@@ -122,7 +121,7 @@ def genuine_nonlinearity(law: ConservationLaw, u, index: int,
     if not 0 <= index < law.m:
         raise ValueError(f"field index must lie in [0, {law.m})")
     gaps = [abs(vals[index] - vals[i]) for i in range(law.m) if i != index]
-    if gaps and min(gaps) < gap_tol:
+    if gaps and min(gaps) < 1e-8:
         raise ValueError(
             f"characteristic speed {index} is not simple (gap {min(gaps):.3e})")
     r = vecs[:, index]
@@ -156,12 +155,12 @@ class RiemannSolution:
         return out
 
 
-def _check_convex(fprime, u_lo: float, u_hi: float, tol: float = 1e-7):
+def _check_convex(fprime, u_lo: float, u_hi: float):
     us = np.linspace(u_lo, u_hi, 201)
     slopes = fprime(us)
     second = np.diff(slopes) / np.diff(us)
     scale = max(1.0, float(np.max(np.abs(slopes))))
-    if second.size and float(np.min(second)) < -tol * scale:
+    if second.size and float(np.min(second)) < -1e-7 * scale:
         raise ValueError(
             f"flux is not convex on [{u_lo:.6g}, {u_hi:.6g}] "
             f"(second derivative reaches {float(np.min(second)):.3e})")
@@ -205,19 +204,18 @@ def riemann_scalar(law: ConservationLaw, u_l: float, u_r: float,
                            fan=(xi_l, xi_r), _inverse=inverse)
 
 
-def shock_detect(snapshot: GridField, threshold: float = 0.25,
-                 merge_gap: int = 1, extend_frac: float = 0.1) -> list:
+def shock_detect(snapshot: GridField, threshold: float = 0.25) -> list:
     """Locate discontinuities in a 1D snapshot.
 
     Interfaces where some component jumps by more than threshold times
     max(1, that component's range) are flagged.  The averaging step of the
     scheme decouples odd and even cells at steep fronts, interleaving the
-    strong interfaces with zero ones, so flags separated by up to
-    ``merge_gap`` quiet interfaces are clustered together, and each
-    cluster is extended outward over interfaces still carrying at least
-    ``extend_frac`` of its peak jump.  Returns (position, jump) per
-    cluster: the jump-weighted mean interface position, and the state
-    difference across the cluster (right minus left).
+    strong interfaces with zero ones, so flags separated by at most one
+    quiet interface are clustered together, and each cluster is extended
+    outward over interfaces still carrying at least a tenth of its peak
+    jump.  Returns (position, jump) per cluster: the jump-weighted mean
+    interface position, and the state difference across the cluster
+    (right minus left).
     """
     if snapshot.n != 1:
         raise ValueError("shock detection is 1D")
@@ -241,7 +239,7 @@ def shock_detect(snapshot: GridField, threshold: float = 0.25,
             continue
         j = i
         while j + 1 < flagged.size:
-            ahead = flagged[j + 1:j + 2 + merge_gap]
+            ahead = flagged[j + 1:j + 3]
             if not ahead.any():
                 break
             j += 1 + int(np.argmax(ahead))
@@ -251,15 +249,15 @@ def shock_detect(snapshot: GridField, threshold: float = 0.25,
     out = []
     for lo, hi in clusters:
         peak = float(np.max(strength[lo:hi + 1]))
-        floor = extend_frac * peak
+        floor = 0.1 * peak
         while lo > 0:
-            window = strength[max(0, lo - 1 - merge_gap):lo]
+            window = strength[max(0, lo - 2):lo]
             live = np.nonzero(window >= floor)[0]
             if live.size == 0:
                 break
-            lo = max(0, lo - 1 - merge_gap) + int(live[-1])
+            lo = max(0, lo - 2) + int(live[-1])
         while hi + 1 < strength.size:
-            window = strength[hi + 1:hi + 2 + merge_gap]
+            window = strength[hi + 1:hi + 3]
             live = np.nonzero(window >= floor)[0]
             if live.size == 0:
                 break

@@ -337,6 +337,25 @@ rh.speed = 0.7
         rows = read_verdicts(tmp_path / "out")
         assert rows["rh.residual"][0] == "false"
 
+    def test_rh_production_is_judged_by_the_check_tolerance(self, tmp_path):
+        # the jump 0 -> 1 at speed 1/2 produces 1/6 of entropy, under rh.tol
+        text = ("[model]\nname = burgers\n[checks]\nnames = rh\n"
+                "rh.u_left = 0.0\nrh.u_right = 1.0\nrh.tol = 0.2\n")
+        out = tmp_path / "out"
+        assert execute(parse_config(text), output_dir=str(out)) == 0
+        rows = (out / "verdicts.csv").read_text().splitlines()
+        assert "rh.production,true,0.16666666666666663,0.2" in rows
+
+    def test_t_end_0_and_check_integrate_nothing(self, tmp_path):
+        text = ("[model]\nname = burgers\n[grid]\nshape = 10\nh = 0.1\n"
+                "[initial]\nprofile = step\nleft = 1.0\nright = 0.0\n[scheme]\nlambda = 0.9\n")
+        # shsys check does not read [scheme], so lambda alone is no error
+        assert execute(parse_config(text), output_dir=str(tmp_path / "c"), checks_only=True) == 0
+        out = tmp_path / "out"
+        assert execute(parse_config(text + "t_end = 0.0\n"), output_dir=str(out)) == 0
+        assert not (out / "snapshots").exists()
+        assert not any(e["event"] == "scheme" for e in read_events(out))
+
     def test_support_check_on_advection(self, tmp_path):
         text = """
 [model]
@@ -469,13 +488,15 @@ viscous_limit.t = 0.2
     @pytest.mark.parametrize("sections, message", [
         ("[scheme]\nt_end = 0.1\n[grid]\nshape = 10\nh = 0.1\n[initial]\nprofile = constant\n",
          "[scheme] needs 'lambda' and 't_end'"),
+        ("[scheme]\nlambda = 0.9\n[grid]\nshape = 10\nh = 0.1\n[initial]\nprofile = constant\n",
+         "[scheme] needs 'lambda' and 't_end'"),
         ("[scheme]\nlambda = 0.5\nt_end = 0.1\n[grid]\nh = 0.1\n",
          "[grid] needs at least 'shape' and 'h'"),
         ("[scheme]\nlambda = 0.5\nt_end = 0.1\n[grid]\nshape = 10\nh = 0.1\norigin = 0, 1\n",
          "[grid] origin length must match shape"),
         ("[scheme]\nlambda = 0.5\nt_end = 0.1\n[grid]\nshape = 10\nh = 0.1\n",
          "[initial] needs a profile for time integration"),
-    ], ids=["scheme-lambda", "grid-keys", "grid-origin", "profile"])
+    ], ids=["scheme-lambda", "scheme-t_end", "grid-keys", "grid-origin", "profile"])
     def test_run_set_up_errors_exit_2(self, tmp_path, sections, message):
         out = tmp_path / "out"
         assert execute(parse_config("[model]\nname = burgers\n" + sections),
@@ -609,6 +630,18 @@ class TestCliMain:
         assert main(["run", str(config_path), "--output-dir", str(taken)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write the output directory")
         assert taken.read_text() == ""
+
+    def test_aborted_run_prints_its_error(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.txt"
+        config_path.write_text("[model]\nname = euler_sh\n[grid]\nshape = 32\nh = 0.03125\n"
+                               "[scheme]\nlambda = 0.3\nt_end = 0.1\n"
+                               "[initial]\nprofile = constant\nvalue = -1.0, 0.0\n")
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--output-dir", str(out)]) == 2
+        message = "state outside box at cell (0,) component 0 after step 0"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert error_messages(out) == [message]
+        assert not (out / "verdicts.csv").exists()
 
 
 class TestReproducibility:
