@@ -5,7 +5,7 @@ admissibility, and a library of worked example systems."""
 
 from .core import (MatrixField, SHVerdict, SystemDef, characteristic_speeds,
                    direction_matrix, is_sh, ldlt_pivots, positive_definite,
-                   sample_box, symmetry_residual, system_samples)
+                   sample_box, symmetry_residual)
 from .energy import (DampingResult, LinearSystem, SupportVerdict, c_matrix,
                      cone_slope, damping_lambda, energy, support_test)
 from .entropy import (ConservationLaw, ConvergenceError, DiffusionTensor,

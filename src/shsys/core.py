@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -197,21 +197,25 @@ def positive_definite(mat, tol: Optional[float] = None):
     return np.all(pivots > np.asarray(tol)[..., None], axis=-1) & finite
 
 
-def _unzip(pairs) -> tuple:
-    """A non-empty sequence of pairs as two stacked float arrays."""
-    pairs = list(pairs)
-    if not pairs:
+def _sample_batch(sys, x, u) -> tuple:
+    """Points x (..., n+1) and states u (..., m) of ``sys`` (anything with
+    ``n`` and ``m``) as float arrays broadcast to their common batch; an
+    empty batch is an error."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    if x.shape[-1:] != (sys.n + 1,) or u.shape[-1:] != (sys.m,):
+        raise ValueError(f"points must have length n+1 = {sys.n + 1}, states m = {sys.m}")
+    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+    if 0 in batch:
         raise ValueError("need at least one sample")
-    return tuple(np.array(v, dtype=float) for v in zip(*pairs))
+    return np.broadcast_to(x, batch + x.shape[-1:]), np.broadcast_to(u, batch + u.shape[-1:])
 
 
-def _stack_samples(sys: SystemDef, samples: Sequence):
-    """(x, u) sample pairs as a (S, n+1) stack of points and a (S, m)
-    stack of states."""
-    x, u = _unzip(samples)
-    if x.shape[1:] != (sys.n + 1,) or u.shape[1:] != (sys.m,):
-        raise ValueError(f"samples must pair points of length n+1 = {sys.n + 1} "
-                         f"with states of length m = {sys.m}")
+def _first_if_constant(sys: SystemDef, x, u) -> tuple:
+    """``_sample_batch`` of x and u, cut to its first point when every field
+    is constant (every point then has the same matrices)."""
+    x, u = _sample_batch(sys, x, u)
+    if all(f is None or f.const is not None for f in (*sys.coeff, sys.symmetrizer)):
+        return x[(0,) * (x.ndim - 1)][None], u[(0,) * (u.ndim - 1)][None]
     return x, u
 
 
@@ -222,29 +226,30 @@ def _symmetrized(sys: SystemDef, x, u) -> list:
     return [sig @ c(x, u) for c in sys.coeff]
 
 
-def symmetry_residual(sys: SystemDef, samples: Sequence) -> np.ndarray:
-    """Per-alpha max over samples of the largest entry of |S - S^T| with
-    S = sigma * M^alpha.  All-zero residuals certify symmetry at the
-    sampled states."""
-    x, u = _stack_samples(sys, samples)
-    return np.array([np.max(_asymmetry(s)[0]) for s in _symmetrized(sys, x, u)])
+def symmetry_residual(sys: SystemDef, x, u) -> np.ndarray:
+    """Per-alpha max over the points x (..., n+1) and states u (..., m) of
+    the largest entry of |S - S^T| with S = sigma * M^alpha, the residuals
+    of ``is_sh``.  All-zero residuals certify symmetry at the samples."""
+    return is_sh(sys, x, u).residuals
 
 
-def is_sh(sys: SystemDef, samples: Sequence, sym_tol: Optional[float] = None) -> SHVerdict:
+def is_sh(sys: SystemDef, x, u, sym_tol: Optional[float] = None) -> SHVerdict:
     """Check symmetry of all sigma*M^alpha and positive definiteness of
-    k_alpha * sigma M^alpha at every sample; reports the first failing
-    sample, and there the asymmetry of the lowest alpha before the
-    direction combination."""
-    x, u = _stack_samples(sys, samples)
-    mats = [np.broadcast_to(s, (len(x), sys.m, sys.m)) for s in _symmetrized(sys, x, u)]
-    asym, bad = _asymmetry(np.stack(mats, axis=1), tol=sym_tol)
-    pd = positive_definite(_sym_part(sum(k * s for k, s in zip(sys.direction, mats))))
+    k_alpha * sigma M^alpha at points x (..., n+1) and states u (..., m);
+    reports the first failing sample in C order of the batch, and there the
+    asymmetry of the lowest alpha before the direction combination.  A
+    system whose fields are all constant is checked at its first point."""
+    x, u = (v.reshape(-1, v.shape[-1]) for v in _first_if_constant(sys, x, u))
+    mats = np.stack([np.broadcast_to(s, (len(x), sys.m, sys.m))
+                     for s in _symmetrized(sys, x, u)], axis=1)
+    asym, bad = _asymmetry(mats, tol=sym_tol)
+    pd = positive_definite(_sym_part(sum(k * mats[:, a] for a, k in enumerate(sys.direction))))
     asymmetric = bad.any(axis=-1)
     fails = asymmetric | ~pd
     failing = reason = None
     if fails.any():
         i = int(np.argmax(fails))
-        failing = (x[i], u[i])
+        failing = (np.array(x[i]), np.array(u[i]))
         if asymmetric[i]:
             alpha = int(np.argmax(bad[i]))
             reason = f"sigma*M^{alpha} asymmetric by {asym[i, alpha]:.3e}"
@@ -257,10 +262,12 @@ def is_sh(sys: SystemDef, samples: Sequence, sym_tol: Optional[float] = None) ->
 
 
 def direction_matrix(sys: SystemDef, x, u) -> np.ndarray:
-    """The quadratic form k_alpha * sigma M^alpha at one point (the matrix
-    whose positive definiteness makes the system hyperbolic there)."""
-    x, u = _stack_samples(sys, [(x, u)])
-    return sum(k * s for k, s in zip(sys.direction, _symmetrized(sys, x[0], u[0])))
+    """The quadratic form k_alpha * sigma M^alpha (the matrix whose positive
+    definiteness makes the system hyperbolic) at points x (..., n+1) and
+    states u (..., m), as (..., m, m)."""
+    x, u = _sample_batch(sys, x, u)
+    form = sum(k * s for k, s in zip(sys.direction, _symmetrized(sys, x, u)))
+    return np.broadcast_to(form, x.shape[:-1] + (sys.m, sys.m))
 
 
 def unit_normals(n: int) -> np.ndarray:
@@ -279,9 +286,7 @@ def characteristic_speeds(sys: SystemDef, x, u, normal) -> np.ndarray:
     give (..., m).  S^alpha and the triangular factor of S^0, which must be
     positive definite, are formed once for all normals.
     """
-    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    if x.shape[-1:] != (sys.n + 1,) or u.shape[-1:] != (sys.m,):
-        raise ValueError(f"points must have length n+1 = {sys.n + 1}, states m = {sys.m}")
+    x, u = _sample_batch(sys, x, u)
     normal = np.asarray(normal, dtype=float)
     if normal.shape[-1:] != (sys.n,):
         raise ValueError(f"normals must have length n = {sys.n}")
@@ -289,18 +294,16 @@ def characteristic_speeds(sys: SystemDef, x, u, normal) -> np.ndarray:
     s0 = _sym_part(mats[0])
     a = _sym_part(sum(normal[..., j, None, None] * mats[j + 1] for j in range(sys.n)))
     speeds = generalized_eigenvalues(a, s0)
-    return np.broadcast_to(speeds, np.broadcast_shapes(
-        normal.shape[:-1], x.shape[:-1], u.shape[:-1]) + (sys.m,))
+    return np.broadcast_to(speeds, np.broadcast_shapes(normal.shape[:-1], x.shape[:-1]) + (sys.m,))
 
 
 def max_abs_speed(sys: SystemDef, x, u) -> float:
     """Largest |characteristic speed| over the ``unit_normals`` at points x
     (..., n+1) and states u (..., m); evaluated at one point when every
     coefficient and the symmetrizer is constant."""
-    if all(f is None or f.const is not None for f in (*sys.coeff, sys.symmetrizer)):
-        x, u = np.reshape(x, (-1, sys.n + 1))[:1], np.reshape(u, (-1, sys.m))[:1]
+    x, u = _first_if_constant(sys, x, u)
     normals = unit_normals(sys.n)
-    batch = (1,) * (max(np.ndim(x), np.ndim(u)) - 1)
+    batch = (1,) * (x.ndim - 1)
     speeds = characteristic_speeds(sys, x, u, normals.reshape((-1,) + batch + (sys.n,)))
     return max(0.0, *np.max(np.abs(speeds.reshape(len(normals), -1)), axis=1).tolist())
 
@@ -335,10 +338,3 @@ def sample_box(lo, hi, per_axis: int = 3) -> np.ndarray:
     axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(lo.size)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.reshape(-1) for g in mesh], axis=-1)
-
-
-def system_samples(sys: SystemDef, lo, hi, per_axis: int = 3, x=None) -> list:
-    """(x, u) pairs over a tensor grid of states, at a fixed space-time
-    point (the origin by default)."""
-    x = np.zeros(sys.n + 1) if x is None else np.asarray(x, dtype=float)
-    return [(x, u) for u in sample_box(lo, hi, per_axis)]

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fd
-from .core import (MatrixField, SystemDef, _asymmetry, _sym_part, _unzip, ldlt_pivots,
+from .core import (MatrixField, SystemDef, _asymmetry, _sample_batch, _sym_part, ldlt_pivots,
                    max_abs_speed, positive_definite, spacetime)
 from .grid import GridField
 
@@ -38,6 +38,11 @@ def _coefficient(c, m: int) -> MatrixField:
     return MatrixField.constant(mat)
 
 
+def _points(sys, t, x) -> np.ndarray:
+    """Space-time points (t, x) as a non-empty (S, n+1) stack in C order."""
+    return _sample_batch(sys, spacetime(t, x), np.zeros(sys.m))[0].reshape(-1, sys.n + 1)
+
+
 def _at(field: MatrixField, points) -> np.ndarray:
     """``field`` at space-time points (..., n+1) as (..., m, m), with u = 0:
     linear coefficients do not read the state."""
@@ -52,13 +57,11 @@ class LinearSystem:
     x of shape (..., n) and t an array of shape (...) give (..., m, m),
     and the forcing likewise gives (..., m).  ``q``, ``a[j]`` and ``b`` are
     stored as MatrixFields of the space-time points (t, x_1..x_n), the
-    contract of SystemDef.  Symmetry of Q and the A^j, and positivity of
-    Q, are verified by sampling at construction when ``check_points`` (a
-    sequence of (t, x) pairs) is provided.
+    contract of SystemDef.  ``validate_on`` verifies symmetry of Q and the
+    A^j, and positivity of Q, at sampled points.
     """
 
-    def __init__(self, n: int, m: int, q, a: Sequence, b=None, forcing=None,
-                 check_points=None):
+    def __init__(self, n: int, m: int, q, a: Sequence, b=None, forcing=None):
         if len(a) != n:
             raise ValueError(f"need n = {n} advection coefficients, got {len(a)}")
         self.n = int(n)
@@ -67,19 +70,19 @@ class LinearSystem:
         self.a = tuple(_coefficient(aj, m) for aj in a)
         self.b = None if b is None else _coefficient(b, m)
         self.forcing = forcing
-        if check_points is not None:
-            self.validate_on(check_points)
 
-    def validate_on(self, points) -> float:
+    def validate_on(self, t, x) -> float:
         """Check symmetry of Q, A^j (to SYMMETRY_RTOL) and min pivot of Q > 0 at
-        the given (t, x) points; returns the smallest Q pivot seen."""
-        t, x = _unzip(points)
+        space points x (..., n) and times t (a float or (...)); returns the
+        smallest Q pivot seen."""
+        points = _points(self, t, x)
         names = ["Q"] + [f"A^{j + 1}" for j in range(self.n)]
-        mats = [_at(c, spacetime(t, x)) for c in (self.q, *self.a)]
+        mats = [_at(c, points) for c in (self.q, *self.a)]
         asym, bad = _asymmetry(np.stack(mats, axis=1))
         if bad.any():
             i, k = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ValueError(f"{names[k]} asymmetric by {asym[i, k]:.3e} at t={t[i]}, x={x[i]}")
+            raise ValueError(f"{names[k]} asymmetric by {asym[i, k]:.3e} "
+                             f"at t={points[i, 0]}, x={points[i, 1:]}")
         min_pivot = float(np.min(ldlt_pivots(_sym_part(mats[0]))))
         if min_pivot <= 0.0:
             raise ValueError(f"Q has min pivot {min_pivot:.3e} <= 0.0")
@@ -146,21 +149,22 @@ class DampingResult:
     marginal: bool  # PD holds only at the tolerance boundary (lam -> 0+)
 
 
-def damping_lambda(sys: LinearSystem, samples) -> DampingResult:
+def damping_lambda(sys: LinearSystem, t, x) -> DampingResult:
     """Smallest lam >= 0 (bisection to a width of 1e-6) making C + 2 lam Q
-    positive definite at all (t, x) samples.
+    positive definite at space points x (..., n) and times t (a float or
+    (...)).
 
     Replacing u by v exp(lam t) turns B into B + lam Q, hence C into
     C + 2 lam Q, so solutions damped at this rate have non-increasing
     energy.
     """
-    t, x = _unzip(samples)
-    qm = _sym_part(_at(sys.q, spacetime(t, x)))
+    points = _points(sys, t, x)
+    qm = _sym_part(_at(sys.q, points))
     q_pd = positive_definite(qm)
     if not q_pd.all():
         i = int(np.argmin(q_pd))
-        raise ValueError(f"Q not positive definite at t={t[i]}, x={x[i]}")
-    cm = _sym_part(c_matrix(sys, t, x))
+        raise ValueError(f"Q not positive definite at t={points[i, 0]}, x={points[i, 1:]}")
+    cm = _sym_part(c_matrix(sys, points[:, 0], points[:, 1:]))
 
     def pd_at(lam):
         return bool(np.all(positive_definite(cm + 2.0 * lam * qm)))

@@ -247,7 +247,7 @@ def hessian_symmetrizer(law: ConservationLaw, pair: EntropyPair,
         MatrixField.constant(np.eye(law.m)),
         *(MatrixField.of_state(law.m, partial(law.jacobian, j)) for j in range(law.n))))
     # FD Jacobians inside the coefficients loosen the symmetry tolerance
-    verdict = is_sh(sys, zip(itertools.repeat(np.zeros(law.n + 1)), states),
+    verdict = is_sh(sys, np.zeros(law.n + 1), states,
                     sym_tol=None if law.flux_jac is not None else FD_SYMMETRY_TOL)
     return sigma, verdict
 

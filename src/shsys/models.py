@@ -457,8 +457,7 @@ def ck_realify(a, b=None):
     sys = SystemDef(n=2, m=m, coeff=tuple(coeff), source=source)
 
     # the construction is symmetric by algebra; a residual here is a bug
-    probe = [(np.zeros(3), np.zeros(m))]
-    res = symmetry_residual(sys, probe)
+    res = symmetry_residual(sys, np.zeros(3), np.zeros(m))
     if float(np.max(res)) > 1e-12:
         raise RuntimeError(f"realified coefficients asymmetric by {np.max(res):.3e}")
 

@@ -8,8 +8,8 @@ import numpy as np
 from shsys import profiles
 from shsys.cli import execute
 from shsys.config import parse_config
-from shsys.core import (is_sh, characteristic_speeds, ldlt_pivots,
-                        symmetry_residual, system_samples)
+from shsys.core import (is_sh, characteristic_speeds, ldlt_pivots, sample_box,
+                        symmetry_residual)
 from shsys.energy import energy, support_test
 from shsys.entropy import (entropy_pair_residual, entropy_variables,
                            flux_potential_check, hessian_symmetrizer,
@@ -289,8 +289,8 @@ def test_criterion_09_polytropic_gas_first_order_form():
         sys_ = euler_polytropic_sh(gamma, n=n)
         lo = np.concatenate([[0.1], -3.0 * np.ones(n)])
         hi = np.concatenate([[10.0], 3.0 * np.ones(n)])
-        verdicts.append(is_sh(sys_, system_samples(sys_, lo, hi,
-                                                   per_axis=5 if n == 1 else 3)))
+        verdicts.append(is_sh(sys_, np.zeros(n + 1),
+                              sample_box(lo, hi, per_axis=5 if n == 1 else 3)))
     sys1 = euler_polytropic_sh(gamma, n=1)
     speeds = characteristic_speeds(sys1, np.zeros(2), np.array([1.0, 0.0]),
                                    [1.0])
@@ -329,7 +329,7 @@ def test_criterion_11_complex_analytic_realification():
         mc = int(RNG.integers(1, 4))
         a = RNG.normal(size=(mc, mc)) + 1j * RNG.normal(size=(mc, mc))
         sys_, _ = ck_realify(a)
-        res = symmetry_residual(sys_, [(np.zeros(3), np.zeros(2 * mc))])
+        res = symmetry_residual(sys_, np.zeros(3), np.zeros(2 * mc))
         worst = max(worst, float(np.max(res)))
 
     sys_, monitor = ck_realify(np.array([[1.0 + 0j]]))

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from shsys.core import (MatrixField, SystemDef, characteristic_speeds, is_sh,
-                        ldlt_pivots, positive_definite, symmetry_residual)
-from shsys.energy import LinearSystem, cone_slope, energy
+from shsys.core import (MatrixField, SystemDef, characteristic_speeds, direction_matrix,
+                        is_sh, ldlt_pivots, positive_definite, symmetry_residual)
+from shsys.energy import LinearSystem, cone_slope, damping_lambda, energy
 from shsys.entropy import (ConservationLaw, DiffusionTensor, EntropyPair,
                            diffusion_symmetry_check, entropy_pair_residual,
                            hessian_symmetrizer, legendre_dual)
@@ -111,8 +111,8 @@ def per_point(fn, x, u):
 
 
 @st.composite
-def points(draw, sys, lo, hi):
-    batch = draw(st.sampled_from([(1,), (4,), (2, 3)]))
+def points(draw, sys, lo, hi, batch=None):
+    batch = batch or draw(st.sampled_from([(1,), (4,), (2, 3)]))
     coord = st.floats(-2.0, 2.0, allow_nan=False, width=64)
     x = draw(hnp.arrays(np.float64, batch + (sys.n + 1,), elements=coord))
     if lo is None:  # euler: positive pressure, any velocity
@@ -335,7 +335,7 @@ def test_one_matrix_for_a_batch_rejected_by_every_linear_system_path():
     grid = GridField.zeros((8,), 0.25, 0.125, 1).with_data(np.ones((8, 1)))
     shape_error = r"matrix field returned shape \(1, 1\), expected \(\.\.\., m, m\)"
     with pytest.raises(ValueError, match=shape_error):
-        LinearSystem(1, 1, np.eye(1), [one], check_points=[(0.0, [0.1]), (0.5, [0.2])])
+        LinearSystem(1, 1, np.eye(1), [one]).validate_on([0.0, 0.5], [[0.1], [0.2]])
     with pytest.raises(ValueError, match=shape_error):
         energy(grid, one)
     with pytest.raises(ValueError, match=shape_error):
@@ -350,11 +350,10 @@ def test_one_matrix_for_a_batch_rejected_by_every_linear_system_path():
 
 def _is_sh_stack_vs_samples(sys, x, u):
     """is_sh on the whole stack equals is_sh composed over single samples."""
-    samples = list(zip(x, u))
-    verdict = is_sh(sys, samples)
-    singles = [is_sh(sys, [s]) for s in samples]
+    verdict = is_sh(sys, x, u)
+    singles = [is_sh(sys, xs, us) for xs, us in zip(x, u)]
     assert_bitwise(verdict.residuals, np.max([v.residuals for v in singles], axis=0))
-    assert_bitwise(symmetry_residual(sys, samples), verdict.residuals)
+    assert_bitwise(symmetry_residual(sys, x, u), verdict.residuals)
     assert verdict.symmetric == all(v.symmetric for v in singles)
     assert verdict.direction_pd == all(v.direction_pd for v in singles)
     assert verdict.is_sh == (verdict.symmetric and verdict.direction_pd)
@@ -429,6 +428,90 @@ def random_system(draw):
 @given(case=random_system())
 def test_is_sh_stack_equals_per_sample_on_random_systems(case):
     _is_sh_stack_vs_samples(*case)
+
+
+def _same_verdict(got, want):
+    assert (got.is_sh, got.symmetric, got.direction_pd, got.reason) == (
+        want.is_sh, want.symmetric, want.direction_pd, want.reason)
+    assert_bitwise(got.residuals, want.residuals)
+    assert (got.failing_sample is None) == (want.failing_sample is None)
+    for g, w in zip(got.failing_sample or (), want.failing_sample or ()):
+        assert_bitwise(g, w)
+
+
+@st.composite
+def constant_system_on_stack(draw):
+    """A system whose fields are all constant, the same matrices wrapped as
+    fields that are not, and a stack of points and states that broadcast."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    mats = [_matrix(draw, m, draw(st.sampled_from(KINDS))) for _ in range(n + 1)]
+    sigma = _matrix(draw, m, draw(st.sampled_from(KINDS))) if draw(st.booleans()) else None
+    for mat in mats + ([] if sigma is None else [sigma]):
+        if draw(st.integers(0, 5)) == 0:
+            mat[draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))] = np.nan
+    direction = draw(hnp.arrays(np.float64, (n + 1,), elements=st.integers(0, 2).map(float)))
+    direction[0] += 1.0
+
+    def wrapped(mat):
+        return MatrixField(m, lambda x, u: np.broadcast_to(
+            mat, np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (m, m)))
+
+    systems = [SystemDef(n=n, m=m, coeff=tuple(wrap(a) for a in mats), direction=direction,
+                         symmetrizer=None if sigma is None else wrap(sigma))
+               for wrap in (MatrixField.constant, wrapped)]
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4))
+    x = draw(hnp.arrays(np.float64, shapes.input_shapes[0] + (n + 1,), elements=ENTRIES))
+    u = draw(hnp.arrays(np.float64, shapes.input_shapes[1] + (m,), elements=ENTRIES))
+    return systems, x, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=constant_system_on_stack())
+def test_constant_system_certified_at_one_point_as_on_the_stack(case):
+    (const, varying), x, u = case
+    _same_verdict(is_sh(const, x, u), is_sh(varying, x, u))
+    assert_bitwise(symmetry_residual(const, x, u), symmetry_residual(varying, x, u))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_direction_matrix_stack_equals_per_point(name, data):
+    sys, lo, hi = MODELS[name]
+    x, u = data.draw(points(sys, lo, hi, batch=(3, 4)))
+    stacked = direction_matrix(sys, x, u)
+    assert stacked.shape == (3, 4, sys.m, sys.m)
+    assert_bitwise(stacked, per_point(lambda xp, up: direction_matrix(sys, xp, up), x, u))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_one_point_broadcasts_against_a_stack_of_states(name, data):
+    # fields of x alone return one matrix per point, so they are handed the
+    # point broadcast to the batch of states
+    sys, lo, hi = MODELS[name]
+    x, u = data.draw(points(sys, lo, hi, batch=(4,)))
+    spread = np.broadcast_to(x[0], x.shape).copy()
+    _same_verdict(is_sh(sys, x[0], u), is_sh(sys, spread, u))
+    assert_bitwise(direction_matrix(sys, x[0], u), direction_matrix(sys, spread, u))
+    if is_sh(sys, spread, u).direction_pd:
+        normal = np.eye(sys.n)[0]
+        assert_bitwise(characteristic_speeds(sys, x[0], u, normal),
+                       characteristic_speeds(sys, spread, u, normal))
+
+
+def test_empty_batch_rejected_by_every_sampled_certificate():
+    sys = MODELS["maxwell_const"][0]
+    for fn in (is_sh, symmetry_residual):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            fn(sys, np.zeros((0, 4)), np.zeros(6))
+        with pytest.raises(ValueError, match="need at least one sample"):
+            fn(sys, np.zeros(4), np.zeros((2, 0, 6)))
+    lin = LinearSystem(1, 1, np.eye(1), [np.eye(1)], b=np.eye(1))
+    for fn in (lin.validate_on, lambda t, x: damping_lambda(lin, t, x)):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            fn(0.0, np.zeros((0, 1)))
 
 
 @settings(max_examples=150, deadline=None)

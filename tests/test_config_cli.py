@@ -568,6 +568,16 @@ class TestCliMain:
         rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith(f"{check},true,")
 
+    def test_workflow_maxwell_check_certifies_the_box(self, tmp_path):
+        # the workflow's Maxwell check: 7^6 states of constant coefficients
+        config_path = tmp_path / "maxwell-check.cfg"
+        config_path.write_text("[model]\nname = maxwell\n[checks]\nnames = is_sh\n"
+                               "is_sh.per_axis = 7\n")
+        assert main(["check", str(config_path), "--output-dir", str(tmp_path / "c")]) == 0
+        # the is_sh tolerance text holds a comma, so read the row as raw text
+        rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
+        assert rows[1].startswith("is_sh,true,0.0,")
+
     @pytest.mark.parametrize("check", SIM_CHECKS)
     def test_check_refuses_simulation_checks(self, tmp_path, capsys, check):
         text = (MINIMAL.replace("names = riemann", f"names = riemann, {check}")

@@ -3,8 +3,7 @@ import pytest
 
 from shsys.core import (MatrixField, SystemDef, characteristic_speeds,
                         direction_matrix, is_sh, ldlt_pivots,
-                        positive_definite, sample_box, symmetry_residual,
-                        system_samples)
+                        positive_definite, sample_box, symmetry_residual)
 from shsys.models import euler_polytropic_sh, maxwell_system, wave_system
 
 RNG = np.random.default_rng(20240811)
@@ -18,8 +17,8 @@ def one_d_system(m1, m0=None, m=None):
 
 
 def origin_samples(sys, states):
-    x0 = np.zeros(sys.n + 1)
-    return [(x0, np.atleast_1d(np.asarray(u, dtype=float))) for u in states]
+    """The origin of space-time and a (S, m) stack of states."""
+    return np.zeros(sys.n + 1), np.array(states, dtype=float)
 
 
 class TestPositiveDefinite:
@@ -70,7 +69,7 @@ class TestPositiveDefinite:
 class TestSymmetryResidual:
     def test_nilpotent_block(self):
         sys = one_d_system(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        res = symmetry_residual(sys, origin_samples(sys, [[0.0, 0.0]]))
+        res = symmetry_residual(sys, *origin_samples(sys, [[0.0, 0.0]]))
         assert res[0] == 0.0
         assert res[1] == 1.0
 
@@ -78,36 +77,36 @@ class TestSymmetryResidual:
         sys = SystemDef(n=1, m=1, coeff=(
             MatrixField.constant([[1.0]]),
             MatrixField.of_state(1, lambda u: u[..., np.newaxis])))
-        res = symmetry_residual(sys, origin_samples(sys, [[2.0], [-1.0]]))
+        res = symmetry_residual(sys, *origin_samples(sys, [[2.0], [-1.0]]))
         assert np.all(res == 0.0)
 
     def test_maxwell_already_symmetric(self):
         sys, _ = maxwell_system()
-        samples = origin_samples(sys, [RNG.normal(size=6) for _ in range(3)])
-        assert np.all(symmetry_residual(sys, samples) == 0.0)
+        x, u = origin_samples(sys, [RNG.normal(size=6) for _ in range(3)])
+        assert np.all(symmetry_residual(sys, x, u) == 0.0)
 
     def test_sample_order_invariance(self):
         sys = one_d_system(np.array([[0.0, 2.0], [1.0, 0.0]]))
-        samples = origin_samples(sys, [RNG.normal(size=2) for _ in range(5)])
-        res = symmetry_residual(sys, samples)
-        res_rev = symmetry_residual(sys, samples[::-1])
+        x, u = origin_samples(sys, [RNG.normal(size=2) for _ in range(5)])
+        res = symmetry_residual(sys, x, u)
+        res_rev = symmetry_residual(sys, x, u[::-1])
         assert np.array_equal(res, res_rev)
 
     def test_dimension_mismatch(self):
         sys = one_d_system(np.eye(2))
         with pytest.raises(ValueError):
-            symmetry_residual(sys, origin_samples(sys, [[1.0, 2.0, 3.0]]))
+            symmetry_residual(sys, *origin_samples(sys, [[1.0, 2.0, 3.0]]))
 
 
 class TestIsSh:
     def test_euler_sh_at_rest(self):
         sys = euler_polytropic_sh(1.4, n=3)
-        verdict = is_sh(sys, origin_samples(sys, [[1.0, 0.0, 0.0, 0.0]]))
+        verdict = is_sh(sys, *origin_samples(sys, [[1.0, 0.0, 0.0, 0.0]]))
         assert verdict.is_sh
 
     def test_negative_time_matrix_fails_direction(self):
         sys = one_d_system(np.zeros((2, 2)), m0=-np.eye(2))
-        verdict = is_sh(sys, origin_samples(sys, [[0.0, 0.0]]))
+        verdict = is_sh(sys, *origin_samples(sys, [[0.0, 0.0]]))
         assert not verdict.is_sh
         assert verdict.symmetric
         assert not verdict.direction_pd
@@ -118,7 +117,7 @@ class TestIsSh:
                      [x[..., 1], np.ones_like(x[..., 1])], -1)[..., None, :]),
                  MatrixField.constant(-np.array([[0.0, 1.0], [1.0, 0.0]])))
         sys = SystemDef(n=1, m=2, coeff=coeff)
-        verdict = is_sh(sys, [(np.array([0.0, -1.0]), np.zeros(2))])
+        verdict = is_sh(sys, np.array([0.0, -1.0]), np.zeros(2))
         assert not verdict.is_sh
         assert not verdict.direction_pd
         assert verdict.failing_sample is not None
@@ -131,8 +130,8 @@ class TestIsSh:
         sys = SystemDef(n=1, m=2, coeff=(
             MatrixField.of_state(2, lambda u: np.eye(2) + u[..., :1, None] * c0),
             MatrixField.of_state(2, lambda u: u[..., :1, None] * c1)))
-        samples = origin_samples(sys, [[0.0, 0.0], [1.0, 0.0], [1.0, 5.0]])
-        verdict = is_sh(sys, samples)
+        x, u = origin_samples(sys, [[0.0, 0.0], [1.0, 0.0], [1.0, 5.0]])
+        verdict = is_sh(sys, x, u)
         assert not verdict.symmetric and not verdict.direction_pd
         assert verdict.residuals.tolist() == [1.0, 3.0]
         assert verdict.failing_sample[1].tolist() == [1.0, 0.0]
@@ -140,7 +139,7 @@ class TestIsSh:
 
     def test_nan_coefficient_is_asymmetric(self):
         sys = one_d_system(np.array([[0.0, np.nan], [1.0, 0.0]]))
-        verdict = is_sh(sys, origin_samples(sys, [[0.0, 0.0]]))
+        verdict = is_sh(sys, *origin_samples(sys, [[0.0, 0.0]]))
         assert not verdict.symmetric and not verdict.is_sh
         assert np.isnan(verdict.residuals[1]) and verdict.residuals[0] == 0.0
         assert verdict.reason.startswith("sigma*M^1 asymmetric")
@@ -152,7 +151,7 @@ class TestIsSh:
         sys = SystemDef(n=1, m=3, coeff=(
             MatrixField.constant(np.eye(3)), MatrixField.constant(m1)),
             symmetrizer=MatrixField.constant(np.eye(3)))
-        verdict = is_sh(sys, origin_samples(sys, [np.zeros(3)]))
+        verdict = is_sh(sys, *origin_samples(sys, [np.zeros(3)]))
         assert verdict.is_sh
 
 
@@ -203,12 +202,6 @@ class TestSampling:
         assert [0.0, -1.0] in states.tolist()
         assert [1.0, 1.0] in states.tolist()
         assert [0.5, 0.0] in states.tolist()
-
-    def test_system_samples_fixed_point(self):
-        sys = one_d_system(np.eye(2))
-        samples = system_samples(sys, [-1, -1], [1, 1], per_axis=2)
-        assert len(samples) == 4
-        assert all(np.array_equal(x, np.zeros(2)) for x, _ in samples)
 
     def test_direction_matrix_is_queryable(self):
         sys = euler_polytropic_sh(1.4, n=1)

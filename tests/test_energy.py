@@ -86,19 +86,19 @@ class TestDampingLambda:
         # C = 2B = -I against Q = I: C + 2 lam Q PD exactly above lam = 1/2
         sys = LinearSystem(1, 2, np.eye(2), [np.zeros((2, 2))],
                            b=-0.5 * np.eye(2))
-        result = damping_lambda(sys, [(0.0, np.zeros(1))])
+        result = damping_lambda(sys, 0.0, np.zeros(1))
         assert result.lam == pytest.approx(0.5, abs=1e-5)
         assert not result.marginal
 
     def test_already_positive(self):
         sys = LinearSystem(1, 2, np.eye(2), [np.zeros((2, 2))], b=np.eye(2))
-        result = damping_lambda(sys, [(0.0, np.zeros(1))])
+        result = damping_lambda(sys, 0.0, np.zeros(1))
         assert result.lam == 0.0
         assert not result.marginal
 
     def test_semidefinite_edge_flagged(self):
         sys = LinearSystem(1, 2, np.eye(2), [np.zeros((2, 2))])
-        result = damping_lambda(sys, [(0.0, np.zeros(1))])
+        result = damping_lambda(sys, 0.0, np.zeros(1))
         assert result.lam == 0.0
         assert result.marginal
 
@@ -157,7 +157,7 @@ class TestDampedEnergyBalance:
         # Q = 1, A = 1, B = -1: C = -2, so lam* = 1; damp slightly above it
         sys = LinearSystem(1, 1, np.array([[1.0]]), [np.array([[1.0]])],
                            b=np.array([[-1.0]]))
-        lam_star = damping_lambda(sys, [(0.0, np.zeros(1))]).lam
+        lam_star = damping_lambda(sys, 0.0, np.zeros(1)).lam
         assert lam_star == pytest.approx(1.0, abs=1e-5)
         lam_d = lam_star + 0.1
 
@@ -188,13 +188,12 @@ class TestDampedEnergyBalance:
 class TestLinearSystemValidation:
     def test_asymmetric_coefficient_rejected(self):
         with pytest.raises(ValueError):
-            LinearSystem(1, 2, np.eye(2), [np.array([[0.0, 1.0], [0.0, 0.0]])],
-                         check_points=[(0.0, np.zeros(1))])
+            LinearSystem(1, 2, np.eye(2), [np.array([[0.0, 1.0], [0.0, 0.0]])]).validate_on(
+                0.0, np.zeros(1))
 
     def test_q_must_be_positive(self):
         with pytest.raises(ValueError):
-            LinearSystem(1, 2, -np.eye(2), [np.zeros((2, 2))],
-                         check_points=[(0.0, np.zeros(1))])
+            LinearSystem(1, 2, -np.eye(2), [np.zeros((2, 2))]).validate_on(0.0, np.zeros(1))
 
 
 # ---------------------------------------------------------------------------

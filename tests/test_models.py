@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from shsys import profiles
-from shsys.core import is_sh, symmetry_residual, system_samples
+from shsys.core import is_sh, sample_box, symmetry_residual
 from shsys.energy import energy
 from shsys.grid import GridField, centered_diff, interior_mask, l2_norm
 from shsys import models
@@ -24,9 +24,9 @@ class TestWaveSystem:
     def test_symmetrizer_makes_coefficients_symmetric(self):
         a_jk = np.array([[2.0, 0.3], [0.3, 1.0]])
         sys, _ = wave_system(np.array([0.1, -0.2]), a_jk)
-        samples = system_samples(sys, -np.ones(4), np.ones(4), per_axis=2)
-        assert np.max(symmetry_residual(sys, samples)) < 1e-14
-        assert is_sh(sys, samples).is_sh
+        x, u = np.zeros(sys.n + 1), sample_box(-np.ones(4), np.ones(4), per_axis=2)
+        assert np.max(symmetry_residual(sys, x, u)) < 1e-14
+        assert is_sh(sys, x, u).is_sh
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 3))
@@ -37,9 +37,8 @@ class TestWaveSystem:
         a_jk = b @ b.T
         a_jk = 0.5 * (a_jk + a_jk.T) + 0.5 * np.eye(n)
         sys, _ = wave_system(a_j, a_jk)
-        samples = system_samples(sys, -np.ones(n + 2), np.ones(n + 2), per_axis=2,
-                                 x=data.draw(hnp.arrays(float, (n + 1,), elements=entries)))
-        verdict = is_sh(sys, samples)
+        x = data.draw(hnp.arrays(float, (n + 1,), elements=entries))
+        verdict = is_sh(sys, x, sample_box(-np.ones(n + 2), np.ones(n + 2), per_axis=2))
         assert np.all(verdict.residuals == 0.0)
         assert verdict.is_sh
 
@@ -153,8 +152,8 @@ class TestEulerPolytropic:
 
     def test_sh_on_positive_pressure_box(self):
         sys = euler_polytropic_sh(1.4, n=1)
-        samples = system_samples(sys, [0.1, -3.0], [10.0, 3.0], per_axis=5)
-        assert is_sh(sys, samples).is_sh
+        states = sample_box([0.1, -3.0], [10.0, 3.0], per_axis=5)
+        assert is_sh(sys, np.zeros(sys.n + 1), states).is_sh
 
     def test_time_matrix_at_unit_state(self):
         sys = euler_polytropic_sh(1.4, n=3)
@@ -329,9 +328,9 @@ class TestCkRealify:
             mc = int(RNG.integers(1, 4))
             a = RNG.normal(size=(mc, mc)) + 1j * RNG.normal(size=(mc, mc))
             sys, _ = ck_realify(a)
-            samples = [(np.zeros(3), np.zeros(2 * mc))]
-            assert np.max(symmetry_residual(sys, samples)) <= 1e-12
-            assert is_sh(sys, samples).is_sh
+            x, u = np.zeros(3), np.zeros(2 * mc)
+            assert np.max(symmetry_residual(sys, x, u)) <= 1e-12
+            assert is_sh(sys, x, u).is_sh
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), mc=st.integers(1, 3), batched=st.booleans())
@@ -350,7 +349,7 @@ class TestCkRealify:
             a = coeffs[0]
             size = float(np.max(np.abs(a)))
         sys, _ = ck_realify(a)
-        verdict = is_sh(sys, list(zip(x, u)))
+        verdict = is_sh(sys, x, u)
         assert np.max(verdict.residuals) <= 1e-12 * max(1.0, size)
         assert verdict.is_sh
 
