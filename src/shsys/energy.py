@@ -117,7 +117,7 @@ def energy(field: GridField, q, t: float = 0.0) -> float:
     u = field.data.reshape(-1, field.m)
     q = _coefficient(q, field.m)
     if q.const is None:
-        mat = _at(q, spacetime(t, field.coords().reshape(-1, field.n)))
+        mat = _at(q, field.points(t).reshape(-1, field.n + 1))
         dens = np.einsum("ca,cab,cb->c", u, mat, u)
     else:
         dens = np.einsum("ca,ab,cb->c", u, q.const, u)
@@ -199,8 +199,7 @@ def cone_slope(sys: LinearSystem, grid: GridField, t: float = 0.0) -> float:
     directions; callers testing support should inflate by a small safety
     factor (the CLI uses 1.01).
     """
-    return max_abs_speed(sys.as_system(), spacetime(t, grid.coords().reshape(-1, grid.n)),
-                         np.zeros(sys.m))
+    return max_abs_speed(sys.as_system(), grid.points(t), np.zeros(sys.m))
 
 
 @dataclass(frozen=True)

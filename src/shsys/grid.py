@@ -90,18 +90,18 @@ class GridField:
         """Cell-center coordinates along one axis."""
         return self.origin[axis] + self.h[axis] * np.arange(self.shape[axis])
 
-    def coords(self) -> np.ndarray:
-        """Cell-center coordinates, shape ``shape + (n,)``."""
-        axes = [self.centers(j) for j in range(self.n)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    def points(self, t: float) -> np.ndarray:
+        """Space-time points of the cell centers, shape ``shape + (n+1,)``, in
+        one array: t in column 0 and ``centers(j)`` along axis j in column 1+j."""
+        out = np.empty(tuple(self.shape) + (self.n + 1,))
+        out[..., 0] = t
+        for j in range(self.n):
+            out[..., 1 + j] = self.centers(j).reshape((-1,) + (1,) * (self.n - 1 - j))
+        return out
 
-    def cell_coords(self, flat: np.ndarray) -> np.ndarray:
-        """Coordinates of the cells at C-order flat indices, shape
-        ``flat.shape + (n,)``: the values ``coords()`` holds there, built
-        without the whole grid."""
-        cells = np.unravel_index(flat, self.shape)
-        return np.stack([self.origin[j] + self.h[j] * cells[j] for j in range(self.n)],
-                        axis=-1)
+    def coords(self) -> np.ndarray:
+        """Cell-center coordinates ``shape + (n,)``: the space columns of ``points``."""
+        return self.points(0.0)[..., 1:]
 
     def cell_volume(self) -> float:
         return float(np.prod(self.h))

@@ -15,7 +15,7 @@ bit for bit.  The ratio lambda = k/h is fixed; stability is enforced at run
 start as lambda * a_star <= cfl_safety / n with a_star the sampled
 maximum characteristic speed (and k <= cfl_safety * h^2 / (2 eps) when
 viscosity is on).  Sources and state-dependent coefficients are evaluated
-fully explicitly at (t, x, u(t)).
+fully explicitly at the points ``GridField.points(t)`` (t in column 0).
 
 The steps follow numpy's ``out=`` idiom: ``lxf_average``, ``lxf_step``
 and ``viscous_step`` write into a given array, and allocate one only
@@ -49,8 +49,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (SystemDef, batch_checked, max_abs_speed, spacetime as _spacetime,
-                   unit_normals)
+from .core import SystemDef, batch_checked, max_abs_speed, unit_normals
 from .entropy import ConservationLaw
 from .grid import (GridField, centered_diff, first_true, neighbour_difference,
                    row_windows, second_difference, shift_into)
@@ -132,13 +131,13 @@ def _sample_cells(field_: GridField) -> np.ndarray:
 
 
 def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
-    """Largest |characteristic speed| over sampled cells and the unit
-    normals of ``unit_normals`` (axes plus diagonals).  A system whose
+    """Largest |characteristic speed| over the ``unit_normals`` (axes plus
+    diagonals) at sampled rows of ``state.points(t)``.  A system whose
     fields are all constant is evaluated at one cell."""
     idx = _sample_cells(state)
     u = state.data.reshape(-1, state.m)[idx]
     if not isinstance(system, ConservationLaw):
-        return max_abs_speed(system, _spacetime(t, state.cell_coords(idx)), u)
+        return max_abs_speed(system, state.points(t).reshape(-1, state.n + 1)[idx], u)
     normals = unit_normals(system.n)[:, None]
     a = sum(normals[..., j, None, None] * system.jacobian(j, u) for j in range(system.n))
     return max(0.0, *np.max(np.abs(np.linalg.eigvals(a)), axis=(1, 2)).tolist())
@@ -276,9 +275,9 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
     last window.  A constant M^j is split into
     its single-entry layers once, here, and applied to all cells by
     ``apply_layers``: one matrix product per layer, summed in layer order;
-    a constant M0 is factorized against all cells at once.  The cell
-    coordinates are built only when some field or the source needs them,
-    and an identity M0 skips the solve.
+    a constant M0 is factorized against all cells at once.  The points
+    ``state.points(t)`` are built only when some field or the source
+    needs them, and an identity M0 skips the solve.
 
     A state-dependent M0 goes through ``stacked_solve``: a diagonal stack
     (euler_sh's diag(1/gamma p, rho I)) divides the target by its diagonal,
@@ -303,7 +302,7 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
         part = (depth,) + u.shape[1:]
         du, product = scratch("du", part), scratch("product", part)
         spare = scratch("spare", part) if needs_spare else None
-        x = _spacetime(t, state.coords()) if needs_x else None
+        x = state.points(t) if needs_x else None
         source = (None if sys.source is None
                   else batch_checked(sys.source(x, u), u.shape, 1, "source"))
         fields = [None] * sys.n
@@ -353,8 +352,7 @@ def law_rhs(law: ConservationLaw) -> Callable[[float, GridField], np.ndarray]:
                 np.subtract(acc if j else 0.0, centered_diff(state, j, fu, out=diff_w, rows=rows),
                             out=acc)
         if law.source is not None:
-            x = _spacetime(t, state.coords())
-            np.add(target, np.asarray(law.source(x, state.data), dtype=float), out=target)
+            target += np.asarray(law.source(state.points(t), u), dtype=float)
         return target
 
     return rhs
@@ -410,8 +408,7 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     np.subtract(data, new, out=new)
     new += laplacian
     if law.source is not None:
-        x = _spacetime(t, state.coords())
-        new += k * np.asarray(law.source(x, data), dtype=float)
+        new += k * np.asarray(law.source(state.points(t), data), dtype=float)
     return state.with_data(new)
 
 

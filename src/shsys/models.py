@@ -229,9 +229,10 @@ def maxwell_system(rho=None, current=None):
         return sum(centered_diff(field, axis, field.data[..., offset + axis])
                    for axis in range(3))
 
-    rho_fn = rho if callable(rho) else (lambda coords, r=float(rho or 0.0): r)
+    div_e = ((lambda f: _div(f, 0) - rho(f.coords())) if callable(rho)
+             else (lambda f, r=float(rho or 0.0): _div(f, 0) - r))
 
-    return sys, (ConstraintMonitor("div_e", lambda f: _div(f, 0) - rho_fn(f.coords())),
+    return sys, (ConstraintMonitor("div_e", div_e),
                  ConstraintMonitor("div_b", lambda f: _div(f, 3)))
 
 

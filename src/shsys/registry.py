@@ -192,6 +192,8 @@ def _energy(params, model, trace, out_dir, make_grid):
 
 
 def _constraints(params, model, trace, out_dir, make_grid):
+    if not trace.monitors:
+        raise ExecutionError("check 'constraints' needs a model with constraint monitors")
     factor, floor = params.get("factor", 3.0), params.get("floor", 1e-12)
     rows = []
     for name, series in trace.monitors.items():

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from shsys import lxf
 from shsys.core import (MatrixField, SystemDef, characteristic_speeds, direction_matrix,
-                        is_sh, ldlt_pivots, positive_definite, symmetry_residual)
+                        is_sh, ldlt_pivots, max_abs_speed, positive_definite,
+                        symmetry_residual)
 from shsys.energy import LinearSystem, cone_slope, damping_lambda, energy
 from shsys.entropy import (ConservationLaw, DiffusionTensor, EntropyPair,
                            diffusion_symmetry_check, entropy_pair_residual,
@@ -246,6 +248,31 @@ def test_max_char_speed_matches_per_cell_maximum():
             worst = max(worst, float(np.max(np.abs(characteristic_speeds(sys, xst, u, nu)))))
     assert max_char_speed(sys, state) == worst
 
+
+
+def reference_cell_coords(state, flat):
+    """Space coordinates of the cells at C-order flat indices, computed as
+    origin + h * unravel_index(flat), without the whole grid."""
+    cells = np.unravel_index(flat, state.shape)
+    return np.stack([state.origin[j] + state.h[j] * cells[j] for j in range(state.n)], -1)
+
+
+@pytest.mark.parametrize("name, shape, t", [("euler_1d", (1500,), 0.0),
+                                            ("euler_2d", (40, 30), 0.0),
+                                            ("wave_callable", (40, 30), 0.375)])
+def test_max_char_speed_equals_the_sampled_cell_reference(name, shape, t):
+    sys = MODELS[name][0]
+    rng = np.random.default_rng(7)
+    grid = GridField.zeros(shape, 0.05, -0.9, sys.m)
+    data = rng.uniform(-1.0, 1.0, grid.data.shape)
+    if name.startswith("euler"):
+        data[..., 0] = rng.uniform(0.5, 2.0, grid.shape)
+    state = grid.with_data(data)
+    idx = lxf._sample_cells(state)
+    assert len(idx) < state.data.size // state.m  # a strided sample
+    x = np.concatenate([np.full(idx.shape + (1,), t), reference_cell_coords(state, idx)], -1)
+    want = max_abs_speed(sys, x, state.data.reshape(-1, state.m)[idx])
+    assert max_char_speed(sys, state, t) == want
 
 @pytest.mark.parametrize("name", ["euler_2d", "wave_callable"])
 @settings(max_examples=25, deadline=None)

@@ -58,6 +58,13 @@ def readme_list(label):
     return re.findall(r"`([^`]+)`", text.split(f"{label}: ", 1)[1].split(".", 1)[0])
 
 
+
+def readme_example():
+    """The ini block of the README's CLI section."""
+    with open(README) as handle:
+        cli_section = handle.read().split("## CLI", 1)[1]
+    return re.search(r"```ini\n(.*?)```", cli_section, re.S).group(1)
+
 VISCOUS = """
 [model]
 name = burgers
@@ -485,6 +492,19 @@ viscous_limit.t = 0.2
         messages = error_messages(out)
         assert len(messages) == 1 and check in messages[0] and needs in messages[0]
 
+    def test_constraints_without_monitors_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.txt"
+        config_path.write_text("[model]\nname = burgers\n[grid]\nshape = 20\nh = 0.1\n"
+                               "[scheme]\nlambda = 0.5\nt_end = 0.1\n[initial]\n"
+                               "profile = step\nleft = 1.0\nright = 0.0\n"
+                               "[checks]\nnames = constraints\n")
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--output-dir", str(out)]) == 2
+        message = "check 'constraints' needs a model with constraint monitors"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert error_messages(out) == [message]
+        assert not (out / "verdicts.csv").exists()
+
     @pytest.mark.parametrize("sections, message", [
         ("[scheme]\nt_end = 0.1\n[grid]\nshape = 10\nh = 0.1\n[initial]\nprofile = constant\n",
          "[scheme] needs 'lambda' and 't_end'"),
@@ -596,6 +616,17 @@ class TestCliMain:
                                               ("Initial profiles", registry.PROFILES)])
     def test_readme_lists_match_registry(self, label, table):
         assert readme_list(label) == list(table)
+
+    def test_readme_example_config_runs(self, tmp_path):
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(readme_example())
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--output-dir", str(out)]) == 0
+        rows = read_verdicts(out)
+        assert list(rows) == ["riemann.rh_speed", "riemann.rh_residual",
+                              "riemann.entropy_production", "rh.speed", "rh.residual",
+                              "rh.production"]
+        assert all(passed == "true" for passed, _, _ in rows.values())
 
     def test_models_listing_matches_registry(self, capsys):
         assert main(["models"]) == 0

@@ -39,6 +39,22 @@ class TestGridField:
         assert np.allclose(g.coords()[2, 1], [2.0, 10.5])
         assert g.cell_volume() == 0.5
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           t=st.one_of(st.sampled_from([0.0, -0.0, 1e300]),
+                       st.floats(allow_nan=False, allow_infinity=False)))
+    def test_points_and_coords_equal_the_meshgrid_stack(self, data, t):
+        n = data.draw(st.integers(1, 3))
+        shape = tuple(data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+        h = data.draw(st.lists(st.floats(0.0, 1e300, exclude_min=True), min_size=n, max_size=n))
+        origin = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n))
+        g = GridField.zeros(shape, h, origin, 1)
+        space = np.stack(np.meshgrid(*[g.centers(j) for j in range(n)], indexing="ij"), -1)
+        want = np.concatenate([np.broadcast_to(t, shape + (1,)), space], -1)
+        for got, expected in ((g.points(t), want), (g.coords(), space)):
+            assert got.shape == expected.shape
+            assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
     def test_nonfinite_located_lexicographically(self):
         g = GridField.zeros((2, 2), 1.0, 0.0, 2)
         data = g.data.copy()

@@ -605,7 +605,7 @@ class TestLayeredProduct:
         """system_rhs with every constant M^j applied by the contraction."""
         def rhs(t, state):
             u = state.data
-            x = lxf._spacetime(t, state.coords())
+            x = state.points(t)
             target = np.array(sys.source(x, u), dtype=float) if sys.source else np.zeros_like(u)
             for j in range(sys.n):
                 target -= contraction(sys.coeff[j + 1].const, lxf.centered_diff(state, j))

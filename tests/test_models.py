@@ -141,6 +141,20 @@ class TestMaxwell:
         assert monitors[1].evaluate(grid) == 0.0
 
 
+    def test_callable_rho_receives_the_cell_coordinates(self):
+        seen = []
+        _, monitors = maxwell_system(rho=lambda x: seen.append(x) or np.zeros(x.shape[:-1]))
+        grid = GridField.zeros((4, 3, 2), 0.25, (0.125, -1.0, 2.0), 6)
+        assert monitors[0].evaluate(grid) == 0.0
+        assert len(seen) == 1 and seen[0].shape == (4, 3, 2, 3)
+        assert np.array_equal(seen[0], grid.coords())
+
+    def test_constant_rho_reads_no_coordinates(self, monkeypatch):
+        _, monitors = maxwell_system(rho=2.0)
+        grid = GridField.zeros((4, 4, 4), 0.25, 0.125, 6)
+        monkeypatch.setattr(GridField, "coords", lambda self: pytest.fail("coords built"))
+        assert monitors[0].evaluate(grid) == pytest.approx(2.0, rel=1e-12)
+
 class TestEulerPolytropic:
     def test_constant_state_is_stationary(self):
         sys = euler_polytropic_sh(1.4, n=1)
