@@ -2,8 +2,10 @@
 centered-difference operators for periodic and outflow boundaries.
 
 The boundary rule is written once, in ``_source``, and every translate
-and difference runs one cached plan (``_plan``): one interior call, then
-the edge cells.  On axis 0 the interior is a slice of rows.  Along an
+and difference runs one cached plan (``_plan``), a ``Stencil`` that
+applies itself: one interior call, then the edge cells.  The helpers
+look it up on every call; ``lxf.StepPlan`` looks it up once a run.  On
+axis 0 the interior is a slice of rows.  Along an
 axis j >= 1 of a C-contiguous array one cell is a step of
 s = prod(shape[j+1:]) in the flat view, so the interiors of all lines are
 one contiguous call, ufunc(out[:-s], data[s:]) or its mirror, where a
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -160,17 +162,71 @@ def _source(cell: int, direction: int, length: int, boundary: str) -> int:
     return near % length if boundary == "periodic" else cell
 
 
+class Stencil(NamedTuple):
+    """A translate or difference along one axis, as ``_plan`` lays it out:
+    ``interior`` = (cells, *sources) slices, of the flat views when
+    ``flat``; ``edges`` and ``seams`` = (cells, *sources) of the edge
+    cells, which the interior call crosses only when they are seams;
+    ``reads`` the rows of data an off-axis window reads (None: all)."""
+
+    flat: bool
+    interior: tuple
+    edges: tuple
+    seams: tuple
+    reads: Optional[slice] = None
+
+    def shift_into(self, ufunc, out: np.ndarray, data: np.ndarray) -> np.ndarray:
+        """out = ufunc(out, translate of data) in place (``shift_into``)."""
+        flat, (cells, sources), edges, seams, reads = self
+        if reads is not None:
+            data = data[reads]
+        o, d = _flat_views(out, data) if flat else (out, data)
+        if seams:
+            # their values, before the interior call overwrites them; a
+            # contiguous copy leaves one operand to numpy's buffers
+            saved = [out[seam].copy() for seam, _ in seams]
+            for value, (_, source) in zip(saved, seams):
+                ufunc(value, data[source], out=value)
+        view = o[cells]
+        ufunc(view, d[sources], out=view)
+        for cells, sources in edges:
+            # not in place: on a one-element row numpy takes twice as long in place
+            out[cells] = ufunc(out[cells], data[sources])
+        if seams:
+            for value, (seam, _) in zip(saved, seams):
+                out[seam] = value
+        return out
+
+    def difference(self, out: np.ndarray, data: np.ndarray) -> np.ndarray:
+        """out = translate(+1) - translate(-1) of data (``neighbour_difference``)."""
+        flat, (cells, plus, minus), edges, seams, reads = self
+        if reads is not None:
+            data = data[reads]
+        o, d = _flat_views(out, data) if flat else (out, data)
+        np.subtract(d[plus], d[minus], out=o[cells])
+        for cells, plus, minus in edges:
+            np.subtract(data[plus], data[minus], out=out[cells])
+        for cells, plus, minus in seams:
+            # through a contiguous copy, as in shift_into
+            value = data[plus].copy()
+            np.subtract(value, data[minus], out=value)
+            out[cells] = value
+        return out
+
+
 @lru_cache(maxsize=None)
 def _plan(contiguous: bool, shape: tuple, axis: int, boundary: str, direction: int,
-          rows: Optional[tuple] = None) -> tuple:
-    """(flat, interior, edges, seams) of a translate (``direction`` +1 or
-    -1) or a difference (0) along ``axis`` of an array of ``shape``, for
-    the rows ``rows`` of axis 0 that a C-contiguous out holds.
-    ``interior`` = (cells, *sources) slices, of the flat views when
-    ``flat``; edges and seams = (cells, *sources) of the edge cells, which
-    the interior call crosses only when they are seams."""
+          rows: Optional[tuple] = None) -> Stencil:
+    """The ``Stencil`` of a translate (``direction`` +1 or -1) or a
+    difference (0) along ``axis`` of an array of ``shape``, for the rows
+    ``rows`` of axis 0 that a C-contiguous out holds.  Axis 0 reads its
+    neighbours across the window's edges; any other axis reads only the
+    window's rows."""
     if not contiguous:
         raise ValueError("out must be a C-contiguous array")
+    if rows is not None and axis:
+        window = (rows[1] - rows[0],) + shape[1:]
+        return _plan(True, window, axis, boundary, direction)._replace(reads=slice(*rows))
     directions = (direction,) if direction else (+1, -1)
     length = shape[axis]
     r0, r1 = (0, length) if rows is None else rows
@@ -189,13 +245,14 @@ def _plan(contiguous: bool, shape: tuple, axis: int, boundary: str, direction: i
              for i in sorted({*range(r0, lo), *range(hi, r1)})]
     if axis:
         lead = (slice(None),) * axis
-        return True, interior, (), tuple(tuple(lead + (slice(j, j + 1),) for j in pick)
-                                         for pick in picks)
+        return Stencil(True, interior, (), tuple(tuple(lead + (slice(j, j + 1),) for j in pick)
+                                                 for pick in picks))
     # on axis 0 both edge cells go in one strided call when slices pick them
     if len(picks) == 2 and all(a != b for a, b in zip(*picks)):
-        return False, interior, (tuple(slice(a, 2 * b - a if 2 * b >= a else None, b - a)
-                                       for a, b in zip(*picks)),), ()
-    return False, interior, tuple(tuple(slice(j, j + 1) for j in pick) for pick in picks), ()
+        return Stencil(False, interior, (tuple(slice(a, 2 * b - a if 2 * b >= a else None, b - a)
+                                               for a, b in zip(*picks)),), ())
+    return Stencil(False, interior, tuple(tuple(slice(j, j + 1) for j in pick)
+                                          for pick in picks), ())
 
 
 def _flat_views(out: np.ndarray, data: np.ndarray) -> tuple:
@@ -215,7 +272,7 @@ def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
         out = np.empty(data.shape, dtype=data.dtype)
     elif np.may_share_memory(out, data):
         raise ValueError("out must not overlap data")
-    flat, (cells, sources), edges, seams = _plan(
+    flat, (cells, sources), edges, seams, _ = _plan(
         out.flags.c_contiguous, data.shape, axis, boundary, direction)
     o, d = _flat_views(out, data) if flat else (out, data)
     o[cells] = d[sources]
@@ -231,26 +288,8 @@ def shift_into(ufunc, out: np.ndarray, data: np.ndarray, axis: int,
     C-contiguous.  With ``rows`` = (r0, r1), ``out`` holds only the rows
     r0 <= i < r1 of axis 0: axis 0 reads its neighbours across the
     window's edges, any other axis reads only data[r0:r1]."""
-    if rows is not None and axis:
-        data, rows = data[rows[0]:rows[1]], None
-    flat, (cells, sources), edges, seams = _plan(
-        out.flags.c_contiguous, data.shape, axis, boundary, direction, rows)
-    o, d = _flat_views(out, data) if flat else (out, data)
-    if seams:
-        # their values, before the interior call overwrites them; a
-        # contiguous copy leaves one operand to numpy's buffers
-        saved = [out[seam].copy() for seam, _ in seams]
-        for value, (_, source) in zip(saved, seams):
-            ufunc(value, data[source], out=value)
-    view = o[cells]
-    ufunc(view, d[sources], out=view)
-    for cells, sources in edges:
-        # not in place: on a one-element row numpy takes twice as long in place
-        out[cells] = ufunc(out[cells], data[sources])
-    if seams:
-        for value, (seam, _) in zip(saved, seams):
-            out[seam] = value
-    return out
+    return _plan(out.flags.c_contiguous, data.shape, axis, boundary, direction,
+                 rows).shift_into(ufunc, out, data)
 
 
 def neighbour_difference(data: np.ndarray, axis: int, boundary: str,
@@ -264,20 +303,8 @@ def neighbour_difference(data: np.ndarray, axis: int, boundary: str,
     if out is None:
         shape = data.shape if rows is None else (rows[1] - rows[0],) + data.shape[1:]
         out = np.empty(shape, dtype=np.result_type(data, 1.0))
-    if rows is not None and axis:
-        data, rows = data[rows[0]:rows[1]], None
-    flat, (cells, plus, minus), edges, seams = _plan(
-        out.flags.c_contiguous, data.shape, axis, boundary, 0, rows)
-    o, d = _flat_views(out, data) if flat else (out, data)
-    np.subtract(d[plus], d[minus], out=o[cells])
-    for cells, plus, minus in edges:
-        np.subtract(data[plus], data[minus], out=out[cells])
-    for cells, plus, minus in seams:
-        # through a contiguous copy, as in shift_into
-        value = data[plus].copy()
-        np.subtract(value, data[minus], out=value)
-        out[cells] = value
-    return out
+    return _plan(out.flags.c_contiguous, data.shape, axis, boundary, 0,
+                 rows).difference(out, data)
 
 
 def _subtract_from(held, translate, out=None):
@@ -292,10 +319,18 @@ def second_difference(data: np.ndarray, axis: int, boundary: str,
     holds 2 data until the +1 translate is subtracted from it."""
     if out is None:
         out = np.empty(data.shape, dtype=np.result_type(data, 1.0))
+    plus, minus = (_plan(out.flags.c_contiguous, data.shape, axis, boundary, d)
+                   for d in (+1, -1))
+    return planned_second_difference(plus, minus, out, data)
+
+
+def planned_second_difference(plus: Stencil, minus: Stencil, out: np.ndarray,
+                              data: np.ndarray) -> np.ndarray:
+    """``second_difference`` through its two translate stencils."""
     # data + data is 2 data bit for bit, without a scalar operand
     np.add(data, data, out=out)
-    shift_into(_subtract_from, out, data, axis, +1, boundary)
-    return shift_into(np.add, out, data, axis, -1, boundary)
+    plus.shift_into(_subtract_from, out, data)
+    return minus.shift_into(np.add, out, data)
 
 
 def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarray] = None,

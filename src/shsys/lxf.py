@@ -24,6 +24,11 @@ target array of its own.  ``run`` alternates two state buffers, and each
 RHS closure keeps its own scratch (a viscous run one spare array), so a
 step allocates no state-sized array beyond what user callables return.
 
+``run`` also hands every step one ``StepPlan``, so that a step on a
+small grid costs about its numpy calls: the stencils are looked up and
+the buffers checked once per run.  Steps called without one build their
+own, after checking their arguments.
+
 The stencils sweep the grid in row windows along axis 0
 (``grid.row_windows``, at most ``grid.WINDOW_BYTES`` of state each): an
 RHS closure runs every difference and product of one window, over all
@@ -49,10 +54,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import SystemDef, batch_checked, max_abs_speed, unit_normals
+from .core import ZERO, SystemDef, batch_checked, max_abs_speed, operand, unit_normals
 from .entropy import ConservationLaw
-from .grid import (GridField, centered_diff, first_true, neighbour_difference,
-                   row_windows, second_difference, shift_into)
+from .grid import (GridField, _plan, centered_diff, first_true, planned_second_difference,
+                   row_windows)
 
 
 class StabilityError(RuntimeError):
@@ -165,26 +170,36 @@ def _output(data: np.ndarray, out: Optional[np.ndarray],
 
 
 def lxf_average(state: GridField, out: Optional[np.ndarray] = None,
-                rows: Optional[tuple] = None) -> np.ndarray:
+                rows: Optional[tuple] = None, plan: Optional[StepPlan] = None) -> np.ndarray:
     """(1/2n) sum over axes of both neighbor translates, summed from zero
     in ``out`` (a new array when None; it must not overlap ``state.data``).
     With ``rows`` = (r0, r1), only the rows r0 <= i < r1 of axis 0, which
-    ``out`` holds."""
-    acc = _output(state.data, out, rows)
+    ``out`` holds.  Only ``lxf_step`` passes ``plan``, with ``out`` part
+    of its own output: the average then makes no check."""
+    if plan is None:
+        acc = _output(state.data, out, rows)
+        translates, two_n = _translates(acc.flags.c_contiguous, state, rows), 2.0 * state.n
+    else:
+        acc, translates, two_n = out, plan.translates[rows], plan.two_n
     # the sum starts as translate + 0.0, which is 0.0 + translate bit for bit
-    shift_into(_plus_zero, acc, state.data, 0, +1, state.boundary, rows)
-    shift_into(np.add, acc, state.data, 0, -1, state.boundary, rows)
-    for j in range(1, state.n):
-        shift_into(np.add, acc, state.data, j, +1, state.boundary, rows)
-        shift_into(np.add, acc, state.data, j, -1, state.boundary, rows)
-    acc /= 2.0 * state.n
+    for ufunc, stencil in translates:
+        stencil.shift_into(ufunc, acc, state.data)
+    np.divide(acc, two_n, out=acc)
     return acc
+
+
+def _translates(contiguous: bool, state: GridField, rows: Optional[tuple]) -> tuple:
+    """(ufunc, stencil) of the 2n translates that ``lxf_average`` sums in
+    order, for the rows ``rows`` of axis 0."""
+    return tuple((np.add if j or d < 0 else _plus_zero,
+                  _plan(contiguous, state.data.shape, j, state.boundary, d, rows))
+                 for j in range(state.n) for d in (+1, -1))
 
 
 def _plus_zero(_, translate, out=None):
     """The ufunc form of ``shift_into`` that writes translate + 0.0 and
     ignores what ``out`` held."""
-    return np.add(translate, 0.0, out=out)
+    return np.add(translate, ZERO, out=out)
 
 
 def single_entry_layers(mat: np.ndarray) -> np.ndarray:
@@ -244,6 +259,26 @@ def stacked_solve(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
         if np.all(np.isfinite(quotient)):
             return quotient
     return np.linalg.solve(mats, b[..., None])[..., 0]
+
+
+class StepPlan:
+    """What the steps on one grid share: the row windows, the stencils
+    (``grid._plan``) of each window's average and of the viscous step
+    along axis 0, and as 0-d arrays (``core.operand``) 2n and, for each
+    step size k in ``ks``, k, k/(2h) and eps k/h^2.  ``contiguous``: the
+    arrays the steps write are C-contiguous, as the stencils require."""
+
+    def __init__(self, state: GridField, ks: tuple, viscosity: float = 0.0,
+                 contiguous: bool = True):
+        shape, boundary = state.data.shape, state.boundary
+        self.windows = row_windows(state.data)[0]
+        self.translates = {rows: _translates(contiguous, state, rows) for rows in self.windows}
+        self.axis0 = tuple(_plan(contiguous, shape, 0, boundary, d) for d in (+1, -1, 0))
+        self.two_n = operand(2.0 * state.n)
+        h = state.h[0]
+        self.k = {k: operand(k) for k in ks}
+        self.heat = {k: (operand(k / (2.0 * h)), operand(viscosity * k / h ** 2))
+                     for k in ks}
 
 
 def _workspace() -> Callable[[str, tuple], np.ndarray]:
@@ -349,7 +384,7 @@ def law_rhs(law: ConservationLaw) -> Callable[[float, GridField], np.ndarray]:
         for rows in windows:
             acc, diff_w = _rows(target, rows), _head(diff, rows)
             for j, fu in enumerate(fluxes):
-                np.subtract(acc if j else 0.0, centered_diff(state, j, fu, out=diff_w, rows=rows),
+                np.subtract(acc if j else ZERO, centered_diff(state, j, fu, out=diff_w, rows=rows),
                             out=acc)
         if law.source is not None:
             target += np.asarray(law.source(state.points(t), u), dtype=float)
@@ -360,56 +395,68 @@ def law_rhs(law: ConservationLaw) -> Callable[[float, GridField], np.ndarray]:
 
 def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
              config: SchemeConfig, t: float = 0.0, k: Optional[float] = None,
-             out: Optional[np.ndarray] = None) -> GridField:
+             out: Optional[np.ndarray] = None, plan: Optional[StepPlan] = None) -> GridField:
     """One Lax-Friedrichs step of size k (default lam * h), its state's
     data written to ``out`` (a new array when None; it must not overlap
     ``state.data``).  The array ``rhs(t, state)`` returns is scaled by k
     in place, as the RHS closures allow.  The average and the update run
-    window by window (``row_windows``)."""
-    if k is None:
-        k = config.lam * _uniform_h(state)
-    new = _output(state.data, out)
+    window by window (``row_windows``).  Only ``run`` passes ``plan``,
+    built for this grid and k, with ``out`` its own buffer: the step then
+    makes no check."""
+    if plan is None:
+        k = config.lam * _uniform_h(state) if k is None else k
+        out = _output(state.data, out)
+        plan = StepPlan(state, (k,), contiguous=out.flags.c_contiguous)
     scaled = rhs(t, state)
-    for rows in row_windows(state.data)[0]:
-        part, step = _rows(new, rows), _rows(scaled, rows)
-        lxf_average(state, out=part, rows=rows)
+    k = plan.k[k]
+    for rows in plan.windows:
+        part, step = _rows(out, rows), _rows(scaled, rows)
+        lxf_average(state, out=part, rows=rows, plan=plan)
         np.multiply(step, k, out=step)
         np.add(part, step, out=part)
-    return state.with_data(new)
+    return state.with_data(out)
 
 
 def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
                  t: float = 0.0, k: Optional[float] = None,
                  out: Optional[np.ndarray] = None,
-                 spare: Optional[np.ndarray] = None) -> GridField:
+                 spare: Optional[np.ndarray] = None,
+                 plan: Optional[StepPlan] = None) -> GridField:
     """Forward-Euler step of d_t u + d_x f(u) = eps d_xx u (1D only):
     centered flux difference plus the explicit three-point heat stencil.
     The new data is written to ``out``; ``spare`` holds the heat term.
     Both are arrays shaped like the state, other than ``state.data`` and
     each other, new ones when None; an ``out`` that overlaps
-    ``state.data``, or a ``spare`` that overlaps either, is rejected."""
+    ``state.data``, or a ``spare`` that overlaps either, is rejected.
+    Only ``run`` passes ``plan``, built for this grid, k and the
+    viscosity, with ``out`` and ``spare`` its own buffers: the step then
+    makes no check."""
     if state.n != 1 or law.n != 1:
         raise ValueError("viscous stepping is implemented for one space dimension")
-    out = _output(state.data, out)
-    if spare is not None and (np.may_share_memory(spare, state.data)
-                              or np.may_share_memory(spare, out)):
-        raise ValueError("spare must not overlap the input state's data or out")
-    h = state.h[0]
-    k = config.lam * h if k is None else k
-    eps = config.viscosity
+    if plan is None:
+        out = _output(state.data, out)
+        if spare is None:
+            spare = np.empty(state.data.shape)
+        elif np.may_share_memory(spare, state.data) or np.may_share_memory(spare, out):
+            raise ValueError("spare must not overlap the input state's data or out")
+        k = config.lam * state.h[0] if k is None else k
+        plan = StepPlan(state, (k,), config.viscosity,
+                        out.flags.c_contiguous and spare.flags.c_contiguous)
     data = state.data
-    fu = np.asarray(law.flux[0](data), dtype=float)
+    plus, minus, difference = plan.axis0
+    flux_scale, heat_scale = plan.heat[k]
     # the operations of data - c (tau+ f - tau- f) + d ((tau+ u - 2u) + tau- u),
-    # in that order; the heat term is built in spare, from 2u up
-    laplacian = second_difference(data, 0, state.boundary, out=spare)
-    laplacian *= eps * k / h ** 2
-    new = neighbour_difference(fu, 0, state.boundary, out=out)
-    new *= k / (2.0 * h)
-    np.subtract(data, new, out=new)
-    new += laplacian
+    # in that order; the heat term is built in spare, from 2u up, after the
+    # flux is dropped
+    difference.difference(out, np.asarray(law.flux[0](data), dtype=float))
+    planned_second_difference(plus, minus, spare, data)
+    np.multiply(spare, heat_scale, out=spare)
+    np.multiply(out, flux_scale, out=out)
+    np.subtract(data, out, out=out)
+    np.add(out, spare, out=out)
     if law.source is not None:
-        new += k * np.asarray(law.source(state.points(t), data), dtype=float)
-    return state.with_data(new)
+        out += plan.k[k] * np.asarray(law.source(state.points(t), data), dtype=float)
+    return state.with_data(out)
 
 
 def _box_violation(system, state: GridField) -> Optional[tuple]:
@@ -502,15 +549,9 @@ def run(system, initial: GridField, config: SchemeConfig,
     a_star = check_stability(system, initial, config)
     trace.a_star = a_star
 
-    if config.viscosity > 0:
-        if not isinstance(system, ConservationLaw):
-            raise ValueError("viscosity applies to conservation laws only")
-        stepper = partial(viscous_step, law=system, config=config,
-                          spare=np.empty(initial.data.shape))
-    elif isinstance(system, (ConservationLaw, SystemDef)):
-        rhs = law_rhs(system) if isinstance(system, ConservationLaw) else system_rhs(system)
-        stepper = partial(lxf_step, rhs=rhs, config=config)
-    else:
+    if config.viscosity > 0 and not isinstance(system, ConservationLaw):
+        raise ValueError("viscosity applies to conservation laws only")
+    if not isinstance(system, (ConservationLaw, SystemDef)):
         raise TypeError(f"cannot integrate object of type {type(system).__name__}")
 
     h = _uniform_h(initial)
@@ -521,6 +562,15 @@ def run(system, initial: GridField, config: SchemeConfig,
     if remainder <= tiny:
         remainder = 0.0
     total_steps = n_full + (1 if remainder else 0)
+
+    # one plan for every step, each step called by its module name
+    plan = StepPlan(initial, (k, remainder), config.viscosity)
+    if config.viscosity > 0:
+        stepper = partial(viscous_step, law=system, config=config,
+                          spare=np.empty(initial.data.shape), plan=plan)
+    else:
+        rhs = law_rhs(system) if isinstance(system, ConservationLaw) else system_rhs(system)
+        stepper = partial(lxf_step, rhs=rhs, config=config, plan=plan)
 
     trace.events.append({"event": "stability", "a_star": a_star,
                          "lambda": config.lam, "k": k, "steps": total_steps,

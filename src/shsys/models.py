@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MatrixField, SystemDef, ldlt_pivots, positive_definite, symmetry_residual
+from .core import (ZERO, MatrixField, SystemDef, ldlt_pivots, operand, positive_definite,
+                   symmetry_residual)
 from .entropy import ConservationLaw, EntropyPair
 from .grid import GridField, centered_diff, interior_mask, l2_norm
 
@@ -52,13 +53,25 @@ class ConstraintMonitor:
 # ---------------------------------------------------------------------------
 # scalar polynomial-flux laws
 
-def _horner(c: np.ndarray, x):
+def _horner(c, x):
     """sum_i c[i] x^i in ``numpy.polynomial.polynomial.polyval``'s own
-    operation order, so results agree bit for bit, without its per-call
-    argument handling."""
-    acc = c[-1] + x * 0
+    operation order, so results agree bit for bit in value and kind,
+    without its per-call argument handling.  ``c`` is a float array or a
+    sequence of 0-d arrays (``core.operand``).  A float64 array x costs
+    one new array, filled in place; a scalar or 0-d x takes polyval's
+    expressions."""
+    if not (isinstance(x, np.ndarray) and x.ndim and x.dtype == np.float64):
+        # numpy float coefficients, as polyval's: which NaN a sum of two
+        # NaNs returns differs between scalar and 0-d array arithmetic
+        acc = c[-1][()] + x * 0
+        for ci in c[-2::-1]:
+            acc = ci[()] + acc * x
+        return acc
+    acc = np.multiply(x, ZERO)     # x * 0, bit for bit
+    np.add(c[-1], acc, out=acc)
     for ci in c[-2::-1]:
-        acc = ci + acc * x
+        np.multiply(acc, x, out=acc)
+        np.add(ci, acc, out=acc)
     return acc
 
 
@@ -71,6 +84,7 @@ def polynomial_scalar_law(coeffs, state_box=(-3.0, 3.0)):
     # F' = 2 u f'(u); integrate term by term
     fprime_shift = np.concatenate([[0.0], 2.0 * dc])
     fc = np.polynomial.polynomial.polyint(fprime_shift)
+    c, dc, fprime_shift, fc = (tuple(map(operand, a)) for a in (c, dc, fprime_shift, fc))
 
     def flux(u):
         u = np.asarray(u, dtype=float)

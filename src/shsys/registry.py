@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import profiles
-from .core import SYMMETRY_RTOL, is_sh, sample_box
+from .core import SYMMETRY_RTOL, first_box_sample, is_sh, sample_box
 from .energy import energy as grid_energy, support_test
 from .entropy import entropy_pair_residual, hessian_symmetrizer
 from .models import (advection_law, burgers_law, ck_realify,
@@ -167,7 +167,9 @@ def _is_sh(params, model, trace, out_dir, make_grid):
         _, verdict = hessian_symmetrizer(model.system, model.pair,
                                          samples=sample_box(*box, per_axis))
     else:
-        verdict = is_sh(model.system, np.zeros(model.system.n + 1), sample_box(*box, per_axis))
+        # a constant system is certified at its first sample (core.is_sh)
+        samples = first_box_sample if model.system.all_constant else sample_box
+        verdict = is_sh(model.system, np.zeros(model.system.n + 1), samples(*box, per_axis))
     return [VerdictRow("is_sh", verdict.is_sh, float(np.max(verdict.residuals)),
                        f"symmetry rtol {SYMMETRY_RTOL:g}, pivots > 0")]
 

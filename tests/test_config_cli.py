@@ -598,6 +598,31 @@ class TestCliMain:
         rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
         assert rows[1].startswith("is_sh,true,0.0,")
 
+    @pytest.mark.parametrize("model, states", [("maxwell", (1, 6)), ("euler_sh", (9, 2))])
+    def test_is_sh_samples_one_state_of_a_constant_system(self, tmp_path, monkeypatch,
+                                                          model, states):
+        # Maxwell's fields are constant, so its box shrinks to its first
+        # state; euler_sh's depend on the state and get the whole box
+        seen = []
+        original = registry.is_sh
+        monkeypatch.setattr(registry, "is_sh", lambda sys, x, u: seen.append(u.shape)
+                            or original(sys, x, u))
+        config_path = tmp_path / "c.cfg"
+        per_axis = 7 if model == "maxwell" else 3
+        config_path.write_text(f"[model]\nname = {model}\n[checks]\nnames = is_sh\n"
+                               f"is_sh.per_axis = {per_axis}\n")
+        assert main(["check", str(config_path), "--output-dir", str(tmp_path / "c")]) == 0
+        assert seen == [states]
+
+    def test_maxwell_check_writes_the_verdict_bytes_of_the_whole_box(self, tmp_path):
+        # the bytes is_sh wrote when it was handed all 7^6 states
+        config_path = tmp_path / "maxwell-check.cfg"
+        config_path.write_text("[model]\nname = maxwell\n[checks]\nnames = is_sh\n"
+                               "is_sh.per_axis = 7\n")
+        assert main(["check", str(config_path), "--output-dir", str(tmp_path / "c")]) == 0
+        assert (tmp_path / "c" / "verdicts.csv").read_bytes() == (
+            b"name,pass,value,tolerance\nis_sh,true,0.0,symmetry rtol 1e-10, pivots > 0\n")
+
     @pytest.mark.parametrize("check", SIM_CHECKS)
     def test_check_refuses_simulation_checks(self, tmp_path, capsys, check):
         text = (MINIMAL.replace("names = riemann", f"names = riemann, {check}")
@@ -746,6 +771,13 @@ WORKFLOW_RERUNS = {
                 "origin = -0.9996\nboundary = outflow\n[scheme]\nlambda = 0.9\n"
                 "t_end = 0.2\noutput_stride = 25\n[initial]\nprofile = step\n"
                 "left = 1.0\nright = 0.0\njump_at = -0.3\n", "0012.csv"),
+    "viscous": ("[model]\nname = burgers\n[grid]\nshape = 200\nh = 0.01\n"
+                "origin = -0.995\nboundary = outflow\n[scheme]\nlambda = 0.9\n"
+                "t_end = 0.1\noutput_stride = 5\n[initial]\nprofile = step\n"
+                "left = 1.0\nright = 0.0\njump_at = 0.0\n[checks]\n"
+                "names = viscous_limit\nviscous_limit.u_left = 1.0\n"
+                "viscous_limit.u_right = 0.0\nviscous_limit.eps = 0.1, 0.05, 0.04\n"
+                "viscous_limit.t = 0.1\n", "0003.csv"),
     "euler": ("[model]\nname = euler_sh\n[grid]\nshape = 32, 32\nh = 0.03125\n"
               "boundary = outflow\n[scheme]\nlambda = 0.2\nt_end = 0.05\n"
               "output_stride = 2\n[initial]\nprofile = step\nleft = 1.2, 0.1, 0.0\n"

@@ -1,8 +1,10 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shsys.core import (MatrixField, SystemDef, characteristic_speeds,
-                        direction_matrix, is_sh, ldlt_pivots,
+                        direction_matrix, first_box_sample, is_sh, ldlt_pivots,
                         positive_definite, sample_box, symmetry_residual)
 from shsys.models import euler_polytropic_sh, maxwell_system, wave_system
 
@@ -202,6 +204,27 @@ class TestSampling:
         assert [0.0, -1.0] in states.tolist()
         assert [1.0, 1.0] in states.tolist()
         assert [0.5, 0.0] in states.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_first_box_sample_is_the_first_row_of_the_box(self, data):
+        m = data.draw(st.integers(1, 4))
+        corner = hnp.arrays(float, m, elements=st.floats(-1e300, 1e300)
+                            | st.sampled_from([0.0, -0.0, 5e-324]))
+        lo, hi = data.draw(corner), data.draw(corner)
+        per_axis = data.draw(st.integers(0, 5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            first, box = first_box_sample(lo, hi, per_axis), sample_box(lo, hi, per_axis)
+        assert first.shape == ((1, m) if per_axis else (0, m))
+        assert first.tobytes() == box[:1].tobytes()
+
+    def test_all_constant_covers_coefficients_and_symmetrizer(self):
+        maxwell, _ = maxwell_system()
+        assert maxwell.all_constant
+        assert not euler_polytropic_sh(1.4, n=1).all_constant
+        sigma = MatrixField(m=6, fn=lambda x, u: np.broadcast_to(
+            np.eye(6), np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (6, 6)))
+        assert not SystemDef(n=3, m=6, coeff=maxwell.coeff, symmetrizer=sigma).all_constant
 
     def test_direction_matrix_is_queryable(self):
         sys = euler_polytropic_sh(1.4, n=1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -5,11 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from shsys import profiles
-from shsys.core import is_sh, sample_box, symmetry_residual
+from shsys.core import is_sh, operand, sample_box, symmetry_residual
 from shsys.energy import energy
 from shsys.grid import GridField, centered_diff, interior_mask, l2_norm
 from shsys import models
 from shsys.lxf import SchemeConfig, max_char_speed, run, system_rhs
+from shsys.shocks import _scalar_fprime, riemann_scalar
 from shsys.models import (ConstraintMonitor, burgers_law, ck_realify, euler_conservative_1d,
                           euler_conservative_to_primitive,
                           euler_polytropic_sh, euler_primitive_to_conservative,
@@ -448,6 +451,64 @@ class TestBurgersLawVectorization:
             fc = P.polyint(np.concatenate([[0.0], 2.0 * dc]))
             assert np.array(pair.flux[0](u0)).tobytes() == np.array(
                 float(P.polyval(float(u0[0]), fc))).tobytes()
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e300, -2.5]
+
+
+class TestHorner:
+    """``models._horner`` returns what ``polyval`` returns, in value bits
+    and in kind, for arrays, 0-d arrays, numpy and Python floats, with its
+    coefficients as an array or as 0-d operands."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=5),
+           hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+                      elements=st.floats() | st.sampled_from(SPECIAL_FLOATS)),
+           st.booleans())
+    @example([np.nan], np.array(np.nan), True)
+    @example([-np.nan, np.nan, 0.5], np.array([-np.nan, np.nan, -0.0, np.inf]), True)
+    @example([-np.nan, np.nan, 0.5], np.array([[-np.nan, np.nan, -0.0, -np.inf]]), False)
+    def test_equals_polyval_in_bits_and_kind(self, coeffs, x, held):
+        c = np.asarray(coeffs, dtype=float)
+        cs = tuple(map(operand, c)) if held else c
+        before = x.tobytes()
+        inputs = [x]
+        if x.size:
+            first = x.reshape(-1)[0]
+            inputs += [np.array(first), first, float(first)]
+        with np.errstate(all="ignore"):
+            for arg in inputs:
+                got, want = models._horner(cs, arg), P.polyval(arg, c)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert x.tobytes() == before
+
+    def test_an_array_costs_one_new_array(self):
+        x = RNG.normal(size=100_000)
+        c = tuple(map(operand, [0.3, -1.0, 0.5, 2.0]))
+        models._horner(c, x)
+        tracemalloc.start()
+        try:
+            models._horner(c, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # polyval's expressions hold two new arrays at a time
+        assert x.nbytes <= peak < 1.1 * x.nbytes
+
+    def test_scalar_callers_in_shocks(self):
+        law, pair = burgers_law()
+        fprime = _scalar_fprime(law)
+        assert float(fprime(0.25)) == 0.25
+        assert fprime(np.array([-0.0, 0.5])).tolist() == [0.0, 0.5]
+        fan = riemann_scalar(law, 0.0, 1.0, pair=pair)
+        xi = np.array([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
+        assert fan.kind == "rarefaction"
+        assert np.allclose(fan(xi), np.clip(xi, 0.0, 1.0), atol=1e-12)
+        shock = riemann_scalar(law, 1.0, 0.0, pair=pair)
+        assert shock.kind == "shock" and shock.speed == 0.5
 
 
 def _masked_norm(field: GridField, residual) -> float:

@@ -5,14 +5,18 @@ bit for bit, and check that a step allocates no state-sized array."""
 import tracemalloc
 from dataclasses import replace
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
 from shsys import lxf, profiles
 from shsys.entropy import ConservationLaw
 from shsys.grid import GridField
 from shsys.lxf import SchemeConfig, law_rhs, lxf_step, run, system_rhs, viscous_step
-from shsys.models import burgers_law, euler_polytropic_sh, maxwell_system, wave_system
+from shsys.models import (advection_law, burgers_law, euler_polytropic_sh, maxwell_system,
+                          wave_system)
 
 RNG = np.random.default_rng(808)
 
@@ -60,6 +64,117 @@ def reference_run(system, initial, config, monitors):
         if i % config.output_stride == 0 or i == total:
             record(t, state)
     return total, times, snaps, series
+
+
+def schedule(config, h):
+    """run()'s step sizes: (k, number of full steps, remainder or 0.0)."""
+    k = config.lam * h
+    tiny = 1e-12 * max(1.0, config.t_end)
+    n_full = int(np.floor((config.t_end + tiny) / k))
+    remainder = config.t_end - n_full * k
+    return k, n_full, 0.0 if remainder <= tiny else remainder
+
+
+def plain_run(coeffs, source, values, h, origin, boundary, config):
+    """(times, snapshots) of a 1D scalar-law run written with plain numpy,
+    apart from the package's stencils and steps: translates by np.roll
+    (periodic) or an edge-replicated pad (outflow), the flux by polyval,
+    and each step in the operation order the lxf docstrings give."""
+    x = origin + h * np.arange(len(values))
+    eps = config.viscosity
+
+    def translates(v):
+        if boundary == "periodic":
+            return np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
+        padded = np.concatenate([v[:1], v, v[-1:]])
+        return padded[2:], padded[:-2]
+
+    def flux_difference(v):
+        f_plus, f_minus = translates(P.polyval(v[:, 0], coeffs)[:, None])
+        return f_plus - f_minus
+
+    def source_at(t, v):
+        points = np.stack([np.full(len(x), t), x], axis=-1)
+        return source(points, v)
+
+    def lxf_step(v, t, k):
+        rhs = 0.0 - flux_difference(v) / (2.0 * h)
+        if source is not None:
+            rhs = rhs + source_at(t, v)
+        u_plus, u_minus = translates(v)
+        return ((u_plus + 0.0) + u_minus) / 2.0 + rhs * k
+
+    def viscous_step(v, t, k):
+        new = v - flux_difference(v) * (k / (2.0 * h))
+        u_plus, u_minus = translates(v)
+        new = new + ((u_plus - (v + v)) + u_minus) * (eps * k / h ** 2)
+        if source is not None:
+            new = new + k * source_at(t, v)
+        return new
+
+    step = viscous_step if eps > 0 else lxf_step
+    k, n_full, remainder = schedule(config, h)
+    total = n_full + (1 if remainder else 0)
+    v, t = values[:, None].copy(), 0.0
+    times, snaps = [t], [v.copy()]
+    for i in range(1, total + 1):
+        v = step(v, t, k if i <= n_full else remainder)
+        t = i * k if i <= n_full else config.t_end
+        if i % config.output_stride == 0 or i == total:
+            times.append(t)
+            snaps.append(v.copy())
+    return times, snaps
+
+
+def relaxing_source(x, u):
+    return 0.1 * np.cos(np.pi * x[..., 1:]) - 0.2 * u
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_run_equals_a_plain_numpy_reference(data):
+    # the reference shares no stencil, plan or step code with run()
+    cells = data.draw(st.sampled_from([1, 2, 3, 5, 2000]), "cells")
+    boundary = data.draw(st.sampled_from(["periodic", "outflow"]), "boundary")
+    speed = data.draw(st.none() | st.floats(-1.5, 1.5), "advection speed")
+    coeffs = [0.0, 0.0, 0.5] if speed is None else [0.0, speed]
+    law, _ = burgers_law() if speed is None else advection_law(speed)
+    source = data.draw(st.sampled_from([None, relaxing_source]), "source")
+    if source is not None:
+        law = replace(law, source=source)
+    values = data.draw(hnp.arrays(float, cells, elements=st.floats(-1.0, 1.0)
+                                  | st.sampled_from([0.0, -0.0])), "values")
+    h = 2.0 / cells
+    origin = -1.0 + h / 2
+    lam = data.draw(st.floats(0.05, 0.6), "lambda")
+    viscosity = data.draw(st.sampled_from([0.0, 0.2, 0.9]), "eps in units of the bound")
+    # the parabolic bound: k <= 0.9 h^2 / (2 eps)
+    eps = viscosity * 0.45 * h / lam
+    steps = data.draw(st.integers(0, 5), "full steps")
+    fraction = data.draw(st.sampled_from([0.0, 0.5, 0.25]), "remainder fraction")
+    config = SchemeConfig(lam=lam, t_end=(steps + fraction) * lam * h,
+                          output_stride=data.draw(st.integers(1, 3), "stride"),
+                          viscosity=eps)
+    grid = GridField.zeros((cells,), h, origin, 1, boundary)
+    trace = run(law, grid.with_data(values[:, None]), config)
+    times, snaps = plain_run(np.asarray(coeffs, dtype=float), source, values, h, origin,
+                             boundary, config)
+    assert trace.completed and trace.times == times
+    assert len(trace.snapshots) == len(snaps)
+    for got, want in zip(trace.snapshots, snaps):
+        assert got.data.tobytes() == want.tobytes()
+
+
+def test_plain_reference_takes_a_remainder_step_and_none_at_t_end_zero():
+    # the schedule the property above draws from covers both edge cases
+    config = SchemeConfig(lam=0.5, t_end=2.25 * 0.5 * 0.1, viscosity=0.0)
+    assert schedule(config, 0.1)[1:] == (2, pytest.approx(0.25 * 0.05))
+    times, _ = plain_run(np.array([0.0, 0.0, 0.5]), None, np.zeros(3), 0.1, 0.0,
+                         "outflow", config)
+    assert len(times) == 4 and times[-1] == config.t_end
+    times, snaps = plain_run(np.array([0.0, 0.0, 0.5]), None, np.zeros(3), 0.1, 0.0,
+                             "outflow", replace(config, t_end=0.0))
+    assert times == [0.0] and len(snaps) == 1
 
 
 def maxwell_case():
