@@ -350,6 +350,16 @@ def _box_axes(lo, hi, per_axis: int) -> list:
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != hi.shape:
         raise ValueError("box corners must have equal length")
+    # linspace turns an infinite corner or an overflowing width into NaN
+    # samples, at which a check would certify nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+    bad = np.flatnonzero(~np.isfinite(width))
+    if bad.size:
+        i = bad[0]
+        what = ("hi - lo overflows" if np.isfinite(lo[i]) and np.isfinite(hi[i])
+                else "a corner is not finite")
+        raise ValueError(f"box axis {i}: {what} (lo = {lo[i]:g}, hi = {hi[i]:g})")
     return [np.linspace(lo[i], hi[i], per_axis) for i in range(lo.size)]
 
 

@@ -19,7 +19,6 @@ Shipped models (CLI names in parentheses):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -253,12 +252,11 @@ def maxwell_system(rho=None, current=None):
 # ---------------------------------------------------------------------------
 # polytropic Euler
 
-# p^(1/gamma) element by element through the C library's pow: numpy's array
-# power takes a SIMD route that differs from it in the last bit for some
-# pressures, and results must not depend on how many cells share a call.
-# It costs a Python call per cell, so euler_polytropic_sh keeps the last
-# rho it built and M0 and every M^j of one RHS call share one pass.
-_libm_pow = np.frompyfunc(math.pow, 2, 1)
+# p^(1/gamma) element by element through the C library's pow, in numpy's
+# scalar C loop: float_power has no SIMD route for float64, so each value
+# has math.pow's bits however many cells share a call (np.power's SIMD
+# route differs from it in the last bit for some pressures).
+_libm_pow = np.float_power
 
 
 def euler_polytropic_sh(gamma: float, n: int = 1) -> SystemDef:
@@ -279,12 +277,19 @@ def euler_polytropic_sh(gamma: float, n: int = 1) -> SystemDef:
     last = {}
 
     def rho_of(p):
-        # keyed on the values, not on the array: run overwrites its state
-        # buffers in place; the shape is part of the key, since equal bytes
-        # of another shape would broadcast wrongly
+        # M0 and every M^j of one RHS call share one pass: on 64^2 the pass
+        # costs some 30 times the key, and redoing it for each M^j would add
+        # about a tenth to an euler_sh run. The key holds the values, not the
+        # array, since run overwrites its state buffers in place, and the
+        # shape, since equal bytes of another shape would broadcast wrongly.
         key = (p.dtype.str, p.shape, p.tobytes())
         if last.get("key") != key:
-            rho = np.asarray(_libm_pow(p, 1.0 / gamma), dtype=float)
+            try:
+                with np.errstate(invalid="raise"):
+                    rho = np.asarray(_libm_pow(p, 1.0 / gamma), dtype=float)
+            except FloatingPointError:
+                # math.pow's error for a finite negative pressure
+                raise ValueError("math domain error") from None
             rho.flags.writeable = False
             last.update(key=key, rho=rho)
         return last["rho"]

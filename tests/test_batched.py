@@ -217,6 +217,21 @@ def test_euler_sh_rhs_matches_per_cell_reference(seed):
     assert_bitwise(rhs(0.0, state), euler_rhs_per_cell(1.4, 2, 0.0, state))
 
 
+@pytest.mark.parametrize("shape, p, boundary", [
+    ((1,), 1e-300, "periodic"), ((1,), 1.3, "outflow"),
+    ((1, 1), 1e-300, "outflow"), ((1, 1), 1.3, "periodic")])
+def test_euler_sh_single_cell_rhs_matches_per_cell_reference(shape, p, boundary):
+    """A one-cell stack, at the box's pressure floor among others, goes
+    through rho and the diagonal division as the reference's scalars do."""
+    n = len(shape)
+    grid = GridField.zeros(shape, 0.5, 0.0, n + 1, boundary=boundary)
+    data = np.empty(shape + (n + 1,))
+    data[..., 0], data[..., 1:] = p, 0.25
+    state = grid.with_data(data)
+    rhs = system_rhs(euler_polytropic_sh(1.4, n=n))
+    assert_bitwise(rhs(0.0, state), euler_rhs_per_cell(1.4, n, 0.0, state))
+
+
 def test_euler_sh_overflowing_rhs_matches_per_cell_reference():
     """A target with inf in it fails the guard of the diagonal division and
     is solved whole, as the reference solves each cell: the non-finite

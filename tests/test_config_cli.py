@@ -598,6 +598,30 @@ class TestCliMain:
         rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
         assert rows[1].startswith("is_sh,true,0.0,")
 
+    def test_workflow_euler_sh_check_certifies_the_box(self, tmp_path):
+        # the workflow's euler_sh check: rho enters M0 and every M^j at each
+        # of the 5^3 states
+        config_path = tmp_path / "euler-check.cfg"
+        config_path.write_text("[model]\nname = euler_sh\n[checks]\nnames = is_sh\n"
+                               "is_sh.per_axis = 5\n")
+        assert main(["check", str(config_path), "--output-dir", str(tmp_path / "c")]) == 0
+        rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
+        assert rows[1].startswith("is_sh,true,")
+
+    def test_workflow_overflowing_box_exits_2(self, tmp_path, capsys):
+        # the workflow's Maxwell box whose width overflows: linspace's first
+        # sample was NaN, which certified as is_sh,true
+        lo, hi = ", ".join(["-1e308"] * 6), ", ".join(["1e308"] * 6)
+        config_path = tmp_path / "overflow-box.cfg"
+        config_path.write_text("[model]\nname = maxwell\n[checks]\nnames = is_sh\n"
+                               f"is_sh.box_lo = {lo}\nis_sh.box_hi = {hi}\n")
+        out = tmp_path / "c"
+        assert main(["check", str(config_path), "--output-dir", str(out)]) == 2
+        message = "box axis 0: hi - lo overflows (lo = -1e+308, hi = 1e+308)"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert error_messages(out) == [message]
+        assert not (out / "verdicts.csv").exists()
+
     @pytest.mark.parametrize("model, states", [("maxwell", (1, 6)), ("euler_sh", (9, 2))])
     def test_is_sh_samples_one_state_of_a_constant_system(self, tmp_path, monkeypatch,
                                                           model, states):

@@ -218,6 +218,19 @@ class TestSampling:
         assert first.shape == ((1, m) if per_axis else (0, m))
         assert first.tobytes() == box[:1].tobytes()
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        ([-1e308], [1e308], "box axis 0: hi - lo overflows"),
+        ([0.0, -np.inf], [1.0, 1.0], "box axis 1: a corner is not finite"),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, np.nan], "box axis 2: a corner is not finite"),
+        ([0.0, 1.0], [np.inf, -np.inf], "box axis 0: a corner is not finite"),
+    ])
+    @pytest.mark.parametrize("helper", [sample_box, first_box_sample])
+    def test_box_without_finite_samples_is_refused(self, helper, lo, hi, message):
+        # linspace gave [nan, inf, inf, 1e308] on the overflowing axis, with
+        # only a RuntimeWarning
+        with pytest.raises(ValueError, match=message):
+            helper(lo, hi, 4)
+
     def test_all_constant_covers_coefficients_and_symmetrizer(self):
         maxwell, _ = maxwell_system()
         assert maxwell.all_constant

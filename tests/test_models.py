@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -257,6 +259,57 @@ class TestEulerDensityCache:
                 got = field(np.zeros(flat.shape), flat)
                 assert got.shape == flat.shape[:-1] + (2, 2)
                 assert got.tobytes() == mats.tobytes()
+
+
+PRESSURE_EDGES = [1e-300, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan]
+
+
+def libm_pow(p, exponent):
+    """math.pow applied to each element of p, in p's shape."""
+    return np.array([math.pow(x, exponent) for x in np.ravel(p)]).reshape(np.shape(p))
+
+
+class TestEulerDensityBits:
+    """rho = p^(1/gamma) has math.pow's bits for every pressure, however
+    the cells are batched, and math.pow's domain error on p < 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                      elements=st.floats(5e-324, 1.7976931348623157e308)
+                      | st.sampled_from(PRESSURE_EDGES)),
+           st.floats(1.0, 3.0, exclude_min=True), st.lists(st.integers(0, 6 ** 3), max_size=3))
+    @example(np.array(PRESSURE_EDGES), 1.4, [3, 7])
+    def test_libm_bits_whatever_the_batch(self, p, gamma, cuts):
+        exponent = 1.0 / gamma
+        want = libm_pow(p, exponent)
+        assert models._libm_pow(p, exponent).tobytes() == want.tobytes()
+        # contiguous chunks of the flat stack
+        flat, flat_want = p.reshape(-1), want.reshape(-1)
+        cuts = sorted(min(cut, flat.size) for cut in cuts)
+        for lo, hi in zip([0] + cuts, cuts + [flat.size]):
+            assert models._libm_pow(flat[lo:hi], exponent).tobytes() == flat_want[lo:hi].tobytes()
+        # the strided pressure component of a state stack, as rho_of sees it
+        u = np.stack([p, np.ones_like(p), -p], axis=-1)
+        assert np.ascontiguousarray(models._libm_pow(u[..., 0], exponent)).tobytes() == (
+            want.tobytes())
+        # each cell alone, as a 0-d array
+        for x, bits in zip(flat, flat_want):
+            assert np.asarray(models._libm_pow(np.array(x), exponent)).tobytes() == (
+                bits.tobytes())
+
+    @pytest.mark.parametrize("field", [0, 1, 2], ids=["m0", "m1", "m2"])
+    def test_negative_pressure_is_a_domain_error(self, field):
+        sys = euler_polytropic_sh(1.4, n=2)
+        u = np.array([[1.0, 0.1, 0.2], [-0.5, 0.1, 0.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="math domain error"):
+                sys.coeff[field](np.zeros((2, 3)), u)
+            # a failed pass caches nothing, so the other fields raise too
+            for other in sys.coeff:
+                with pytest.raises(ValueError, match="math domain error"):
+                    other(np.zeros((2, 3)), u)
 
 
 class TestEulerFormsAgree:
