@@ -59,12 +59,15 @@ class MatrixField:
     (..., m, m), one matrix per point; a single point is the empty batch.
     ``const`` is set for matrices that do not depend on (x, u); the field
     then returns that one (m, m) matrix for any batch, so evaluators apply
-    it to a whole grid at once.
+    it to a whole grid at once.  ``state_only`` is set for matrices of u
+    alone (``of_state``); such a field takes x = None too, and its batch is
+    then that of u.
     """
 
     m: int
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     const: Optional[np.ndarray] = None
+    state_only: bool = False
 
     @classmethod
     def constant(cls, mat) -> "MatrixField":
@@ -77,15 +80,17 @@ class MatrixField:
     @classmethod
     def of_state(cls, m: int, fn: Callable[[np.ndarray], np.ndarray]) -> "MatrixField":
         """Wrap a batched matrix function of the state alone."""
-        return cls(m=m, fn=lambda x, u: fn(u))
+        return cls(m=m, fn=lambda x, u: fn(u), state_only=True)
 
     def __call__(self, x, u) -> np.ndarray:
         if self.const is not None:
             return self.const
-        x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        return batch_checked(self.fn(x, u), np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-                             + (self.m, self.m), 2, "matrix field")
+        batch = u.shape[:-1]
+        if x is not None:
+            x = np.asarray(x, dtype=float)
+            batch = np.broadcast_shapes(x.shape[:-1], batch)
+        return batch_checked(self.fn(x, u), batch + (self.m, self.m), 2, "matrix field")
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,13 @@ class SystemDef:
     time direction) against which hyperbolicity is tested.  ``state_box`` is optional (lo, hi)
     metadata delimiting the admissible states; time steppers abort when a
     state leaves it.
+
+    ``max_speed`` is an optional closed-form speed bound: batched, it maps
+    admissible states u (..., m) to (...), each at least the largest
+    |``characteristic_speeds``| at that state over every unit normal, not
+    only the ``unit_normals``.  With it, ``lxf.run`` takes a_star as its
+    maximum over every cell of the initial state and, when some field is
+    not constant, checks the CFL bound with it after every step.
     """
 
     n: int
@@ -107,6 +119,7 @@ class SystemDef:
     symmetrizer: Optional[MatrixField] = None
     direction: Optional[np.ndarray] = None
     state_box: Optional[tuple] = None
+    max_speed: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
@@ -220,7 +233,8 @@ def _sample_batch(sys, x, u) -> tuple:
     empty batch is an error."""
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     if x.shape[-1:] != (sys.n + 1,) or u.shape[-1:] != (sys.m,):
-        raise ValueError(f"points must have length n+1 = {sys.n + 1}, states m = {sys.m}")
+        raise ValueError(f"points must have length n+1 = {sys.n + 1} and states m = {sys.m}, "
+                         f"got shapes {x.shape} and {u.shape}")
     batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
     if 0 in batch:
         raise ValueError("need at least one sample")

@@ -12,10 +12,18 @@ laws.  A constant M^j is applied as one matrix product per single-entry
 layer (``single_entry_layers``), summed left to right in column order;
 on rows with at most two nonzeros that equals the per-cell contraction
 bit for bit.  The ratio lambda = k/h is fixed; stability is enforced at run
-start as lambda * a_star <= cfl_safety / n with a_star the sampled
-maximum characteristic speed (and k <= cfl_safety * h^2 / (2 eps) when
-viscosity is on).  Sources and state-dependent coefficients are evaluated
-fully explicitly at the points ``GridField.points(t)`` (t in column 0).
+start as lambda * a_star <= cfl_safety / n (and k <= cfl_safety * h^2 /
+(2 eps) when viscosity is on).  a_star is the maximum of the system's
+closed-form ``SystemDef.max_speed`` over every cell when it has one, and
+otherwise the largest characteristic speed at sampled cells
+(``max_char_speed``).  After every step ``run`` applies its guards to the
+new state: finite and admissible first (``_state_violation``), then, for
+a system with ``max_speed`` and a field that is not constant, the same
+CFL inequality on every cell; the first that fails aborts the run with
+the step, t and the cell.  Constant systems and conservation laws get no
+per-step CFL work.  Sources and fields of x are evaluated fully
+explicitly at the points ``GridField.points(t)`` (t in column 0), fields
+of the state alone without them.
 
 The steps follow numpy's ``out=`` idiom: ``lxf_average``, ``lxf_step``
 and ``viscous_step`` write into a given array, and allocate one only
@@ -311,8 +319,9 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
     its single-entry layers once, here, and applied to all cells by
     ``apply_layers``: one matrix product per layer, summed in layer order;
     a constant M0 is factorized against all cells at once.  The points
-    ``state.points(t)`` are built only when some field or the source
-    needs them, and an identity M0 skips the solve.
+    ``state.points(t)`` are built only for a source or a field of x; a
+    field of the state alone (``MatrixField.state_only``) is called with
+    x = None.  An identity M0 skips the solve.
 
     A state-dependent M0 goes through ``stacked_solve``: a diagonal stack
     (euler_sh's diag(1/gamma p, rho I)) divides the target by its diagonal,
@@ -324,7 +333,8 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
     """
     m0_const = sys.coeff[0].const
     m0_is_identity = m0_const is not None and np.array_equal(m0_const, np.eye(sys.m))
-    needs_x = sys.source is not None or any(c.const is None for c in sys.coeff)
+    needs_x = sys.source is not None or any(c.const is None and not c.state_only
+                                            for c in sys.coeff)
     layers = [None if c.const is None else single_entry_layers(c.const)
               for c in sys.coeff[1:]]
     needs_spare = any(lay is not None and len(lay) > 1 for lay in layers)
@@ -489,14 +499,23 @@ def _state_violation(system, state: GridField) -> Optional[tuple]:
     return None if violation is None else ("state outside box", *violation)
 
 
+def _exceeds_cfl(lam_a_n: float, cfl_safety: float) -> bool:
+    """Whether lambda * a * n breaks the CFL bound lambda * a * n <= cfl_safety."""
+    return lam_a_n > cfl_safety * (1.0 + 1e-9) + 1e-12
+
+
 def check_stability(system, initial: GridField, config: SchemeConfig) -> float:
-    """Enforce the CFL precondition; returns the sampled max speed."""
-    a_star = max_char_speed(system, initial, t=0.0)
-    n = initial.n
-    if config.lam * a_star * n > config.cfl_safety * (1.0 + 1e-9) + 1e-12:
+    """Enforce the CFL precondition lambda * a_star * n <= cfl_safety (and
+    the parabolic bound when viscosity is on); returns a_star, the maximum
+    of the system's ``max_speed`` over every cell when it has one, else the
+    sampled ``max_char_speed``."""
+    max_speed = getattr(system, "max_speed", None)
+    a_star = (max_char_speed(system, initial, t=0.0) if max_speed is None
+              else float(np.max(max_speed(initial.data))))
+    lam_a_n = config.lam * a_star * initial.n
+    if _exceeds_cfl(lam_a_n, config.cfl_safety):
         raise StabilityError(
-            f"lambda * a_star * n = {config.lam * a_star * n:.6g} exceeds "
-            f"cfl_safety = {config.cfl_safety}")
+            f"lambda * a_star * n = {lam_a_n:.6g} exceeds cfl_safety = {config.cfl_safety}")
     if config.viscosity > 0:
         h = _uniform_h(initial)
         k = config.lam * h
@@ -505,6 +524,33 @@ def check_stability(system, initial: GridField, config: SchemeConfig) -> float:
             raise StabilityError(
                 f"k = {k:.6g} exceeds the parabolic bound {bound:.6g}")
     return a_star
+
+
+def _cfl_violation(system: SystemDef, config: SchemeConfig,
+                   state: GridField) -> Optional[tuple]:
+    """(what, cell, None, detail) at the cell of the largest ``max_speed``
+    when lambda * a * n breaks the CFL bound on ``state``, with lambda * a *
+    n and cfl_safety in ``detail``; None when the bound holds."""
+    speeds = system.max_speed(state.data)
+    lam_a_n = config.lam * float(np.max(speeds)) * state.n
+    if not _exceeds_cfl(lam_a_n, config.cfl_safety):
+        return None
+    cell = tuple(int(i) for i in np.unravel_index(int(np.argmax(speeds)), speeds.shape))
+    return (f"lambda * a * n = {lam_a_n:.6g} exceeds cfl_safety = {config.cfl_safety}",
+            cell, None, {"lambda_a_n": float(lam_a_n), "cfl_safety": config.cfl_safety})
+
+
+def _guards(system, config: SchemeConfig) -> tuple:
+    """The checks ``run`` applies to each new state, in order, each a
+    callable of the state that returns a violation or None: finite and
+    admissible (``_state_violation``), then the CFL bound for a SystemDef
+    with ``max_speed`` and a field that is not constant.  With every field
+    constant a(t) = a(0), which ``check_stability`` has checked."""
+    guards = (partial(_state_violation, system),)
+    if (isinstance(system, SystemDef) and system.max_speed is not None
+            and not system.all_constant):
+        guards += (partial(_cfl_violation, system, config),)
+    return guards
 
 
 def run(system, initial: GridField, config: SchemeConfig,
@@ -522,6 +568,10 @@ def run(system, initial: GridField, config: SchemeConfig,
     RHS closure it builds keeps one scratch set, and a viscous run keeps
     one more array for the heat term.  A state handed to a
     monitor is valid only during that call; the trace keeps copies.
+
+    Each new state goes through the run's ``_guards``; the first violation
+    ends the run with an ``abort`` event that names the step, t and the
+    cell (for the CFL guard also ``lambda_a_n`` and ``cfl_safety``).
     """
     trace = Trace(monitors={mon.name: [] for mon in monitors})
 
@@ -531,12 +581,12 @@ def run(system, initial: GridField, config: SchemeConfig,
         for mon in monitors:
             trace.monitors[mon.name].append((t, float(mon.evaluate(state))))
 
-    def abort(step, t, what, cell, component):
+    def abort(step, t, what, cell, component, detail=None):
         where = f"at cell {cell}" + ("" if component is None else f" component {component}")
         trace.error = f"{what} {where} after step {step}"
         trace.events.append({"event": "abort", "step": step, "t": t,
                              "error": trace.error, "cell": cell,
-                             "component": component})
+                             "component": component, **(detail or {})})
         return trace
 
     # a non-finite or inadmissible initial state aborts before any
@@ -571,6 +621,7 @@ def run(system, initial: GridField, config: SchemeConfig,
     else:
         rhs = law_rhs(system) if isinstance(system, ConservationLaw) else system_rhs(system)
         stepper = partial(lxf_step, rhs=rhs, config=config, plan=plan)
+    guards = _guards(system, config)
 
     trace.events.append({"event": "stability", "a_star": a_star,
                          "lambda": config.lam, "k": k, "steps": total_steps,
@@ -586,9 +637,10 @@ def run(system, initial: GridField, config: SchemeConfig,
         state = stepper(state, t=t, k=k_step, out=buffers[i % 2])
         t = i * k if i <= n_full else config.t_end
         trace.steps = i
-        violation = _state_violation(system, state)
-        if violation:
-            return abort(i, t, *violation)
+        for guard in guards:
+            violation = guard(state)
+            if violation:
+                return abort(i, t, *violation)
         if i % config.output_stride == 0 or i == total_steps:
             record(t, state)
 

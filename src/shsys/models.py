@@ -267,7 +267,9 @@ def euler_polytropic_sh(gamma: float, n: int = 1) -> SystemDef:
         rho d_t v + grad p + rho v.grad v = 0
 
     Already symmetric; M^0 = diag(1/gamma p, rho I) is positive definite
-    on the state box {p > 0}.
+    on the state box {p > 0}.  Its ``max_speed`` is |v| + c with the sound
+    speed c = sqrt(gamma p / rho), the exact largest |characteristic
+    speed| over unit normals.
     """
     if gamma <= 1:
         raise ValueError("gamma must exceed 1")
@@ -310,11 +312,25 @@ def euler_polytropic_sh(gamma: float, n: int = 1) -> SystemDef:
         mat[..., vel, vel] = (rho_of(p) * v)[..., None]
         return mat
 
+    def max_speed(u):
+        # the speeds along a unit normal nu are v.nu and v.nu +- c, so
+        # |v| + c is their largest modulus over every nu.  |v|^2 is summed
+        # one component at a time: np.sum over the short trailing axis of u
+        # costs several times more.  rho_of's pass is the one the next RHS
+        # call finds in its cache.
+        u = np.asarray(u, dtype=float)
+        p = u[..., 0]
+        v2 = u[..., 1] * u[..., 1]
+        for j in range(2, m):
+            v2 = v2 + u[..., j] * u[..., j]
+        return np.sqrt(v2) + np.sqrt(gamma * p / rho_of(p))
+
     coeff = [MatrixField.of_state(m, m0)] + [
         MatrixField.of_state(m, lambda u, j=j: mj(u, j)) for j in range(n)]
     lo = np.concatenate([[1e-300], np.full(n, -np.inf)])
     hi = np.full(m, np.inf)
-    return SystemDef(n=n, m=m, coeff=tuple(coeff), state_box=(lo, hi))
+    return SystemDef(n=n, m=m, coeff=tuple(coeff), state_box=(lo, hi),
+                     max_speed=max_speed)
 
 
 def euler_sound_speed(gamma: float, p: float) -> float:

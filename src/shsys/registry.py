@@ -156,10 +156,32 @@ PROFILES = {
 }
 
 
+def _given_box(params, model) -> tuple:
+    """is_sh's (box_lo, box_hi), checked to hold m values each and, for a
+    system, to lie inside its ``SystemDef.state_box``, outside which its
+    coefficients need not be defined (euler_sh's at p <= 0)."""
+    m = model.system.m
+    corners = {key: np.asarray(params[key], dtype=float) for key in ("box_lo", "box_hi")}
+    for key, corner in corners.items():
+        if corner.size != m:
+            raise ExecutionError(f"is_sh.{key} has {corner.size} values, expected m = {m}")
+    if model.kind == "system" and model.system.state_box is not None:
+        lo, hi = (np.asarray(b, dtype=float) for b in model.system.state_box)
+        for key, corner in corners.items():
+            outside = np.flatnonzero((corner < lo) | (corner > hi))
+            if outside.size:
+                i = outside[0]
+                raise ExecutionError(
+                    f"is_sh.{key} = {', '.join(f'{v:g}' for v in corner)} leaves "
+                    f"SystemDef.state_box on axis {i}: {corner[i]:g} is not in "
+                    f"[{lo[i]:g}, {hi[i]:g}]")
+    return params["box_lo"], params["box_hi"]
+
+
 def _is_sh(params, model, trace, out_dir, make_grid):
     if model.kind == "tricomi":
         raise ExecutionError("is_sh does not apply to the tricomi model; use tricomi_certificate")
-    box = (params["box_lo"], params["box_hi"]) if "box_lo" in params else model.box
+    box = _given_box(params, model) if "box_lo" in params else model.box
     per_axis = params.get("per_axis", 3)
     if model.kind == "law":
         if model.pair is None:

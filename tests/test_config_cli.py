@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import pytest
 
@@ -621,6 +622,60 @@ class TestCliMain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert error_messages(out) == [message]
         assert not (out / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        ("-1, -3", "1, 3", "is_sh.box_lo = -1, -3 leaves SystemDef.state_box on axis 0: "
+                           "-1 is not in [1e-300, inf]"),
+        ("0, -3", "1, 3", "is_sh.box_lo = 0, -3 leaves SystemDef.state_box on axis 0: "
+                          "0 is not in [1e-300, inf]"),
+        ("-1, -3, -3", "1, 3, 3", "is_sh.box_lo has 3 values, expected m = 2"),
+        ("0.5, -3", "1, 3, 3", "is_sh.box_hi has 3 values, expected m = 2"),
+    ], ids=["negative-pressure", "zero-pressure", "long-box", "long-hi"])
+    def test_euler_sh_box_is_checked_against_the_model(self, tmp_path, capsys, lo, hi, message):
+        # outside p > 0, M0 and M^j divide by zero or take rho of a negative
+        # pressure; a box of m + 1 values reached is_sh as points of n + 1
+        config_path = tmp_path / "box.cfg"
+        config_path.write_text("[model]\nname = euler_sh\n[checks]\nnames = is_sh\n"
+                               f"is_sh.box_lo = {lo}\nis_sh.box_hi = {hi}\n")
+        out = tmp_path / "c"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(config_path), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert error_messages(out) == [message]
+        assert not (out / "verdicts.csv").exists()
+
+    def test_euler_sh_box_inside_the_state_box_certifies(self, tmp_path):
+        config_path = tmp_path / "box.cfg"
+        config_path.write_text("[model]\nname = euler_sh\n[checks]\nnames = is_sh\n"
+                               "is_sh.box_lo = 0.01, -3\nis_sh.box_hi = 1, 3\n")
+        assert main(["check", str(config_path), "--output-dir", str(tmp_path / "c")]) == 0
+        rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
+        assert rows[1].startswith("is_sh,true,")
+
+    @pytest.mark.parametrize("lam, code", [("0.50709255283711", 2), ("0.3803194146278325", 0)],
+                             ids=["0.6", "0.45"])
+    def test_workflow_euler_sh_cfl_guard(self, tmp_path, capsys, lam, code):
+        # the workflow's 1D euler_sh pressure jump at lambda a*(0) = 0.6 and
+        # 0.45 (lambda times sqrt(1.4)): the CFL guard stops the first after
+        # step 1; the second completes, and a rerun writes the same tree
+        config_path = tmp_path / "jump.cfg"
+        config_path.write_text(
+            "[model]\nname = euler_sh\n[grid]\nshape = 400\nh = 0.0025\norigin = 0.00125\n"
+            f"boundary = outflow\n[scheme]\nlambda = {lam}\nt_end = 0.2\n[initial]\n"
+            "profile = step\nleft = 1.0, 0.0\nright = 0.1, 0.0\njump_at = 0.5\n")
+        runs = [tmp_path / "a", tmp_path / "b"]
+        assert main(["run", str(config_path), "--output-dir", str(runs[0])]) == code
+        if code:
+            assert re.match(r"error: lambda \* a \* n = 1\.150\d* exceeds cfl_safety = 0\.9 "
+                            r"at cell \(200,\) after step 1\n$", capsys.readouterr().err)
+            (abort,) = [e for e in read_events(runs[0]) if e["event"] == "abort"]
+            assert (abort["step"], abort["cell"], abort["cfl_safety"]) == (1, [200], 0.9)
+            return
+        assert main(["run", str(config_path), "--output-dir", str(runs[1])]) == 0
+        assert read_tree(runs[0]) == read_tree(runs[1])
+        (done,) = [e for e in read_events(runs[0]) if e["event"] == "done" and "steps" in e]
+        assert done["steps"] == 211
 
     @pytest.mark.parametrize("model, states", [("maxwell", (1, 6)), ("euler_sh", (9, 2))])
     def test_is_sh_samples_one_state_of_a_constant_system(self, tmp_path, monkeypatch,

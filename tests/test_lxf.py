@@ -761,3 +761,130 @@ class TestStackedSolve:
         got, solved = solve_or_error(m0, b)
         assert not solved
         assert got.tobytes() == np.linalg.solve(m0, b[..., None])[..., 0].tobytes()
+
+
+def pressure_jump(cfl):
+    """euler_sh in 1D, p 1 -> 0.1 at rest on 400 outflow cells, at
+    lambda * a*(0) = cfl to t = 0.2."""
+    grid = GridField.zeros((400,), 0.0025, 0.00125, 2, "outflow")
+    initial = profiles.step(grid, [1.0, 0.0], [0.1, 0.0], jump_at=0.5)
+    return (euler_polytropic_sh(1.4, n=1), initial,
+            SchemeConfig(lam=cfl / np.sqrt(1.4), t_end=0.2))
+
+
+class TestCflGuard:
+    """The CFL bound lambda * a * n <= cfl_safety, checked on every cell at
+    run start and, for a system with max_speed and a field that is not
+    constant, after every step."""
+
+    def test_guard_aborts_after_the_first_step(self):
+        sys, initial, config = pressure_jump(0.6)
+        trace = run(sys, initial, config)
+        # c = sqrt(1.4) on the high-pressure side, where v = 0
+        assert trace.a_star == np.sqrt(1.4)
+        assert not trace.completed and trace.steps == 1
+        event = trace.events[-1]
+        assert {key: event[key] for key in ("event", "step", "cell", "component", "cfl_safety")} \
+            == {"event": "abort", "step": 1, "cell": (200,), "component": None, "cfl_safety": 0.9}
+        assert event["t"] == config.lam * initial.h[0]
+        assert event["lambda_a_n"] == pytest.approx(1.150, abs=5e-4)
+        assert trace.error == (f"lambda * a * n = {event['lambda_a_n']:.6g} exceeds "
+                               "cfl_safety = 0.9 at cell (200,) after step 1")
+        # the cell named is the fastest one after that step
+        k = config.lam * initial.h[0]
+        one = run(replace(sys, max_speed=None), initial, replace(config, t_end=k))
+        speeds = sys.max_speed(one.snapshots[-1].data)
+        assert int(np.argmax(speeds)) == 200
+        assert event["lambda_a_n"] == config.lam * speeds.max()
+
+    def test_guard_stops_the_run_before_the_state_leaves_the_box(self):
+        sys, initial, config = pressure_jump(0.9)
+        trace = run(sys, initial, config)
+        assert trace.steps == 1 and trace.error.startswith("lambda * a * n = ")
+        assert trace.events[-1]["cell"] == (200,)
+        # without the guard the same run goes on until a pressure turns negative
+        unguarded = run(replace(sys, max_speed=None), initial, config)
+        assert unguarded.a_star == trace.a_star
+        assert unguarded.error == "state outside box at cell (201,) component 0 after step 4"
+
+    def test_stable_ratio_completes(self):
+        sys, initial, config = pressure_jump(0.45)
+        trace = run(sys, initial, config)
+        assert trace.completed and trace.steps == 211 and trace.error is None
+
+    def test_start_check_reads_every_cell(self):
+        # the one fast cell is not among the sampled ones, which miss it
+        sys = euler_polytropic_sh(1.4, n=1)
+        state = profiles.constant(GridField.zeros((2000,), 0.0005, 0.00025, 2), [1.0, 0.0])
+        fast = 1
+        assert fast not in _sample_cells(state)
+        state.data[fast, 1] = 2.0
+        config = SchemeConfig(lam=0.5, t_end=0.01)
+        assert 0.5 * max_char_speed(replace(sys, max_speed=None), state) < 0.9
+        with pytest.raises(StabilityError, match=r"lambda \* a_star \* n = 1\.59"):
+            lxf.check_stability(sys, state, config)
+        assert lxf.check_stability(sys, state, replace(config, lam=0.25)) == 2.0 + np.sqrt(1.4)
+
+    def test_cfl_inequality_has_its_relative_and_absolute_slack(self):
+        for lam_a_n, cfl, exceeded in [(0.9, 0.9, False), (0.9 * (1 + 5e-10), 0.9, False),
+                                       (0.9 * (1 + 2e-9), 0.9, True), (1e-12, 1e-300, False)]:
+            assert lxf._exceeds_cfl(lam_a_n, cfl) is exceeded
+
+    @pytest.mark.parametrize("build", [
+        lambda: maxwell_system()[0],
+        lambda: wave_system(np.zeros(2), np.eye(2))[0],
+        lambda: burgers_law()[0],
+        lambda: euler_conservative_1d(1.4),
+    ], ids=["maxwell", "wave", "burgers", "euler_cons"])
+    def test_constant_systems_and_laws_get_only_the_state_check(self, build):
+        system = build()
+        assert getattr(system, "max_speed", None) is None
+        (guard,) = lxf._guards(system, SchemeConfig(lam=0.1, t_end=1.0))
+        assert guard.func is lxf._state_violation
+
+    def test_a_constant_system_with_max_speed_is_bounded_once(self):
+        sys, _ = maxwell_system()
+        calls = []
+        bounded = replace(sys, max_speed=lambda u: calls.append(u.shape) or np.ones(u.shape[:-1]))
+        grid = GridField.zeros((6, 6, 6), 1.0 / 6, 1.0 / 12, 6)
+        trace = run(bounded, grid, SchemeConfig(lam=0.25, t_end=8 * 0.25 / 6))
+        assert trace.completed and trace.steps == 8
+        assert calls == [(6, 6, 6, 6)]
+        assert trace.a_star == 1.0
+        assert len(lxf._guards(bounded, SchemeConfig(lam=0.25, t_end=1.0))) == 1
+
+    def test_state_check_comes_first(self):
+        sys, _, _ = pressure_jump(0.45)
+        guards = lxf._guards(sys, SchemeConfig(lam=0.1, t_end=1.0))
+        assert [g.func for g in guards] == [lxf._state_violation, lxf._cfl_violation]
+
+
+def counted_points(monkeypatch):
+    calls = []
+    original = GridField.points
+    monkeypatch.setattr(GridField, "points", lambda self, t: calls.append(t) or original(self, t))
+    return calls
+
+
+class TestPointsBuilt:
+    def test_state_only_fields_build_no_points(self, monkeypatch):
+        calls = counted_points(monkeypatch)
+        grid = GridField.zeros((12, 10), 0.1, 0.05, 3, "outflow")
+        data = np.zeros(grid.shape + (3,))
+        data[..., 0] = RNG.uniform(0.5, 1.5, grid.shape)
+        data[..., 1:] = 0.1 * RNG.standard_normal(grid.shape + (2,))
+        sys = euler_polytropic_sh(1.4, n=2)
+        assert all(c.state_only for c in sys.coeff)
+        trace = run(sys, grid.with_data(data), SchemeConfig(lam=0.2, t_end=6 * 0.02))
+        assert trace.completed and trace.steps == 6
+        assert calls == []
+
+    def test_a_source_gets_points_every_call(self, monkeypatch):
+        calls = counted_points(monkeypatch)
+        sys, _ = wave_system(np.zeros(2), np.eye(2))
+        grid = GridField.zeros((12, 10), 0.1, 0.05, 4)
+        data = RNG.standard_normal(grid.shape + (4,))
+        trace = run(sys, grid.with_data(data), SchemeConfig(lam=0.2, t_end=6 * 0.02))
+        assert trace.completed and trace.steps == 6
+        # the sampled CFL speeds at t = 0, then one RHS call per step
+        assert len(calls) == 7 and calls[0] == 0.0

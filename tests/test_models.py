@@ -5,11 +5,11 @@ import warnings
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from shsys import profiles
-from shsys.core import is_sh, operand, sample_box, symmetry_residual
+from shsys.core import characteristic_speeds, is_sh, operand, sample_box, symmetry_residual
 from shsys.energy import energy
 from shsys.grid import GridField, centered_diff, interior_mask, l2_norm
 from shsys import models
@@ -199,6 +199,59 @@ class TestEulerPolytropic:
         assert trace.error == "state outside box at cell (4,) component 0 after step 0"
 
 
+@st.composite
+def euler_states(draw):
+    """(gamma, state (p, v)) with p in [1e-6, 1e6] and |v_j| <= 1e3, n = 1..3.
+
+    Each v_j is 0 or at least 1e-90 in modulus: with entries near 1e-146
+    beside entries of order 1, LAPACK's eigvalsh, which
+    characteristic_speeds calls, returns eigenvalues off by up to 16 %
+    (+-1.0 for +-0.861 on a 4 x 4 reduced matrix), which says nothing
+    about max_speed."""
+    n = draw(st.integers(1, 3))
+    gamma = draw(st.sampled_from([1.01, 1.4, 5.0 / 3.0, 3.0]))
+    p = draw(st.floats(1e-6, 1e6))
+    component = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-90)
+    v = draw(st.lists(component, min_size=n, max_size=n))
+    return gamma, np.array([p, *v])
+
+
+class TestEulerMaxSpeed:
+    """max_speed = |v| + c bounds |characteristic_speeds| along every unit
+    normal and is reached along v."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(euler_states(), st.data())
+    def test_bounds_the_speeds_along_every_normal(self, case, data):
+        gamma, u = case
+        n = u.size - 1
+        raw = data.draw(hnp.arrays(float, (8, n), elements=st.floats(-1.0, 1.0)))
+        drawn = raw[np.linalg.norm(raw, axis=-1) > 1e-3]
+        normals = np.concatenate([np.eye(n), drawn / np.linalg.norm(drawn, axis=-1, keepdims=True)])
+        sys = euler_polytropic_sh(gamma, n=n)
+        bound = sys.max_speed(u)
+        assert bound.shape == ()
+        speeds = characteristic_speeds(sys, np.zeros(n + 1), u, normals)
+        assert np.all(np.abs(speeds) <= bound * (1.0 + 1e-12))
+
+    @settings(max_examples=300, deadline=None)
+    @given(euler_states())
+    def test_is_reached_along_the_velocity(self, case):
+        gamma, u = case
+        assume(np.any(u[1:]))
+        along = u[1:] / np.linalg.norm(u[1:])
+        sys = euler_polytropic_sh(gamma, n=u.size - 1)
+        top = np.max(np.abs(characteristic_speeds(sys, np.zeros(u.size), u, along)))
+        assert top == pytest.approx(float(sys.max_speed(u)), rel=1e-12)
+
+    def test_batched_over_cells(self):
+        sys = euler_polytropic_sh(1.4, n=2)
+        u = np.stack([RNG.uniform(0.5, 1.5, (5, 4)), *RNG.standard_normal((2, 5, 4))], -1)
+        c = np.sqrt(1.4 * u[..., 0] / u[..., 0] ** (1.0 / 1.4))
+        assert np.allclose(sys.max_speed(u), np.hypot(u[..., 1], u[..., 2]) + c,
+                           rtol=1e-14, atol=0.0)
+
+
 class TestEulerDensityCache:
     """rho = p^(1/gamma) is built once per RHS call and shared by M0 and
     every M^j; the one-entry cache is keyed on the dtype, shape and bytes
@@ -243,6 +296,15 @@ class TestEulerDensityCache:
         assert not np.array_equal(first, second)
         fresh = system_rhs(euler_polytropic_sh(1.4, n=2))(0.0, state)
         assert second.tobytes() == fresh.tobytes()
+
+    def test_run_makes_one_pass_per_step_and_one_at_start(self, monkeypatch):
+        # the CFL check at start and the guard after each step build rho;
+        # each RHS call finds the one of its state in the cache
+        calls = self.counted_pow(monkeypatch)
+        trace = run(euler_polytropic_sh(1.4, n=2), self.state_2d(),
+                    SchemeConfig(lam=0.2, t_end=16 * 0.2 * 0.1, output_stride=16))
+        assert trace.completed and trace.steps == 16
+        assert calls == [(10, 7)] * 17
 
     def test_equal_bytes_of_another_shape_do_not_collide(self):
         """A cache keyed on the bytes of p alone hands a rho of the wrong

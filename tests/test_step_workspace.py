@@ -350,3 +350,7 @@ def test_viscous_step_allocates_no_more_than_lxf_step(monkeypatch):
     assert len(lxf_peaks) == len(viscous_peaks) == 6
     # a first step allocates the RHS scratch or fills region-table caches
     assert max(viscous_peaks[1:]) <= max(lxf_peaks[1:])
+    # one flux array (the state's size at m = 1) and small objects, about
+    # 2 KB on 20,000 cells; a state-sized heat term would add 160 KB
+    flux_bytes = initial.data.nbytes
+    assert max(viscous_peaks[1:]) <= flux_bytes + 4096
