@@ -93,6 +93,16 @@ class MatrixField:
         return batch_checked(self.fn(x, u), batch + (self.m, self.m), 2, "matrix field")
 
 
+def box_corners(state_box, m: int) -> tuple:
+    """A ``state_box`` (lo, hi) as two float arrays of length m; ValueError
+    for corners of another length."""
+    lo, hi = (np.asarray(b, dtype=float) for b in state_box)
+    if lo.shape != (m,) or hi.shape != (m,):
+        raise ValueError(f"state_box corners must have length m = {m}, "
+                         f"got {lo.size} and {hi.size}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class SystemDef:
     """Quasi-linear system: coeff[alpha] multiplies d_alpha u, alpha = 0..n.
@@ -101,8 +111,9 @@ class SystemDef:
     N(x, u), batched like them: x of shape (..., n+1) and u of shape
     (..., m) give (..., m).  ``direction`` is the covector k (default: the
     time direction) against which hyperbolicity is tested.  ``state_box`` is optional (lo, hi)
-    metadata delimiting the admissible states; time steppers abort when a
-    state leaves it.
+    metadata delimiting the admissible states, stored as two float arrays
+    of length m (``box_corners``); time steppers abort when a state
+    leaves it.
 
     ``max_speed`` is an optional closed-form speed bound: batched, it maps
     admissible states u (..., m) to (...), each at least the largest
@@ -138,6 +149,8 @@ class SystemDef:
         if k.shape != (self.n + 1,):
             raise ValueError(f"direction must have length n+1 = {self.n + 1}")
         object.__setattr__(self, "direction", k)
+        if self.state_box is not None:
+            object.__setattr__(self, "state_box", box_corners(self.state_box, self.m))
 
     @property
     def all_constant(self) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fd
 from .core import (FD_SYMMETRY_TOL, SYMMETRY_RTOL, MatrixField, SystemDef, _asymmetry,
-                   batch_checked, is_sh, positive_definite, sample_box)
+                   batch_checked, box_corners, is_sh, positive_definite, sample_box)
 
 #: Newton tolerance of ``legendre_dual``, relative to max(1, |v|)
 NEWTON_RTOL = 1e-10
@@ -64,10 +64,7 @@ class ConservationLaw:
     def __post_init__(self):
         if len(self.flux) != self.n:
             raise ValueError(f"need n = {self.n} space flux fields, got {len(self.flux)}")
-        lo, hi = (np.asarray(b, dtype=float) for b in self.state_box)
-        if lo.shape != (self.m,) or hi.shape != (self.m,):
-            raise ValueError("state_box corners must have length m")
-        object.__setattr__(self, "state_box", (lo, hi))
+        object.__setattr__(self, "state_box", box_corners(self.state_box, self.m))
 
     def jacobian(self, j: int, u) -> np.ndarray:
         """df^j/du at states (..., m), as (..., m, m); exact when supplied,

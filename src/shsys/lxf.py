@@ -15,12 +15,13 @@ bit for bit.  The ratio lambda = k/h is fixed; stability is enforced at run
 start as lambda * a_star <= cfl_safety / n (and k <= cfl_safety * h^2 /
 (2 eps) when viscosity is on).  a_star is the maximum of the system's
 closed-form ``SystemDef.max_speed`` over every cell when it has one, and
-otherwise the largest characteristic speed at sampled cells
-(``max_char_speed``).  After every step ``run`` applies its guards to the
-new state: finite and admissible first (``_state_violation``), then, for
-a system with ``max_speed`` and a field that is not constant, the same
-CFL inequality on every cell; the first that fails aborts the run with
-the step, t and the cell.  Constant systems and conservation laws get no
+otherwise the largest characteristic speed of ``max_char_speed``: over
+every cell for a conservation law, at sampled cells for a system.  After
+every step ``run`` applies its guards to the new state: finite and
+admissible first (``_state_violation``), then, for a system with
+``max_speed`` and a field that is not constant, the same CFL inequality
+on every cell; the first that fails aborts the run with the step, t and
+the cell.  Constant systems and conservation laws get no
 per-step CFL work.  Sources and fields of x are evaluated fully
 explicitly at the points ``GridField.points(t)`` (t in column 0), fields
 of the state alone without them.
@@ -145,15 +146,19 @@ def _sample_cells(field_: GridField) -> np.ndarray:
 
 def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
     """Largest |characteristic speed| over the ``unit_normals`` (axes plus
-    diagonals) at sampled rows of ``state.points(t)``.  A system whose
-    fields are all constant is evaluated at one cell."""
+    diagonals): for a conservation law at every cell, from its flux
+    Jacobians; for a SystemDef at most 512 evenly strided rows of
+    ``state.points(t)`` (``_sample_cells``), since each costs generalized
+    eigen-solves, so the sampled speed can miss the fastest cell.  A
+    system whose fields are all constant is evaluated at one cell."""
+    if isinstance(system, ConservationLaw):
+        u = state.data.reshape(-1, state.m)
+        normals = unit_normals(system.n)[:, None]
+        a = sum(normals[..., j, None, None] * system.jacobian(j, u) for j in range(system.n))
+        return max(0.0, *np.max(np.abs(np.linalg.eigvals(a)), axis=(1, 2)).tolist())
     idx = _sample_cells(state)
-    u = state.data.reshape(-1, state.m)[idx]
-    if not isinstance(system, ConservationLaw):
-        return max_abs_speed(system, state.points(t).reshape(-1, state.n + 1)[idx], u)
-    normals = unit_normals(system.n)[:, None]
-    a = sum(normals[..., j, None, None] * system.jacobian(j, u) for j in range(system.n))
-    return max(0.0, *np.max(np.abs(np.linalg.eigvals(a)), axis=(1, 2)).tolist())
+    return max_abs_speed(system, state.points(t).reshape(-1, state.n + 1)[idx],
+                         state.data.reshape(-1, state.m)[idx])
 
 
 def _rows(a: np.ndarray, rows: Optional[tuple]) -> np.ndarray:
@@ -475,7 +480,7 @@ def _box_violation(system, state: GridField) -> Optional[tuple]:
     when every state is admissible."""
     box = getattr(system, "state_box", None)
     if box is not None and isinstance(system, SystemDef):
-        lo, hi = (np.asarray(b, dtype=float) for b in box)
+        lo, hi = box
         outside = (state.data < lo) | (state.data > hi)
         if outside.any():
             *cell, component = first_true(outside)
@@ -507,8 +512,8 @@ def _exceeds_cfl(lam_a_n: float, cfl_safety: float) -> bool:
 def check_stability(system, initial: GridField, config: SchemeConfig) -> float:
     """Enforce the CFL precondition lambda * a_star * n <= cfl_safety (and
     the parabolic bound when viscosity is on); returns a_star, the maximum
-    of the system's ``max_speed`` over every cell when it has one, else the
-    sampled ``max_char_speed``."""
+    of the system's ``max_speed`` over every cell when it has one, else
+    ``max_char_speed`` (every cell of a law, sampled cells of a system)."""
     max_speed = getattr(system, "max_speed", None)
     a_star = (max_char_speed(system, initial, t=0.0) if max_speed is None
               else float(np.max(max_speed(initial.data))))
@@ -562,6 +567,9 @@ def run(system, initial: GridField, config: SchemeConfig,
     ``system`` is a SystemDef or a ConservationLaw; a positive
     config.viscosity selects the viscous stepper (1D laws only).
     ``monitors`` are objects with a name and evaluate(snapshot) -> float.
+    Any other ``system`` raises TypeError, and viscosity on a SystemDef or
+    on a law or grid of more than one dimension raises ValueError, before
+    any member of the model is evaluated.
 
     The run owns two state buffers and alternates between them, step i
     reading one and writing the other through the steppers' ``out=``; the
@@ -573,6 +581,13 @@ def run(system, initial: GridField, config: SchemeConfig,
     ends the run with an ``abort`` event that names the step, t and the
     cell (for the CFL guard also ``lambda_a_n`` and ``cfl_safety``).
     """
+    if not isinstance(system, (ConservationLaw, SystemDef)):
+        raise TypeError(f"cannot integrate object of type {type(system).__name__}")
+    if config.viscosity > 0:
+        if not isinstance(system, ConservationLaw):
+            raise ValueError("viscosity applies to conservation laws only")
+        if system.n != 1 or initial.n != 1:
+            raise ValueError("viscous stepping is implemented for one space dimension")
     trace = Trace(monitors={mon.name: [] for mon in monitors})
 
     def record(t, state):
@@ -598,11 +613,6 @@ def run(system, initial: GridField, config: SchemeConfig,
 
     a_star = check_stability(system, initial, config)
     trace.a_star = a_star
-
-    if config.viscosity > 0 and not isinstance(system, ConservationLaw):
-        raise ValueError("viscosity applies to conservation laws only")
-    if not isinstance(system, (ConservationLaw, SystemDef)):
-        raise TypeError(f"cannot integrate object of type {type(system).__name__}")
 
     h = _uniform_h(initial)
     k = config.lam * h

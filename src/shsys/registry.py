@@ -166,7 +166,7 @@ def _given_box(params, model) -> tuple:
         if corner.size != m:
             raise ExecutionError(f"is_sh.{key} has {corner.size} values, expected m = {m}")
     if model.kind == "system" and model.system.state_box is not None:
-        lo, hi = (np.asarray(b, dtype=float) for b in model.system.state_box)
+        lo, hi = model.system.state_box
         for key, corner in corners.items():
             outside = np.flatnonzero((corner < lo) | (corner > hi))
             if outside.size:

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import re
@@ -12,6 +13,10 @@ from shsys.entropy import ConvergenceError
 from shsys.lxf import SCHEME_KEYS, SchemeConfig
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# the CI configs: the workflow's "Installed console script" step runs every
+# file of check/ through 'shsys check', of rerun/ twice through 'shsys run'
+# and of fail/ once through 'shsys run'; the tests below glob the same files
+CONFIGS = os.path.join(os.path.dirname(__file__), "configs")
 SIM_CHECKS = [name for name, check in registry.CHECKS.items()
               if check.needs == "simulation"]
 
@@ -65,6 +70,17 @@ def readme_example():
     with open(README) as handle:
         cli_section = handle.read().split("## CLI", 1)[1]
     return re.search(r"```ini\n(.*?)```", cli_section, re.S).group(1)
+
+
+def workflow_configs(kind):
+    """Stem -> path of each CI config under configs/<kind>."""
+    paths = sorted(glob.glob(os.path.join(CONFIGS, kind, "*.cfg")))
+    return {os.path.basename(path)[:-len(".cfg")]: path for path in paths}
+
+
+def workflow_config(kind, name):
+    return os.path.join(CONFIGS, kind, f"{name}.cfg")
+
 
 VISCOUS = """
 [model]
@@ -589,35 +605,44 @@ class TestCliMain:
         rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith(f"{check},true,")
 
+    @pytest.mark.parametrize("name", workflow_configs("check"))
+    def test_workflow_check_config_passes(self, tmp_path, name):
+        path = workflow_config("check", name)
+        assert main(["check", path, "--output-dir", str(tmp_path / "c")]) == 0
+
+    @pytest.mark.parametrize("name", workflow_configs("fail"))
+    def test_workflow_fail_config_exits_2(self, tmp_path, capsys, name):
+        path = workflow_config("fail", name)
+        assert main(["run", path, "--output-dir", str(tmp_path / "c")]) == 2
+        assert re.fullmatch(r"error: [^\n]+\n", capsys.readouterr().err)
+
+    def test_workflow_burgers_check_certifies_the_entropy_pair(self, tmp_path):
+        path = workflow_config("check", "burgers")
+        assert main(["check", path, "--output-dir", str(tmp_path / "c")]) == 0
+        # is_sh's row comes first, and its tolerance text holds a comma
+        rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
+        assert rows[2].startswith("entropy_pair,true,")
+
     def test_workflow_maxwell_check_certifies_the_box(self, tmp_path):
-        # the workflow's Maxwell check: 7^6 states of constant coefficients
-        config_path = tmp_path / "maxwell-check.cfg"
-        config_path.write_text("[model]\nname = maxwell\n[checks]\nnames = is_sh\n"
-                               "is_sh.per_axis = 7\n")
-        assert main(["check", str(config_path), "--output-dir", str(tmp_path / "c")]) == 0
+        path = workflow_config("check", "maxwell")
+        assert main(["check", path, "--output-dir", str(tmp_path / "c")]) == 0
         # the is_sh tolerance text holds a comma, so read the row as raw text
         rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
         assert rows[1].startswith("is_sh,true,0.0,")
 
     def test_workflow_euler_sh_check_certifies_the_box(self, tmp_path):
-        # the workflow's euler_sh check: rho enters M0 and every M^j at each
-        # of the 5^3 states
-        config_path = tmp_path / "euler-check.cfg"
-        config_path.write_text("[model]\nname = euler_sh\n[checks]\nnames = is_sh\n"
-                               "is_sh.per_axis = 5\n")
-        assert main(["check", str(config_path), "--output-dir", str(tmp_path / "c")]) == 0
+        path = workflow_config("check", "euler")
+        assert main(["check", path, "--output-dir", str(tmp_path / "c")]) == 0
         rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
         assert rows[1].startswith("is_sh,true,")
 
     def test_workflow_overflowing_box_exits_2(self, tmp_path, capsys):
-        # the workflow's Maxwell box whose width overflows: linspace's first
-        # sample was NaN, which certified as is_sh,true
-        lo, hi = ", ".join(["-1e308"] * 6), ", ".join(["1e308"] * 6)
-        config_path = tmp_path / "overflow-box.cfg"
-        config_path.write_text("[model]\nname = maxwell\n[checks]\nnames = is_sh\n"
-                               f"is_sh.box_lo = {lo}\nis_sh.box_hi = {hi}\n")
+        # linspace's first sample of this box was NaN, which certified as
+        # is_sh,true; the fail loop runs it through 'run', this test through
+        # 'check'
         out = tmp_path / "c"
-        assert main(["check", str(config_path), "--output-dir", str(out)]) == 2
+        assert main(["check", workflow_config("fail", "overflow-box"),
+                     "--output-dir", str(out)]) == 2
         message = "box axis 0: hi - lo overflows (lo = -1e+308, hi = 1e+308)"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert error_messages(out) == [message]
@@ -653,28 +678,20 @@ class TestCliMain:
         rows = (tmp_path / "c" / "verdicts.csv").read_text().splitlines()
         assert rows[1].startswith("is_sh,true,")
 
-    @pytest.mark.parametrize("lam, code", [("0.50709255283711", 2), ("0.3803194146278325", 0)],
-                             ids=["0.6", "0.45"])
-    def test_workflow_euler_sh_cfl_guard(self, tmp_path, capsys, lam, code):
-        # the workflow's 1D euler_sh pressure jump at lambda a*(0) = 0.6 and
-        # 0.45 (lambda times sqrt(1.4)): the CFL guard stops the first after
-        # step 1; the second completes, and a rerun writes the same tree
-        config_path = tmp_path / "jump.cfg"
-        config_path.write_text(
-            "[model]\nname = euler_sh\n[grid]\nshape = 400\nh = 0.0025\norigin = 0.00125\n"
-            f"boundary = outflow\n[scheme]\nlambda = {lam}\nt_end = 0.2\n[initial]\n"
-            "profile = step\nleft = 1.0, 0.0\nright = 0.1, 0.0\njump_at = 0.5\n")
-        runs = [tmp_path / "a", tmp_path / "b"]
-        assert main(["run", str(config_path), "--output-dir", str(runs[0])]) == code
+    @pytest.mark.parametrize("kind, name, code", [("fail", "cfl-abort", 2),
+                                                  ("rerun", "cfl-ok", 0)], ids=["0.6", "0.45"])
+    def test_workflow_euler_sh_cfl_guard(self, tmp_path, capsys, kind, name, code):
+        # the 1D euler_sh pressure jump at lambda a*(0) = 0.6 and 0.45: the
+        # CFL guard stops the first after step 1 and lets the second through
+        out = tmp_path / "a"
+        assert main(["run", workflow_config(kind, name), "--output-dir", str(out)]) == code
         if code:
             assert re.match(r"error: lambda \* a \* n = 1\.150\d* exceeds cfl_safety = 0\.9 "
                             r"at cell \(200,\) after step 1\n$", capsys.readouterr().err)
-            (abort,) = [e for e in read_events(runs[0]) if e["event"] == "abort"]
+            (abort,) = [e for e in read_events(out) if e["event"] == "abort"]
             assert (abort["step"], abort["cell"], abort["cfl_safety"]) == (1, [200], 0.9)
             return
-        assert main(["run", str(config_path), "--output-dir", str(runs[1])]) == 0
-        assert read_tree(runs[0]) == read_tree(runs[1])
-        (done,) = [e for e in read_events(runs[0]) if e["event"] == "done" and "steps" in e]
+        (done,) = [e for e in read_events(out) if e["event"] == "done" and "steps" in e]
         assert done["steps"] == 211
 
     @pytest.mark.parametrize("model, states", [("maxwell", (1, 6)), ("euler_sh", (9, 2))])
@@ -695,10 +712,8 @@ class TestCliMain:
 
     def test_maxwell_check_writes_the_verdict_bytes_of_the_whole_box(self, tmp_path):
         # the bytes is_sh wrote when it was handed all 7^6 states
-        config_path = tmp_path / "maxwell-check.cfg"
-        config_path.write_text("[model]\nname = maxwell\n[checks]\nnames = is_sh\n"
-                               "is_sh.per_axis = 7\n")
-        assert main(["check", str(config_path), "--output-dir", str(tmp_path / "c")]) == 0
+        path = workflow_config("check", "maxwell")
+        assert main(["check", path, "--output-dir", str(tmp_path / "c")]) == 0
         assert (tmp_path / "c" / "verdicts.csv").read_bytes() == (
             b"name,pass,value,tolerance\nis_sh,true,0.0,symmetry rtol 1e-10, pivots > 0\n")
 
@@ -777,12 +792,9 @@ class TestCliMain:
         assert taken.read_text() == ""
 
     def test_aborted_run_prints_its_error(self, tmp_path, capsys):
-        config_path = tmp_path / "cfg.txt"
-        config_path.write_text("[model]\nname = euler_sh\n[grid]\nshape = 32\nh = 0.03125\n"
-                               "[scheme]\nlambda = 0.3\nt_end = 0.1\n"
-                               "[initial]\nprofile = constant\nvalue = -1.0, 0.0\n")
         out = tmp_path / "out"
-        assert main(["run", str(config_path), "--output-dir", str(out)]) == 2
+        assert main(["run", workflow_config("fail", "negative-pressure"),
+                     "--output-dir", str(out)]) == 2
         message = "state outside box at cell (0,) component 0 after step 0"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert error_messages(out) == [message]
@@ -836,42 +848,6 @@ rh.u_right = 0.0
             assert trees[0][rel] == trees[1][rel], rel
 
 
-# the rerun-and-diff configs of the CI workflow, each with its last snapshot
-WORKFLOW_RERUNS = {
-    "wave": ("[model]\nname = wave\n[grid]\nshape = 32, 32\nh = 0.03125\n"
-             "boundary = periodic\n[scheme]\nlambda = 0.4\nt_end = 0.05\n"
-             "output_stride = 1\n[initial]\nprofile = plane-wave\n"
-             "amplitude = 1.0, -0.5, 0.25, 0.75\nmodes = 1, 2\n", "0004.csv"),
-    "wave-outflow": ("[model]\nname = wave\n[grid]\nshape = 32, 32\nh = 0.03125\n"
-                     "boundary = outflow\n[scheme]\nlambda = 0.4\nt_end = 0.05\n"
-                     "output_stride = 1\n[initial]\nprofile = bump\nradius = 0.6\n"
-                     "center = 0.5, 0.5\n", "0004.csv"),
-    "burgers": ("[model]\nname = burgers\n[grid]\nshape = 2500\nh = 0.0008\n"
-                "origin = -0.9996\nboundary = outflow\n[scheme]\nlambda = 0.9\n"
-                "t_end = 0.2\noutput_stride = 25\n[initial]\nprofile = step\n"
-                "left = 1.0\nright = 0.0\njump_at = -0.3\n", "0012.csv"),
-    "viscous": ("[model]\nname = burgers\n[grid]\nshape = 200\nh = 0.01\n"
-                "origin = -0.995\nboundary = outflow\n[scheme]\nlambda = 0.9\n"
-                "t_end = 0.1\noutput_stride = 5\n[initial]\nprofile = step\n"
-                "left = 1.0\nright = 0.0\njump_at = 0.0\n[checks]\n"
-                "names = viscous_limit\nviscous_limit.u_left = 1.0\n"
-                "viscous_limit.u_right = 0.0\nviscous_limit.eps = 0.1, 0.05, 0.04\n"
-                "viscous_limit.t = 0.1\n", "0003.csv"),
-    "euler": ("[model]\nname = euler_sh\n[grid]\nshape = 32, 32\nh = 0.03125\n"
-              "boundary = outflow\n[scheme]\nlambda = 0.2\nt_end = 0.05\n"
-              "output_stride = 2\n[initial]\nprofile = step\nleft = 1.2, 0.1, 0.0\n"
-              "right = 1.0, 0.1, 0.0\njump_at = 0.4\n", "0004.csv"),
-    "maxwell": ("[model]\nname = maxwell\n[grid]\nshape = 12, 12, 12\n"
-                "h = 0.0833333333333333\nboundary = outflow\n[scheme]\nlambda = 0.25\n"
-                "t_end = 0.1\noutput_stride = 2\n[initial]\nprofile = bump\n"
-                "radius = 0.4\ncenter = 0.5, 0.5, 0.5\n", "0002.csv"),
-    "wave-short": ("[model]\nname = wave\n[grid]\nshape = 32, 2\nh = 0.03125\n"
-                   "boundary = periodic\n[scheme]\nlambda = 0.4\nt_end = 0.05\n"
-                   "output_stride = 1\n[initial]\nprofile = plane-wave\n"
-                   "amplitude = 1.0, -0.5, 0.25, 0.75\nmodes = 1, 1\n", "0004.csv"),
-}
-
-
 def read_tree(root_dir):
     """Relative path -> bytes of every file under root_dir."""
     tree = {}
@@ -883,15 +859,20 @@ def read_tree(root_dir):
     return tree
 
 
-@pytest.mark.parametrize("name", WORKFLOW_RERUNS)
+@pytest.mark.parametrize("name", workflow_configs("rerun"))
 def test_workflow_config_reruns_byte_identical(tmp_path, name):
-    text, last_snapshot = WORKFLOW_RERUNS[name]
-    config_path = tmp_path / f"{name}.cfg"
-    config_path.write_text(text)
+    path = workflow_config("rerun", name)
+    with open(path) as handle:
+        (last_snapshot,) = re.findall(r"^# last snapshot: (\S+)$", handle.read(), re.M)
     trees = []
     for run_dir in ("a", "b"):
         out_dir = tmp_path / run_dir
-        assert main(["run", str(config_path), "--output-dir", str(out_dir)]) == 0
+        assert main(["run", path, "--output-dir", str(out_dir)]) == 0
         assert (out_dir / "snapshots" / last_snapshot).is_file()
         trees.append(read_tree(out_dir))
     assert trees[0] == trees[1]
+
+
+def test_workflow_viscous_limit_is_monotone(tmp_path):
+    assert main(["run", workflow_config("rerun", "viscous"), "--output-dir", str(tmp_path)]) == 0
+    assert read_verdicts(tmp_path)["viscous_limit.monotone"][0] == "true"

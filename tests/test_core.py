@@ -243,3 +243,20 @@ class TestSampling:
         sys = euler_polytropic_sh(1.4, n=1)
         d = direction_matrix(sys, np.zeros(2), np.array([1.0, 0.0]))
         assert np.allclose(d, np.diag([1.0 / 1.4, 1.0]), atol=1e-14)
+
+
+class TestStateBox:
+    @pytest.mark.parametrize("lo, hi", [([0.0, 0.0, 0.0], [1.0, 1.0]),
+                                        ([0.0, 0.0], [1.0, 1.0, 1.0]),
+                                        (0.0, 1.0)], ids=["long-lo", "long-hi", "scalar"])
+    def test_wrong_length_is_refused_at_construction(self, lo, hi):
+        # it used to reach the first step as a broadcasting error
+        with pytest.raises(ValueError, match="state_box corners must have length m = 2"):
+            SystemDef(n=1, m=2, coeff=one_d_system(np.eye(2)).coeff, state_box=(lo, hi))
+
+    def test_corners_are_stored_as_float_arrays(self):
+        sys = SystemDef(n=1, m=2, coeff=one_d_system(np.eye(2)).coeff,
+                        state_box=([0, -1], (2, 1)))
+        lo, hi = sys.state_box
+        assert lo.dtype == hi.dtype == float
+        assert lo.tolist() == [0.0, -1.0] and hi.tolist() == [2.0, 1.0]

@@ -252,6 +252,33 @@ class TestRun:
         with pytest.raises(StabilityError):
             run(law, initial, SchemeConfig(lam=0.9, t_end=0.1, viscosity=1.0))
 
+    @pytest.mark.parametrize("case, error, message", [
+        ("object", TypeError, "cannot integrate object of type object"),
+        ("system", ValueError, "viscosity applies to conservation laws only"),
+        ("law-2d", ValueError, "viscous stepping is implemented for one space dimension"),
+    ], ids=["object", "system", "law-2d"])
+    def test_preconditions_come_before_any_model_member(self, case, error, message):
+        # every member raises when called, so only run's own checks may fire;
+        # the system used to fail in check_stability and the 2D law with
+        # t_end = 0 to complete
+        def untouchable(*args):
+            raise AssertionError("a model member was evaluated")
+
+        if case == "object":
+            system, initial = object(), grid_1d(8)
+        elif case == "system":
+            field_ = MatrixField(m=1, fn=untouchable)
+            system = SystemDef(n=1, m=1, coeff=(field_, field_), source=untouchable,
+                               max_speed=untouchable)
+            initial = GridField.zeros((8,), 0.125, 0.0625, 1)
+        else:
+            system = ConservationLaw(n=2, m=1, flux=(untouchable, untouchable),
+                                     state_box=([-1.0], [1.0]), admissible=untouchable)
+            initial = GridField.zeros((8, 8), 0.125, 0.0625, 1)
+        with pytest.raises(error, match=message):
+            run(system, initial, SchemeConfig(lam=0.5, t_end=0.0 if case == "law-2d" else 0.1,
+                                              viscosity=1.0 if case != "object" else 0.0))
+
     def test_nonfinite_aborts_with_partial_trace(self):
         # quadratic reaction term: forward-Euler iterates overflow to inf
         law = ConservationLaw(
@@ -374,6 +401,18 @@ class TestMaxCharSpeed:
         grid = grid_1d(16, m=3)
         assert max_char_speed(sys, grid) == pytest.approx(1.0, abs=1e-10)
 
+    def test_law_speed_reads_every_cell(self):
+        # cell 1 is not among 512 strided samples of 2,000 cells, and the
+        # run it let through went non-finite after step 12
+        law, _ = burgers_law()
+        state = GridField.zeros((2000,), 1 / 2000, 0.00025, 1)
+        state.data[:] = 0.5
+        state.data[1] = 2.0
+        assert 1 not in _sample_cells(state)
+        assert max_char_speed(law, state) == 2.0
+        with pytest.raises(StabilityError, match=r"lambda \* a_star \* n = 3\.2 "):
+            run(law, state, SchemeConfig(lam=1.6, t_end=0.01))
+
     @pytest.mark.parametrize("law_name", ["burgers", "euler_cons", "test2d", "test2d_fd"])
     def test_batched_law_speed_equals_per_sample_loop(self, law_name):
         law, initial = law_speed_case(law_name)
@@ -381,8 +420,8 @@ class TestMaxCharSpeed:
 
 
 def per_sample_speed(law, state):
-    """The CFL speed of a law, one sampled state at a time."""
-    u = state.data.reshape(-1, state.m)[_sample_cells(state)]
+    """The CFL speed of a law, one cell's state at a time."""
+    u = state.data.reshape(-1, state.m)
     worst = 0.0
     for u_i in u:
         jacs = [law.jacobian(j, u_i) for j in range(law.n)]
@@ -393,7 +432,8 @@ def per_sample_speed(law, state):
 
 
 def law_speed_case(name):
-    """A law and a state with at least 512 cells, so sampling strides."""
+    """A law and a state with more than 512 cells, more than a system's
+    CFL speed samples."""
     if name == "burgers":
         law, _ = burgers_law()
         return law, grid_1d(700).with_data(RNG.uniform(-0.9, 0.9, size=(700, 1)))
