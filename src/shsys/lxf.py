@@ -5,26 +5,30 @@ One step replaces u(t) by the average of its 2n spatial neighbors and the
 space derivatives by centered differences:
 
     u(t+k) = (1/2n) sum_j (tau_j u + tau_j^-1 u) + k * RHS,
+    RHS = M0^-1 [N - sum_j C_j D_j w_j],  D_j w = (tau_j w - tau_j^-1 w) / 2h.
 
-with RHS = M0^-1 [N - M^j D_j u] for quasi-linear systems and
-RHS = N - sum_j (tau_j f^j(u) - tau_j^-1 f^j(u)) / 2h for conservation
-laws.  A constant M^j is applied as one matrix product per single-entry
-layer (``single_entry_layers``), summed left to right in column order;
-on rows with at most two nonzeros that equals the per-cell contraction
-bit for bit.  The ratio lambda = k/h is fixed; stability is enforced at run
-start as lambda * a_star <= cfl_safety / n (and k <= cfl_safety * h^2 /
-(2 eps) when viscosity is on).  a_star is the maximum of the system's
+A quasi-linear system has w_j = u and C_j = M^j; a conservation law is
+the case w_j = f^j(u), C_j = I and M0 = I.  One window loop
+(``_window_rhs``) evaluates both.  A constant C_j is applied as one
+matrix product per single-entry layer (``single_entry_layers``), summed
+left to right in column order; on rows with at most two nonzeros that
+equals the per-cell contraction bit for bit.
+
+The ratio lambda = k/h is fixed; stability is enforced at run start as
+lambda * a_star <= cfl_safety / n (and k <= cfl_safety * h^2 / (2 eps)
+when viscosity is on).  a_star is the maximum of the system's
 closed-form ``SystemDef.max_speed`` over every cell when it has one, and
 otherwise the largest characteristic speed of ``max_char_speed``: over
-every cell for a conservation law, at sampled cells for a system.  After
-every step ``run`` applies its guards to the new state: finite and
-admissible first (``_state_violation``), then, for a system with
-``max_speed`` and a field that is not constant, the same CFL inequality
-on every cell; the first that fails aborts the run with the step, t and
-the cell.  Constant systems and conservation laws get no
+every cell for a conservation law, at a lattice of sampled cells for a
+system.  After every step ``run`` applies its guards to the new state:
+finite and admissible first (``_state_violation``), then, for a system
+with ``max_speed`` and a field that is not constant, the same CFL
+inequality on every cell; the first that fails aborts the run with the
+step, t and the cell.  Constant systems and conservation laws get no
 per-step CFL work.  Sources and fields of x are evaluated fully
-explicitly at the points ``GridField.points(t)`` (t in column 0), fields
-of the state alone without them.
+explicitly at the points ``GridField.points(t)`` (t in column 0), fluxes
+and fields of the state alone without them; every source and flux is
+checked to return one value per cell (``core.batch_checked``).
 
 The steps follow numpy's ``out=`` idiom: ``lxf_average``, ``lxf_step``
 and ``viscous_step`` write into a given array, and allocate one only
@@ -63,7 +67,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import ZERO, SystemDef, batch_checked, max_abs_speed, operand, unit_normals
+from .core import (ZERO, MatrixField, SystemDef, batch_checked, max_abs_speed, operand,
+                   unit_normals)
 from .entropy import ConservationLaw
 from .grid import (GridField, _plan, centered_diff, first_true, planned_second_difference,
                    row_windows)
@@ -139,18 +144,25 @@ def _uniform_h(state: GridField) -> float:
 
 
 def _sample_cells(field_: GridField) -> np.ndarray:
-    total = int(np.prod(field_.shape))
-    stride = max(1, -(-total // 512))
-    return np.arange(0, total, stride)
+    """C-order flat indices of at most 512 cells on a lattice: each axis,
+    shortest first, strided from 0 to at most the r-th root of what is left
+    of the 512, r the axes still to come (1D: every ceil(N/512)-th cell)."""
+    budget, picks = 512, [None] * field_.n
+    for left, axis in zip(range(field_.n, 0, -1), np.argsort(field_.shape, kind="stable")):
+        count = int(budget ** (1.0 / left) + 1e-9)  # the integer root: budget <= 512
+        picks[axis] = np.arange(0, field_.shape[axis], -(-field_.shape[axis] // count))
+        budget //= len(picks[axis])
+    return np.ravel_multi_index(np.ix_(*picks), field_.shape).ravel()
 
 
 def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
     """Largest |characteristic speed| over the ``unit_normals`` (axes plus
     diagonals): for a conservation law at every cell, from its flux
-    Jacobians; for a SystemDef at most 512 evenly strided rows of
-    ``state.points(t)`` (``_sample_cells``), since each costs generalized
-    eigen-solves, so the sampled speed can miss the fastest cell.  A
-    system whose fields are all constant is evaluated at one cell."""
+    Jacobians; for a SystemDef at most 512 cells of ``state.points(t)``
+    on a lattice strided along every axis (``_sample_cells``), since each
+    costs generalized eigen-solves, so the sampled speed can miss the
+    fastest cell.  A system whose fields are all constant is evaluated at
+    one cell."""
     if isinstance(system, ConservationLaw):
         u = state.data.reshape(-1, state.m)
         normals = unit_normals(system.n)[:, None]
@@ -308,40 +320,31 @@ def _workspace() -> Callable[[str, tuple], np.ndarray]:
     return scratch
 
 
-def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
-    """RHS evaluator ``rhs(t, state)`` of M0^-1 [N - M^j D_j u] for a
-    quasi-linear system.  The result is written to the evaluator's own
-    target array, which the next call overwrites.  The differences and
-    products live in scratch arrays the evaluator keeps too, sized to the
-    largest row window, so a call allocates only what the fields and the
-    source return.  Each window gets the differences and products of
-    every axis before the next window starts.
-
-    Every state-dependent coefficient and the source are evaluated once
-    per call on the whole grid (the batched contract of SystemDef) and
-    applied by stacked products and solves; a field is dropped after its
-    last window.  A constant M^j is split into
-    its single-entry layers once, here, and applied to all cells by
-    ``apply_layers``: one matrix product per layer, summed in layer order;
-    a constant M0 is factorized against all cells at once.  The points
-    ``state.points(t)`` are built only for a source or a field of x; a
-    field of the state alone (``MatrixField.state_only``) is called with
-    x = None.  An identity M0 skips the solve.
-
-    A state-dependent M0 goes through ``stacked_solve``: a diagonal stack
-    (euler_sh's diag(1/gamma p, rho I)) divides the target by its diagonal,
-    which under that helper's guard (diagonal > 0, finite target without
-    -0, finite quotients) is exactly what the LU solve computes; any other
-    stack, or a call that fails the guard, is solved whole.  A constant M0
-    is not divided: its one solve with many right-hand sides multiplies by
-    reciprocals, which differs from division in the last bit.
-    """
-    m0_const = sys.coeff[0].const
-    m0_is_identity = m0_const is not None and np.array_equal(m0_const, np.eye(sys.m))
-    needs_x = sys.source is not None or any(c.const is None and not c.state_only
-                                            for c in sys.coeff)
-    layers = [None if c.const is None else single_entry_layers(c.const)
-              for c in sys.coeff[1:]]
+def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]],
+                coeffs: Sequence[Optional[MatrixField]], m0: Optional[MatrixField]
+                ) -> Callable[[float, GridField], np.ndarray]:
+    """The RHS closure ``rhs(t, state)`` of M0^-1 [N - sum_j C_j D_j w_j]
+    behind ``system_rhs`` and ``law_rhs``: w_j = ``fluxes[j](u)`` (u for
+    None), C_j = ``coeffs[j]`` (I for None), N = ``source`` (0 for None)
+    and M0 = ``m0`` (no solve for None or I).  It writes to a target array
+    of its own, which the next call overwrites, and keeps the differences
+    and products in scratch sized to the largest row window, so a call
+    allocates only what the user's callables return.  Each window gets
+    every axis's terms before the next, summed from N (or 0.0) in axis
+    order.  The source and fluxes are evaluated once per call on the whole
+    grid and checked by ``batch_checked``; a state-dependent C_j is
+    evaluated in the first window and dropped after the last, a constant
+    one is split into single-entry layers here (``apply_layers``).  The
+    points ``state.points(t)`` are built only for a source or a field of x.
+    A state-dependent M0 goes through ``stacked_solve``; a constant one is
+    solved against all cells at once and not divided (its solve multiplies
+    by reciprocals, which differs from division in the last bit)."""
+    if m0 is not None and m0.const is not None and np.array_equal(m0.const, np.eye(m0.m)):
+        m0 = None
+    needs_x = source is not None or any(c is not None and c.const is None and not c.state_only
+                                        for c in (m0, *coeffs))
+    layers = [None if c is None or c.const is None else single_entry_layers(c.const)
+              for c in coeffs]
     needs_spare = any(lay is not None and len(lay) > 1 for lay in layers)
     scratch = _workspace()
 
@@ -350,62 +353,50 @@ def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
         windows, depth = row_windows(u)
         target = scratch("target", u.shape)
         part = (depth,) + u.shape[1:]
-        du, product = scratch("du", part), scratch("product", part)
+        du = scratch("du", part)
+        product = scratch("product", part) if any(coeffs) else None
         spare = scratch("spare", part) if needs_spare else None
         x = state.points(t) if needs_x else None
-        source = (None if sys.source is None
-                  else batch_checked(sys.source(x, u), u.shape, 1, "source"))
-        fields = [None] * sys.n
+        src = None if source is None else batch_checked(source(x, u), u.shape, 1, "source")
+        ws = [u if f is None else batch_checked(f(u), u.shape, 1, f"flux[{j}]")
+              for j, f in enumerate(fluxes)]
+        fields = [None] * len(coeffs)
         for rows in windows:
             acc, du_w, product_w = _rows(target, rows), _head(du, rows), _head(product, rows)
-            # the sum starts from 0.0 or the source: start - M^1 D_1 u
-            start = 0.0 if source is None else _rows(source, rows)
-            for j in range(sys.n):
-                centered_diff(state, j, out=du_w, rows=rows)
+            # the sum starts from 0.0 or the source: start - C_1 D_1 w_1
+            start = ZERO if src is None else _rows(src, rows)
+            for j, coeff in enumerate(coeffs):
+                centered_diff(state, j, ws[j], out=du_w, rows=rows)
                 if layers[j] is not None:
                     apply_layers(layers[j], du_w, out=product_w, spare=_head(spare, rows))
-                else:
+                elif coeff is not None:
                     if fields[j] is None:
-                        fields[j] = sys.coeff[j + 1](x, u)
+                        fields[j] = coeff(x, u)
                     np.matmul(_rows(fields[j], rows), du_w[..., None],
                               out=product_w.reshape(product_w.shape + (1,)))
                     if rows is windows[-1]:
                         # one field at a time is alive when the grid is one window
                         fields[j] = None
-                np.subtract(acc if j else start, product_w, out=acc)
-        if m0_const is None:
-            np.copyto(target, stacked_solve(sys.coeff[0](x, u), target))
-        elif not m0_is_identity:
-            np.copyto(target, np.linalg.solve(m0_const, target.reshape(-1, sys.m).T)
-                      .T.reshape(u.shape))
+                np.subtract(acc if j else start, du_w if coeff is None else product_w, out=acc)
+        if m0 is not None:
+            np.copyto(target, stacked_solve(m0(x, u), target) if m0.const is None else
+                      np.linalg.solve(m0.const, target.reshape(-1, m0.m).T).T.reshape(u.shape))
         return target
 
     return rhs
+
+
+def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
+    """RHS closure ``rhs(t, state)`` of M0^-1 [N - sum_j M^j D_j u] for a
+    quasi-linear system: ``_window_rhs`` with w_j = u and C_j = M^j."""
+    return _window_rhs(sys.source, (None,) * sys.n, sys.coeff[1:], sys.coeff[0])
 
 
 def law_rhs(law: ConservationLaw) -> Callable[[float, GridField], np.ndarray]:
-    """RHS evaluator ``rhs(t, state)`` of
-    N - sum_j (tau_j f^j - tau_j^-1 f^j) / 2h for a conservation law (flux
-    evaluators are vectorized over cells).  Like ``system_rhs``, it writes
-    to its own target array and keeps the differences in scratch."""
-    scratch = _workspace()
-
-    def rhs(t, state):
-        u = state.data
-        windows, depth = row_windows(u)
-        target = scratch("target", u.shape)
-        diff = scratch("diff", (depth,) + u.shape[1:])
-        fluxes = [np.asarray(flux(u), dtype=float) for flux in law.flux]
-        for rows in windows:
-            acc, diff_w = _rows(target, rows), _head(diff, rows)
-            for j, fu in enumerate(fluxes):
-                np.subtract(acc if j else ZERO, centered_diff(state, j, fu, out=diff_w, rows=rows),
-                            out=acc)
-        if law.source is not None:
-            target += np.asarray(law.source(state.points(t), u), dtype=float)
-        return target
-
-    return rhs
+    """RHS closure ``rhs(t, state)`` of N - sum_j D_j f^j(u) for a
+    conservation law: ``_window_rhs`` with w_j = f^j(u), C_j = I and no
+    M0."""
+    return _window_rhs(law.source, law.flux, (None,) * law.n, None)
 
 
 def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
@@ -463,14 +454,15 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     # the operations of data - c (tau+ f - tau- f) + d ((tau+ u - 2u) + tau- u),
     # in that order; the heat term is built in spare, from 2u up, after the
     # flux is dropped
-    difference.difference(out, np.asarray(law.flux[0](data), dtype=float))
+    difference.difference(out, batch_checked(law.flux[0](data), data.shape, 1, "flux[0]"))
     planned_second_difference(plus, minus, spare, data)
     np.multiply(spare, heat_scale, out=spare)
     np.multiply(out, flux_scale, out=out)
     np.subtract(data, out, out=out)
     np.add(out, spare, out=out)
     if law.source is not None:
-        out += plan.k[k] * np.asarray(law.source(state.points(t), data), dtype=float)
+        out += plan.k[k] * batch_checked(law.source(state.points(t), data), data.shape, 1,
+                                         "source")
     return state.with_data(out)
 
 
@@ -548,12 +540,12 @@ def _cfl_violation(system: SystemDef, config: SchemeConfig,
 def _guards(system, config: SchemeConfig) -> tuple:
     """The checks ``run`` applies to each new state, in order, each a
     callable of the state that returns a violation or None: finite and
-    admissible (``_state_violation``), then the CFL bound for a SystemDef
-    with ``max_speed`` and a field that is not constant.  With every field
-    constant a(t) = a(0), which ``check_stability`` has checked."""
+    admissible (``_state_violation``), then the CFL bound for a model
+    with ``max_speed`` and a field that is not constant (a law has no
+    ``max_speed``).  With every field constant a(t) = a(0), which
+    ``check_stability`` has checked."""
     guards = (partial(_state_violation, system),)
-    if (isinstance(system, SystemDef) and system.max_speed is not None
-            and not system.all_constant):
+    if getattr(system, "max_speed", None) is not None and not system.all_constant:
         guards += (partial(_cfl_violation, system, config),)
     return guards
 

@@ -8,7 +8,7 @@ import hypothesis.extra.numpy as hnp
 from hypothesis import example, given, settings, strategies as st
 
 from shsys import profiles
-from shsys.core import MatrixField, SystemDef, unit_normals
+from shsys.core import MatrixField, SystemDef, max_abs_speed, unit_normals
 from shsys.energy import LinearSystem, energy
 from shsys.entropy import ConservationLaw
 from shsys.grid import GridField
@@ -413,6 +413,21 @@ class TestMaxCharSpeed:
         with pytest.raises(StabilityError, match=r"lambda \* a_star \* n = 3\.2 "):
             run(law, state, SchemeConfig(lam=1.6, t_end=0.01))
 
+    def test_sampled_speed_spreads_over_every_axis(self):
+        # a_jk grows with x_3 alone; samples strided through the flat index
+        # all lie in the plane x_3 = 0 and read 1.0
+        sys, _ = wave_system(lambda x: np.zeros(x.shape),
+                             lambda x: (1.0 + 0.4 * np.sin(np.pi * x[..., 2]) ** 2)[..., None, None]
+                             * np.eye(3), n=3)
+        state = GridField.zeros((32, 32, 32), 1.0 / 32, 0.0, sys.m)
+        assert len(_sample_cells(state)) == 512
+        # every cell: a_jk is the same along x_1 and x_2, so one column of
+        # cells holds every speed
+        column = state.points(0.0)[0, 0]
+        every_cell = max_abs_speed(sys, column, state.data[0, 0])
+        assert every_cell == pytest.approx(np.sqrt(1.4), rel=1e-12)
+        assert max_char_speed(sys, state) == pytest.approx(every_cell, rel=0.01)
+
     @pytest.mark.parametrize("law_name", ["burgers", "euler_cons", "test2d", "test2d_fd"])
     def test_batched_law_speed_equals_per_sample_loop(self, law_name):
         law, initial = law_speed_case(law_name)
@@ -468,6 +483,76 @@ def law_speed_case(name):
                           flux_jac=None if name.endswith("_fd") else (j1, j2))
     grid = GridField.zeros((30, 20), 0.1, 0.0, 2)
     return law, grid.with_data(RNG.uniform(-1.0, 1.0, size=(30, 20, 2)))
+
+
+class TestLawBatchContract:
+    """A law's fluxes and source go through ``core.batch_checked`` in both
+    steppers."""
+
+    @staticmethod
+    def stepper(name, law, state):
+        if name == "lxf":
+            return lxf_step(state, law_rhs(law), SchemeConfig(lam=0.1, t_end=0.01))
+        return viscous_step(state, law, SchemeConfig(lam=0.1, t_end=0.01, viscosity=0.01))
+
+    @pytest.mark.parametrize("name", ["lxf", "viscous"])
+    def test_one_state_source_is_rejected(self, name):
+        # one state's value used to be broadcast to every cell
+        law = replace(burgers_law()[0], source=lambda x, u: np.array([0.25]))
+        state = grid_1d(50).with_data(RNG.uniform(-0.5, 0.5, (50, 1)))
+        with pytest.raises(ValueError, match=re.escape(
+                "source returned shape (1,), expected (..., m) = (50, 1)")):
+            self.stepper(name, law, state)
+
+    @pytest.mark.parametrize("name", ["lxf", "viscous"])
+    def test_flux_without_its_state_axis_is_rejected(self, name):
+        law = replace(burgers_law()[0], flux=(lambda u: 0.5 * u[..., 0] ** 2,))
+        state = grid_1d(50, boundary="outflow").with_data(RNG.uniform(-0.5, 0.5, (50, 1)))
+        with pytest.raises(ValueError, match=re.escape(
+                "flux[0] returned shape (50,), expected (..., m) = (50, 1)")):
+            self.stepper(name, law, state)
+
+    def test_second_flux_is_named(self):
+        law, initial = law_speed_case("test2d")
+        law = replace(law, flux=(law.flux[0], lambda u: u[..., :1]))
+        with pytest.raises(ValueError, match=re.escape("flux[1] returned shape (30, 20, 1)")):
+            law_rhs(law)(0.0, initial)
+
+
+@st.composite
+def linear_pairs(draw):
+    """A linear law f^j(u) = A_j u with symmetric constant A_j, the system
+    M0 = I, M^j = A_j with the same optional source S u (S = 0: none),
+    [A_1..A_n, S] and a state."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    mats = [0.5 * (b + b.T) for b in rng.uniform(-2.0, 2.0, (n, m, m))]
+    s_mat = rng.uniform(-1.0, 1.0, (m, m)) if draw(st.booleans()) else np.zeros((m, m))
+    source = (lambda x, u: u @ s_mat.T) if s_mat.any() else None
+    law = ConservationLaw(n=n, m=m, flux=tuple((lambda u, a=a: u @ a) for a in mats),
+                          state_box=(np.full(m, -10.0), np.full(m, 10.0)), source=source)
+    sys = SystemDef(n=n, m=m, source=source, coeff=(MatrixField.constant(np.eye(m)),)
+                    + tuple(MatrixField.constant(a) for a in mats))
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(n))
+    boundary = draw(st.sampled_from(["periodic", "outflow"]))
+    h = draw(st.sampled_from([0.1, 0.25, 1.0 / 3.0]))
+    state = GridField.zeros(shape, h, 0.05, m, boundary)
+    return law, sys, mats + [s_mat], state.with_data(rng.uniform(-3.0, 3.0, state.data.shape))
+
+
+class TestOneLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(linear_pairs())
+    def test_linear_law_and_system_agree(self, case):
+        # D_j (A_j u) against A_j D_j u: the same RHS up to rounding
+        law, sys, (*mats, s_mat), state = case
+        got = law_rhs(law)(0.3, state)
+        want = system_rhs(sys)(0.3, state)
+        u_max = float(np.max(np.abs(state.data)))
+        scale = (max(float(np.max(np.abs(a))) for a in mats) / state.h[0]
+                 + float(np.max(np.abs(s_mat)))) * u_max
+        tol = 16 * state.n * state.m * np.finfo(float).eps * scale
+        assert np.max(np.abs(got - want), initial=0.0) <= tol
 
 
 class TestSingleCell:
