@@ -5,7 +5,7 @@ verdict table.  Models, profiles and checks are entries of the tables in
 
 Commands:
 
-    shsys run <config> [--output-dir D] [--threads N] [--seed S]
+    shsys run <config> [--output-dir D]
     shsys check <config>      # algebraic checks only, no time integration
     shsys models              # list shipped models and their parameters
 
@@ -51,9 +51,11 @@ def _scheme_config(cfg: RunConfig) -> SchemeConfig | None:
                            if spec.key in cfg.scheme}) if given else None
 
 
-def execute(cfg: RunConfig, output_dir=None, threads: int = 1,
-            seed: int = 0, checks_only: bool = False) -> int:
-    """Run a validated config; writes artifacts and returns the exit code."""
+def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
+    """Run a validated config; writes artifacts and returns the exit code.
+    The ``invocation`` event's ``"threads": 1`` and ``"seed": 0`` are
+    constants that keep the artifact trees' bytes: the implementation is
+    single-threaded and draws no random numbers."""
     out_dir = output_dir or cfg.output_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -62,7 +64,7 @@ def execute(cfg: RunConfig, output_dir=None, threads: int = 1,
         print(f"error: cannot write the output directory: {exc}", file=sys.stderr)
         return 2
     log.event("config", **cfg.echo())
-    log.event("invocation", threads=threads, seed=seed, checks_only=checks_only)
+    log.event("invocation", threads=1, seed=0, checks_only=checks_only)
 
     try:
         needs_sim = [c for c in cfg.checks if CHECKS[c].needs == "simulation"]
@@ -112,13 +114,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="shsys", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute checks and simulation")
-    p_check = sub.add_parser("check", help="checks only, no time integration")
-    for p in (p_run, p_check):
+    for command, help_ in (("run", "execute checks and simulation"),
+                           ("check", "checks only, no time integration")):
+        p = sub.add_parser(command, help=help_)
         p.add_argument("config")
         p.add_argument("--output-dir", default=None)
-    p_run.add_argument("--threads", type=int, default=1)
-    p_run.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("models", help="list shipped models")
 
@@ -139,10 +139,7 @@ def main(argv=None) -> int:
             print(f"error: line {line}: {message}", file=sys.stderr)
         return 2
 
-    if args.command == "run":
-        return execute(cfg, output_dir=args.output_dir, threads=args.threads,
-                       seed=args.seed)
-    return execute(cfg, output_dir=args.output_dir, checks_only=True)
+    return execute(cfg, output_dir=args.output_dir, checks_only=args.command == "check")
 
 
 if __name__ == "__main__":

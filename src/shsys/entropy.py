@@ -62,17 +62,20 @@ class ConservationLaw:
     admissible: Optional[Callable] = None
 
     def __post_init__(self):
+        if self.n not in (1, 2, 3):
+            raise ValueError(f"space dimension must be 1, 2 or 3, got {self.n}")
         if len(self.flux) != self.n:
             raise ValueError(f"need n = {self.n} space flux fields, got {len(self.flux)}")
         object.__setattr__(self, "state_box", box_corners(self.state_box, self.m))
 
     def jacobian(self, j: int, u) -> np.ndarray:
         """df^j/du at states (..., m), as (..., m, m); exact when supplied,
-        else central FD."""
+        else central FD.  The flux and ``flux_jac`` are checked to return
+        one value per state (``core.batch_checked``)."""
         u = np.asarray(u, dtype=float)
         if self.flux_jac is not None:
-            return np.asarray(self.flux_jac[j](u), dtype=float)
-        return fd.jacobian(self.flux[j], u)
+            return _batched(self.flux_jac[j], f"flux_jac[{j}]", (self.m, self.m))(u)
+        return fd.jacobian(_batched(self.flux[j], f"flux[{j}]", (self.m,)), u)
 
     def contains(self, u):
         """Whether each state of (..., m) lies in the box (to 1e-9), as (...)."""

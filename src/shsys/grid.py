@@ -2,20 +2,23 @@
 centered-difference operators for periodic and outflow boundaries.
 
 The boundary rule is written once, in ``_source``, and every translate
-and difference runs one cached plan (``_plan``), a ``Stencil`` that
-applies itself: one interior call, then the edge cells.  The helpers
-look it up on every call; ``lxf.StepPlan`` looks it up once a run.  On
-axis 0 the interior is a slice of rows.  Along an
-axis j >= 1 of a C-contiguous array one cell is a step of
-s = prod(shape[j+1:]) in the flat view, so the interiors of all lines are
-one contiguous call, ufunc(out[:-s], data[s:]) or its mirror, where a
-strided region would go through numpy's buffered iterator.  That call
-crosses the edge cells between lines (the seams), which are computed
-apart and written after it.  ``out`` must be C-contiguous; off axis 0 a
-strided ``data`` is copied once by its flat view.  Every element gets one
-operation on the same operands in the same order, so the results are
-bit-identical on every axis, window and layout, except for which NaN
-comes back where both operands are NaNs: numpy's loops return either."""
+and difference is a ``Stencil`` that applies itself: one interior call,
+then the edge cells.  ``stencil`` lays one out and caches it; it is the
+one public way to a translate (``Stencil.shift_into``) or a difference
+(``Stencil.difference``).  ``centered_diff`` looks its stencil up on
+every call, ``lxf.StepPlan`` once a run; ``shifted`` is the reference
+translate, held to ``np.roll`` by the tests.  On axis 0 the interior is
+a slice of rows.  Along an axis j >= 1 of a C-contiguous array one cell
+is a step of s = prod(shape[j+1:]) in the flat view, so the interiors of
+all lines are one contiguous call, ufunc(out[:-s], data[s:]) or its
+mirror, where a strided region would go through numpy's buffered
+iterator.  That call crosses the edge cells between lines (the seams),
+which are computed apart and written after it.  ``out`` must be
+C-contiguous; off axis 0 a strided ``data`` is copied once by its flat
+view.  Every element gets one operation on the same operands in the same
+order, so the results are bit-identical on every axis, window and layout,
+except for which NaN comes back where both operands are NaNs: numpy's
+loops return either."""
 
 from __future__ import annotations
 
@@ -163,7 +166,7 @@ def _source(cell: int, direction: int, length: int, boundary: str) -> int:
 
 
 class Stencil(NamedTuple):
-    """A translate or difference along one axis, as ``_plan`` lays it out:
+    """A translate or difference along one axis, as ``stencil`` lays it out:
     ``interior`` = (cells, *sources) slices, of the flat views when
     ``flat``; ``edges`` and ``seams`` = (cells, *sources) of the edge
     cells, which the interior call crosses only when they are seams;
@@ -176,7 +179,8 @@ class Stencil(NamedTuple):
     reads: Optional[slice] = None
 
     def shift_into(self, ufunc, out: np.ndarray, data: np.ndarray) -> np.ndarray:
-        """out = ufunc(out, translate of data) in place (``shift_into``)."""
+        """out = ufunc(out, translate of data) in place, without building
+        the translate."""
         flat, (cells, sources), edges, seams, reads = self
         if reads is not None:
             data = data[reads]
@@ -198,7 +202,7 @@ class Stencil(NamedTuple):
         return out
 
     def difference(self, out: np.ndarray, data: np.ndarray) -> np.ndarray:
-        """out = translate(+1) - translate(-1) of data (``neighbour_difference``)."""
+        """out = translate(+1) - translate(-1) of data, in one pass."""
         flat, (cells, plus, minus), edges, seams, reads = self
         if reads is not None:
             data = data[reads]
@@ -215,8 +219,8 @@ class Stencil(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _plan(contiguous: bool, shape: tuple, axis: int, boundary: str, direction: int,
-          rows: Optional[tuple] = None) -> Stencil:
+def stencil(contiguous: bool, shape: tuple, axis: int, boundary: str, direction: int,
+            rows: Optional[tuple] = None) -> Stencil:
     """The ``Stencil`` of a translate (``direction`` +1 or -1) or a
     difference (0) along ``axis`` of an array of ``shape``, for the rows
     ``rows`` of axis 0 that a C-contiguous out holds.  Axis 0 reads its
@@ -226,7 +230,7 @@ def _plan(contiguous: bool, shape: tuple, axis: int, boundary: str, direction: i
         raise ValueError("out must be a C-contiguous array")
     if rows is not None and axis:
         window = (rows[1] - rows[0],) + shape[1:]
-        return _plan(True, window, axis, boundary, direction)._replace(reads=slice(*rows))
+        return stencil(True, window, axis, boundary, direction)._replace(reads=slice(*rows))
     directions = (direction,) if direction else (+1, -1)
     length = shape[axis]
     r0, r1 = (0, length) if rows is None else rows
@@ -256,7 +260,7 @@ def _plan(contiguous: bool, shape: tuple, axis: int, boundary: str, direction: i
 
 
 def _flat_views(out: np.ndarray, data: np.ndarray) -> tuple:
-    """The flat views that an off-axis plan indexes; out holds data's shape."""
+    """The flat views that an off-axis stencil indexes; out holds data's shape."""
     if out.shape != data.shape:
         raise ValueError(f"out must have the shape {data.shape}, got {out.shape}")
     return out.ravel(), data.ravel()
@@ -272,7 +276,7 @@ def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
         out = np.empty(data.shape, dtype=data.dtype)
     elif np.may_share_memory(out, data):
         raise ValueError("out must not overlap data")
-    flat, (cells, sources), edges, seams, _ = _plan(
+    flat, (cells, sources), edges, seams, _ = stencil(
         out.flags.c_contiguous, data.shape, axis, boundary, direction)
     o, d = _flat_views(out, data) if flat else (out, data)
     o[cells] = d[sources]
@@ -281,52 +285,16 @@ def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
     return out
 
 
-def shift_into(ufunc, out: np.ndarray, data: np.ndarray, axis: int,
-               direction: int, boundary: str, rows: Optional[tuple] = None) -> np.ndarray:
-    """out = ufunc(out, shifted(data, axis, direction, boundary)) in place,
-    without building the translate (see the module docstring); ``out`` is
-    C-contiguous.  With ``rows`` = (r0, r1), ``out`` holds only the rows
-    r0 <= i < r1 of axis 0: axis 0 reads its neighbours across the
-    window's edges, any other axis reads only data[r0:r1]."""
-    return _plan(out.flags.c_contiguous, data.shape, axis, boundary, direction,
-                 rows).shift_into(ufunc, out, data)
-
-
-def neighbour_difference(data: np.ndarray, axis: int, boundary: str,
-                         out: Optional[np.ndarray] = None,
-                         rows: Optional[tuple] = None) -> np.ndarray:
-    """shifted(+1) - shifted(-1) along one axis, in one pass over the data,
-    written to ``out`` (a new array when None; C-contiguous), the edge
-    cells after the interior (see the module docstring).  With ``rows`` =
-    (r0, r1), only the rows r0 <= i < r1 of axis 0, which ``out`` holds,
-    as in ``shift_into``."""
-    if out is None:
-        shape = data.shape if rows is None else (rows[1] - rows[0],) + data.shape[1:]
-        out = np.empty(shape, dtype=np.result_type(data, 1.0))
-    return _plan(out.flags.c_contiguous, data.shape, axis, boundary, 0,
-                 rows).difference(out, data)
-
-
 def _subtract_from(held, translate, out=None):
-    """The ufunc form of ``shift_into`` that writes translate - held."""
+    """The ufunc form of ``Stencil.shift_into`` that writes translate - held."""
     return np.subtract(translate, held, out=out)
-
-
-def second_difference(data: np.ndarray, axis: int, boundary: str,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(shifted(+1) - 2 data) + shifted(-1) along one axis, written to
-    ``out`` (a new array when None; C-contiguous, other than data), which
-    holds 2 data until the +1 translate is subtracted from it."""
-    if out is None:
-        out = np.empty(data.shape, dtype=np.result_type(data, 1.0))
-    plus, minus = (_plan(out.flags.c_contiguous, data.shape, axis, boundary, d)
-                   for d in (+1, -1))
-    return planned_second_difference(plus, minus, out, data)
 
 
 def planned_second_difference(plus: Stencil, minus: Stencil, out: np.ndarray,
                               data: np.ndarray) -> np.ndarray:
-    """``second_difference`` through its two translate stencils."""
+    """(translate(+1) - 2 data) + translate(-1) through the two translate
+    stencils, written to ``out`` (other than data), which holds 2 data until
+    the +1 translate is subtracted from it."""
     # data + data is 2 data bit for bit, without a scalar operand
     np.add(data, data, out=out)
     plus.shift_into(_subtract_from, out, data)
@@ -339,7 +307,11 @@ def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarr
     written to ``out`` (a new array when None).  With ``rows`` = (r0, r1),
     only the rows r0 <= i < r1 of axis 0, which ``out`` holds."""
     data = field.data if component_data is None else component_data
-    diff = neighbour_difference(data, axis, field.boundary, out=out, rows=rows)
+    if out is None:
+        shape = data.shape if rows is None else (rows[1] - rows[0],) + data.shape[1:]
+        out = np.empty(shape, dtype=np.result_type(data, 1.0))
+    diff = stencil(out.flags.c_contiguous, data.shape, axis, field.boundary, 0,
+                   rows).difference(out, data)
     diff /= 2.0 * field.h[axis]
     return diff
 

@@ -54,8 +54,9 @@ call on the whole grid, and the scratch of the differences and products
 is sized to the largest window.  A state that fits one window is swept
 whole.
 
-A translate is one interior ufunc call (flat off axis 0) and its edge
-cells (``grid.shift_into``), and no sum starts from a zero fill.
+A translate or a difference is one ``grid.stencil``: one interior ufunc
+call (flat off axis 0) and its edge cells, and no sum starts from a zero
+fill.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ import numpy as np
 from .core import (ZERO, MatrixField, SystemDef, batch_checked, max_abs_speed, operand,
                    unit_normals)
 from .entropy import ConservationLaw
-from .grid import (GridField, _plan, centered_diff, first_true, planned_second_difference,
-                   row_windows)
+from .grid import (GridField, centered_diff, first_true, planned_second_difference,
+                   row_windows, stencil)
 
 
 class StabilityError(RuntimeError):
@@ -207,8 +208,8 @@ def lxf_average(state: GridField, out: Optional[np.ndarray] = None,
     else:
         acc, translates, two_n = out, plan.translates[rows], plan.two_n
     # the sum starts as translate + 0.0, which is 0.0 + translate bit for bit
-    for ufunc, stencil in translates:
-        stencil.shift_into(ufunc, acc, state.data)
+    for ufunc, translate in translates:
+        translate.shift_into(ufunc, acc, state.data)
     np.divide(acc, two_n, out=acc)
     return acc
 
@@ -217,13 +218,13 @@ def _translates(contiguous: bool, state: GridField, rows: Optional[tuple]) -> tu
     """(ufunc, stencil) of the 2n translates that ``lxf_average`` sums in
     order, for the rows ``rows`` of axis 0."""
     return tuple((np.add if j or d < 0 else _plus_zero,
-                  _plan(contiguous, state.data.shape, j, state.boundary, d, rows))
+                  stencil(contiguous, state.data.shape, j, state.boundary, d, rows))
                  for j in range(state.n) for d in (+1, -1))
 
 
 def _plus_zero(_, translate, out=None):
-    """The ufunc form of ``shift_into`` that writes translate + 0.0 and
-    ignores what ``out`` held."""
+    """The ufunc form of ``Stencil.shift_into`` that writes translate + 0.0
+    and ignores what ``out`` held."""
     return np.add(translate, ZERO, out=out)
 
 
@@ -288,7 +289,7 @@ def stacked_solve(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class StepPlan:
     """What the steps on one grid share: the row windows, the stencils
-    (``grid._plan``) of each window's average and of the viscous step
+    (``grid.stencil``) of each window's average and of the viscous step
     along axis 0, and as 0-d arrays (``core.operand``) 2n and, for each
     step size k in ``ks``, k, k/(2h) and eps k/h^2.  ``contiguous``: the
     arrays the steps write are C-contiguous, as the stencils require."""
@@ -298,7 +299,7 @@ class StepPlan:
         shape, boundary = state.data.shape, state.boundary
         self.windows = row_windows(state.data)[0]
         self.translates = {rows: _translates(contiguous, state, rows) for rows in self.windows}
-        self.axis0 = tuple(_plan(contiguous, shape, 0, boundary, d) for d in (+1, -1, 0))
+        self.axis0 = tuple(stencil(contiguous, shape, 0, boundary, d) for d in (+1, -1, 0))
         self.two_n = operand(2.0 * state.n)
         h = state.h[0]
         self.k = {k: operand(k) for k in ks}
@@ -559,9 +560,10 @@ def run(system, initial: GridField, config: SchemeConfig,
     ``system`` is a SystemDef or a ConservationLaw; a positive
     config.viscosity selects the viscous stepper (1D laws only).
     ``monitors`` are objects with a name and evaluate(snapshot) -> float.
-    Any other ``system`` raises TypeError, and viscosity on a SystemDef or
-    on a law or grid of more than one dimension raises ValueError, before
-    any member of the model is evaluated.
+    Any other ``system`` raises TypeError; a model whose (n, m) is not the
+    grid's, and viscosity on a SystemDef or on a grid of more than one
+    dimension, raise ValueError, before any member of the model is
+    evaluated.
 
     The run owns two state buffers and alternates between them, step i
     reading one and writing the other through the steppers' ``out=``; the
@@ -575,10 +577,13 @@ def run(system, initial: GridField, config: SchemeConfig,
     """
     if not isinstance(system, (ConservationLaw, SystemDef)):
         raise TypeError(f"cannot integrate object of type {type(system).__name__}")
+    if (system.n, system.m) != (initial.n, initial.m):
+        raise ValueError(f"the model has (n, m) = {(system.n, system.m)} but the grid "
+                         f"has (n, m) = {(initial.n, initial.m)}")
     if config.viscosity > 0:
         if not isinstance(system, ConservationLaw):
             raise ValueError("viscosity applies to conservation laws only")
-        if system.n != 1 or initial.n != 1:
+        if initial.n != 1:
             raise ValueError("viscous stepping is implemented for one space dimension")
     trace = Trace(monitors={mon.name: [] for mon in monitors})
 

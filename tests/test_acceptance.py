@@ -395,7 +395,7 @@ def test_criterion_12_cli_reproducibility(tmp_path):
     trees = []
     for name in ("run1", "run2"):
         out = tmp_path / name
-        code = execute(cfg, output_dir=str(out), threads=1)
+        code = execute(cfg, output_dir=str(out))
         assert code == 0
         tree = {}
         for root, _, files in os.walk(out):

@@ -616,6 +616,16 @@ class TestCliMain:
         assert main(["run", path, "--output-dir", str(tmp_path / "c")]) == 2
         assert re.fullmatch(r"error: [^\n]+\n", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    def test_run_has_no_threads_or_seed_flag(self, tmp_path, capsys, flag):
+        # both flags used to take a value and change nothing
+        path = workflow_config("rerun", "wave-short")
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", path, flag, "2", "--output-dir", str(tmp_path / "c")])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_workflow_burgers_check_certifies_the_entropy_pair(self, tmp_path):
         path = workflow_config("check", "burgers")
         assert main(["check", path, "--output-dir", str(tmp_path / "c")]) == 0

@@ -5,8 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from shsys import profiles
 from shsys.grid import (GridField, centered_diff, interior_mask, l2_norm,
-                        neighbour_difference, second_difference, shift_into,
-                        shifted)
+                        planned_second_difference, shifted, stencil)
 
 
 def grid_1d(cells, extent=2.0, m=1, boundary="periodic"):
@@ -138,11 +137,7 @@ class TestShifts:
         for axis in range(data.ndim - 1):
             for direction in (+1, -1):
                 for boundary in ("periodic", "outflow"):
-                    ref = np.roll(data, -direction, axis=axis)
-                    if boundary == "outflow":
-                        idx = [slice(None)] * data.ndim
-                        idx[axis] = -1 if direction > 0 else 0
-                        ref[tuple(idx)] = data[tuple(idx)]
+                    ref = roll_shift(data, axis, direction, boundary)
                     out = shifted(data, axis, direction, boundary)
                     assert out.shape == data.shape
                     assert out.tobytes() == ref.tobytes()
@@ -163,14 +158,16 @@ class TestShifts:
         for axis in range(data.ndim - 1):
             for boundary in ("periodic", "outflow"):
                 plus, minus = (roll_shift(data, axis, d, boundary) for d in (+1, -1))
+                up, down, both = (stencil(True, data.shape, axis, boundary, d)
+                                  for d in (+1, -1, 0))
                 with np.errstate(invalid="ignore", over="ignore"):
                     acc = np.zeros_like(data)
-                    shift_into(np.add, acc, data, axis, +1, boundary)
-                    shift_into(np.add, acc, data, axis, -1, boundary)
+                    up.shift_into(np.add, acc, data)
+                    down.shift_into(np.add, acc, data)
                     assert same_bits(acc, (np.zeros_like(data) + plus) + minus)
-                    diff = neighbour_difference(data, axis, boundary)
+                    diff = both.difference(np.empty_like(data), data)
                     assert same_bits(diff, plus - minus)
-                    second = second_difference(data, axis, boundary)
+                    second = planned_second_difference(up, down, np.empty_like(data), data)
                     assert same_bits(second, (plus - 2.0 * data) + minus)
                 assert shifted(data, axis, +1, boundary).tobytes() == plus.tobytes()
                 assert shifted(data, axis, -1, boundary).tobytes() == minus.tobytes()

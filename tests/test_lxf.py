@@ -279,6 +279,38 @@ class TestRun:
             run(system, initial, SchemeConfig(lam=0.5, t_end=0.0 if case == "law-2d" else 0.1,
                                               viscosity=1.0 if case != "object" else 0.0))
 
+    @pytest.mark.parametrize("case, pairs", [
+        ("law-n", ((1, 1), (2, 1))),
+        ("law-m", ((1, 1), (1, 2))),
+        ("system-n", ((1, 1), (2, 1))),
+        ("system-m", ((1, 1), (1, 2))),
+    ], ids=["law-n", "law-m", "system-n", "system-m"])
+    def test_model_and_grid_must_agree_on_n_and_m(self, case, pairs):
+        # a 1D law on a 2D grid used to run with a 2D average and an x flux
+        # only, an elementwise 1-component flux on a 2-component grid to
+        # complete, and a 1D system on a 2D grid to fail in the points check
+        def untouchable(*args):
+            raise AssertionError("a model member was evaluated")
+
+        (n, m), (grid_n, grid_m) = pairs
+        if case.startswith("law"):
+            system = ConservationLaw(n=n, m=m, flux=(untouchable,) * n,
+                                     state_box=([-1.0] * m, [1.0] * m), admissible=untouchable)
+        else:
+            field_ = MatrixField(m=m, fn=untouchable)
+            system = SystemDef(n=n, m=m, coeff=(field_,) * (n + 1), source=untouchable,
+                               max_speed=untouchable)
+        initial = GridField.zeros((8,) * grid_n, 0.125, 0.0625, grid_m)
+        message = (f"the model has (n, m) = ({n}, {m}) but the grid has "
+                   f"(n, m) = ({grid_n}, {grid_m})")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(system, initial, SchemeConfig(lam=0.1, t_end=0.1))
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_law_space_dimension_is_1_2_or_3(self, n):
+        with pytest.raises(ValueError, match=f"space dimension must be 1, 2 or 3, got {n}"):
+            ConservationLaw(n=n, m=1, flux=(lambda u: u,) * n, state_box=([-1.0], [1.0]))
+
     def test_nonfinite_aborts_with_partial_trace(self):
         # quadratic reaction term: forward-Euler iterates overflow to inf
         law = ConservationLaw(
@@ -511,6 +543,25 @@ class TestLawBatchContract:
         with pytest.raises(ValueError, match=re.escape(
                 "flux[0] returned shape (50,), expected (..., m) = (50, 1)")):
             self.stepper(name, law, state)
+
+    @pytest.mark.parametrize("through", ["run", "max_char_speed"])
+    @pytest.mark.parametrize("entry", ["flux", "flux_jac"])
+    def test_jacobian_checks_what_it_differentiates(self, entry, through):
+        # the CFL speed used to fail in numpy's eigvals with "Last 2
+        # dimensions of the array must be square", naming neither
+        law = burgers_law()[0]
+        if entry == "flux":
+            law = replace(law, flux=(lambda u: 0.5 * u[..., 0] ** 2,), flux_jac=None)
+            message = "flux[0] returned shape (50,), expected (..., m) = (50, 1)"
+        else:
+            law = replace(law, flux_jac=(lambda u: u,))
+            message = "flux_jac[0] returned shape (50, 1), expected (..., m, m) = (50, 1, 1)"
+        state = grid_1d(50).with_data(RNG.uniform(-0.5, 0.5, (50, 1)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if through == "run":
+                run(law, state, SchemeConfig(lam=0.1, t_end=0.01))
+            else:
+                max_char_speed(law, state)
 
     def test_second_flux_is_named(self):
         law, initial = law_speed_case("test2d")

@@ -8,6 +8,7 @@ import contextlib
 import gc
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -17,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 from shsys import grid, profiles
 from shsys.core import MatrixField, SystemDef
 from shsys.entropy import ConservationLaw
-from shsys.grid import (GridField, _plan, _subtract_from, centered_diff,
-                        neighbour_difference, row_windows, shift_into)
+from shsys.grid import GridField, _subtract_from, centered_diff, row_windows, stencil
 from shsys.lxf import (SchemeConfig, law_rhs, lxf_average, lxf_step, run, system_rhs,
                        viscous_step)
 from shsys.models import maxwell_system, wave_system
@@ -88,12 +88,12 @@ class TestWindowTable:
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_whole_axis_window_is_the_default_table(self, length, boundary):
-        # rows reach the stencil plans on axis 0 only: off axis 0 they are
-        # cut from the data before the plan is looked up
+        # rows reach the stencils on axis 0 only: off axis 0 they are
+        # cut from the data before the stencil is looked up
         for shape in [(length,), (length, 3), (length, 2, 4)]:
             for direction in [1, -1, 0]:
-                assert (_plan(True, shape, 0, boundary, direction, (0, length))
-                        == _plan(True, shape, 0, boundary, direction))
+                assert (stencil(True, shape, 0, boundary, direction, (0, length))
+                        == stencil(True, shape, 0, boundary, direction))
 
 
 class TestWindowedStencils:
@@ -116,8 +116,8 @@ class TestWindowedStencils:
             assert centered_diff(field, axis, rows=rows).tobytes() == whole[r0:r1].tobytes()
             acc = np.zeros_like(data)
             part = np.zeros((r1 - r0,) + data.shape[1:])
-            shift_into(np.add, acc, data, axis, -1, boundary)
-            shift_into(np.add, part, data, axis, -1, boundary, rows)
+            stencil(True, data.shape, axis, boundary, -1).shift_into(np.add, acc, data)
+            stencil(True, data.shape, axis, boundary, -1, rows).shift_into(np.add, part, data)
             assert part.tobytes() == acc[r0:r1].tobytes()
         assert lxf_average(field, rows=rows).tobytes() == whole_avg[r0:r1].tobytes()
 
@@ -171,16 +171,17 @@ class TestFlatPass:
         with np.errstate(all="ignore"):
             for ufunc in (np.add, np.subtract, _subtract_from):
                 for direction, translate in ((1, plus), (-1, minus)):
-                    got = shift_into(ufunc, start.copy(), data, axis, direction, boundary, rows)
+                    got = stencil(True, shape, axis, boundary, direction, rows).shift_into(
+                        ufunc, start.copy(), data)
                     want = ufunc(start, translate)
                     np.testing.assert_array_equal(bits(got), bits(want))
-            got = neighbour_difference(data, axis, boundary, rows=rows)
+            got = stencil(True, shape, axis, boundary, 0, rows).difference(np.empty(part), data)
             want = plus - minus
         np.testing.assert_array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
     def test_component_slice_equals_its_contiguous_copy(self, boundary):
-        # a component slice is not contiguous: the plan reads it in place
+        # a component slice is not contiguous: the stencil reads it in place
         # along axis 0 and copies it once by its flat view along the others
         data = RNG.normal(size=(4, 5, 3, 3))
         data[1, 2, 0] = [-0.0, np.nan, np.inf]
@@ -190,12 +191,14 @@ class TestFlatPass:
         start = RNG.normal(size=component.shape)
         with np.errstate(all="ignore"):
             for axis in range(3):
-                got = neighbour_difference(component, axis, boundary)
-                want = neighbour_difference(copy, axis, boundary)
+                both = stencil(True, component.shape, axis, boundary, 0)
+                got = both.difference(np.empty(component.shape), component)
+                want = both.difference(np.empty(copy.shape), copy)
                 np.testing.assert_array_equal(bits(got), bits(want))
                 for direction in (1, -1):
-                    got = shift_into(np.add, start.copy(), component, axis, direction, boundary)
-                    want = shift_into(np.add, start.copy(), copy, axis, direction, boundary)
+                    translate = stencil(True, component.shape, axis, boundary, direction)
+                    got = translate.shift_into(np.add, start.copy(), component)
+                    want = translate.shift_into(np.add, start.copy(), copy)
                     np.testing.assert_array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -208,9 +211,11 @@ class TestFlatPass:
         for out in (buf[..., ::2], buf[..., :2], np.zeros((4, 5, 3, 2), order="F")):
             assert not out.flags.c_contiguous
             with pytest.raises(ValueError, match="out must be a C-contiguous"):
-                shift_into(np.add, out, data, axis, 1, "periodic")
+                stencil(out.flags.c_contiguous, data.shape, axis, "periodic", 1).shift_into(
+                    np.add, out, data)
             with pytest.raises(ValueError, match="out must be a C-contiguous"):
-                neighbour_difference(data, axis, "outflow", out=out)
+                stencil(out.flags.c_contiguous, data.shape, axis, "outflow", 0).difference(
+                    out, data)
             with pytest.raises(ValueError, match="out must be a C-contiguous"):
                 centered_diff(field, axis, out=out)
         assert not buf.any()
@@ -218,9 +223,10 @@ class TestFlatPass:
     def test_an_out_of_another_shape_is_rejected_off_axis_0(self):
         data = RNG.normal(size=(4, 5, 3, 2))
         with pytest.raises(ValueError, match="out must have the shape"):
-            shift_into(np.add, np.zeros((4, 5, 6)), data, 1, 1, "periodic")
+            stencil(True, data.shape, 1, "periodic", 1).shift_into(
+                np.add, np.zeros((4, 5, 6)), data)
         with pytest.raises(ValueError, match="out must have the shape"):
-            neighbour_difference(data, 2, "outflow", out=np.zeros((4, 3, 5, 2)))
+            stencil(True, data.shape, 2, "outflow", 0).difference(np.zeros((4, 3, 5, 2)), data)
 
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -231,9 +237,10 @@ class TestFlatPass:
         # 0 has no seam
         data = RNG.normal(size=(16, 16, 16, 6))
         out = np.empty_like(data)
-        calls = [lambda: shift_into(np.add, out, data, axis, 1, boundary),
-                 lambda: shift_into(np.add, out, data, axis, -1, boundary),
-                 lambda: neighbour_difference(data, axis, boundary, out=out)]
+        look = partial(stencil, True, data.shape, axis, boundary)
+        calls = [lambda: look(1).shift_into(np.add, out, data),
+                 lambda: look(-1).shift_into(np.add, out, data),
+                 lambda: look(0).difference(out, data)]
         for call in calls:
             assert call_peak(call) < 32 * 1024
 
@@ -241,7 +248,7 @@ class TestFlatPass:
 def call_peak(call, repeats=3):
     """Traced peak memory of a call above what was held when it began, the
     smallest over ``repeats`` calls after a warm-up that fills the
-    plan cache.  The cyclic collector is paused, and a call that
+    stencil cache.  The cyclic collector is paused, and a call that
     something else allocated during counts only if every call did."""
     call()
     gc.collect()
