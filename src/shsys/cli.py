@@ -10,9 +10,9 @@ Commands:
     shsys models              # list shipped models and their parameters
 
 Exit status: 0 all checks passed, 1 at least one check failed, 2 execution
-error (bad config, aborted run, any other shsys error).  With identical
-configs the artifact tree is byte-identical across runs: nothing time- or
-host-dependent is written.
+error (bad config, aborted run, an artifact that cannot be written, any
+other shsys error).  With identical configs the artifact tree is
+byte-identical across runs: nothing time- or host-dependent is written.
 """
 
 from __future__ import annotations
@@ -53,9 +53,11 @@ def _scheme_config(cfg: RunConfig) -> SchemeConfig | None:
 
 def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
     """Run a validated config; writes artifacts and returns the exit code.
-    The ``invocation`` event's ``"threads": 1`` and ``"seed": 0`` are
-    constants that keep the artifact trees' bytes: the implementation is
-    single-threaded and draws no random numbers."""
+    An ``OSError`` while writing them is an execution error (exit 2), like
+    an aborted run.  The ``invocation`` event's ``"threads": 1`` and
+    ``"seed": 0`` are constants, kept so that artifact trees keep their
+    bytes: no random numbers are drawn, and ``output.write_trace`` writes
+    the snapshot files on every usable CPU, with the same bytes."""
     out_dir = output_dir or cfg.output_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -96,12 +98,12 @@ def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
             rows += check.fn(cfg.checks_params.get(name, {}), model, trace,
                              out_dir, lambda: _build_grid(cfg))
             log.event("check", name=name, rows=[r.name for r in rows])
-    except (RuntimeError, ValueError, KeyError) as exc:
+        write_verdicts_csv(os.path.join(out_dir, "verdicts.csv"), rows)
+    except (OSError, RuntimeError, ValueError, KeyError) as exc:
         log.event("error", message=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    write_verdicts_csv(os.path.join(out_dir, "verdicts.csv"), rows)
     for row in rows:
         log.event("verdict", name=row.name, passed=bool(row.passed),
                   value=row.value, tolerance=row.tolerance)

@@ -5,12 +5,19 @@ Floats are written with repr (the shortest form that parses back exactly)
 so artifact trees diff cleanly and reruns are byte-identical; snapshots
 spell each distinct double and each axis once, then join rows by block.
 No timestamps or other run-varying data enter any artifact.
+
+``write_trace`` writes a trace's snapshot files on every CPU the process
+may run on (``os.sched_getaffinity``): snapshot i goes to worker
+i mod w, worker 0 is the calling process and the others are forked
+children.  Each file's bytes are the same whichever process writes it.
+Where the platform has no ``sched_getaffinity`` nothing is forked.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,12 +119,104 @@ def _jsonable(value):
     return str(value)
 
 
+# Least snapshot values each writer process takes on.  A fork costs the
+# parent about 3 ms (2 vCPUs of an Intel Xeon, Python 3.11, numpy 2.4, a
+# 40-50 MB process): 1.2 ms for the call, the rest in the 1,100-1,300
+# minor faults it takes afterwards on the pages it writes, about 1.3 us
+# each.  The writer takes as long for about 3.7k values of a 2,000-cell
+# Burgers trace (0.8 us each) or 10k of a 128^2 x 4 wave trace (0.3 us).
+WORKER_VALUES = 8192
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, not a cgroup
+    quota; 1 where the platform has no ``os.sched_getaffinity``."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
+def _workers(cpus: int, snapshots: int, values: int) -> int:
+    """Processes that write a trace of ``snapshots`` files holding
+    ``values`` values in all: at most one per CPU and per file, and at
+    least WORKER_VALUES values each; always at least one."""
+    return max(1, min(cpus, snapshots, values // WORKER_VALUES))
+
+
+def _write_snapshots(jobs, workers: int):
+    """Write each (path, field) of ``jobs``, job i by worker i mod
+    ``workers``.  Worker 0 is this process; the others are children forked
+    here, which leave through ``os._exit`` (0 once their share is written,
+    1 on any exception), so no child returns into the caller.  Every child
+    is waited for before this returns or raises.  A share that a child
+    failed to write, or that this process failed to write or could not
+    fork a child for, is written again here, in file order, so the caller
+    sees the error the serial writer raises.
+
+    The fork is safe in a process with other threads (OpenBLAS starts
+    some): a child runs only ``write_snapshot_csv``, which calls no BLAS
+    and takes no lock another thread can hold."""
+    redo, children = set(), {}
+    try:
+        for k in range(1, workers):
+            try:
+                # CPython >= 3.12 warns when a process with threads forks
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no process to spare: the shares left are written here
+                redo.update(range(k, workers))
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    for path, field in jobs[k::workers]:
+                        write_snapshot_csv(path, field)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = k
+        try:
+            for path, field in jobs[::workers]:
+                write_snapshot_csv(path, field)
+        except Exception:
+            redo.add(0)
+    finally:
+        for pid, k in children.items():
+            if os.waitpid(pid, 0)[1] != 0:
+                redo.add(k)
+    for i, (path, field) in enumerate(jobs):
+        if i % workers in redo:
+            write_snapshot_csv(path, field)
+
+
+def _snapshot_name(i: int) -> str:
+    return f"{i:04d}.csv"
+
+
+def _remove_stale_snapshots(snap_dir, count: int):
+    """Delete the files in ``snap_dir`` named as ``write_trace`` names a
+    snapshot numbered ``count`` or more: an earlier, longer trace's."""
+    with os.scandir(snap_dir) as entries:
+        for entry in entries:
+            stem = entry.name.removesuffix(".csv")
+            if (stem.isdecimal() and int(stem) >= count and entry.name == _snapshot_name(int(stem))
+                    and entry.is_file()):
+                os.remove(entry.path)
+
+
 def write_trace(out_dir, trace):
-    """snapshots/NNNN.csv and monitors/<name>.csv under out_dir."""
+    """snapshots/NNNN.csv and monitors/<name>.csv under out_dir.
+
+    Snapshot files numbered at or beyond this trace's count, left by an
+    earlier run into the same directory, are deleted; no other file is.
+    The snapshots are written by ``_workers`` processes."""
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
-    for i, snap in enumerate(trace.snapshots):
-        write_snapshot_csv(os.path.join(snap_dir, f"{i:04d}.csv"), snap)
+    _remove_stale_snapshots(snap_dir, len(trace.snapshots))
+    jobs = [(os.path.join(snap_dir, _snapshot_name(i)), snap)
+            for i, snap in enumerate(trace.snapshots)]
+    values = sum(snap.data.size for snap in trace.snapshots)
+    _write_snapshots(jobs, _workers(_usable_cpus(), len(jobs), values))
     if trace.monitors:
         mon_dir = os.path.join(out_dir, "monitors")
         os.makedirs(mon_dir, exist_ok=True)

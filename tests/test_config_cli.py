@@ -2,11 +2,12 @@ import glob
 import json
 import os
 import re
+import shutil
 import warnings
 
 import pytest
 
-from shsys import registry
+from shsys import output, registry
 from shsys.cli import execute, main
 from shsys.config import ConfigError, parse_config
 from shsys.entropy import ConvergenceError
@@ -886,3 +887,99 @@ def test_workflow_config_reruns_byte_identical(tmp_path, name):
 def test_workflow_viscous_limit_is_monotone(tmp_path):
     assert main(["run", workflow_config("rerun", "viscous"), "--output-dir", str(tmp_path)]) == 0
     assert read_verdicts(tmp_path)["viscous_limit.monotone"][0] == "true"
+
+
+WAVE_ENERGY = """
+[model]
+name = wave
+[grid]
+shape = 32, 2
+h = 0.03125
+[scheme]
+lambda = 0.4
+t_end = 0.05
+[initial]
+profile = plane-wave
+amplitude = 1.0, -0.5, 0.25, 0.75
+modes = 1, 1
+[checks]
+names = energy
+"""
+
+
+class TestArtifactErrors:
+    # an artifact path taken by a file or directory of the wrong kind: the
+    # snapshot directory (write_trace), a check's monitor CSV (energy) and
+    # verdicts.csv
+    @pytest.mark.parametrize("taken, kind, error", [
+        ("snapshots", "file", "File exists"),
+        (os.path.join("monitors", "energy.csv"), "dir", "Is a directory"),
+        ("verdicts.csv", "dir", "Is a directory"),
+    ])
+    def test_unwritable_artifact_exits_2(self, tmp_path, capsys, taken, kind, error):
+        config_path = tmp_path / "cfg.txt"
+        config_path.write_text(WAVE_ENERGY)
+        out = tmp_path / "out"
+        if kind == "dir":
+            (out / taken).mkdir(parents=True)
+        else:
+            out.mkdir()
+            (out / taken).write_text("")
+        assert main(["run", str(config_path), "--output-dir", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and error in line
+        assert line.endswith(f"{str(out / taken)!r}")
+        assert error_messages(out) == [line[len("error: "):]]
+        assert not (out / "verdicts.csv").is_file()
+
+    def test_missing_initial_data_file_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.txt"
+        missing = tmp_path / "init.csv"
+        config_path.write_text("[model]\nname = burgers\n[grid]\nshape = 16\nh = 0.0625\n"
+                               "[scheme]\nlambda = 0.4\nt_end = 0.1\n"
+                               f"[initial]\nprofile = file\ncsv = {missing}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--output-dir", str(out)]) == 2
+        message = f"[Errno 2] No such file or directory: {str(missing)!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert error_messages(out) == [message]
+
+    def test_failed_child_share_exits_2_with_the_serial_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # 0001.csv is the share of the one forked writer of two
+        forks, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        stderr = []
+        for workers in (1, 2):
+            monkeypatch.setattr(output, "_usable_cpus", lambda: workers)
+            out = tmp_path / "out"
+            (out / "snapshots" / "0001.csv").mkdir(parents=True)
+            forks.clear()
+            assert main(["run", workflow_config("rerun", "wave-128"),
+                         "--output-dir", str(out)]) == 2
+            assert len(forks) == workers - 1
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            stderr.append(capsys.readouterr().err)
+            assert error_messages(out) == [stderr[-1][len("error: "):-1]]
+            shutil.rmtree(out)
+        assert stderr[0] == stderr[1]
+        assert stderr[0].startswith("error: [Errno 21] Is a directory")
+
+    def test_rerun_removes_the_older_runs_extra_snapshots(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", workflow_config("rerun", "burgers"), "--output-dir", str(out)]) == 0
+        assert len(list((out / "snapshots").iterdir())) == 13
+        others = ["notes.txt", "00012.csv", "12.csv", "0009.csv.bak", "0011.txt"]
+        for name in others:
+            (out / "snapshots" / name).write_text("kept")
+        (out / "snapshots" / "0010.csv").unlink()
+        (out / "snapshots" / "0010.csv").mkdir()
+        assert main(["run", workflow_config("rerun", "wave-short"),
+                     "--output-dir", str(tmp_path / "fresh")]) == 0
+        assert main(["run", workflow_config("rerun", "wave-short"), "--output-dir", str(out)]) == 0
+        assert sorted(os.listdir(out / "snapshots")) == sorted(
+            [f"{i:04d}.csv" for i in range(5)] + others + ["0010.csv"])
+        assert all((out / "snapshots" / name).read_text() == "kept" for name in others)
+        fresh = read_tree(tmp_path / "fresh" / "snapshots")
+        assert {name: read_tree(out / "snapshots")[name] for name in fresh} == fresh

@@ -2,23 +2,29 @@
 against a per-cell reference (signed zeros and NaN bit patterns that its
 text dedup must keep apart, and grids beyond its axis-text cache), the
 writer's traced memory peak, the snapshot round trip through
-profiles.from_csv, and the monitor CSV format."""
+profiles.from_csv, the monitor CSV format, and write_trace's split of the
+snapshot files among forked processes (the same tree for any worker
+count, the serial writer's error, no child left behind)."""
 
 import gc
 import itertools
 import os
+import pathlib
 import tempfile
 import tracemalloc
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shsys import profiles
+from shsys import output, profiles
+from shsys.entropy import ConservationLaw
 from shsys.grid import GridField
+from shsys.lxf import SchemeConfig, Trace, run
 from shsys.output import (_BLOCK, _axis_text, fmt, write_monitor_csv,
-                          write_snapshot_csv)
+                          write_snapshot_csv, write_trace)
 
 SPECIALS = [-0.0, 1e16, 1e-5, 5e-324, 0.1 + 0.2, float("nan"), float("inf"),
             -float("inf")]
@@ -213,3 +219,142 @@ def test_monitor_csv_custom_header_and_empty_series(tmp_path):
     assert path.read_bytes() == b"eps,l1_distance\n0.1,0.002\n0.05,0.001\n"
     write_monitor_csv(path, [])
     assert path.read_bytes() == b"t,value\n"
+
+
+# write_trace splits a trace's snapshot files among forked processes; the
+# tests below force the worker count through output._usable_cpus
+def snapshot_trace(count=4, shape=(64, 64), m=2):
+    """A trace of ``count`` snapshots of shape x m values, 2 monitors."""
+    snaps = [sample_field(shape, m, seed=i) for i in range(count)]
+    monitors = {"a": [(0.1 * i, float(i)) for i in range(count)], "b": [(0.0, -0.0)]}
+    return Trace(times=[0.1 * i for i in range(count)], snapshots=snaps, monitors=monitors)
+
+
+def aborted_trace():
+    """A partial trace: u' = u^2 on 8192 cells overflows after ~230 steps."""
+    law = ConservationLaw(n=1, m=1, flux=(lambda u: np.zeros_like(u),),
+                          source=lambda x, u: u * u, state_box=([-1e300], [1e300]))
+    h = 2.0 / 8192
+    grid = GridField.zeros((8192,), h, -1.0 + h / 2, 1)
+    initial = grid.with_data(100.0 + 50.0 * (1.0 + grid.centers(0)[:, None]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run(law, initial, SchemeConfig(lam=0.1, t_end=1.0, output_stride=50))
+    assert not trace.completed and len(trace.snapshots) >= 3
+    return trace
+
+
+def read_tree(root):
+    """Relative path -> bytes of every file under root."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in pathlib.Path(root).rglob("*") if path.is_file()}
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of os.fork made by this process (each still forks)."""
+    calls, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+    return calls
+
+
+def force_workers(monkeypatch, cpus):
+    monkeypatch.setattr(output, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("make_trace", [snapshot_trace, aborted_trace])
+def test_trace_tree_is_the_same_for_1_2_and_3_workers(tmp_path, monkeypatch, forks, make_trace):
+    trace = make_trace()
+    trees = []
+    for workers in (1, 2, 3):
+        assert output._workers(workers, len(trace.snapshots),
+                               sum(s.data.size for s in trace.snapshots)) == workers
+        force_workers(monkeypatch, workers)
+        forks.clear()
+        write_trace(tmp_path / str(workers), trace)
+        assert len(forks) == workers - 1 and no_child_left()
+        trees.append(read_tree(tmp_path / str(workers)))
+    assert trees[0] == trees[1] == trees[2]
+    assert sorted(trees[0]) == sorted(
+        [os.path.join("snapshots", f"{i:04d}.csv") for i in range(len(trace.snapshots))]
+        + [os.path.join("monitors", f"{name}.csv") for name in trace.monitors])
+    assert trees[0][os.path.join("snapshots", "0001.csv")] == reference_snapshot(trace.snapshots[1])
+
+
+@pytest.mark.parametrize("obstacles, failing", [(["0001.csv"], "0001.csv"),
+                                                (["0002.csv"], "0002.csv"),
+                                                (["0002.csv", "0001.csv"], "0001.csv")])
+def test_a_failed_share_raises_the_serial_writers_error(tmp_path, monkeypatch, forks,
+                                                        obstacles, failing):
+    # a directory where a snapshot file goes: with 2 workers 0001.csv is the
+    # child's and 0002.csv the parent's; the first in file order is named
+    trace = snapshot_trace()
+    errors = []
+    for workers in (1, 2):
+        snap_dir = tmp_path / str(workers) / "snapshots"
+        for name in obstacles:
+            (snap_dir / name).mkdir(parents=True)
+        force_workers(monkeypatch, workers)
+        forks.clear()
+        with pytest.raises(IsADirectoryError) as info:
+            write_trace(tmp_path / str(workers), trace)
+        assert len(forks) == workers - 1 and no_child_left()
+        errors.append(str(info.value).replace(f"{os.sep}{workers}{os.sep}", os.sep))
+    assert errors[0] == errors[1]
+    assert errors[0].endswith(f"{failing}'")
+
+
+def test_a_share_without_a_child_is_written_by_the_caller(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    trace = snapshot_trace()
+    force_workers(monkeypatch, 1)
+    write_trace(tmp_path / "serial", trace)
+    force_workers(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_trace(tmp_path / "unforked", trace)
+    assert read_tree(tmp_path / "unforked") == read_tree(tmp_path / "serial")
+
+
+def test_no_fork_without_sched_getaffinity(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    trace = snapshot_trace()
+    write_trace(tmp_path / "a", trace)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    assert output._usable_cpus() == 1
+    write_trace(tmp_path / "b", trace)
+    assert read_tree(tmp_path / "b") == read_tree(tmp_path / "a")
+
+
+def test_the_fork_warning_of_a_threaded_process_is_not_shown(tmp_path, monkeypatch):
+    # CPython >= 3.12 warns on fork() while other threads run (OpenBLAS's)
+    real = os.fork
+
+    def fork():
+        warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                      "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return real()
+
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        write_trace(tmp_path, snapshot_trace())
+    assert seen == [] and no_child_left()
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 1024), st.integers(0, 10**5), st.integers(0, 10**10))
+def test_worker_count_is_bounded_by_cpus_snapshots_and_values(cpus, snapshots, values):
+    workers = output._workers(cpus, snapshots, values)
+    assert 1 <= workers <= max(1, min(cpus, snapshots))
+    assert workers == 1 or workers * output.WORKER_VALUES <= values
