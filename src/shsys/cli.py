@@ -18,6 +18,7 @@ byte-identical across runs: nothing time- or host-dependent is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -54,19 +55,20 @@ def _scheme_config(cfg: RunConfig) -> SchemeConfig | None:
 def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
     """Run a validated config; writes artifacts and returns the exit code.
     An ``OSError`` while writing them is an execution error (exit 2), like
-    an aborted run.  The ``invocation`` event's ``"threads": 1`` and
-    ``"seed": 0`` are constants, kept so that artifact trees keep their
-    bytes: no random numbers are drawn, and ``output.write_trace`` writes
-    the snapshot files on every usable CPU, with the same bytes."""
+    an aborted run; an execution error leaves no ``verdicts.csv``.  The
+    ``invocation`` event's ``"threads": 1`` and ``"seed": 0`` are
+    constants, kept so that artifact trees keep their bytes: no random
+    numbers are drawn, and ``output.write_trace`` writes large traces'
+    snapshot files on every usable CPU, with the same bytes."""
     out_dir = output_dir or cfg.output_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
         log = RunLog(os.path.join(out_dir, "run.ndjson"))
+        log.event("config", **cfg.echo())
+        log.event("invocation", threads=1, seed=0, checks_only=checks_only)
     except OSError as exc:
         print(f"error: cannot write the output directory: {exc}", file=sys.stderr)
         return 2
-    log.event("config", **cfg.echo())
-    log.event("invocation", threads=1, seed=0, checks_only=checks_only)
 
     try:
         needs_sim = [c for c in cfg.checks if CHECKS[c].needs == "simulation"]
@@ -99,16 +101,20 @@ def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
                              out_dir, lambda: _build_grid(cfg))
             log.event("check", name=name, rows=[r.name for r in rows])
         write_verdicts_csv(os.path.join(out_dir, "verdicts.csv"), rows)
+        for row in rows:
+            log.event("verdict", name=row.name, passed=bool(row.passed),
+                      value=row.value, tolerance=row.tolerance)
+        failed = [r for r in rows if not r.passed]
+        log.event("done", checks=len(rows), failed=len(failed))
     except (OSError, RuntimeError, ValueError, KeyError) as exc:
-        log.event("error", message=str(exc))
         print(f"error: {exc}", file=sys.stderr)
+        # no verdict table after an error, not even a partial one or an
+        # earlier run's; the log itself may be what failed
+        with contextlib.suppress(OSError):
+            os.remove(os.path.join(out_dir, "verdicts.csv"))
+        with contextlib.suppress(OSError):
+            log.event("error", message=str(exc))
         return 2
-
-    for row in rows:
-        log.event("verdict", name=row.name, passed=bool(row.passed),
-                  value=row.value, tolerance=row.tolerance)
-    failed = [r for r in rows if not r.passed]
-    log.event("done", checks=len(rows), failed=len(failed))
     return 1 if failed else 0
 
 

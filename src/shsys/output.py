@@ -6,11 +6,12 @@ so artifact trees diff cleanly and reruns are byte-identical; snapshots
 spell each distinct double and each axis once, then join rows by block.
 No timestamps or other run-varying data enter any artifact.
 
-``write_trace`` writes a trace's snapshot files on every CPU the process
-may run on (``os.sched_getaffinity``): snapshot i goes to worker
-i mod w, worker 0 is the calling process and the others are forked
-children.  Each file's bytes are the same whichever process writes it.
-Where the platform has no ``sched_getaffinity`` nothing is forked.
+``write_trace`` writes a trace's snapshot files on up to every CPU the
+process may run on (``os.sched_getaffinity``), one worker per
+WORKER_VALUES values at most: snapshot i goes to worker i mod w, worker 0
+is the calling process and the others are forked children.  Each file's
+bytes are the same whichever process writes it.  Where the platform has
+no ``sched_getaffinity`` nothing is forked.
 """
 
 from __future__ import annotations
@@ -119,13 +120,17 @@ def _jsonable(value):
     return str(value)
 
 
-# Least snapshot values each writer process takes on.  A fork costs the
-# parent about 3 ms (2 vCPUs of an Intel Xeon, Python 3.11, numpy 2.4, a
-# 40-50 MB process): 1.2 ms for the call, the rest in the 1,100-1,300
-# minor faults it takes afterwards on the pages it writes, about 1.3 us
-# each.  The writer takes as long for about 3.7k values of a 2,000-cell
-# Burgers trace (0.8 us each) or 10k of a 128^2 x 4 wave trace (0.3 us).
-WORKER_VALUES = 8192
+# Least snapshot values each writer process takes on, on average.  A fork
+# costs the run more than its call: parent and child take copy-on-write
+# faults on every page they write afterwards, the parent for the rest of
+# the process.  Measured on whole `shsys run` jobs (2 vCPUs of an Intel
+# Xeon, Python 3.11, numpy 2.4; three sweeps of 20-30 alternating pairs of
+# 1 and 2 writers in one process), two writers shortened the median job by
+# 8-26 % from 92k values a writer up (wave traces of 88^2 to 128^2 cells,
+# a 2,000-cell Burgers trace of 140 snapshots), by 1-14 % at 62k-85k, and
+# at 35k (a 2,000-cell Burgers trace of 35 snapshots) by -0.2 to 2.7 %, in
+# only 60-63 % of the pairs.  The floor keeps that last case serial.
+WORKER_VALUES = 65536
 
 
 def _usable_cpus() -> int:
@@ -138,7 +143,7 @@ def _usable_cpus() -> int:
 def _workers(cpus: int, snapshots: int, values: int) -> int:
     """Processes that write a trace of ``snapshots`` files holding
     ``values`` values in all: at most one per CPU and per file, and at
-    least WORKER_VALUES values each; always at least one."""
+    least WORKER_VALUES values each on average; always at least one."""
     return max(1, min(cpus, snapshots, values // WORKER_VALUES))
 
 
@@ -147,25 +152,20 @@ def _write_snapshots(jobs, workers: int):
     ``workers``.  Worker 0 is this process; the others are children forked
     here, which leave through ``os._exit`` (0 once their share is written,
     1 on any exception), so no child returns into the caller.  Every child
-    is waited for before this returns or raises.  A share that a child
-    failed to write, or that this process failed to write or could not
-    fork a child for, is written again here, in file order, so the caller
-    sees the error the serial writer raises.
+    is waited for before this returns or raises.  After any failure (a
+    child's, this process's, or a fork's) every job is written again here
+    in file order, so the caller sees the error the serial writer raises.
 
     The fork is safe in a process with other threads (OpenBLAS starts
     some): a child runs only ``write_snapshot_csv``, which calls no BLAS
     and takes no lock another thread can hold."""
-    redo, children = set(), {}
+    children, ok = [], True
     try:
         for k in range(1, workers):
-            try:
-                # CPython >= 3.12 warns when a process with threads forks
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:  # no process to spare: the shares left are written here
-                redo.update(range(k, workers))
-                break
+            # CPython >= 3.12 warns when a process with threads forks
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
@@ -174,18 +174,16 @@ def _write_snapshots(jobs, workers: int):
                     status = 0
                 finally:
                     os._exit(status)
-            children[pid] = k
-        try:
-            for path, field in jobs[::workers]:
-                write_snapshot_csv(path, field)
-        except Exception:
-            redo.add(0)
+            children.append(pid)
+        for path, field in jobs[::workers]:
+            write_snapshot_csv(path, field)
+    except Exception:
+        ok = False
     finally:
-        for pid, k in children.items():
-            if os.waitpid(pid, 0)[1] != 0:
-                redo.add(k)
-    for i, (path, field) in enumerate(jobs):
-        if i % workers in redo:
+        for pid in children:
+            ok = os.waitpid(pid, 0)[1] == 0 and ok
+    if not ok:
+        for path, field in jobs:
             write_snapshot_csv(path, field)
 
 

@@ -1,3 +1,4 @@
+import errno
 import glob
 import json
 import os
@@ -7,7 +8,7 @@ import warnings
 
 import pytest
 
-from shsys import output, registry
+from shsys import cli, output, registry
 from shsys.cli import execute, main
 from shsys.config import ConfigError, parse_config
 from shsys.entropy import ConvergenceError
@@ -931,6 +932,59 @@ class TestArtifactErrors:
         assert line.endswith(f"{str(out / taken)!r}")
         assert error_messages(out) == [line[len("error: "):]]
         assert not (out / "verdicts.csv").is_file()
+
+    # run.ndjson turns unwritable (a directory) after a writer's call, which
+    # then fails with a full disk or succeeds: the error event cannot be
+    # logged, but the run still ends with one error line and exit 2
+    @pytest.mark.parametrize("writer, disk_full, error", [
+        ("write_trace", True, "[Errno 28] No space left on device"),
+        ("write_verdicts_csv", True, "[Errno 28] No space left on device"),
+        ("write_verdicts_csv", False, "[Errno 21] Is a directory"),
+    ])
+    def test_unwritable_log_still_exits_2_with_one_error_line(
+            self, tmp_path, capsys, monkeypatch, writer, disk_full, error):
+        real = getattr(cli, writer)
+
+        def then_log_unwritable(path, *args):
+            real(path, *args)
+            out = os.path.dirname(path) if writer == "write_verdicts_csv" else path
+            os.remove(os.path.join(out, "run.ndjson"))
+            os.mkdir(os.path.join(out, "run.ndjson"))
+            if disk_full:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, writer, then_log_unwritable)
+        config_path = tmp_path / "cfg.txt"
+        config_path.write_text(WAVE_ENERGY)
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--output-dir", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {error}")
+        assert (out / "run.ndjson").is_dir() and not (out / "verdicts.csv").exists()
+
+    def test_an_error_leaves_no_verdict_table(self, tmp_path, capsys, monkeypatch):
+        # a table cut short by the error, and an earlier run's table
+        def cut_short(path, rows):
+            with open(path, "w") as handle:
+                handle.write("name,pass,value,tolerance\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        config_path = tmp_path / "cfg.txt"
+        config_path.write_text(WAVE_ENERGY)
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--output-dir", str(out)]) == 0
+        assert (out / "verdicts.csv").is_file()
+        monkeypatch.setattr(cli, "write_verdicts_csv", cut_short)
+        assert main(["run", str(config_path), "--output-dir", str(out)]) == 2
+        assert error_messages(out) == ["[Errno 28] No space left on device"]
+        assert not (out / "verdicts.csv").exists()
+        shutil.rmtree(out / "snapshots")
+        (out / "snapshots").write_text("")
+        monkeypatch.undo()
+        (out / "verdicts.csv").write_text("an earlier run's table\n")
+        assert main(["run", str(config_path), "--output-dir", str(out)]) == 2
+        assert not (out / "verdicts.csv").exists()
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: [Errno 17]")
 
     def test_missing_initial_data_file_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.txt"

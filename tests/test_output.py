@@ -223,22 +223,23 @@ def test_monitor_csv_custom_header_and_empty_series(tmp_path):
 
 # write_trace splits a trace's snapshot files among forked processes; the
 # tests below force the worker count through output._usable_cpus
-def snapshot_trace(count=4, shape=(64, 64), m=2):
-    """A trace of ``count`` snapshots of shape x m values, 2 monitors."""
+def snapshot_trace(count=4, shape=(128, 128), m=4):
+    """A trace of ``count`` snapshots of shape x m values, 2 monitors; by
+    default 4 x 65,536 values, enough for 4 writers."""
     snaps = [sample_field(shape, m, seed=i) for i in range(count)]
     monitors = {"a": [(0.1 * i, float(i)) for i in range(count)], "b": [(0.0, -0.0)]}
     return Trace(times=[0.1 * i for i in range(count)], snapshots=snaps, monitors=monitors)
 
 
 def aborted_trace():
-    """A partial trace: u' = u^2 on 8192 cells overflows after ~230 steps."""
+    """A partial trace: u' = u^2 on 65,536 cells overflows after ~15 steps."""
     law = ConservationLaw(n=1, m=1, flux=(lambda u: np.zeros_like(u),),
                           source=lambda x, u: u * u, state_box=([-1e300], [1e300]))
-    h = 2.0 / 8192
-    grid = GridField.zeros((8192,), h, -1.0 + h / 2, 1)
-    initial = grid.with_data(100.0 + 50.0 * (1.0 + grid.centers(0)[:, None]))
+    h = 2.0 / 65536
+    grid = GridField.zeros((65536,), h, -1.0 + h / 2, 1)
+    initial = grid.with_data(1e4 * (1.5 + 0.5 * grid.centers(0)[:, None]))
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = run(law, initial, SchemeConfig(lam=0.1, t_end=1.0, output_stride=50))
+        trace = run(law, initial, SchemeConfig(lam=0.4, t_end=1.0, output_stride=4))
     assert not trace.completed and len(trace.snapshots) >= 3
     return trace
 
@@ -350,6 +351,18 @@ def test_the_fork_warning_of_a_threaded_process_is_not_shown(tmp_path, monkeypat
         warnings.simplefilter("always")
         write_trace(tmp_path, snapshot_trace())
     assert seen == [] and no_child_left()
+
+
+def test_a_trace_under_two_writers_worth_of_values_is_not_split(tmp_path, monkeypatch, forks):
+    # 35 snapshots of 2,000 values (the 2,000-cell Burgers run's trace) on
+    # 4 CPUs: one writer; 5 of 65,536 (a 128^2 wave trace of 4 components):
+    # one per CPU
+    small = snapshot_trace(count=35, shape=(2000,), m=1)
+    assert output._workers(4, 35, 35 * 2000) == 1
+    assert output._workers(4, 5, 5 * 65536) == 4
+    force_workers(monkeypatch, 4)
+    write_trace(tmp_path, small)
+    assert forks == [] and len(os.listdir(tmp_path / "snapshots")) == 35
 
 
 @settings(max_examples=200)
