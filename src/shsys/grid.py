@@ -6,19 +6,20 @@ and difference is a ``Stencil`` that applies itself: one interior call,
 then the edge cells.  ``stencil`` lays one out and caches it; it is the
 one public way to a translate (``Stencil.shift_into``) or a difference
 (``Stencil.difference``).  ``centered_diff`` looks its stencil up on
-every call, ``lxf.StepPlan`` once a run; ``shifted`` is the reference
-translate, held to ``np.roll`` by the tests.  On axis 0 the interior is
-a slice of rows.  Along an axis j >= 1 of a C-contiguous array one cell
-is a step of s = prod(shape[j+1:]) in the flat view, so the interiors of
-all lines are one contiguous call, ufunc(out[:-s], data[s:]) or its
-mirror, where a strided region would go through numpy's buffered
-iterator.  That call crosses the edge cells between lines (the seams),
-which are computed apart and written after it.  ``out`` must be
-C-contiguous; off axis 0 a strided ``data`` is copied once by its flat
-view.  Every element gets one operation on the same operands in the same
-order, so the results are bit-identical on every axis, window and layout,
-except for which NaN comes back where both operands are NaNs: numpy's
-loops return either."""
+every call, ``lxf.StepPlan`` once a run; ``shifted`` (the reference,
+held to ``np.roll`` by the tests) is ``shift_into`` with a copy.  On
+axis 0 the interior is a slice of rows, of any layout.  Along an axis
+j >= 1 of a C-contiguous array one cell is a step of s =
+prod(shape[j+1:]) in the flat view, so the interiors of all lines are
+one contiguous call, ufunc(out[:-s], data[s:]) or its mirror, where a
+strided region would go through numpy's buffered iterator.  That call
+crosses the edge cells between lines (the seams), which are computed
+apart and written after it.  There a strided ``data`` is copied once by
+its flat view and a strided ``out`` is refused.  The public functions
+take their ``out`` from ``out_array``.  Every element gets one operation
+on the same operands in the same order, so the results are bit-identical
+on every axis, window and layout, except for which NaN comes back where
+both operands are NaNs: numpy's loops return either."""
 
 from __future__ import annotations
 
@@ -219,18 +220,15 @@ class Stencil(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def stencil(contiguous: bool, shape: tuple, axis: int, boundary: str, direction: int,
+def stencil(shape: tuple, axis: int, boundary: str, direction: int,
             rows: Optional[tuple] = None) -> Stencil:
     """The ``Stencil`` of a translate (``direction`` +1 or -1) or a
     difference (0) along ``axis`` of an array of ``shape``, for the rows
-    ``rows`` of axis 0 that a C-contiguous out holds.  Axis 0 reads its
-    neighbours across the window's edges; any other axis reads only the
-    window's rows."""
-    if not contiguous:
-        raise ValueError("out must be a C-contiguous array")
+    ``rows`` of axis 0 that out holds.  Axis 0 reads its neighbours across
+    the window's edges; any other axis reads only the window's rows."""
     if rows is not None and axis:
         window = (rows[1] - rows[0],) + shape[1:]
-        return stencil(True, window, axis, boundary, direction)._replace(reads=slice(*rows))
+        return stencil(window, axis, boundary, direction)._replace(reads=slice(*rows))
     directions = (direction,) if direction else (+1, -1)
     length = shape[axis]
     r0, r1 = (0, length) if rows is None else rows
@@ -260,28 +258,44 @@ def stencil(contiguous: bool, shape: tuple, axis: int, boundary: str, direction:
 
 
 def _flat_views(out: np.ndarray, data: np.ndarray) -> tuple:
-    """The flat views that an off-axis stencil indexes; out holds data's shape."""
+    """The flat views that an off-axis stencil indexes, of a C-contiguous out."""
     if out.shape != data.shape:
         raise ValueError(f"out must have the shape {data.shape}, got {out.shape}")
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array")
     return out.ravel(), data.ravel()
+
+
+def out_array(data: np.ndarray, out: Optional[np.ndarray] = None,
+              rows: Optional[tuple] = None, name: str = "out") -> np.ndarray:
+    """The array that a function of ``data`` writes its rows ``rows`` of axis
+    0 to (all when None): a new float array, or ``out`` if it is
+    C-contiguous and does not overlap ``data`` (else refused as ``name``)."""
+    if out is None:
+        shape = data.shape if rows is None else (rows[1] - rows[0],) + data.shape[1:]
+        return np.empty(shape, dtype=np.result_type(data, 1.0))
+    if np.may_share_memory(out, data):
+        raise ValueError(f"{name} must not overlap another argument")
+    if not out.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous array")
+    return out
 
 
 def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
             out: Optional[np.ndarray] = None) -> np.ndarray:
     """Neighbor values along a spatial axis: direction +1 samples at x + h
     (the forward translate), -1 at x - h.  Periodic wraps the far edge
-    cell in, outflow replicates the near one.  Written to ``out`` (a new
-    array when None; one that overlaps ``data`` is rejected)."""
+    cell in, outflow replicates the near one.  Written to ``out``
+    (``out_array``), bit for bit."""
+    out = out_array(data, out)
+    return stencil(data.shape, axis, boundary, direction).shift_into(_copy, out, data)
+
+
+def _copy(_, translate, out=None):
+    """The ufunc form of ``Stencil.shift_into`` that copies the translate."""
     if out is None:
-        out = np.empty(data.shape, dtype=data.dtype)
-    elif np.may_share_memory(out, data):
-        raise ValueError("out must not overlap data")
-    flat, (cells, sources), edges, seams, _ = stencil(
-        out.flags.c_contiguous, data.shape, axis, boundary, direction)
-    o, d = _flat_views(out, data) if flat else (out, data)
-    o[cells] = d[sources]
-    for cells, sources in edges + seams:
-        out[cells] = data[sources]
+        return translate
+    np.copyto(out, translate)
     return out
 
 
@@ -304,14 +318,11 @@ def planned_second_difference(plus: Stencil, minus: Stencil, out: np.ndarray,
 def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarray] = None,
                   out: Optional[np.ndarray] = None, rows: Optional[tuple] = None) -> np.ndarray:
     """Centered difference (u(x+h) - u(x-h)) / (2h) along one spatial axis,
-    written to ``out`` (a new array when None).  With ``rows`` = (r0, r1),
-    only the rows r0 <= i < r1 of axis 0, which ``out`` holds."""
+    written to ``out`` (``out_array``).  With ``rows`` = (r0, r1), only the
+    rows r0 <= i < r1 of axis 0, which ``out`` holds."""
     data = field.data if component_data is None else component_data
-    if out is None:
-        shape = data.shape if rows is None else (rows[1] - rows[0],) + data.shape[1:]
-        out = np.empty(shape, dtype=np.result_type(data, 1.0))
-    diff = stencil(out.flags.c_contiguous, data.shape, axis, field.boundary, 0,
-                   rows).difference(out, data)
+    out = out_array(data, out, rows)
+    diff = stencil(data.shape, axis, field.boundary, 0, rows).difference(out, data)
     diff /= 2.0 * field.h[axis]
     return diff
 
@@ -325,11 +336,7 @@ def interior_mask(field: GridField) -> np.ndarray:
     mask = np.ones(field.shape, dtype=bool)
     if field.boundary == "outflow":
         for axis in range(field.n):
-            idx = [slice(None)] * field.n
-            idx[axis] = 0
-            mask[tuple(idx)] = False
-            idx[axis] = -1
-            mask[tuple(idx)] = False
+            np.moveaxis(mask, axis, 0)[[0, -1]] = False
     return mask
 
 

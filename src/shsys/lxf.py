@@ -31,32 +31,26 @@ and fields of the state alone without them; every source and flux is
 checked to return one value per cell (``core.batch_checked``).
 
 The steps follow numpy's ``out=`` idiom: ``lxf_average``, ``lxf_step``
-and ``viscous_step`` write into a given array, and allocate one only
-when none is given.  An RHS closure ``rhs(t, state)`` writes into a
-target array of its own.  ``run`` alternates two state buffers, and each
-RHS closure keeps its own scratch (a viscous run one spare array), so a
-step allocates no state-sized array beyond what user callables return.
-
-``run`` also hands every step one ``StepPlan``, so that a step on a
-small grid costs about its numpy calls: the stencils are looked up and
-the buffers checked once per run.  Steps called without one build their
-own, after checking their arguments.
+and ``viscous_step`` take the arrays they write from ``grid.out_array``.
+An RHS closure ``rhs(t, state)`` writes into a target array of its own.
+``run`` alternates two state buffers, and each RHS closure keeps its own
+scratch (a viscous run one spare array), so a step allocates no
+state-sized array beyond what user callables return.  ``run`` also hands
+every step one ``StepPlan``, so that a step on a small grid costs about
+its numpy calls; steps called without one check their arguments and
+build their own.
 
 The stencils sweep the grid in row windows along axis 0
 (``grid.row_windows``, at most ``grid.WINDOW_BYTES`` of state each): an
 RHS closure runs every difference and product of one window, over all
 axes, before the next, and ``lxf_step`` builds the average and adds
 k * RHS window by window, so each window's data is reused while it is
-still in cache.  Only the traversal order changes: every element goes
-through the same operations in the same order, so the results do not
-depend on the windows.  Fields, fluxes and sources are evaluated once per
-call on the whole grid, and the scratch of the differences and products
-is sized to the largest window.  A state that fits one window is swept
-whole.
+still in cache.  Every element goes through the same operations in the
+same order, so the results do not depend on the windows.  Fields, fluxes
+and sources are evaluated once per call on the whole grid.
 
-A translate or a difference is one ``grid.stencil``: one interior ufunc
-call (flat off axis 0) and its edge cells, and no sum starts from a zero
-fill.
+A translate or a difference is one ``grid.stencil``, and no sum starts
+from a zero fill.
 """
 
 from __future__ import annotations
@@ -71,7 +65,7 @@ import numpy as np
 from .core import (ZERO, MatrixField, SystemDef, batch_checked, max_abs_speed, operand,
                    unit_normals)
 from .entropy import ConservationLaw
-from .grid import (GridField, centered_diff, first_true, planned_second_difference,
+from .grid import (GridField, centered_diff, first_true, out_array, planned_second_difference,
                    row_windows, stencil)
 
 
@@ -184,27 +178,16 @@ def _head(a: Optional[np.ndarray], rows: Optional[tuple]) -> Optional[np.ndarray
     return a if rows is None or a is None else a[:rows[1] - rows[0]]
 
 
-def _output(data: np.ndarray, out: Optional[np.ndarray],
-            rows: Optional[tuple] = None) -> np.ndarray:
-    """``out``, checked not to overlap ``data``; when None, a new array for
-    the rows ``rows`` of data (all of them when None)."""
-    if out is None:
-        return np.empty_like(data if rows is None else data[rows[0]:rows[1]])
-    if np.may_share_memory(out, data):
-        raise ValueError("out must not overlap the input state's data")
-    return out
-
-
 def lxf_average(state: GridField, out: Optional[np.ndarray] = None,
                 rows: Optional[tuple] = None, plan: Optional[StepPlan] = None) -> np.ndarray:
     """(1/2n) sum over axes of both neighbor translates, summed from zero
-    in ``out`` (a new array when None; it must not overlap ``state.data``).
-    With ``rows`` = (r0, r1), only the rows r0 <= i < r1 of axis 0, which
-    ``out`` holds.  Only ``lxf_step`` passes ``plan``, with ``out`` part
-    of its own output: the average then makes no check."""
+    in ``out`` (``grid.out_array``).  With ``rows`` = (r0, r1), only the
+    rows r0 <= i < r1 of axis 0, which ``out`` holds.  Only ``lxf_step``
+    passes ``plan``, with ``out`` part of its own output: the average then
+    makes no check."""
     if plan is None:
-        acc = _output(state.data, out, rows)
-        translates, two_n = _translates(acc.flags.c_contiguous, state, rows), 2.0 * state.n
+        acc = out_array(state.data, out, rows)
+        translates, two_n = _translates(state, rows), 2.0 * state.n
     else:
         acc, translates, two_n = out, plan.translates[rows], plan.two_n
     # the sum starts as translate + 0.0, which is 0.0 + translate bit for bit
@@ -214,11 +197,11 @@ def lxf_average(state: GridField, out: Optional[np.ndarray] = None,
     return acc
 
 
-def _translates(contiguous: bool, state: GridField, rows: Optional[tuple]) -> tuple:
+def _translates(state: GridField, rows: Optional[tuple]) -> tuple:
     """(ufunc, stencil) of the 2n translates that ``lxf_average`` sums in
     order, for the rows ``rows`` of axis 0."""
     return tuple((np.add if j or d < 0 else _plus_zero,
-                  stencil(contiguous, state.data.shape, j, state.boundary, d, rows))
+                  stencil(state.data.shape, j, state.boundary, d, rows))
                  for j in range(state.n) for d in (+1, -1))
 
 
@@ -291,15 +274,13 @@ class StepPlan:
     """What the steps on one grid share: the row windows, the stencils
     (``grid.stencil``) of each window's average and of the viscous step
     along axis 0, and as 0-d arrays (``core.operand``) 2n and, for each
-    step size k in ``ks``, k, k/(2h) and eps k/h^2.  ``contiguous``: the
-    arrays the steps write are C-contiguous, as the stencils require."""
+    step size k in ``ks``, k, k/(2h) and eps k/h^2."""
 
-    def __init__(self, state: GridField, ks: tuple, viscosity: float = 0.0,
-                 contiguous: bool = True):
+    def __init__(self, state: GridField, ks: tuple, viscosity: float = 0.0):
         shape, boundary = state.data.shape, state.boundary
         self.windows = row_windows(state.data)[0]
-        self.translates = {rows: _translates(contiguous, state, rows) for rows in self.windows}
-        self.axis0 = tuple(stencil(contiguous, shape, 0, boundary, d) for d in (+1, -1, 0))
+        self.translates = {rows: _translates(state, rows) for rows in self.windows}
+        self.axis0 = tuple(stencil(shape, 0, boundary, d) for d in (+1, -1, 0))
         self.two_n = operand(2.0 * state.n)
         h = state.h[0]
         self.k = {k: operand(k) for k in ks}
@@ -404,16 +385,16 @@ def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
              config: SchemeConfig, t: float = 0.0, k: Optional[float] = None,
              out: Optional[np.ndarray] = None, plan: Optional[StepPlan] = None) -> GridField:
     """One Lax-Friedrichs step of size k (default lam * h), its state's
-    data written to ``out`` (a new array when None; it must not overlap
-    ``state.data``).  The array ``rhs(t, state)`` returns is scaled by k
-    in place, as the RHS closures allow.  The average and the update run
-    window by window (``row_windows``).  Only ``run`` passes ``plan``,
+    data written to ``out`` (``grid.out_array``).  The array
+    ``rhs(t, state)`` returns is scaled by k in place, as the RHS closures
+    allow.  The average and the update run window by window
+    (``row_windows``).  Only ``run`` passes ``plan``,
     built for this grid and k, with ``out`` its own buffer: the step then
     makes no check."""
     if plan is None:
         k = config.lam * _uniform_h(state) if k is None else k
-        out = _output(state.data, out)
-        plan = StepPlan(state, (k,), contiguous=out.flags.c_contiguous)
+        out = out_array(state.data, out)
+        plan = StepPlan(state, (k,))
     scaled = rhs(t, state)
     k = plan.k[k]
     for rows in plan.windows:
@@ -432,23 +413,18 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     """Forward-Euler step of d_t u + d_x f(u) = eps d_xx u (1D only):
     centered flux difference plus the explicit three-point heat stencil.
     The new data is written to ``out``; ``spare`` holds the heat term.
-    Both are arrays shaped like the state, other than ``state.data`` and
-    each other, new ones when None; an ``out`` that overlaps
-    ``state.data``, or a ``spare`` that overlaps either, is rejected.
-    Only ``run`` passes ``plan``, built for this grid, k and the
-    viscosity, with ``out`` and ``spare`` its own buffers: the step then
-    makes no check."""
+    Both come from ``grid.out_array``, and ``spare`` must not overlap
+    ``out`` either.  Only ``run`` passes ``plan``, built for this grid, k
+    and the viscosity, with ``out`` and ``spare`` its own buffers: the step
+    then makes no check."""
     if state.n != 1 or law.n != 1:
         raise ValueError("viscous stepping is implemented for one space dimension")
     if plan is None:
-        out = _output(state.data, out)
-        if spare is None:
-            spare = np.empty(state.data.shape)
-        elif np.may_share_memory(spare, state.data) or np.may_share_memory(spare, out):
-            raise ValueError("spare must not overlap the input state's data or out")
+        out = out_array(state.data, out)
+        # checked against the state, then against out
+        spare = out_array(out, out_array(state.data, spare, name="spare"), name="spare")
         k = config.lam * state.h[0] if k is None else k
-        plan = StepPlan(state, (k,), config.viscosity,
-                        out.flags.c_contiguous and spare.flags.c_contiguous)
+        plan = StepPlan(state, (k,), config.viscosity)
     data = state.data
     plus, minus, difference = plan.axis0
     flux_scale, heat_scale = plan.heat[k]
@@ -478,12 +454,16 @@ def _box_violation(system, state: GridField) -> Optional[tuple]:
         if outside.any():
             *cell, component = first_true(outside)
             return tuple(cell), component
-    admissible = getattr(system, "admissible", None)
-    if admissible is not None:
-        ok = np.asarray(admissible(state.data), dtype=bool)
+    if getattr(system, "admissible", None) is not None:
+        ok = _per_cell(system, "admissible", state) != 0
         if not ok.all():
             return first_true(~ok), None
     return None
+
+
+def _per_cell(system, name: str, state: GridField) -> np.ndarray:
+    """``getattr(system, name)(state.data)`` as floats, one per cell or refused."""
+    return batch_checked(getattr(system, name)(state.data), state.data.shape[:-1], 0, name)
 
 
 def _state_violation(system, state: GridField) -> Optional[tuple]:
@@ -507,9 +487,9 @@ def check_stability(system, initial: GridField, config: SchemeConfig) -> float:
     the parabolic bound when viscosity is on); returns a_star, the maximum
     of the system's ``max_speed`` over every cell when it has one, else
     ``max_char_speed`` (every cell of a law, sampled cells of a system)."""
-    max_speed = getattr(system, "max_speed", None)
-    a_star = (max_char_speed(system, initial, t=0.0) if max_speed is None
-              else float(np.max(max_speed(initial.data))))
+    a_star = (max_char_speed(system, initial, t=0.0)
+              if getattr(system, "max_speed", None) is None
+              else float(np.max(_per_cell(system, "max_speed", initial))))
     lam_a_n = config.lam * a_star * initial.n
     if _exceeds_cfl(lam_a_n, config.cfl_safety):
         raise StabilityError(
@@ -519,8 +499,7 @@ def check_stability(system, initial: GridField, config: SchemeConfig) -> float:
         k = config.lam * h
         bound = config.cfl_safety * h ** 2 / (2.0 * config.viscosity)
         if k > bound * (1.0 + 1e-9):
-            raise StabilityError(
-                f"k = {k:.6g} exceeds the parabolic bound {bound:.6g}")
+            raise StabilityError(f"k = {k:.6g} exceeds the parabolic bound {bound:.6g}")
     return a_star
 
 
@@ -529,7 +508,7 @@ def _cfl_violation(system: SystemDef, config: SchemeConfig,
     """(what, cell, None, detail) at the cell of the largest ``max_speed``
     when lambda * a * n breaks the CFL bound on ``state``, with lambda * a *
     n and cfl_safety in ``detail``; None when the bound holds."""
-    speeds = system.max_speed(state.data)
+    speeds = _per_cell(system, "max_speed", state)
     lam_a_n = config.lam * float(np.max(speeds)) * state.n
     if not _exceeds_cfl(lam_a_n, config.cfl_safety):
         return None
@@ -568,8 +547,8 @@ def run(system, initial: GridField, config: SchemeConfig,
     The run owns two state buffers and alternates between them, step i
     reading one and writing the other through the steppers' ``out=``; the
     RHS closure it builds keeps one scratch set, and a viscous run keeps
-    one more array for the heat term.  A state handed to a
-    monitor is valid only during that call; the trace keeps copies.
+    one more array for the heat term.  A state handed to a monitor is
+    valid only during that call; the trace keeps copies.
 
     Each new state goes through the run's ``_guards``; the first violation
     ends the run with an ``abort`` event that names the step, t and the

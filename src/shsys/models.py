@@ -347,9 +347,8 @@ def euler_conservative_1d(gamma: float) -> ConservationLaw:
 
     def flux(u):
         u = np.asarray(u, dtype=float)
-        rho, mom, en = u[..., 0], u[..., 1], u[..., 2]
-        v = mom / rho
-        p = (gamma - 1.0) * (en - 0.5 * mom * v)
+        _, v, p = euler_conservative_to_primitive(gamma, u)
+        mom, en = u[..., 1], u[..., 2]
         return np.stack([mom, mom * v + p, v * (en + p)], axis=-1)
 
     def admissible(u):

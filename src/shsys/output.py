@@ -191,26 +191,39 @@ def _snapshot_name(i: int) -> str:
     return f"{i:04d}.csv"
 
 
-def _remove_stale_snapshots(snap_dir, count: int):
-    """Delete the files in ``snap_dir`` named as ``write_trace`` names a
-    snapshot numbered ``count`` or more: an earlier, longer trace's."""
-    with os.scandir(snap_dir) as entries:
-        for entry in entries:
-            stem = entry.name.removesuffix(".csv")
-            if (stem.isdecimal() and int(stem) >= count and entry.name == _snapshot_name(int(stem))
-                    and entry.is_file()):
-                os.remove(entry.path)
+VISCOUS_LIMIT_CSV = "viscous_limit.csv"  # the viscous_limit check's table
+
+# (directory under out_dir, name test) of the files a run writes after
+# reading its inputs, verdicts.csv aside
+_RUN_FILES = (("snapshots", lambda name: name[:-4].isdecimal()
+               and name == _snapshot_name(int(name[:-4]))),
+              ("monitors", lambda name: name.endswith(".csv")),
+              ("", lambda name: name == VISCOUS_LIMIT_CSV))
+
+
+def _remove_run_files(out_dir):
+    """Delete the ``_RUN_FILES`` that an earlier run left under ``out_dir``,
+    and a ``monitors`` directory left empty."""
+    for sub, named in _RUN_FILES:
+        directory = os.path.join(out_dir, sub)
+        if os.path.isdir(directory):
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    if named(entry.name) and entry.is_file():
+                        os.remove(entry.path)
+    mon_dir = os.path.join(out_dir, "monitors")
+    if os.path.isdir(mon_dir) and not os.listdir(mon_dir):
+        os.rmdir(mon_dir)
 
 
 def write_trace(out_dir, trace):
-    """snapshots/NNNN.csv and monitors/<name>.csv under out_dir.
-
-    Snapshot files numbered at or beyond this trace's count, left by an
-    earlier run into the same directory, are deleted; no other file is.
-    The snapshots are written by ``_workers`` processes."""
+    """snapshots/NNNN.csv and monitors/<name>.csv under out_dir, after
+    deleting the ``_RUN_FILES`` an earlier run into out_dir left (so the
+    checks that write one, ``energy`` and ``viscous_limit``, run after
+    this).  The snapshots are written by ``_workers`` processes."""
+    _remove_run_files(out_dir)
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
-    _remove_stale_snapshots(snap_dir, len(trace.snapshots))
     jobs = [(os.path.join(snap_dir, _snapshot_name(i)), snap)
             for i, snap in enumerate(trace.snapshots)]
     values = sum(snap.data.size for snap in trace.snapshots)

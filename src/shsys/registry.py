@@ -27,7 +27,7 @@ from .models import (advection_law, burgers_law, ck_realify,
                      euler_conservative_1d, euler_polytropic_sh,
                      maxwell_system, polynomial_scalar_law, tricomi_system,
                      wave_system)
-from .output import VerdictRow, write_monitor_csv
+from .output import VISCOUS_LIMIT_CSV, VerdictRow, write_monitor_csv
 from .shocks import (entropy_admissible, rh_residual, rh_speed, riemann_scalar,
                      viscous_limit_compare)
 
@@ -278,7 +278,7 @@ def _viscous_limit(params, model, trace, out_dir, make_grid):
     runs = viscous_limit_compare(model.system, model.pair, params["u_left"],
                                  params["u_right"], params["eps"], make_grid(),
                                  params["t"])
-    write_monitor_csv(os.path.join(out_dir, "viscous_limit.csv"),
+    write_monitor_csv(os.path.join(out_dir, VISCOUS_LIMIT_CSV),
                       [(eps, l1) for eps, l1, _ in runs], header=("eps", "l1_distance"))
     dists = [l1 for _, l1, _ in runs]
     monotone = all(b <= a * (1.0 + slack) for a, b in zip(dists, dists[1:]))

@@ -885,6 +885,53 @@ def test_workflow_config_reruns_byte_identical(tmp_path, name):
     assert trees[0] == trees[1]
 
 
+def read_dirs(root_dir):
+    """Relative path of every directory under root_dir."""
+    return sorted(os.path.relpath(root, root_dir) for root, _, _ in os.walk(root_dir))
+
+
+def test_workflow_configs_rerun_into_one_directory(tmp_path):
+    # each run into the directory that every config before it used
+    # leaves the tree that config leaves in a fresh directory
+    shared = tmp_path / "shared"
+    for name, path in workflow_configs("rerun").items():
+        fresh = tmp_path / name
+        assert main(["run", path, "--output-dir", str(fresh)]) == 0
+        assert main(["run", path, "--output-dir", str(shared)]) == 0
+        assert read_dirs(shared) == read_dirs(fresh), name
+        assert read_tree(shared) == read_tree(fresh), name
+
+
+@pytest.mark.parametrize("first, second, stale", [
+    ("wave-short", "maxwell", "monitors/gradient_constraint.csv"),
+    ("viscous", "wave-short", "viscous_limit.csv"),
+    ("maxwell", "euler", "monitors")])
+def test_a_rerun_drops_the_earlier_runs_files(tmp_path, first, second, stale):
+    out = tmp_path / "out"
+    assert main(["run", workflow_config("rerun", first), "--output-dir", str(out)]) == 0
+    assert (out / stale).exists()
+    assert main(["run", workflow_config("rerun", second), "--output-dir", str(out)]) == 0
+    assert not (out / stale).exists()
+    assert main(["run", workflow_config("rerun", second),
+                 "--output-dir", str(tmp_path / "fresh")]) == 0
+    assert read_tree(out) == read_tree(tmp_path / "fresh")
+
+
+def test_a_run_may_start_from_a_snapshot_of_its_output_directory(tmp_path):
+    # the run reads its initial state before it deletes the earlier files
+    out = tmp_path / "out"
+    assert main(["run", workflow_config("rerun", "burgers"), "--output-dir", str(out)]) == 0
+    last = (out / "snapshots" / "0012.csv").read_bytes()
+    config = tmp_path / "continue.cfg"
+    config.write_text("[model]\nname = burgers\n[grid]\nshape = 2500\nh = 0.0008\n"
+                      "origin = -0.9996\nboundary = outflow\n[scheme]\nlambda = 0.9\n"
+                      "t_end = 0.01\noutput_stride = 25\n[initial]\nprofile = file\n"
+                      f"csv = {out / 'snapshots' / '0012.csv'}\n")
+    assert main(["run", str(config), "--output-dir", str(out)]) == 0
+    assert sorted(os.listdir(out / "snapshots")) == ["0000.csv", "0001.csv"]
+    assert (out / "snapshots" / "0000.csv").read_bytes() == last
+
+
 def test_workflow_viscous_limit_is_monotone(tmp_path):
     assert main(["run", workflow_config("rerun", "viscous"), "--output-dir", str(tmp_path)]) == 0
     assert read_verdicts(tmp_path)["viscous_limit.monotone"][0] == "true"

@@ -127,6 +127,32 @@ class TestShifts:
         assert shifted(data, 0, +1, "periodic", out=out) is out
         assert out.tolist() == [1.0, 2.0, 3.0, 4.0, 0.0]
 
+    def test_centered_diff_rejects_an_out_overlapping_its_input(self):
+        # centered_diff(f, 0, out=f.data) read the edge cells after the
+        # interior call had overwritten them: -10.5 at cell 0, not -12
+        f = GridField.zeros(6, 1.0, 0.0, 1).with_data((np.arange(6.0) ** 2)[:, None])
+        data = f.data.copy()
+        assert centered_diff(f, 0)[0, 0] == -12.0
+        with pytest.raises(ValueError, match="out must not overlap"):
+            centered_diff(f, 0, out=f.data)
+        with pytest.raises(ValueError, match="out must not overlap"):
+            centered_diff(f, 0, out=f.data[1:3], rows=(1, 3))
+        assert f.data.tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+    def test_shifted_copies_nan_payloads(self, boundary):
+        # quiet and signalling NaNs with payloads, of either sign, on
+        # every axis and at every edge
+        payloads = np.array([0x7FF8000000000123, 0x7FF0000000000001,
+                             -0x0007FFFFFFFFFF01, 0x7FF4000000ABCDEF], dtype=np.int64)
+        data = np.random.default_rng(7).normal(size=(3, 4, 5, 2))
+        data.reshape(-1)[::7] = np.resize(payloads, data.size)[::7].view(float)
+        for axis in range(3):
+            for direction in (+1, -1):
+                got = shifted(data, axis, direction, boundary)
+                want = roll_shift(data, axis, direction, boundary)
+                assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
     @settings(deadline=None)
     @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=4, max_side=5),
                       elements=st.floats(-1e3, 1e3)))
@@ -158,7 +184,7 @@ class TestShifts:
         for axis in range(data.ndim - 1):
             for boundary in ("periodic", "outflow"):
                 plus, minus = (roll_shift(data, axis, d, boundary) for d in (+1, -1))
-                up, down, both = (stencil(True, data.shape, axis, boundary, d)
+                up, down, both = (stencil(data.shape, axis, boundary, d)
                                   for d in (+1, -1, 0))
                 with np.errstate(invalid="ignore", over="ignore"):
                     acc = np.zeros_like(data)
@@ -183,6 +209,13 @@ class TestShifts:
         assert interior_mask(g).all()
         g = grid_1d(5, boundary="outflow")
         assert np.array_equal(interior_mask(g), [False, True, True, True, False])
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 3), (2, 1, 5)])
+    def test_interior_mask_drops_the_rim_of_every_axis(self, shape):
+        g = GridField.zeros(shape, 0.5, 0.0, 1, boundary="outflow")
+        want = np.zeros(shape, dtype=bool)
+        want[tuple(slice(1, -1) for _ in shape)] = True
+        assert np.array_equal(interior_mask(g), want)
 
     def test_l2_norm_scaling(self):
         g = grid_1d(10, extent=1.0)

@@ -1035,6 +1035,34 @@ class TestCflGuard:
         assert [g.func for g in guards] == [lxf._state_violation, lxf._cfl_violation]
 
 
+class TestModelCallableShapes:
+    """``admissible`` and ``max_speed`` return one value per cell; any other
+    shape is refused with the callable's name, not read as a cell."""
+
+    def test_admissible_of_another_shape_is_named(self):
+        # it aborted "at cell (0, 0) after step 0", two indices on a 1D grid
+        initial = grid_1d(10).with_data(np.linspace(0.0, 1.0, 10)[:, None])
+        config = SchemeConfig(lam=0.5, t_end=0.1)
+        law = replace(burgers_law()[0], admissible=lambda u: u > 0.5)
+        with pytest.raises(ValueError, match=re.escape(
+                "admissible returned shape (10, 1), expected (...) = (10,)")):
+            run(law, initial, config)
+        trace = run(replace(law, admissible=lambda u: u[..., 0] > 0.5), initial, config)
+        assert trace.error == "state outside box at cell (0,) after step 0"
+
+    def test_max_speed_of_another_shape_is_named(self):
+        # it aborted "at cell (200, 0) after step 1"; the cell is (200,)
+        sys, initial, config = pressure_jump(0.6)
+        wrapped = replace(sys, max_speed=lambda u: sys.max_speed(u)[..., None])
+        message = re.escape("max_speed returned shape (400, 1), expected (...) = (400,)")
+        with pytest.raises(ValueError, match=message):
+            run(wrapped, initial, config)
+        with pytest.raises(ValueError, match=message):
+            lxf.check_stability(wrapped, initial, config)
+        with pytest.raises(ValueError, match=message):
+            lxf._cfl_violation(wrapped, config, initial)
+
+
 def counted_points(monkeypatch):
     calls = []
     original = GridField.points

@@ -92,8 +92,8 @@ class TestWindowTable:
         # cut from the data before the stencil is looked up
         for shape in [(length,), (length, 3), (length, 2, 4)]:
             for direction in [1, -1, 0]:
-                assert (stencil(True, shape, 0, boundary, direction, (0, length))
-                        == stencil(True, shape, 0, boundary, direction))
+                assert (stencil(shape, 0, boundary, direction, (0, length))
+                        == stencil(shape, 0, boundary, direction))
 
 
 class TestWindowedStencils:
@@ -116,8 +116,8 @@ class TestWindowedStencils:
             assert centered_diff(field, axis, rows=rows).tobytes() == whole[r0:r1].tobytes()
             acc = np.zeros_like(data)
             part = np.zeros((r1 - r0,) + data.shape[1:])
-            stencil(True, data.shape, axis, boundary, -1).shift_into(np.add, acc, data)
-            stencil(True, data.shape, axis, boundary, -1, rows).shift_into(np.add, part, data)
+            stencil(data.shape, axis, boundary, -1).shift_into(np.add, acc, data)
+            stencil(data.shape, axis, boundary, -1, rows).shift_into(np.add, part, data)
             assert part.tobytes() == acc[r0:r1].tobytes()
         assert lxf_average(field, rows=rows).tobytes() == whole_avg[r0:r1].tobytes()
 
@@ -171,11 +171,11 @@ class TestFlatPass:
         with np.errstate(all="ignore"):
             for ufunc in (np.add, np.subtract, _subtract_from):
                 for direction, translate in ((1, plus), (-1, minus)):
-                    got = stencil(True, shape, axis, boundary, direction, rows).shift_into(
+                    got = stencil(shape, axis, boundary, direction, rows).shift_into(
                         ufunc, start.copy(), data)
                     want = ufunc(start, translate)
                     np.testing.assert_array_equal(bits(got), bits(want))
-            got = stencil(True, shape, axis, boundary, 0, rows).difference(np.empty(part), data)
+            got = stencil(shape, axis, boundary, 0, rows).difference(np.empty(part), data)
             want = plus - minus
         np.testing.assert_array_equal(bits(got), bits(want))
 
@@ -191,12 +191,12 @@ class TestFlatPass:
         start = RNG.normal(size=component.shape)
         with np.errstate(all="ignore"):
             for axis in range(3):
-                both = stencil(True, component.shape, axis, boundary, 0)
+                both = stencil(component.shape, axis, boundary, 0)
                 got = both.difference(np.empty(component.shape), component)
                 want = both.difference(np.empty(copy.shape), copy)
                 np.testing.assert_array_equal(bits(got), bits(want))
                 for direction in (1, -1):
-                    translate = stencil(True, component.shape, axis, boundary, direction)
+                    translate = stencil(component.shape, axis, boundary, direction)
                     got = translate.shift_into(np.add, start.copy(), component)
                     want = translate.shift_into(np.add, start.copy(), copy)
                     np.testing.assert_array_equal(bits(got), bits(want))
@@ -210,23 +210,47 @@ class TestFlatPass:
         field = GridField.zeros((4, 5, 3), 0.5, 0.0, 2).with_data(data)
         for out in (buf[..., ::2], buf[..., :2], np.zeros((4, 5, 3, 2), order="F")):
             assert not out.flags.c_contiguous
-            with pytest.raises(ValueError, match="out must be a C-contiguous"):
-                stencil(out.flags.c_contiguous, data.shape, axis, "periodic", 1).shift_into(
-                    np.add, out, data)
-            with pytest.raises(ValueError, match="out must be a C-contiguous"):
-                stencil(out.flags.c_contiguous, data.shape, axis, "outflow", 0).difference(
-                    out, data)
+            # axis 0 indexes rows, so its stencils take any layout
+            if axis:
+                with pytest.raises(ValueError, match="out must be a C-contiguous"):
+                    stencil(data.shape, axis, "periodic", 1).shift_into(
+                        np.add, out, data)
+                with pytest.raises(ValueError, match="out must be a C-contiguous"):
+                    stencil(data.shape, axis, "outflow", 0).difference(
+                        out, data)
             with pytest.raises(ValueError, match="out must be a C-contiguous"):
                 centered_diff(field, axis, out=out)
         assert not buf.any()
 
+    @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+    def test_axis_0_stencils_take_any_out_layout(self, boundary):
+        # axis 0 indexes rows, so a strided or Fortran-ordered out gets
+        # the bits a C-contiguous one gets
+        data = RNG.normal(size=(4, 5, 3, 2))
+        for rows in (None, (1, 3)):
+            part = data.shape if rows is None else (rows[1] - rows[0],) + data.shape[1:]
+            start = RNG.normal(size=part)
+            buf = np.zeros(part[:-1] + (4,))
+            for direction in (1, -1, 0):
+                plan = stencil(data.shape, 0, boundary, direction, rows)
+                for out in (buf[..., ::2], np.zeros(part, order="F")):
+                    out[...] = start
+                    if direction:
+                        got = plan.shift_into(np.add, out, data)
+                        want = plan.shift_into(np.add, start.copy(), data)
+                    else:
+                        got = plan.difference(out, data)
+                        want = plan.difference(np.empty(part), data)
+                    assert got is out
+                    np.testing.assert_array_equal(bits(got), bits(want))
+
     def test_an_out_of_another_shape_is_rejected_off_axis_0(self):
         data = RNG.normal(size=(4, 5, 3, 2))
         with pytest.raises(ValueError, match="out must have the shape"):
-            stencil(True, data.shape, 1, "periodic", 1).shift_into(
+            stencil(data.shape, 1, "periodic", 1).shift_into(
                 np.add, np.zeros((4, 5, 6)), data)
         with pytest.raises(ValueError, match="out must have the shape"):
-            stencil(True, data.shape, 2, "outflow", 0).difference(np.zeros((4, 3, 5, 2)), data)
+            stencil(data.shape, 2, "outflow", 0).difference(np.zeros((4, 3, 5, 2)), data)
 
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -237,7 +261,7 @@ class TestFlatPass:
         # 0 has no seam
         data = RNG.normal(size=(16, 16, 16, 6))
         out = np.empty_like(data)
-        look = partial(stencil, True, data.shape, axis, boundary)
+        look = partial(stencil, data.shape, axis, boundary)
         calls = [lambda: look(1).shift_into(np.add, out, data),
                  lambda: look(-1).shift_into(np.add, out, data),
                  lambda: look(0).difference(out, data)]
@@ -435,6 +459,25 @@ class TestOverlappingOutput:
         want = viscous_step(initial, law, config).data
         got = viscous_step(initial, law, config, out=buf[0], spare=buf[1]).data
         assert got.tobytes() == want.tobytes()
+
+    def test_a_strided_out_is_rejected_before_writing(self):
+        # on axis 0 too, where no flat view catches it: a 1D state
+        law, initial, config, _ = burgers_case("outflow", viscosity=0.01)
+        n = initial.data.shape[0]
+        buf = np.zeros((n, 2))
+        calls = {
+            "out": [lambda o: lxf_step(initial, law_rhs(law), config, out=o),
+                    lambda o: lxf_average(initial, out=o),
+                    lambda o: viscous_step(initial, law, config, out=o),
+                    lambda o: centered_diff(initial, 0, out=o),
+                    lambda o: grid.shifted(initial.data, 0, 1, "outflow", out=o)],
+            "spare": [lambda o: viscous_step(initial, law, config, spare=o)],
+        }
+        for name, fns in calls.items():
+            for fn in fns:
+                with pytest.raises(ValueError, match=f"{name} must be a C-contiguous"):
+                    fn(buf[:, ::2])
+        assert not buf.any()
 
     def test_separate_buffers_are_accepted(self):
         law, initial, config, _ = burgers_case("periodic")
