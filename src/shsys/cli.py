@@ -26,7 +26,7 @@ from dataclasses import MISSING, fields
 from .config import ConfigError, RunConfig, parse_config
 from .grid import GridField
 from .lxf import SCHEME_KEYS, SchemeConfig, run as run_scheme
-from .output import RunLog, write_trace, write_verdicts_csv
+from .output import RunLog, remove_run_files, write_trace, write_verdicts_csv
 from .registry import CHECKS, MODELS, NEEDS, PROFILES, ExecutionError
 
 
@@ -91,6 +91,9 @@ def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
             write_trace(out_dir, trace)
             if trace.error is not None:
                 raise ExecutionError(trace.error)
+        else:
+            # no trace replaces an earlier run's in out_dir: its files go
+            remove_run_files(out_dir)
 
         rows = []
         for name in cfg.checks:

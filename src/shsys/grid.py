@@ -19,7 +19,13 @@ its flat view and a strided ``out`` is refused.  The public functions
 take their ``out`` from ``out_array``.  Every element gets one operation
 on the same operands in the same order, so the results are bit-identical
 on every axis, window and layout, except for which NaN comes back where
-both operands are NaNs: numpy's loops return either."""
+both operands are NaNs: numpy's loops return either.
+
+A division by d = +-2^e is a multiplication by 1/d (``divisor``) when 1/d
+is finite: x / d and x * 2^-e have the same exact value, and IEEE 754
+rounds both correctly, so they agree for every x, subnormal results,
+overflow, +-0, +-inf and NaN included.  ``centered_diff`` divides by 2h
+that way, and ``lxf`` its averages by 2n."""
 
 from __future__ import annotations
 
@@ -261,9 +267,14 @@ def _flat_views(out: np.ndarray, data: np.ndarray) -> tuple:
     """The flat views that an off-axis stencil indexes, of a C-contiguous out."""
     if out.shape != data.shape:
         raise ValueError(f"out must have the shape {data.shape}, got {out.shape}")
+    return c_contiguous(out).ravel(), data.ravel()
+
+
+def c_contiguous(out: np.ndarray, name: str = "out") -> np.ndarray:
+    """``out`` if it is C-contiguous, else refused as ``name``."""
     if not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous array")
-    return out.ravel(), data.ravel()
+        raise ValueError(f"{name} must be a C-contiguous array")
+    return out
 
 
 def out_array(data: np.ndarray, out: Optional[np.ndarray] = None,
@@ -276,9 +287,16 @@ def out_array(data: np.ndarray, out: Optional[np.ndarray] = None,
         return np.empty(shape, dtype=np.result_type(data, 1.0))
     if np.may_share_memory(out, data):
         raise ValueError(f"{name} must not overlap another argument")
-    if not out.flags.c_contiguous:
-        raise ValueError(f"{name} must be a C-contiguous array")
-    return out
+    return c_contiguous(out, name)
+
+
+def divisor(d: float) -> tuple:
+    """(ufunc, operand) with ufunc(x, operand) equal to x / d bit for bit:
+    np.multiply and 1/d when d is +-2^e with 1/d finite (the module
+    docstring's rule), else np.divide and d."""
+    if abs(math.frexp(d)[0]) == 0.5 and math.isfinite(1.0 / d):
+        return np.multiply, 1.0 / d
+    return np.divide, d
 
 
 def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
@@ -323,8 +341,8 @@ def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarr
     data = field.data if component_data is None else component_data
     out = out_array(data, out, rows)
     diff = stencil(data.shape, axis, field.boundary, 0, rows).difference(out, data)
-    diff /= 2.0 * field.h[axis]
-    return diff
+    ufunc, operand = divisor(2.0 * field.h[axis])
+    return ufunc(diff, operand, out=diff)
 
 
 def interior_mask(field: GridField) -> np.ndarray:

@@ -12,7 +12,10 @@ the case w_j = f^j(u), C_j = I and M0 = I.  One window loop
 (``_window_rhs``) evaluates both.  A constant C_j is applied as one
 matrix product per single-entry layer (``single_entry_layers``), summed
 left to right in column order; on rows with at most two nonzeros that
-equals the per-cell contraction bit for bit.
+equals the per-cell contraction bit for bit.  The + 0.0 that turns a -0
+product into +0, as in the contraction, is added only when the RHS sum
+starts from a source: a sum that starts from +0 never holds -0, so it
+gives the same bits without it (``apply_layers``).
 
 The ratio lambda = k/h is fixed; stability is enforced at run start as
 lambda * a_star <= cfl_safety / n (and k <= cfl_safety * h^2 / (2 eps)
@@ -50,7 +53,8 @@ same order, so the results do not depend on the windows.  Fields, fluxes
 and sources are evaluated once per call on the whole grid.
 
 A translate or a difference is one ``grid.stencil``, and no sum starts
-from a zero fill.
+from a zero fill.  The averages divide by 2n through ``grid.divisor``, so
+2n = 2 or 4 is a multiplication by its reciprocal, with the same bits.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ import numpy as np
 from .core import (ZERO, MatrixField, SystemDef, batch_checked, max_abs_speed, operand,
                    unit_normals)
 from .entropy import ConservationLaw
-from .grid import (GridField, centered_diff, first_true, out_array, planned_second_difference,
-                   row_windows, stencil)
+from .grid import (GridField, c_contiguous, centered_diff, divisor, first_true, out_array,
+                   planned_second_difference, row_windows, stencil)
 
 
 class StabilityError(RuntimeError):
@@ -187,14 +191,13 @@ def lxf_average(state: GridField, out: Optional[np.ndarray] = None,
     makes no check."""
     if plan is None:
         acc = out_array(state.data, out, rows)
-        translates, two_n = _translates(state, rows), 2.0 * state.n
+        translates, (scale, two_n) = _translates(state, rows), divisor(2.0 * state.n)
     else:
-        acc, translates, two_n = out, plan.translates[rows], plan.two_n
+        acc, translates, (scale, two_n) = out, plan.translates[rows], plan.two_n
     # the sum starts as translate + 0.0, which is 0.0 + translate bit for bit
     for ufunc, translate in translates:
         translate.shift_into(ufunc, acc, state.data)
-    np.divide(acc, two_n, out=acc)
-    return acc
+    return scale(acc, two_n, out=acc)
 
 
 def _translates(state: GridField, rows: Optional[tuple]) -> tuple:
@@ -225,11 +228,12 @@ def single_entry_layers(mat: np.ndarray) -> np.ndarray:
 
 
 def apply_layers(layers: np.ndarray, du: np.ndarray, out: Optional[np.ndarray] = None,
-                 spare: Optional[np.ndarray] = None) -> np.ndarray:
+                 spare: Optional[np.ndarray] = None, plus_zero: bool = True) -> np.ndarray:
     """sum_B M[A, B] du[..., B] for the layers of M, as
     du @ P_1^T + du @ P_2^T + ... + 0.0, summed left to right, written to
     ``out``; ``spare`` holds each product of the layers after the first.
-    Both are C-contiguous arrays shaped like du, new ones when None.
+    Both are arrays shaped like du, new ones when None, and refused unless
+    C-contiguous (a reshape of any other would be a copy).
 
     Each product has one rounded term per output and exact +-0 terms
     besides.  With at most two nonzeros per row the sum does not depend
@@ -237,14 +241,23 @@ def apply_layers(layers: np.ndarray, du: np.ndarray, out: Optional[np.ndarray] =
     the contraction summed from zero, einsum("AB,...B->...A", M, du), bit
     for bit; rows with more nonzeros are summed in column order.  The
     zero entries are multiplied too, so a NaN or inf in a cell makes every
-    component of that cell non-finite, as in the contraction."""
+    component of that cell non-finite, as in the contraction.
+
+    ``plus_zero`` False leaves the + 0.0 out, for a caller that subtracts
+    the result from a sum acc that cannot be -0.  In round-to-nearest
+    a - b is -0 only when a = -0 and b = +0, so a sum that starts from +0
+    and subtracts products never holds -0; and since p + 0.0 differs from
+    p only where p = -0 (NaNs aside, which stay the same NaN), acc - p
+    equals acc - (p + 0.0) bit for bit there."""
     m = layers.shape[-1]
     flat = du.reshape(-1, m)
-    acc = np.matmul(flat, layers[0], out=None if out is None else out.reshape(-1, m))
+    out = None if out is None else c_contiguous(out).reshape(-1, m)
+    spare = None if spare is None else c_contiguous(spare, "spare").reshape(-1, m)
+    acc = np.matmul(flat, layers[0], out=out)
     for layer in layers[1:]:
-        product = np.matmul(flat, layer, out=None if spare is None else spare.reshape(-1, m))
-        np.add(acc, product, out=acc)
-    np.add(acc, 0.0, out=acc)
+        np.add(acc, np.matmul(flat, layer, out=spare), out=acc)
+    if plus_zero:
+        np.add(acc, 0.0, out=acc)
     return acc.reshape(du.shape)
 
 
@@ -273,15 +286,17 @@ def stacked_solve(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
 class StepPlan:
     """What the steps on one grid share: the row windows, the stencils
     (``grid.stencil``) of each window's average and of the viscous step
-    along axis 0, and as 0-d arrays (``core.operand``) 2n and, for each
-    step size k in ``ks``, k, k/(2h) and eps k/h^2."""
+    along axis 0, the ``grid.divisor`` pair of the average's 2n, and for
+    each step size k in ``ks`` k, k/(2h) and eps k/h^2; every operand is a
+    0-d array (``core.operand``)."""
 
     def __init__(self, state: GridField, ks: tuple, viscosity: float = 0.0):
         shape, boundary = state.data.shape, state.boundary
         self.windows = row_windows(state.data)[0]
         self.translates = {rows: _translates(state, rows) for rows in self.windows}
         self.axis0 = tuple(stencil(shape, 0, boundary, d) for d in (+1, -1, 0))
-        self.two_n = operand(2.0 * state.n)
+        scale, two_n = divisor(2.0 * state.n)
+        self.two_n = scale, operand(two_n)
         h = state.h[0]
         self.k = {k: operand(k) for k in ks}
         self.heat = {k: (operand(k / (2.0 * h)), operand(viscosity * k / h ** 2))
@@ -316,8 +331,10 @@ def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]]
     order.  The source and fluxes are evaluated once per call on the whole
     grid and checked by ``batch_checked``; a state-dependent C_j is
     evaluated in the first window and dropped after the last, a constant
-    one is split into single-entry layers here (``apply_layers``).  The
-    points ``state.points(t)`` are built only for a source or a field of x.
+    one is split into single-entry layers here (``apply_layers``), whose
+    products skip the + 0.0 when there is no source: the sum then starts
+    from +0 and never holds -0.  The points ``state.points(t)`` are built
+    only for a source or a field of x.
     A state-dependent M0 goes through ``stacked_solve``; a constant one is
     solved against all cells at once and not divided (its solve multiplies
     by reciprocals, which differs from division in the last bit)."""
@@ -350,7 +367,8 @@ def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]]
             for j, coeff in enumerate(coeffs):
                 centered_diff(state, j, ws[j], out=du_w, rows=rows)
                 if layers[j] is not None:
-                    apply_layers(layers[j], du_w, out=product_w, spare=_head(spare, rows))
+                    apply_layers(layers[j], du_w, out=product_w, spare=_head(spare, rows),
+                                 plus_zero=source is not None)
                 elif coeff is not None:
                     if fields[j] is None:
                         fields[j] = coeff(x, u)

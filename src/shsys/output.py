@@ -201,9 +201,9 @@ _RUN_FILES = (("snapshots", lambda name: name[:-4].isdecimal()
               ("", lambda name: name == VISCOUS_LIMIT_CSV))
 
 
-def _remove_run_files(out_dir):
+def remove_run_files(out_dir):
     """Delete the ``_RUN_FILES`` that an earlier run left under ``out_dir``,
-    and a ``monitors`` directory left empty."""
+    and a ``snapshots`` or ``monitors`` directory left empty."""
     for sub, named in _RUN_FILES:
         directory = os.path.join(out_dir, sub)
         if os.path.isdir(directory):
@@ -211,9 +211,8 @@ def _remove_run_files(out_dir):
                 for entry in entries:
                     if named(entry.name) and entry.is_file():
                         os.remove(entry.path)
-    mon_dir = os.path.join(out_dir, "monitors")
-    if os.path.isdir(mon_dir) and not os.listdir(mon_dir):
-        os.rmdir(mon_dir)
+            if sub and not os.listdir(directory):
+                os.rmdir(directory)
 
 
 def write_trace(out_dir, trace):
@@ -221,7 +220,7 @@ def write_trace(out_dir, trace):
     deleting the ``_RUN_FILES`` an earlier run into out_dir left (so the
     checks that write one, ``energy`` and ``viscous_limit``, run after
     this).  The snapshots are written by ``_workers`` processes."""
-    _remove_run_files(out_dir)
+    remove_run_files(out_dir)
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     jobs = [(os.path.join(snap_dir, _snapshot_name(i)), snap)

@@ -917,6 +917,19 @@ def test_a_rerun_drops_the_earlier_runs_files(tmp_path, first, second, stale):
     assert read_tree(out) == read_tree(tmp_path / "fresh")
 
 
+@pytest.mark.parametrize("first", ["wave-short", "viscous", "maxwell"])
+def test_a_check_drops_the_earlier_runs_files(tmp_path, first):
+    # a check writes no trace, so none replaces the earlier run's: it goes
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    check = workflow_config("check", "burgers")
+    assert main(["run", workflow_config("rerun", first), "--output-dir", str(out)]) == 0
+    assert (out / "snapshots").is_dir()
+    assert main(["check", check, "--output-dir", str(out)]) == 0
+    assert main(["check", check, "--output-dir", str(fresh)]) == 0
+    assert read_dirs(out) == read_dirs(fresh) == ["."]
+    assert read_tree(out) == read_tree(fresh)
+
+
 def test_a_run_may_start_from_a_snapshot_of_its_output_directory(tmp_path):
     # the run reads its initial state before it deletes the earlier files
     out = tmp_path / "out"

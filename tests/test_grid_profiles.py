@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shsys import profiles
-from shsys.grid import (GridField, centered_diff, interior_mask, l2_norm,
+from shsys.grid import (GridField, centered_diff, divisor, interior_mask, l2_norm,
                         planned_second_difference, shifted, stencil)
 
 
@@ -221,6 +221,54 @@ class TestShifts:
         g = grid_1d(10, extent=1.0)
         values = np.full(10, 2.0)
         assert l2_norm(g, values) == pytest.approx(2.0, rel=1e-14)
+
+
+# dividends: signed zeros, subnormals, the normal range's edges, values
+# near overflow, infinities and NaN, then any double at all
+DIVIDENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 8.98846567431158e307,
+                     np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+class TestDivisor:
+    """A power-of-two divisor is a multiplication by its exact reciprocal."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(e=st.integers(-60, 60), negative=st.booleans(),
+           x=hnp.arrays(float, st.integers(1, 64), elements=DIVIDENDS))
+    def test_power_of_two_division_is_a_reciprocal_multiply(self, e, negative, x):
+        d = -(2.0 ** e) if negative else 2.0 ** e
+        ufunc, operand = divisor(d)
+        assert ufunc is np.multiply and operand == 1.0 / d
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            quotient, product, reciprocal = x / d, ufunc(x, operand), x * (1.0 / d)
+        assert product.tobytes() == quotient.tobytes() == reciprocal.tobytes()
+
+    @pytest.mark.parametrize("d", [2.0 * 0.001, 3.0, 6.0, 0.1, 0.0, np.inf, np.nan,
+                                   # 2^-1074: its reciprocal overflows
+                                   5e-324])
+    def test_other_divisors_keep_the_division(self, d):
+        ufunc, operand = divisor(d)
+        assert ufunc is np.divide and (operand == d or np.isnan(d))
+
+    def test_a_reciprocal_multiply_differs_for_other_divisors(self):
+        # 2h for the spacing 0.001: one bit apart on 0.7
+        d = 2.0 * 0.001
+        assert 0.7 / d != 0.7 * (1.0 / d)
+        ufunc, operand = divisor(d)
+        assert ufunc(np.array([0.7]), operand)[0] == 0.7 / d
+
+    @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64, 1.0 / 128, 0.001, 0.3])
+    def test_centered_diff_divides_by_2h(self, h):
+        g = GridField.zeros((9,), h, 0.0, 1)
+        data = np.array([0.7, -0.0, 0.0, 5e-324, 1e308, -1e308, np.inf, 3.0, 0.1])
+        diff = data[[1, 2, 3, 4, 5, 6, 7, 8, 0]] - data[[8, 0, 1, 2, 3, 4, 5, 6, 7]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = diff / (2.0 * h)
+            got = centered_diff(g.with_data(data[:, None]), 0, data)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestProfiles:

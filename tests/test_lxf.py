@@ -20,6 +20,8 @@ from shsys.models import (advection_law, burgers_law, euler_conservative_1d,
                           euler_polytropic_sh, euler_primitive_to_conservative,
                           maxwell_system, wave_system)
 
+from test_row_windows import budget
+
 RNG = np.random.default_rng(2718)
 
 
@@ -719,6 +721,39 @@ def matrix_and_state(draw, max_per_row):
     return mat, du
 
 
+def first_term_matmul(a, b, out=None):
+    """a @ b of 2-D arrays summed from the first term, not from +0, so an
+    exact -0 product stays -0.  A BLAS may sum either way; numpy's OpenBLAS
+    build sums from +0 and returns +0 there."""
+    terms = a[:, :, None] * b[None]
+    acc = terms[:, 0]
+    for k in range(1, b.shape[0]):
+        acc = acc + terms[:, k]
+    if out is None:
+        return acc
+    out[...] = acc
+    return out
+
+
+# signed zeros in about half the draws
+ZERO_HEAVY = st.one_of(st.sampled_from([0.0, -0.0]), ENTRIES)
+
+
+@st.composite
+def sourceless_cases(draw):
+    """(system, state, WINDOW_BYTES): a constant system without a source,
+    n = 1-3 and m = 1-4, a state with many signed zeros, and a window
+    budget from one row a window up to the whole grid."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    mats = [draw(hnp.arrays(float, (m, m), elements=ZERO_HEAVY)) for _ in range(n)]
+    sys = SystemDef(n=n, m=m, coeff=tuple(map(MatrixField.constant, [np.eye(m)] + mats)))
+    shape = draw(st.tuples(*[st.integers(1, 5)] * n))
+    grid = GridField.zeros(shape, draw(st.sampled_from([0.125, 0.1])), 0.0, m,
+                           draw(st.sampled_from(["periodic", "outflow"])))
+    data = draw(hnp.arrays(float, grid.data.shape, elements=ZERO_HEAVY))
+    return sys, grid.with_data(data), draw(st.sampled_from([8, 64, 256, 10 ** 12]))
+
+
 class TestLayeredProduct:
     def test_layers_hold_one_entry_per_row_in_column_order(self):
         mat = np.array([[0.0, 2.0, 0.0, 3.0], [0.0] * 4, [4.0, 5.0, 6.0, 0.0],
@@ -775,6 +810,61 @@ class TestLayeredProduct:
                 assert np.array_equal(np.isnan(got), np.isnan(expected))
             finite = np.isfinite(expected)
             assert got[finite].tobytes() == expected[finite].tobytes()
+
+    def test_out_and_spare_must_be_c_contiguous(self):
+        # an F-ordered out was reshaped into a copy, which took the writes
+        layers = single_entry_layers(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        du = np.arange(8).reshape(2, 2, 2)
+        with pytest.raises(ValueError, match="out must be a C-contiguous array"):
+            apply_layers(layers, du, out=np.zeros((2, 2, 2), order="F"))
+        out = np.zeros((2, 2, 2))
+        apply_layers(layers, du, out=out)
+        assert out.ravel().tolist() == [1, 0, 3, 4, 5, 8, 7, 12]
+        two = single_entry_layers(np.ones((2, 2)))
+        for spare in (np.zeros((2, 2, 2), order="F"), np.zeros((2, 2, 4))[..., :2]):
+            with pytest.raises(ValueError, match="spare must be a C-contiguous array"):
+                apply_layers(two, du, spare=spare)
+
+    def test_plus_zero_turns_a_negative_zero_product_positive(self):
+        layers, du = single_entry_layers(np.array([[-1.0]])), np.zeros((3, 1))
+        with mock.patch.object(np, "matmul", first_term_matmul):
+            assert np.signbit(apply_layers(layers, du, plus_zero=False)).all()
+            assert not np.signbit(apply_layers(layers, du)).any()
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=sourceless_cases(), t=st.sampled_from([0.0, 0.3]), signed=st.booleans())
+    def test_a_sourceless_rhs_needs_no_plus_zero(self, case, t, signed):
+        # the sum starts from +0 and never holds -0, so the products'
+        # + 0.0 changes no bit of the RHS, whichever sign the BLAS gives a
+        # zero product
+        sys, state, nbytes = case
+
+        def keeps_plus_zero(layers, du, out=None, spare=None, plus_zero=True):
+            assert plus_zero is False
+            return apply_layers(layers, du, out, spare)
+
+        with (budget(nbytes), np.errstate(over="ignore", invalid="ignore", under="ignore"),
+              mock.patch.object(np, "matmul", first_term_matmul if signed else np.matmul)):
+            got = system_rhs(sys)(t, state).copy()
+            with mock.patch.object(lxf, "apply_layers", keeps_plus_zero):
+                expected = system_rhs(sys)(t, state)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_a_source_needs_the_plus_zero(self):
+        # N = -0 and a product p = -0: N - (p + 0.0) = -0, but N - p = +0
+        sys = SystemDef(n=1, m=1, coeff=(MatrixField.constant([[1.0]]),
+                                         MatrixField.constant([[-1.0]])),
+                        source=lambda x, u: np.full(np.shape(u), -0.0))
+        state = GridField.zeros((4,), 0.125, 0.0, 1)
+
+        def drops_plus_zero(layers, du, out=None, spare=None, plus_zero=True):
+            assert plus_zero is True
+            return apply_layers(layers, du, out, spare, plus_zero=False)
+
+        with mock.patch.object(np, "matmul", first_term_matmul):
+            assert np.signbit(system_rhs(sys)(0.0, state)).all()
+            with mock.patch.object(lxf, "apply_layers", drops_plus_zero):
+                assert not np.signbit(system_rhs(sys)(0.0, state)).any()
 
     @staticmethod
     def contraction_rhs(sys):

@@ -666,6 +666,28 @@ class TestConstraintMonitor:
             parts.extend([resid.real, resid.imag])
         assert monitor.evaluate(field) == _masked_norm(field, np.stack(parts, axis=-1))
 
+    def test_a_periodic_grid_builds_no_mask(self, monkeypatch):
+        # its mask is all True, and multiplying by it changes no bit
+        _, monitors = maxwell_system()
+        field = GridField.zeros((5, 6, 4), 0.25, 0.125, 6)
+        data = RNG.normal(size=field.data.shape)
+        data[RNG.random(data.shape) < 0.3] = -0.0
+        field = field.with_data(data)
+        expected = [_masked_norm(field, mon.fn(field)) for mon in monitors]
+        monkeypatch.setattr(models, "interior_mask", lambda f: pytest.fail("mask built"))
+        assert [mon.evaluate(field) for mon in monitors] == expected
+
+    def test_div_e_without_rho_subtracts_nothing(self):
+        # x - 0.0 is x bit for bit, signed zeros included
+        _, (div_e, _) = maxwell_system()
+        field = GridField.zeros((4, 3, 5), 0.25, 0.125, 6, boundary="outflow")
+        data = RNG.normal(size=field.data.shape)
+        data[RNG.random(data.shape) < 0.5] = -0.0
+        field = field.with_data(data)
+        div = sum(centered_diff(field, j, field.data[..., j]) for j in range(3))
+        assert div_e.fn(field).tobytes() == (div - 0.0).tobytes()
+        assert div_e.evaluate(field) == _masked_norm(field, div - 0.0)
+
     @pytest.mark.parametrize("fn", [
         lambda f: 1.0,                                   # the old float contract
         lambda f: f.data[1:, :, 0],                      # one row short
