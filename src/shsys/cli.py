@@ -55,8 +55,10 @@ def _scheme_config(cfg: RunConfig) -> SchemeConfig | None:
 def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
     """Run a validated config; writes artifacts and returns the exit code.
     An ``OSError`` while writing them is an execution error (exit 2), like
-    an aborted run; an execution error leaves no ``verdicts.csv``.  The
-    ``invocation`` event's ``"threads": 1`` and ``"seed": 0`` are
+    an aborted run; an execution error leaves no ``verdicts.csv``.  Once
+    every input is read, or reading one failed, this alone deletes an
+    earlier run's files in the output directory (``remove_run_files``).
+    The ``invocation`` event's ``"threads": 1`` and ``"seed": 0`` are
     constants, kept so that artifact trees keep their bytes: no random
     numbers are drawn, and ``output.write_trace`` writes large traces'
     snapshot files on every usable CPU, with the same bytes."""
@@ -71,29 +73,31 @@ def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
         return 2
 
     try:
-        needs_sim = [c for c in cfg.checks if CHECKS[c].needs == "simulation"]
-        if checks_only and needs_sim:
-            raise ExecutionError(f"checks {needs_sim} need time integration; use 'run'")
-        model = MODELS[cfg.model["name"]].build(
-            cfg.model, max(1, len(cfg.grid.get("shape", [1]))))
+        trace = initial = None
+        try:
+            needs_sim = [c for c in cfg.checks if CHECKS[c].needs == "simulation"]
+            if checks_only and needs_sim:
+                raise ExecutionError(f"checks {needs_sim} need time integration; use 'run'")
+            model = MODELS[cfg.model["name"]].build(
+                cfg.model, max(1, len(cfg.grid.get("shape", [1]))))
+            scheme = None if checks_only else _scheme_config(cfg)
+            if scheme is not None and scheme.t_end > 0.0 and model.kind in ("law", "system"):
+                grid = _build_grid(cfg, model.system.m)
+                profile = cfg.initial.get("profile")
+                if profile is None:
+                    raise ExecutionError("[initial] needs a profile for time integration")
+                initial = PROFILES[profile].build(cfg.initial, grid)
+        finally:
+            # inputs read, or failed: a 'file' profile may read an earlier snapshot
+            remove_run_files(out_dir)
 
-        trace = None
-        scheme = None if checks_only else _scheme_config(cfg)
-        if scheme is not None and scheme.t_end > 0.0 and model.kind in ("law", "system"):
-            grid = _build_grid(cfg, model.system.m)
-            profile = cfg.initial.get("profile")
-            if profile is None:
-                raise ExecutionError("[initial] needs a profile for time integration")
-            trace = run_scheme(model.system, PROFILES[profile].build(cfg.initial, grid),
-                               scheme, monitors=model.monitors)
+        if initial is not None:
+            trace = run_scheme(model.system, initial, scheme, monitors=model.monitors)
             for event in trace.events:
                 log.event("scheme", **event)
             write_trace(out_dir, trace)
             if trace.error is not None:
                 raise ExecutionError(trace.error)
-        else:
-            # no trace replaces an earlier run's in out_dir: its files go
-            remove_run_files(out_dir)
 
         rows = []
         for name in cfg.checks:

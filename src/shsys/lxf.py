@@ -161,11 +161,16 @@ def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
     on a lattice strided along every axis (``_sample_cells``), since each
     costs generalized eigen-solves, so the sampled speed can miss the
     fastest cell.  A system whose fields are all constant is evaluated at
-    one cell."""
+    one cell.  A law's Jacobian along a normal that is not finite at some
+    cell is a ValueError naming the first such cell."""
     if isinstance(system, ConservationLaw):
         u = state.data.reshape(-1, state.m)
         normals = unit_normals(system.n)[:, None]
-        a = sum(normals[..., j, None, None] * system.jacobian(j, u) for j in range(system.n))
+        with np.errstate(all="ignore"):
+            a = sum(normals[..., j, None, None] * system.jacobian(j, u) for j in range(system.n))
+        bad = ~np.isfinite(a).all(axis=(0, 2, 3)).reshape(state.shape)
+        if bad.any():
+            raise ValueError(f"the flux Jacobian is not finite at cell {first_true(bad)}")
         return max(0.0, *np.max(np.abs(np.linalg.eigvals(a)), axis=(1, 2)).tolist())
     idx = _sample_cells(state)
     return max_abs_speed(system, state.points(t).reshape(-1, state.n + 1)[idx],

@@ -162,6 +162,8 @@ def wave_system(a_j, a_jk, forcing=None, n=None):
             raise ValueError("pass n explicitly when both coefficients are callables")
         n = np.shape(given[0])[0]
     m = n + 2
+    if not callable(a_j) and np.shape(a_j) != (n,):
+        raise ValueError(f"a_j must have shape ({n},), got {np.shape(a_j)}")
     if not callable(a_jk):
         if np.shape(a_jk) != (n, n):
             raise ValueError(f"a_jk must be {n} x {n}")
@@ -242,8 +244,10 @@ def maxwell_system(rho=None, current=None):
     sys = SystemDef(n=3, m=m, coeff=tuple(coeff), source=source)
 
     def _div(field: GridField, offset: int) -> np.ndarray:
-        return sum(centered_diff(field, axis, field.data[..., offset + axis])
-                   for axis in range(3))
+        # no leading 0 +: it only turns -0 into +0, which the L2 norm squares away
+        d0, d1, d2 = (centered_diff(field, axis, field.data[..., offset + axis])
+                      for axis in range(3))
+        return d0 + d1 + d2
 
     # without rho nothing is subtracted: x - 0.0 is x bit for bit
     div_e = ((lambda f: _div(f, 0) - rho(f.coords())) if callable(rho)

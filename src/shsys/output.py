@@ -216,11 +216,10 @@ def remove_run_files(out_dir):
 
 
 def write_trace(out_dir, trace):
-    """snapshots/NNNN.csv and monitors/<name>.csv under out_dir, after
-    deleting the ``_RUN_FILES`` an earlier run into out_dir left (so the
-    checks that write one, ``energy`` and ``viscous_limit``, run after
-    this).  The snapshots are written by ``_workers`` processes."""
-    remove_run_files(out_dir)
+    """snapshots/NNNN.csv and monitors/<name>.csv under out_dir, written
+    by ``_workers`` processes; nothing is deleted.  An earlier run's files
+    in out_dir are the caller's to remove first (``remove_run_files``, as
+    ``cli.execute`` does)."""
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     jobs = [(os.path.join(snap_dir, _snapshot_name(i)), snap)

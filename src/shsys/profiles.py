@@ -11,16 +11,26 @@ import numpy as np
 from .grid import GridField
 
 
+def _vector(key: str, values, size: int, what: str) -> np.ndarray:
+    """``values`` broadcast to ``size`` floats as numpy broadcasts, else a
+    ValueError naming the ``[initial]`` key and ``what`` ("m" or "n")."""
+    values = np.asarray(values, dtype=float)
+    try:
+        return np.broadcast_to(values, (size,))
+    except ValueError:
+        raise ValueError(f"[initial] {key} needs 1 or {what} = {size} values, "
+                         f"got shape {values.shape}") from None
+
+
 def constant(grid: GridField, values) -> GridField:
-    values = np.broadcast_to(np.asarray(values, dtype=float), (grid.m,))
+    values = _vector("value", values, grid.m, "m")
     data = np.tile(values, grid.shape + (1,)).reshape(grid.shape + (grid.m,))
     return grid.with_data(data.copy())
 
 
 def step(grid: GridField, left, right, jump_at: float = 0.0) -> GridField:
     """Left state for x_1 < jump_at, right state otherwise."""
-    left = np.broadcast_to(np.asarray(left, dtype=float), (grid.m,))
-    right = np.broadcast_to(np.asarray(right, dtype=float), (grid.m,))
+    left, right = _vector("left", left, grid.m, "m"), _vector("right", right, grid.m, "m")
     x1 = grid.coords()[..., 0]
     data = np.where(x1[..., np.newaxis] < jump_at, left, right)
     return grid.with_data(data)
@@ -29,9 +39,8 @@ def step(grid: GridField, left, right, jump_at: float = 0.0) -> GridField:
 def bump(grid: GridField, amplitude, radius: float, center=None) -> GridField:
     """Smooth bump exp(1 - 1/(1 - (r/R)^2)) scaled per component; exactly
     zero (bitwise) for r >= R."""
-    amplitude = np.broadcast_to(np.asarray(amplitude, dtype=float), (grid.m,))
-    center = (np.zeros(grid.n) if center is None
-              else np.broadcast_to(np.asarray(center, dtype=float), (grid.n,)))
+    amplitude = _vector("amplitude", amplitude, grid.m, "m")
+    center = np.zeros(grid.n) if center is None else _vector("center", center, grid.n, "n")
     r2 = np.sum((grid.coords() - center) ** 2, axis=-1) / radius ** 2
     profile = np.zeros(grid.shape)
     inside = r2 < 1.0
@@ -42,8 +51,8 @@ def bump(grid: GridField, amplitude, radius: float, center=None) -> GridField:
 def plane_wave(grid: GridField, amplitude, modes) -> GridField:
     """amp_A * sin(sum_j 2 pi modes_j (x_j - origin_j) / L_j) with
     L_j the domain extent, so integer modes are grid-periodic."""
-    amplitude = np.broadcast_to(np.asarray(amplitude, dtype=float), (grid.m,))
-    modes = np.broadcast_to(np.asarray(modes, dtype=float), (grid.n,))
+    amplitude = _vector("amplitude", amplitude, grid.m, "m")
+    modes = _vector("modes", modes, grid.n, "n")
     coords = grid.coords()
     arg = np.zeros(grid.shape)
     for j in range(grid.n):

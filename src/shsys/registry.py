@@ -90,8 +90,11 @@ def _scalar(spec, n):
 
 def _wave(spec, n):
     aj = np.asarray(spec.get("aj", np.zeros(n)), dtype=float)
-    ajk = np.asarray(spec.get("ajk", np.eye(n)), dtype=float).reshape(n, n)
-    system, monitor = wave_system(aj, ajk)
+    ajk = np.asarray(spec.get("ajk", np.eye(n)), dtype=float)
+    if ajk.size != n * n:
+        raise ExecutionError(f"ajk holds {ajk.size} values; a wave on n = {n} axes "
+                             f"takes n * n = {n * n}")
+    system, monitor = wave_system(aj, ajk.reshape(n, n))
     return _linear_system(system, (monitor,))
 
 

@@ -204,18 +204,40 @@ def riemann_scalar(law: ConservationLaw, u_l: float, u_r: float,
                            fan=(xi_l, xi_r), _inverse=inverse)
 
 
+def _runs(idx: np.ndarray) -> list:
+    """Sorted interface indices split wherever two neighbours are more than
+    one quiet interface apart (index gap > 2)."""
+    return np.split(idx, np.flatnonzero(np.diff(idx) > 2) + 1) if idx.size else []
+
+
+def _spans(flagged: np.ndarray, strength: np.ndarray) -> list:
+    """(first, last) interface of each discontinuity of ``shock_detect``,
+    left to right, sharing no interface."""
+    spans = []
+    for flags in _runs(np.flatnonzero(flagged)):
+        lo, hi = flags[0], flags[-1]
+        live = np.union1d(np.flatnonzero(strength >= 0.1 * np.max(strength[lo:hi + 1])), flags)
+        lo, hi = next((run[0], run[-1]) for run in _runs(live) if run[0] <= lo <= run[-1])
+        while spans and lo <= spans[-1][1]:
+            prev_lo, prev_hi = spans.pop()
+            lo, hi = min(lo, prev_lo), max(hi, prev_hi)
+        spans.append((lo, hi))
+    return spans
+
+
 def shock_detect(snapshot: GridField, threshold: float = 0.25) -> list:
     """Locate discontinuities in a 1D snapshot.
 
     Interfaces where some component jumps by more than threshold times
     max(1, that component's range) are flagged.  The averaging step of the
     scheme decouples odd and even cells at steep fronts, interleaving the
-    strong interfaces with zero ones, so flags separated by at most one
-    quiet interface are clustered together, and each cluster is extended
-    outward over interfaces still carrying at least a tenth of its peak
-    jump.  Returns (position, jump) per cluster: the jump-weighted mean
-    interface position, and the state difference across the cluster
-    (right minus left).
+    strong interfaces with zero ones, so one run rule (``_runs``) groups
+    interfaces at most one quiet interface apart.  A run of flags spans
+    the run, under the same rule, of itself and the interfaces carrying at
+    least a tenth of its peak jump; spans that share an interface are one
+    discontinuity.  Returns (position, jump) per span, left to right: the
+    jump-weighted mean interface position, and the state difference
+    across the span (right minus left).
     """
     if snapshot.n != 1:
         raise ValueError("shock detection is 1D")
@@ -230,38 +252,8 @@ def shock_detect(snapshot: GridField, threshold: float = 0.25) -> list:
     centers_x = snapshot.centers(0)
     iface_x = 0.5 * (centers_x[1:] + centers_x[:-1])
 
-    # merge flags separated by short quiet runs
-    clusters = []
-    i = 0
-    while i < flagged.size:
-        if not flagged[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < flagged.size:
-            ahead = flagged[j + 1:j + 3]
-            if not ahead.any():
-                break
-            j += 1 + int(np.argmax(ahead))
-        clusters.append([i, j])
-        i = j + 1
-
     out = []
-    for lo, hi in clusters:
-        peak = float(np.max(strength[lo:hi + 1]))
-        floor = 0.1 * peak
-        while lo > 0:
-            window = strength[max(0, lo - 2):lo]
-            live = np.nonzero(window >= floor)[0]
-            if live.size == 0:
-                break
-            lo = max(0, lo - 2) + int(live[-1])
-        while hi + 1 < strength.size:
-            window = strength[hi + 1:hi + 3]
-            live = np.nonzero(window >= floor)[0]
-            if live.size == 0:
-                break
-            hi = hi + 1 + int(live[0])
+    for lo, hi in _spans(flagged, strength):
         w = strength[lo:hi + 1]
         keep = w > 0
         pos = float(np.sum(iface_x[lo:hi + 1][keep] * w[keep]) / np.sum(w[keep]))

@@ -542,6 +542,32 @@ viscous_limit.t = 0.2
                        output_dir=str(out)) == 2
         assert error_messages(out) == [message]
 
+    # a list key whose length fits neither 1 nor the model's m (4 for the
+    # 2D wave) or the grid's n (2) used to exit with numpy's broadcast or
+    # reshape message, or, for aj, to drop its third entry
+    @pytest.mark.parametrize("model, initial, named", [
+        ("", "profile = constant\nvalue = 0.0, 0.5, 1.0", "[initial] value needs 1 or m = 4"),
+        ("", "profile = step\nleft = 1.0, 2.0, 3.0\nright = 0.0", "[initial] left "),
+        ("", "profile = step\nleft = 0.0\nright = 1.0, 2.0", "[initial] right "),
+        ("", "profile = bump\nradius = 0.2\namplitude = 1.0, 2.0", "[initial] amplitude "),
+        ("", "profile = bump\nradius = 0.2\ncenter = 0.1, 0.2, 0.3",
+         "[initial] center needs 1 or n = 2"),
+        ("", "profile = plane-wave\namplitude = 1.0, 2.0, 3.0", "[initial] amplitude "),
+        ("", "profile = plane-wave\nmodes = 1, 1, 1", "[initial] modes needs 1 or n = 2"),
+        ("ajk = 1.0, 0.0, 1.0", "profile = constant", "ajk holds 3 values"),
+        ("aj = 1.0, 2.0, 3.0", "profile = constant", "a_j must have shape (2,)"),
+    ], ids=["value", "left", "right", "bump-amplitude", "center", "plane-amplitude",
+            "modes", "ajk", "aj"])
+    def test_a_list_of_the_wrong_length_is_refused_by_name(self, tmp_path, capsys,
+                                                         model, initial, named):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"[model]\nname = wave\n{model}\n[grid]\nshape = 8, 8\n"
+                          f"h = 0.125\n[scheme]\nlambda = 0.3\nt_end = 0.05\n"
+                          f"[initial]\n{initial}\n")
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and named in line
+
     def test_artifacts_written(self, tmp_path):
         text = """
 [model]
@@ -927,6 +953,27 @@ def test_a_check_drops_the_earlier_runs_files(tmp_path, first):
     assert main(["check", check, "--output-dir", str(out)]) == 0
     assert main(["check", check, "--output-dir", str(fresh)]) == 0
     assert read_dirs(out) == read_dirs(fresh) == ["."]
+    assert read_tree(out) == read_tree(fresh)
+
+
+@pytest.mark.parametrize("command, config", [
+    *(("run", name) for name in workflow_configs("fail")), ("check", "constraints")])
+def test_a_failed_invocation_drops_the_earlier_runs_files(tmp_path, command, config):
+    # each CI fail config, and a check that needs a simulation: once its
+    # inputs are read or fail, the earlier run's files go, and the failure
+    # leaves the tree it leaves in a fresh directory
+    if config == "constraints":
+        path = tmp_path / "constraints.cfg"
+        with open(workflow_config("rerun", "wave-short")) as handle:
+            path.write_text(handle.read() + "[checks]\nnames = constraints\n")
+    else:
+        path = workflow_config("fail", config)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["run", workflow_config("rerun", "wave-short"), "--output-dir", str(out)]) == 0
+    assert (out / "monitors" / "gradient_constraint.csv").is_file()
+    assert main([command, str(path), "--output-dir", str(out)]) == 2
+    assert main([command, str(path), "--output-dir", str(fresh)]) == 2
+    assert read_dirs(out) == read_dirs(fresh)
     assert read_tree(out) == read_tree(fresh)
 
 

@@ -277,6 +277,17 @@ class TestProfiles:
         out = profiles.constant(g, [1.5, -2.0])
         assert np.allclose(out.data, [1.5, -2.0])
 
+    @pytest.mark.parametrize("values", [2.0, [2.0], [[2.0]], [1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]]])
+    def test_a_vector_broadcasts_as_numpy_broadcasts(self, values):
+        g = grid_1d(4, m=3)
+        try:
+            expected = np.broadcast_to(np.asarray(values, dtype=float), (3,))
+        except ValueError:
+            with pytest.raises(ValueError, match=r"^\[initial\] value needs 1 or m = 3 values"):
+                profiles.constant(g, values)
+        else:
+            assert np.array_equal(profiles.constant(g, values).data, np.tile(expected, (4, 1)))
+
     def test_step_jump_location(self):
         g = grid_1d(10, extent=1.0)
         out = profiles.step(g, 1.0, 0.0, jump_at=0.05)

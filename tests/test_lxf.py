@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -466,6 +467,30 @@ class TestMaxCharSpeed:
     def test_batched_law_speed_equals_per_sample_loop(self, law_name):
         law, initial = law_speed_case(law_name)
         assert max_char_speed(law, initial) == per_sample_speed(law, initial)
+
+    def test_euler_cons_overflow_names_its_cell_without_a_warning(self):
+        # a finite, admissible state whose finite-difference Jacobian
+        # overflows: it used to reach eigvals as "Array must not contain
+        # infs or NaNs" after an "overflow encountered in multiply" warning
+        law = euler_conservative_1d(1.4)
+        state = grid_1d(5, m=3, boundary="outflow").with_data(
+            np.tile([1e-300, 0.0, 1e-300], (5, 1)))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"^the flux Jacobian is not finite "
+                                                 r"at cell \(0,\)$"):
+                run(law, state, SchemeConfig(lam=0.3, t_end=0.1))
+        assert seen == []
+
+    def test_a_non_finite_jacobian_names_one_index_per_axis(self):
+        # 0.5 u0^2 overflows at one cell of a 30 x 20 grid
+        law, state = law_speed_case("test2d_fd")
+        state.data[2, 3, 0] = state.data[7, 1, 0] = 1e200
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"at cell \(2, 3\)$"):
+                max_char_speed(law, state)
+        assert seen == []
 
 
 def per_sample_speed(law, state):

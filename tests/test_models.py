@@ -26,6 +26,13 @@ RNG = np.random.default_rng(1119)
 
 
 class TestWaveSystem:
+    def test_a_constant_a_j_must_hold_n_values(self):
+        # a third entry on two axes used to be dropped without a word
+        with pytest.raises(ValueError, match=r"a_j must have shape \(2,\), got \(3,\)"):
+            wave_system(np.zeros(3), np.eye(2))
+        with pytest.raises(ValueError, match=r"a_j must have shape \(1,\), got \(\)"):
+            wave_system(0.0, np.eye(1))
+
     def test_symmetrizer_makes_coefficients_symmetric(self):
         a_jk = np.array([[2.0, 0.3], [0.3, 1.0]])
         sys, _ = wave_system(np.array([0.1, -0.2]), a_jk)
@@ -652,6 +659,24 @@ class TestConstraintMonitor:
                for offset in (0, 3)]
         assert div_e.evaluate(field) == _masked_norm(field, div[0] - x[..., 0] * x[..., 2])
         assert div_b.evaluate(field) == _masked_norm(field, div[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=hnp.arrays(float, (4, 3, 5, 6), elements=st.sampled_from([-0.0, 0.0, 1.5])
+                           | st.floats(-4.0, 4.0)),
+           boundary=st.sampled_from(["periodic", "outflow"]),
+           rho=st.sampled_from([None, 0.0, 2.0]))
+    @example(data=np.full((4, 3, 5, 6), -0.0), boundary="periodic", rho=None)
+    def test_maxwell_divergences_equal_a_sum_from_zero(self, data, boundary, rho):
+        # the three differences are added directly: 0 + d0 would only turn
+        # -0 into +0, which the norm squares away
+        _, monitors = maxwell_system(rho=rho)
+        field = GridField.zeros((4, 3, 5), 0.25, 0.0, 6, boundary=boundary).with_data(data)
+        mask = None if boundary == "periodic" else interior_mask(field)
+        for monitor, offset in zip(monitors, (0, 3)):
+            div = sum(centered_diff(field, j, data[..., offset + j]) for j in range(3))
+            if offset == 0 and rho is not None:
+                div = div - rho
+            assert monitor.evaluate(field) == l2_norm(field, div, mask=mask)
 
     def test_cauchy_riemann_on_outflow_grid(self):
         _, monitor = ck_realify(np.array([[1.0 + 0.5j, 0.0], [0.2j, 2.0]]))

@@ -4,7 +4,8 @@ text dedup must keep apart, and grids beyond its axis-text cache), the
 writer's traced memory peak, the snapshot round trip through
 profiles.from_csv, the monitor CSV format, and write_trace's split of the
 snapshot files among forked processes (the same tree for any worker
-count, the serial writer's error, no child left behind)."""
+count, the serial writer's error, no child left behind), which deletes
+nothing."""
 
 import gc
 import itertools
@@ -351,6 +352,17 @@ def test_the_fork_warning_of_a_threaded_process_is_not_shown(tmp_path, monkeypat
         warnings.simplefilter("always")
         write_trace(tmp_path, snapshot_trace())
     assert seen == [] and no_child_left()
+
+
+def test_write_trace_deletes_nothing(tmp_path):
+    # an earlier run's files are the caller's to remove (remove_run_files)
+    write_trace(tmp_path, snapshot_trace(count=3, shape=(8,), m=1))
+    (tmp_path / "monitors" / "stale.csv").write_text("t,value\n")
+    write_trace(tmp_path, snapshot_trace(count=2, shape=(8,), m=1))
+    assert sorted(os.listdir(tmp_path / "snapshots")) == ["0000.csv", "0001.csv", "0002.csv"]
+    assert sorted(os.listdir(tmp_path / "monitors")) == ["a.csv", "b.csv", "stale.csv"]
+    output.remove_run_files(tmp_path)
+    assert os.listdir(tmp_path) == []
 
 
 def test_a_trace_under_two_writers_worth_of_values_is_not_split(tmp_path, monkeypatch, forks):

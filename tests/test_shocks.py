@@ -11,7 +11,7 @@ from shsys.models import (advection_law, burgers_law,
                           euler_conservative_1d,
                           euler_primitive_to_conservative,
                           polynomial_scalar_law)
-from shsys.shocks import (ResolutionError, entropy_admissible,
+from shsys.shocks import (ResolutionError, _spans, entropy_admissible,
                           genuine_nonlinearity, rh_residual, rh_speed,
                           riemann_scalar, shock_candidate, shock_detect,
                           shock_speed_fit, viscous_limit_compare)
@@ -230,6 +230,107 @@ class TestShockDetect:
         speed, points = shock_speed_fit(trace)
         assert len(points) >= 5
         assert abs(speed - 0.5) <= 5 * grid.h[0] / 0.4
+
+
+def flags_and_strength(data, threshold):
+    """shock_detect's flagged interfaces and per-interface strength."""
+    diffs = data[1:] - data[:-1]
+    ranges = np.maximum(1.0, data.max(axis=0) - data.min(axis=0))
+    return (np.any(np.abs(diffs) > threshold * ranges, axis=-1),
+            np.max(np.abs(diffs), axis=-1))
+
+
+def loop_reference(snapshot, threshold):
+    """shock_detect as three hand-stepped loops: flag clustering, then
+    extension to the left and to the right of each cluster, never
+    reconciled.  Returns (detections, spans); spans may overlap."""
+    data = snapshot.data
+    flagged, strength = flags_and_strength(data, threshold)
+    centers_x = snapshot.centers(0)
+    iface_x = 0.5 * (centers_x[1:] + centers_x[:-1])
+    clusters = []
+    i = 0
+    while i < flagged.size:
+        if not flagged[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < flagged.size:
+            ahead = flagged[j + 1:j + 3]
+            if not ahead.any():
+                break
+            j += 1 + int(np.argmax(ahead))
+        clusters.append([i, j])
+        i = j + 1
+    out, spans = [], []
+    for lo, hi in clusters:
+        floor = 0.1 * float(np.max(strength[lo:hi + 1]))
+        while lo > 0:
+            live = np.nonzero(strength[max(0, lo - 2):lo] >= floor)[0]
+            if live.size == 0:
+                break
+            lo = max(0, lo - 2) + int(live[-1])
+        while hi + 1 < strength.size:
+            live = np.nonzero(strength[hi + 1:hi + 3] >= floor)[0]
+            if live.size == 0:
+                break
+            hi = hi + 1 + int(live[0])
+        spans.append((lo, hi))
+        w = strength[lo:hi + 1]
+        keep = w > 0
+        pos = float(np.sum(iface_x[lo:hi + 1][keep] * w[keep]) / np.sum(w[keep]))
+        jump = data[hi + 1] - data[lo]
+        out.append((pos, jump if snapshot.m > 1 else float(jump[0])))
+    return out, spans
+
+
+def detections_bytes(found):
+    return [(pos, np.asarray(jump).tobytes()) for pos, jump in found]
+
+
+# u = 5 on 10 cells, a ramp whose last step is the largest, then u = 1 on
+# 10 cells: the loops extend the two flag clusters over each other's
+# interfaces and report the one jump twice
+DUPLICATE = [5.0] * 10 + [4.0, 3.75, 3.5, 3.25, 1.25] + [1.0] * 10
+
+snapshots_1d = st.integers(1, 2).flatmap(lambda m: st.lists(
+    st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0, 5.0]) | st.floats(-5.0, 5.0),
+             min_size=m, max_size=m), min_size=2, max_size=59))
+thresholds = st.sampled_from([0.05, 0.1, 0.25, 0.5])
+
+
+def snapshot_of(rows, h=0.1):
+    data = np.asarray(rows, dtype=float)
+    return GridField.zeros((len(data),), h, 0.0, data.shape[1]).with_data(data)
+
+
+class TestShockDetectRunRule:
+    def test_spans_that_share_an_interface_are_one_jump(self):
+        field = snapshot_of([[u] for u in DUPLICATE])
+        found, spans = loop_reference(field, threshold=0.2)
+        assert found == [(1.21875, -4.0)] * 2 and spans[0] == spans[1]
+        assert shock_detect(field, threshold=0.2) == [(1.21875, -4.0)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=snapshots_1d, threshold=thresholds)
+    @example(rows=[[u] for u in DUPLICATE], threshold=0.2)
+    def test_equals_the_loops_where_their_spans_are_disjoint(self, rows, threshold):
+        field = snapshot_of(rows)
+        found, spans = loop_reference(field, threshold)
+        if all(a[1] < b[0] for a, b in zip(spans, spans[1:])):
+            assert detections_bytes(shock_detect(field, threshold)) == detections_bytes(found)
+        else:
+            assert len(shock_detect(field, threshold)) < len(found)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=snapshots_1d, threshold=thresholds)
+    @example(rows=[[u] for u in DUPLICATE], threshold=0.2)
+    def test_spans_share_no_interface_and_hold_each_flag_once(self, rows, threshold):
+        flagged, strength = flags_and_strength(np.asarray(rows, dtype=float), threshold)
+        spans = _spans(flagged, strength)
+        assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+        for i in np.flatnonzero(flagged):
+            assert sum(lo <= i <= hi for lo, hi in spans) == 1
 
 
 class TestEulerShockTube:
