@@ -56,8 +56,9 @@ def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
     """Run a validated config; writes artifacts and returns the exit code.
     An ``OSError`` while writing them is an execution error (exit 2), like
     an aborted run; an execution error leaves no ``verdicts.csv``.  Once
-    every input is read, or reading one failed, this alone deletes an
-    earlier run's files in the output directory (``remove_run_files``).
+    every input is read, or reading one failed, this deletes an earlier
+    run's files in the output directory (``remove_run_files``), as ``main``
+    does when the config cannot be read.
     The ``invocation`` event's ``"threads": 1`` and ``"seed": 0`` are
     constants, kept so that artifact trees keep their bytes: no random
     numbers are drawn, and ``output.write_trace`` writes large traces'
@@ -75,7 +76,7 @@ def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
     try:
         trace = initial = None
         try:
-            needs_sim = [c for c in cfg.checks if CHECKS[c].needs == "simulation"]
+            needs_sim = [c for c in cfg.checks if "simulation" in CHECKS[c].needs]
             if checks_only and needs_sim:
                 raise ExecutionError(f"checks {needs_sim} need time integration; use 'run'")
             model = MODELS[cfg.model["name"]].build(
@@ -102,8 +103,10 @@ def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
         rows = []
         for name in cfg.checks:
             check = CHECKS[name]
-            if check.needs and not NEEDS[check.needs][0](model, trace):
-                raise ExecutionError(f"check '{name}' needs {NEEDS[check.needs][1]}")
+            for need in check.needs:
+                holds, what = NEEDS[need]
+                if not holds(model, trace):
+                    raise ExecutionError(f"check '{name}' needs {what}")
             rows += check.fn(cfg.checks_params.get(name, {}), model, trace,
                              out_dir, lambda: _build_grid(cfg))
             log.event("check", name=name, rows=[r.name for r in rows])
@@ -147,14 +150,22 @@ def main(argv=None) -> int:
         with open(args.config, encoding="utf-8") as handle:
             cfg = parse_config(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config file {args.config}: {exc}", file=sys.stderr)
-        return 2
+        errors = [f"cannot read config file {args.config}: {exc}"]
     except ConfigError as exc:
-        for line, message in exc.errors:
-            print(f"error: line {line}: {message}", file=sys.stderr)
-        return 2
-
-    return execute(cfg, output_dir=args.output_dir, checks_only=args.command == "check")
+        errors = [f"line {line}: {message}" for line, message in exc.errors]
+    else:
+        return execute(cfg, output_dir=args.output_dir, checks_only=args.command == "check")
+    for message in errors:
+        print(f"error: {message}", file=sys.stderr)
+    if args.output_dir is not None:
+        # an earlier run's tree there would read as this run's; with no
+        # --output-dir, the [output] dir of a config that failed is not trusted
+        with contextlib.suppress(OSError):
+            remove_run_files(args.output_dir)
+        for name in ("verdicts.csv", "run.ndjson"):
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(args.output_dir, name))
+    return 2
 
 
 if __name__ == "__main__":

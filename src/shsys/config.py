@@ -8,8 +8,10 @@ Grammar (one nesting level only):
     key = a, b, c            # comma-separated lists
     check.param = value      # per-check parameters inside [checks]
 
-Unknown sections or keys are hard errors (with a closest-match hint);
-every error carries its line number.
+Every key takes one path, its kind from ``_SCHEMA`` (which lists each
+``<check>.<param>`` of ``registry.CHECKS``) and its bound from ``_LIMITS``.
+Unknown sections or keys are hard errors (with a closest-match hint); every
+error carries its line number.
 """
 
 from __future__ import annotations
@@ -41,7 +43,11 @@ _SCHEMA = {
         **{key: kind for entry in registry.PROFILES.values()
            for key, kind in entry.keys.items()},
     },
-    "checks": {"names": "list_str"},
+    "checks": {
+        "names": "list_str",
+        **{f"{name}.{param}": kind for name, entry in registry.CHECKS.items()
+           for param, kind in entry.params.items()},
+    },
     "output": {"dir": "str"},
 }
 
@@ -53,6 +59,10 @@ _LIMITS = {
     ("model", "gamma"): (lambda v: v <= 1, "must exceed 1"),
     ("model", "lam"): (lambda v: v < 0, "must be non-negative"),
     ("model", "flux_coeffs"): (lambda v: not v, "must list at least one coefficient"),
+    ("checks", "is_sh.per_axis"): (lambda v: v < 1, "must be >= 1"),
+    ("checks", "entropy_pair.per_axis"): (lambda v: v < 1, "must be >= 1"),
+    ("checks", "viscous_limit.eps"): (lambda v: any(e <= 0 for e in v), "entries must be > 0"),
+    ("checks", "viscous_limit.t"): (lambda v: v <= 0, "must be positive"),
 }
 _CONVERT = {"float": float, "int": int, "str": str}
 
@@ -160,22 +170,6 @@ def parse_config(text: str) -> RunConfig:
             continue
         lines[current, key] = lineno
 
-        if current == "checks" and "." in key:
-            check, _, param = key.partition(".")
-            if check not in registry.CHECKS:
-                errors.append((lineno, f"unknown check '{check}' in key '{key}'"
-                               + _suggest(check, list(registry.CHECKS))))
-                continue
-            schema = registry.CHECKS[check].params
-            if param not in schema:
-                errors.append((lineno, f"unknown parameter '{param}' for check "
-                               f"'{check}'" + _suggest(param, list(schema))))
-                continue
-            value = _parse_value(schema[param], raw_value, lineno, errors)
-            if value is not None:
-                sections["checks"].setdefault("_params", {}).setdefault(check, {})[param] = value
-            continue
-
         if key not in _SCHEMA[current]:
             errors.append((lineno, f"unknown key '{key}' in [{current}]"
                            + _suggest(key, list(_SCHEMA[current]))))
@@ -197,8 +191,11 @@ def parse_config(text: str) -> RunConfig:
     if ("initial", "profile") not in lines:
         errors += [(lines["initial", key], f"[initial] key '{key}' needs a 'profile'")
                    for key in sections["initial"]]
-    names = sections["checks"].get("names", [])
-    given = sections["checks"].get("_params", {})
+    names = sections["checks"].pop("names", [])
+    given = {}  # check -> {param: value}, in the order of the lines
+    for key, value in sections["checks"].items():
+        check, _, param = key.partition(".")
+        given.setdefault(check, {})[param] = value
     for i, check in enumerate(names):
         if check in names[:i]:
             errors.append((0, f"check '{check}' listed more than once in checks.names"))

@@ -372,7 +372,10 @@ def generalized_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_sym_part(reduced))
 
 
-def _box_axes(lo, hi, per_axis: int) -> list:
+def sample_box(lo, hi, per_axis: int = 3) -> np.ndarray:
+    """Tensor grid of states over an axis-aligned box, endpoints included.
+    Returns an array of shape (per_axis**m, m); its first row is
+    ``sample_box(lo, hi, 1)``, bit for bit."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != hi.shape:
@@ -387,17 +390,5 @@ def _box_axes(lo, hi, per_axis: int) -> list:
         what = ("hi - lo overflows" if np.isfinite(lo[i]) and np.isfinite(hi[i])
                 else "a corner is not finite")
         raise ValueError(f"box axis {i}: {what} (lo = {lo[i]:g}, hi = {hi[i]:g})")
-    return [np.linspace(lo[i], hi[i], per_axis) for i in range(lo.size)]
-
-
-def sample_box(lo, hi, per_axis: int = 3) -> np.ndarray:
-    """Tensor grid of states over an axis-aligned box, endpoints included.
-    Returns an array of shape (per_axis**m, m)."""
-    mesh = np.meshgrid(*_box_axes(lo, hi, per_axis), indexing="ij")
+    mesh = np.meshgrid(*(np.linspace(a, b, per_axis) for a, b in zip(lo, hi)), indexing="ij")
     return np.stack([g.reshape(-1) for g in mesh], axis=-1)
-
-
-def first_box_sample(lo, hi, per_axis: int) -> np.ndarray:
-    """The first row of ``sample_box(lo, hi, per_axis)``, bit for bit, as a
-    (1, m) batch, without building the grid (empty when per_axis is 0)."""
-    return np.stack([axis[:1] for axis in _box_axes(lo, hi, per_axis)], axis=-1)

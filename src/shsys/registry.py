@@ -7,8 +7,10 @@ them; ``config`` derives its enums and schemas from these tables.
   required keys).
 * ``PROFILES``: name -> (``[initial]`` keys and their value kinds, required
   keys, ``build(init, grid)`` from the ``[initial]`` section).
-* ``CHECKS``: name -> (``check.param`` kinds, required parameters, what it
-  needs, ``fn(params, model, trace, out_dir, make_grid)`` -> verdict rows).
+* ``CHECKS``: name -> (``check.param`` kinds, required parameters, the
+  ``NEEDS`` keys ``cli.execute`` tests in order, ``fn(params, model, trace,
+  out_dir, make_grid)`` -> verdict rows); ``fn`` validates only its own
+  parameters, which ``config`` has parsed and bounded.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import profiles
-from .core import SYMMETRY_RTOL, first_box_sample, is_sh, sample_box
+from .core import SYMMETRY_RTOL, is_sh, sample_box
 from .energy import energy as grid_energy, support_test
 from .entropy import entropy_pair_residual, hessian_symmetrizer
 from .models import (advection_law, burgers_law, ck_realify,
@@ -66,7 +68,7 @@ class Profile(NamedTuple):
 class Check(NamedTuple):
     params: dict
     required: tuple
-    needs: str | None      # a key of NEEDS, or None
+    needs: tuple           # keys of NEEDS, tested in order
     fn: Callable
     together: tuple = ()   # parameter groups given all or none
 
@@ -182,19 +184,15 @@ def _given_box(params, model) -> tuple:
 
 
 def _is_sh(params, model, trace, out_dir, make_grid):
-    if model.kind == "tricomi":
-        raise ExecutionError("is_sh does not apply to the tricomi model; use tricomi_certificate")
     box = _given_box(params, model) if "box_lo" in params else model.box
-    per_axis = params.get("per_axis", 3)
+    # a constant system is certified at its first sample (core.is_sh), which
+    # sample_box(*box, 1) is, bit for bit
+    constant = model.kind == "system" and model.system.all_constant
+    samples = sample_box(*box, 1 if constant else params.get("per_axis", 3))
     if model.kind == "law":
-        if model.pair is None:
-            raise ExecutionError("is_sh on a conservation law needs an entropy pair")
-        _, verdict = hessian_symmetrizer(model.system, model.pair,
-                                         samples=sample_box(*box, per_axis))
+        _, verdict = hessian_symmetrizer(model.system, model.pair, samples=samples)
     else:
-        # a constant system is certified at its first sample (core.is_sh)
-        samples = first_box_sample if model.system.all_constant else sample_box
-        verdict = is_sh(model.system, np.zeros(model.system.n + 1), samples(*box, per_axis))
+        verdict = is_sh(model.system, np.zeros(model.system.n + 1), samples)
     return [VerdictRow("is_sh", verdict.is_sh, float(np.max(verdict.residuals)),
                        f"symmetry rtol {SYMMETRY_RTOL:g}, pivots > 0")]
 
@@ -207,8 +205,6 @@ def _entropy_pair(params, model, trace, out_dir, make_grid):
 
 
 def _energy(params, model, trace, out_dir, make_grid):
-    if model.q_energy is None:
-        raise ExecutionError("the energy check applies to linear models")
     series = [(t, grid_energy(snap, model.q_energy))
               for t, snap in zip(trace.times, trace.snapshots)]
     os.makedirs(os.path.join(out_dir, "monitors"), exist_ok=True)
@@ -219,8 +215,6 @@ def _energy(params, model, trace, out_dir, make_grid):
 
 
 def _constraints(params, model, trace, out_dir, make_grid):
-    if not trace.monitors:
-        raise ExecutionError("check 'constraints' needs a model with constraint monitors")
     factor, floor = params.get("factor", 3.0), params.get("floor", 1e-12)
     rows = []
     for name, series in trace.monitors.items():
@@ -291,34 +285,32 @@ def _viscous_limit(params, model, trace, out_dir, make_grid):
 
 def _tricomi_certificate(params, model, trace, out_dir, make_grid):
     cert = model.tricomi
-    if cert is None:
-        raise ExecutionError("tricomi_certificate needs the tricomi model")
     return [VerdictRow("tricomi_certificate", cert.positive, cert.min_pivot,
                        "pivot > 0")]
 
 
 CHECKS = {
     "is_sh": Check({"per_axis": "int", "box_lo": "list_float",
-                    "box_hi": "list_float"}, (), None, _is_sh,
+                    "box_hi": "list_float"}, (), ("symmetrizer",), _is_sh,
                    together=(("box_lo", "box_hi"),)),
     "entropy_pair": Check({"tol": "float", "per_axis": "int"}, (),
-                          "scalar_law", _entropy_pair),
-    "energy": Check({}, (), "simulation", _energy),
+                          ("scalar_law",), _entropy_pair),
+    "energy": Check({}, (), ("simulation", "linear"), _energy),
     "constraints": Check({"factor": "float", "floor": "float"}, (),
-                         "simulation", _constraints),
+                         ("simulation", "monitors"), _constraints),
     "support": Check({"radius": "float", "slope": "float", "tol": "float",
-                      "margin_cells": "int"}, ("radius",), "simulation",
+                      "margin_cells": "int"}, ("radius",), ("simulation",),
                      _support),
     "rh": Check({"u_left": "list_float", "u_right": "list_float",
                  "speed": "float", "tol": "float"}, ("u_left", "u_right"),
-                "law", _rh),
+                ("law",), _rh),
     "riemann": Check({"u_left": "float", "u_right": "float", "tol": "float"},
-                     ("u_left", "u_right"), "scalar_law", _riemann),
+                     ("u_left", "u_right"), ("scalar_law",), _riemann),
     "viscous_limit": Check({"u_left": "float", "u_right": "float",
                             "eps": "list_float", "t": "float", "slack": "float"},
-                           ("u_left", "u_right", "eps", "t"), "scalar_law",
+                           ("u_left", "u_right", "eps", "t"), ("scalar_law",),
                            _viscous_limit),
-    "tricomi_certificate": Check({}, (), None, _tricomi_certificate),
+    "tricomi_certificate": Check({}, (), ("tricomi",), _tricomi_certificate),
 }
 
 # what a check needs -> (test on the built model and the trace, its name in errors)
@@ -327,4 +319,11 @@ NEEDS = {
     "scalar_law": (lambda model, trace: model.kind == "law" and model.system.m == 1,
                    "a scalar-law model"),
     "simulation": (lambda model, trace: trace is not None, "a simulation"),
+    "linear": (lambda model, trace: model.q_energy is not None, "a linear model"),
+    "monitors": (lambda model, trace: bool(model.monitors),
+                 "a model with constraint monitors"),
+    "tricomi": (lambda model, trace: model.kind == "tricomi", "the tricomi model"),
+    "symmetrizer": (lambda model, trace: model.kind == "system" or model.pair is not None,
+                    "a system or a law with an entropy pair (for tricomi, use "
+                    "tricomi_certificate)"),
 }

@@ -20,7 +20,7 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 # and of fail/ once through 'shsys run'; the tests below glob the same files
 CONFIGS = os.path.join(os.path.dirname(__file__), "configs")
 SIM_CHECKS = [name for name, check in registry.CHECKS.items()
-              if check.needs == "simulation"]
+              if "simulation" in check.needs]
 
 MINIMAL = """
 [model]
@@ -269,6 +269,54 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=re.escape(f"{name} {spec.rule}")):
             SchemeConfig(**{"lam": 0.5, "t_end": 1.0, name: value})
 
+    # before these limits is_sh.per_axis = 0 exited 2 with "need at least one
+    # sample", entropy_pair.per_axis = 0 with numpy's "zero-size array",
+    # viscous_limit.eps = -0.1 with "exceeds eps/4 = -0.025", and
+    # viscous_limit.t = 0 exited 0 with a divide-by-zero RuntimeWarning
+    @pytest.mark.parametrize("key, value, rule", [
+        ("is_sh.per_axis", "0", "must be >= 1"),
+        ("is_sh.per_axis", "-1", "must be >= 1"),
+        ("entropy_pair.per_axis", "0", "must be >= 1"),
+        ("viscous_limit.eps", "0.1, -0.1", "entries must be > 0"),
+        ("viscous_limit.eps", "0.0", "entries must be > 0"),
+        ("viscous_limit.t", "0", "must be positive"),
+        ("viscous_limit.t", "-0.5", "must be positive"),
+    ])
+    def test_check_parameter_limits_name_key_and_line(self, key, value, rule):
+        check = key.partition(".")[0]
+        text = f"[model]\nname = burgers\n[checks]\nnames = {check}\n{key} = {value}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        # viscous_limit's other required parameters are missing, on line 0
+        assert [error for error in info.value.errors if error[0]] == [(5, f"'{key}' {rule}")]
+
+    # kind -> (a value as written, as parsed) for the check parameter test
+    KIND_SAMPLES = {"int": ("2", 2), "float": ("0.5", 0.5), "str": ("a", "a"),
+                    "list_int": ("2, 3", [2, 3]), "list_float": ("0.5, 0.25", [0.5, 0.25]),
+                    "list_str": ("a, b", ["a", "b"])}
+
+    @pytest.mark.parametrize("check", registry.CHECKS)
+    def test_check_parameters_follow_the_registry(self, check):
+        # every check and parameter of the registry, so a new one is
+        # covered with no new test code
+        params = registry.CHECKS[check].params
+        head = f"[model]\nname = burgers\n[checks]\nnames = {check}\n"
+        given = "".join(f"{check}.{param} = {self.KIND_SAMPLES[kind][0]}\n"
+                        for param, kind in params.items())
+        expected = {param: self.KIND_SAMPLES[kind][1] for param, kind in params.items()}
+        assert parse_config(head + given).checks_params == ({check: expected} if params else {})
+        for param in params:
+            key = f"{check}.{param}"
+            typo = key[:-1] + ("x" if key[-1] != "x" else "y")
+            with pytest.raises(ConfigError) as info:
+                parse_config(head + f"{typo} = 1\n")
+            assert (5, f"unknown key '{typo}' in [checks] (did you mean '{key}'?)") \
+                in info.value.errors
+            with pytest.raises(ConfigError) as info:
+                parse_config(head.replace(f"names = {check}", "names =") + f"{key} = 1\n")
+            assert (0, f"parameters given for check '{check}' that is not in checks.names") \
+                in info.value.errors
+
 
 class TestExecute:
     def test_burgers_riemann_verdicts(self, tmp_path):
@@ -510,6 +558,20 @@ viscous_limit.t = 0.2
         assert execute(parse_config(text), output_dir=str(out)) == 2
         messages = error_messages(out)
         assert len(messages) == 1 and check in messages[0] and needs in messages[0]
+
+    # each capability a check function tested by hand before NEEDS held it
+    @pytest.mark.parametrize("model, check, need", [
+        ("burgers", "energy", "a linear model"),
+        ("euler_cons", "is_sh", "a system or a law with an entropy pair"),
+        ("burgers", "tricomi_certificate", "the tricomi model"),
+    ])
+    def test_capability_needs_name_check_and_need(self, tmp_path, model, check, need):
+        text = (f"[model]\nname = {model}\n[grid]\nshape = 20\nh = 0.1\n[scheme]\n"
+                "lambda = 0.2\nt_end = 0.1\n[initial]\nprofile = constant\n"
+                f"value = 1.0\n[checks]\nnames = {check}\n")
+        out = tmp_path / "out"
+        assert execute(parse_config(text), output_dir=str(out)) == 2
+        assert error_messages(out)[0].startswith(f"check '{check}' needs {need}")
 
     def test_constraints_without_monitors_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.txt"
@@ -975,6 +1037,36 @@ def test_a_failed_invocation_drops_the_earlier_runs_files(tmp_path, command, con
     assert main([command, str(path), "--output-dir", str(fresh)]) == 2
     assert read_dirs(out) == read_dirs(fresh)
     assert read_tree(out) == read_tree(fresh)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", "[model]\nname = burgers\n[scheme]\nlambda = -1\nt_end = 1\n"),
+    ("check", "[model]\nname = wave\n[checks]\nnames = is_sh\nis_sh.per_axis = 0\n"),
+    ("run", None),
+], ids=["lambda", "per_axis", "unreadable"])
+def test_a_config_that_does_not_parse_drops_the_earlier_run(tmp_path, capsys, command, text):
+    # the earlier run's verdicts.csv, log, snapshots and monitors used to
+    # stay, so the directory still read as a pass
+    path, out = tmp_path / "bad.cfg", tmp_path / "out"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", workflow_config("rerun", "wave-short"), "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main([command, str(path), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert read_dirs(out) == ["."] and read_tree(out) == {}
+
+
+def test_a_config_that_does_not_parse_touches_no_configured_directory(
+        tmp_path, monkeypatch):
+    # without --output-dir the config's own [output] dir is not trusted
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "verdicts.csv").write_text("name,pass,value,tolerance\n")
+    (tmp_path / "bad.cfg").write_text("[model]\nname = burgers\n[scheme]\nlambda = -1\n"
+                                      "[output]\ndir = out\n")
+    assert main(["run", "bad.cfg"]) == 2
+    assert (tmp_path / "out" / "verdicts.csv").is_file()
 
 
 def test_a_run_may_start_from_a_snapshot_of_its_output_directory(tmp_path):

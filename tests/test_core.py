@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shsys.core import (MatrixField, SystemDef, characteristic_speeds,
-                        direction_matrix, first_box_sample, is_sh, ldlt_pivots,
+                        direction_matrix, is_sh, ldlt_pivots,
                         positive_definite, sample_box, symmetry_residual)
 from shsys.models import euler_polytropic_sh, maxwell_system, wave_system
 
@@ -212,10 +212,10 @@ class TestSampling:
         corner = hnp.arrays(float, m, elements=st.floats(-1e300, 1e300)
                             | st.sampled_from([0.0, -0.0, 5e-324]))
         lo, hi = data.draw(corner), data.draw(corner)
-        per_axis = data.draw(st.integers(0, 5))
+        per_axis = data.draw(st.integers(1, 5))
         with np.errstate(over="ignore", invalid="ignore"):
-            first, box = first_box_sample(lo, hi, per_axis), sample_box(lo, hi, per_axis)
-        assert first.shape == ((1, m) if per_axis else (0, m))
+            first, box = sample_box(lo, hi, 1), sample_box(lo, hi, per_axis)
+        assert first.shape == (1, m)
         assert first.tobytes() == box[:1].tobytes()
 
     @pytest.mark.parametrize("lo, hi, message", [
@@ -224,7 +224,7 @@ class TestSampling:
         ([0.0, 0.0, 0.0], [1.0, 1.0, np.nan], "box axis 2: a corner is not finite"),
         ([0.0, 1.0], [np.inf, -np.inf], "box axis 0: a corner is not finite"),
     ])
-    @pytest.mark.parametrize("helper", [sample_box, first_box_sample])
+    @pytest.mark.parametrize("helper", [sample_box])
     def test_box_without_finite_samples_is_refused(self, helper, lo, hi, message):
         # linspace gave [nan, inf, inf, 1e308] on the overflowing axis, with
         # only a RuntimeWarning
