@@ -63,6 +63,11 @@ _LIMITS = {
     ("checks", "entropy_pair.per_axis"): (lambda v: v < 1, "must be >= 1"),
     ("checks", "viscous_limit.eps"): (lambda v: any(e <= 0 for e in v), "entries must be > 0"),
     ("checks", "viscous_limit.t"): (lambda v: v <= 0, "must be positive"),
+    ("checks", "viscous_limit.slack"): (lambda v: v < 0, "must be non-negative"),
+    ("checks", "support.radius"): (lambda v: v <= 0, "must be positive"),
+    **{("checks", key): (lambda v: v < 0, "must be non-negative")
+       for key in ("support.margin_cells", "support.tol", "constraints.factor",
+                   "constraints.floor", "entropy_pair.tol", "rh.tol", "riemann.tol")},
 }
 _CONVERT = {"float": float, "int": int, "str": str}
 

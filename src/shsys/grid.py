@@ -1,25 +1,32 @@
 """Uniform Cartesian grids of cell-centered states, with shift and
 centered-difference operators for periodic and outflow boundaries.
 
-The boundary rule is written once, in ``_source``, and every translate
-and difference is a ``Stencil`` that applies itself: one interior call,
-then the edge cells.  ``stencil`` lays one out and caches it; it is the
-one public way to a translate (``Stencil.shift_into``) or a difference
-(``Stencil.difference``).  ``centered_diff`` looks its stencil up on
-every call, ``lxf.StepPlan`` once a run; ``shifted`` (the reference,
-held to ``np.roll`` by the tests) is ``shift_into`` with a copy.  On
-axis 0 the interior is a slice of rows, of any layout.  Along an axis
-j >= 1 of a C-contiguous array one cell is a step of s =
-prod(shape[j+1:]) in the flat view, so the interiors of all lines are
-one contiguous call, ufunc(out[:-s], data[s:]) or its mirror, where a
-strided region would go through numpy's buffered iterator.  That call
-crosses the edge cells between lines (the seams), which are computed
-apart and written after it.  There a strided ``data`` is copied once by
-its flat view and a strided ``out`` is refused.  The public functions
-take their ``out`` from ``out_array``.  Every element gets one operation
-on the same operands in the same order, so the results are bit-identical
-on every axis, window and layout, except for which NaN comes back where
-both operands are NaNs: numpy's loops return either.
+The boundary rule is written once, in ``_source``.  A step reads its
+state with one ghost row at each end of axis 0 (``GhostField``, in
+buffers that ``lxf.StepPlan`` owns), whose two rows ``ghost_rows`` fills
+by that rule, one row copy each, so an axis-0 translate or difference
+inside a step is one slice of the padded array and one ufunc call.  Every translate and difference is a ``Stencil`` that applies
+itself: one interior call, then the edge cells, of which the rows r0+1
+<= i < r1+1 of a padded array have none on axis 0.  ``stencil`` lays one
+out and caches it; it is the one public way to a translate
+(``Stencil.shift_into``) or a difference (``Stencil.difference``).
+``centered_diff`` looks its stencil up on every call, ``lxf.StepPlan``
+once a run; ``shifted`` (the reference, held to ``np.roll`` by the
+tests) is ``shift_into`` with a copy.  Called on a state without ghost
+rows (monitors, tests), they pay the edge cells.  On axis 0 the interior
+is a slice of rows, of any layout.  Along an axis j >= 1 of a
+C-contiguous array one cell is a step of s = prod(shape[j+1:]) in the
+flat view, so the interiors of all lines are one contiguous call,
+ufunc(out[:-s], data[s:]) or its mirror, where a strided region would go
+through numpy's buffered iterator.  That call crosses the edge cells
+between lines (the seams), which are computed apart and written after
+it.  There a strided ``data`` is copied once by its flat view and a
+strided ``out`` is refused.  The public functions take their ``out``
+from ``out_array``.  Every element gets one operation on the same
+operands in the same order, so the results are bit-identical on every
+axis, window and layout, with or without ghost rows, except for which
+NaN comes back where both operands are NaNs: numpy's loops return
+either.
 
 A division by d = +-2^e is a multiplication by 1/d (``divisor``) when 1/d
 is finite: x / d and x * 2^-e have the same exact value, and IEEE 754
@@ -90,11 +97,12 @@ class GridField:
                    boundary=boundary)
 
     def with_data(self, data: np.ndarray) -> "GridField":
-        """The same grid holding new data.  The grid fields were validated
-        when this field was built, so only the data's shape is checked."""
+        """The same grid holding new data, as a plain GridField.  The grid
+        fields were validated when this field was built, so only the data's
+        shape is checked."""
         data = np.asarray(data, dtype=float)
         self._check_shape(data)
-        new = object.__new__(type(self))
+        new = object.__new__(GridField)
         new.__dict__.update(self.__dict__, data=data)
         return new
 
@@ -128,6 +136,22 @@ class GridField:
         """Lexicographically first cell holding a NaN/Inf, or None."""
         bad = ~np.isfinite(self.data)
         return first_true(bad) if bad.any() else None
+
+
+class GhostField(GridField):
+    """A GridField whose data is rows 1..N0 of ``padded``, the same array
+    with one ghost row at each end of axis 0 (``ghost_rows`` fills them).
+    ``padded`` is not a dataclass field: ``with_data`` and
+    ``dataclasses.replace`` give fields without it."""
+
+    __slots__ = ("padded",)
+
+    @classmethod
+    def around(cls, field: GridField, padded: np.ndarray) -> "GhostField":
+        new = object.__new__(cls)
+        new.__dict__.update(field.with_data(padded[1:-1]).__dict__)
+        object.__setattr__(new, "padded", padded)
+        return new
 
 
 def first_true(mask: np.ndarray) -> tuple:
@@ -170,6 +194,16 @@ def _source(cell: int, direction: int, length: int, boundary: str) -> int:
     if 0 <= near < length:
         return near
     return near % length if boundary == "periodic" else cell
+
+
+def ghost_rows(length: int, boundary: str) -> tuple:
+    """(ghost, source) row pairs of an array that pads an axis of ``length``
+    cells with one ghost row at each end: ``padded[ghost] = padded[source]``
+    fills each by ``_source``'s rule, the far edge row (periodic) or the
+    near one (outflow).  Two row copies: one strided copy of both would go
+    through a temporary, since numpy sees the rows' bounds overlap."""
+    return ((0, _source(0, -1, length, boundary) + 1),
+            (length + 1, _source(length - 1, +1, length, boundary) + 1))
 
 
 class Stencil(NamedTuple):
@@ -317,27 +351,13 @@ def _copy(_, translate, out=None):
     return out
 
 
-def _subtract_from(held, translate, out=None):
-    """The ufunc form of ``Stencil.shift_into`` that writes translate - held."""
-    return np.subtract(translate, held, out=out)
-
-
-def planned_second_difference(plus: Stencil, minus: Stencil, out: np.ndarray,
-                              data: np.ndarray) -> np.ndarray:
-    """(translate(+1) - 2 data) + translate(-1) through the two translate
-    stencils, written to ``out`` (other than data), which holds 2 data until
-    the +1 translate is subtracted from it."""
-    # data + data is 2 data bit for bit, without a scalar operand
-    np.add(data, data, out=out)
-    plus.shift_into(_subtract_from, out, data)
-    return minus.shift_into(np.add, out, data)
-
-
 def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarray] = None,
                   out: Optional[np.ndarray] = None, rows: Optional[tuple] = None) -> np.ndarray:
     """Centered difference (u(x+h) - u(x-h)) / (2h) along one spatial axis,
     written to ``out`` (``out_array``).  With ``rows`` = (r0, r1), only the
-    rows r0 <= i < r1 of axis 0, which ``out`` holds."""
+    rows r0 <= i < r1 of axis 0 of ``component_data``, which ``out`` holds:
+    of a padded array (``GhostField``) the rows r0 >= 1 and r1 <= N0 + 1
+    read every axis-0 neighbour without edge cells."""
     data = field.data if component_data is None else component_data
     out = out_array(data, out, rows)
     diff = stencil(data.shape, axis, field.boundary, 0, rows).difference(out, data)

@@ -36,12 +36,18 @@ checked to return one value per cell (``core.batch_checked``).
 The steps follow numpy's ``out=`` idiom: ``lxf_average``, ``lxf_step``
 and ``viscous_step`` take the arrays they write from ``grid.out_array``.
 An RHS closure ``rhs(t, state)`` writes into a target array of its own.
-``run`` alternates two state buffers, and each RHS closure keeps its own
-scratch (a viscous run one spare array), so a step allocates no
-state-sized array beyond what user callables return.  ``run`` also hands
-every step one ``StepPlan``, so that a step on a small grid costs about
-its numpy calls; steps called without one check their arguments and
-build their own.
+``run`` hands every step one ``StepPlan``, so that a step on a small
+grid costs about its numpy calls; steps called without one check their
+arguments and build their own.  The plan owns the two state buffers that
+the run alternates, each with one ghost row at each end of axis 0
+(``grid.GhostField``): the step that writes a buffer fills its ghost rows
+by the boundary rule, one row copy each, so the next step reads every
+axis-0 neighbour as one slice of rows and each axis-0 translate or
+difference is one ufunc call, with no edge cells.  The flux is evaluated
+on the padded rows too: a flux is evaluated cell by cell, so a ghost
+row's flux is its source cell's, bit for bit.  Each RHS closure keeps its
+own scratch (a viscous run one spare array), so a step allocates no
+state-sized array beyond what user callables return.
 
 The stencils sweep the grid in row windows along axis 0
 (``grid.row_windows``, at most ``grid.WINDOW_BYTES`` of state each): an
@@ -49,8 +55,9 @@ RHS closure runs every difference and product of one window, over all
 axes, before the next, and ``lxf_step`` builds the average and adds
 k * RHS window by window, so each window's data is reused while it is
 still in cache.  Every element goes through the same operations in the
-same order, so the results do not depend on the windows.  Fields, fluxes
-and sources are evaluated once per call on the whole grid.
+same order, so the results do not depend on the windows or on the ghost
+rows.  Fields, fluxes and sources are evaluated once per call on the
+whole grid.
 
 A translate or a difference is one ``grid.stencil``, and no sum starts
 from a zero fill.  The averages divide by 2n through ``grid.divisor``, so
@@ -61,7 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -69,8 +76,8 @@ import numpy as np
 from .core import (ZERO, MatrixField, SystemDef, batch_checked, max_abs_speed, operand,
                    unit_normals)
 from .entropy import ConservationLaw
-from .grid import (GridField, c_contiguous, centered_diff, divisor, first_true, out_array,
-                   planned_second_difference, row_windows, stencil)
+from .grid import (GhostField, GridField, c_contiguous, centered_diff, divisor, first_true,
+                   ghost_rows, out_array, row_windows, stencil)
 
 
 class StabilityError(RuntimeError):
@@ -192,25 +199,35 @@ def lxf_average(state: GridField, out: Optional[np.ndarray] = None,
     """(1/2n) sum over axes of both neighbor translates, summed from zero
     in ``out`` (``grid.out_array``).  With ``rows`` = (r0, r1), only the
     rows r0 <= i < r1 of axis 0, which ``out`` holds.  Only ``lxf_step``
-    passes ``plan``, with ``out`` part of its own output: the average then
+    passes ``plan``, with ``state`` one of the plan's fields and ``out``
+    part of its own output: the average then reads the padded rows and
     makes no check."""
     if plan is None:
-        acc = out_array(state.data, out, rows)
-        translates, (scale, two_n) = _translates(state, rows), divisor(2.0 * state.n)
+        acc, data = out_array(state.data, out, rows), state.data
+        translates, (scale, two_n) = _translates(state, data.shape, rows), divisor(2.0 * state.n)
     else:
-        acc, translates, (scale, two_n) = out, plan.translates[rows], plan.two_n
+        acc, data, translates, (scale, two_n) = out, state.padded, plan.translates[rows], plan.two_n
     # the sum starts as translate + 0.0, which is 0.0 + translate bit for bit
     for ufunc, translate in translates:
-        translate.shift_into(ufunc, acc, state.data)
+        translate.shift_into(ufunc, acc, data)
     return scale(acc, two_n, out=acc)
 
 
-def _translates(state: GridField, rows: Optional[tuple]) -> tuple:
+def _translates(state: GridField, shape: tuple, rows: Optional[tuple]) -> tuple:
     """(ufunc, stencil) of the 2n translates that ``lxf_average`` sums in
-    order, for the rows ``rows`` of axis 0."""
+    order, for the rows ``rows`` of axis 0 of an array of ``shape``."""
     return tuple((np.add if j or d < 0 else _plus_zero,
-                  stencil(state.data.shape, j, state.boundary, d, rows))
+                  stencil(shape, j, state.boundary, d, rows))
                  for j in range(state.n) for d in (+1, -1))
+
+
+@lru_cache(maxsize=None)
+def _padded_windows(windows: tuple, length: int) -> tuple:
+    """The rows (r0 + 1, r1 + 1) of a padded array, one ghost row before
+    row 0, that hold each window (r0, r1) of an axis of ``length`` cells
+    (None: all of them)."""
+    return tuple((r0 + 1, r1 + 1) for r0, r1 in
+                 ((0, length) if rows is None else rows for rows in windows))
 
 
 def _plus_zero(_, translate, out=None):
@@ -289,23 +306,53 @@ def stacked_solve(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class StepPlan:
-    """What the steps on one grid share: the row windows, the stencils
-    (``grid.stencil``) of each window's average and of the viscous step
-    along axis 0, the ``grid.divisor`` pair of the average's 2n, and for
-    each step size k in ``ks`` k, k/(2h) and eps k/h^2; every operand is a
-    0-d array (``core.operand``)."""
+    """What the steps on one grid share: two state buffers with one ghost
+    row at each end of axis 0, as ``grid.GhostField``s (``fields``), and
+    their ghost rows' sources (``grid.ghost_rows``); the row windows and
+    the stencils (``grid.stencil``) of each window's average on the padded
+    rows; the ``grid.divisor`` pair of the average's 2n; and for each step
+    size k in ``ks`` k, k/(2h) and eps k/h^2, every operand a 0-d array
+    (``core.operand``).  A step reads ``load(state)`` and returns
+    ``field(state, out)``, which fills the ghost rows of the field it
+    writes, so the fields that steps, guards and monitors get always hold
+    their neighbours across axis 0."""
 
     def __init__(self, state: GridField, ks: tuple, viscosity: float = 0.0):
-        shape, boundary = state.data.shape, state.boundary
+        shape = state.data.shape
+        padded = (shape[0] + 2,) + shape[1:]
+        self.fields = tuple(GhostField.around(state, np.empty(padded)) for _ in range(2))
+        self.ghosts = ghost_rows(shape[0], state.boundary)
         self.windows = row_windows(state.data)[0]
-        self.translates = {rows: _translates(state, rows) for rows in self.windows}
-        self.axis0 = tuple(stencil(shape, 0, boundary, d) for d in (+1, -1, 0))
+        self.translates = {rows: _translates(state, padded, read) for rows, read
+                           in zip(self.windows, _padded_windows(self.windows, shape[0]))}
         scale, two_n = divisor(2.0 * state.n)
         self.two_n = scale, operand(two_n)
         h = state.h[0]
         self.k = {k: operand(k) for k in ks}
         self.heat = {k: (operand(k / (2.0 * h)), operand(viscosity * k / h ** 2))
                      for k in ks}
+
+    def _fill(self, field: GhostField) -> GhostField:
+        padded, ((ghost0, source0), (ghost1, source1)) = field.padded, self.ghosts
+        padded[ghost0] = padded[source0]
+        padded[ghost1] = padded[source1]
+        return field
+
+    def load(self, state: GridField) -> GhostField:
+        """``state`` as one of the plan's fields: itself, or else buffer 0
+        after a copy of its data, with the ghost rows filled."""
+        if state is self.fields[0] or state is self.fields[1]:
+            return state
+        np.copyto(self.fields[0].data, state.data)
+        return self._fill(self.fields[0])
+
+    def field(self, state: GridField, out: np.ndarray) -> GridField:
+        """The state a step wrote to ``out``: the plan's field that holds
+        ``out``, its ghost rows filled, else ``state`` holding ``out``."""
+        for field_ in self.fields:
+            if out is field_.data:
+                return self._fill(field_)
+        return state.with_data(out)
 
 
 def _workspace() -> Callable[[str, tuple], np.ndarray]:
@@ -333,8 +380,11 @@ def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]]
     and products in scratch sized to the largest row window, so a call
     allocates only what the user's callables return.  Each window gets
     every axis's terms before the next, summed from N (or 0.0) in axis
-    order.  The source and fluxes are evaluated once per call on the whole
-    grid and checked by ``batch_checked``; a state-dependent C_j is
+    order.  The differences read a step's state (a ``grid.GhostField``)
+    on its padded rows, any other on ``state.data`` with the edge cells.
+    The source and fluxes are evaluated once per call on the whole grid,
+    the fluxes on the rows the differences read (``_flux_values``), and
+    checked by ``batch_checked``; a state-dependent C_j is
     evaluated in the first window and dropped after the last, a constant
     one is split into single-entry layers here (``apply_layers``), whose
     products skip the + 0.0 when there is no source: the sum then starts
@@ -355,6 +405,10 @@ def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]]
     def rhs(t, state):
         u = state.data
         windows, depth = row_windows(u)
+        # a step's state reads its neighbours across axis 0 in its ghost rows
+        padded = getattr(state, "padded", None)
+        padded, reads = ((u, windows) if padded is None
+                         else (padded, _padded_windows(windows, u.shape[0])))
         target = scratch("target", u.shape)
         part = (depth,) + u.shape[1:]
         du = scratch("du", part)
@@ -362,15 +416,15 @@ def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]]
         spare = scratch("spare", part) if needs_spare else None
         x = state.points(t) if needs_x else None
         src = None if source is None else batch_checked(source(x, u), u.shape, 1, "source")
-        ws = [u if f is None else batch_checked(f(u), u.shape, 1, f"flux[{j}]")
+        ws = [padded if f is None else _flux_values(f, f"flux[{j}]", u, padded)
               for j, f in enumerate(fluxes)]
         fields = [None] * len(coeffs)
-        for rows in windows:
+        for rows, read in zip(windows, reads):
             acc, du_w, product_w = _rows(target, rows), _head(du, rows), _head(product, rows)
             # the sum starts from 0.0 or the source: start - C_1 D_1 w_1
             start = ZERO if src is None else _rows(src, rows)
             for j, coeff in enumerate(coeffs):
-                centered_diff(state, j, ws[j], out=du_w, rows=rows)
+                centered_diff(state, j, ws[j], out=du_w, rows=read)
                 if layers[j] is not None:
                     apply_layers(layers[j], du_w, out=product_w, spare=_head(spare, rows),
                                  plus_zero=source is not None)
@@ -391,6 +445,19 @@ def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]]
     return rhs
 
 
+def _flux_values(flux: Callable, what: str, data: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``flux(rows)`` as floats, one value per row of ``rows``: ``data`` or
+    its padded array, whose ghost rows get their source cells' values bit
+    for bit, since a flux is evaluated cell by cell.  A flux of another
+    shape is refused as ``batch_checked`` refuses ``flux(data)``, naming
+    the grid's shape."""
+    values = np.asarray(flux(rows), dtype=float)
+    if values.shape != rows.shape:
+        batch_checked(flux(data), data.shape, 1, what)
+        batch_checked(values, rows.shape, 1, what)
+    return values
+
+
 def system_rhs(sys: SystemDef) -> Callable[[float, GridField], np.ndarray]:
     """RHS closure ``rhs(t, state)`` of M0^-1 [N - sum_j M^j D_j u] for a
     quasi-linear system: ``_window_rhs`` with w_j = u and C_j = M^j."""
@@ -408,16 +475,19 @@ def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
              config: SchemeConfig, t: float = 0.0, k: Optional[float] = None,
              out: Optional[np.ndarray] = None, plan: Optional[StepPlan] = None) -> GridField:
     """One Lax-Friedrichs step of size k (default lam * h), its state's
-    data written to ``out`` (``grid.out_array``).  The array
+    data written to ``out`` (``grid.out_array``).  ``rhs`` gets the state
+    as ``StepPlan.load`` gives it, with ghost rows.  The array
     ``rhs(t, state)`` returns is scaled by k in place, as the RHS closures
     allow.  The average and the update run window by window
-    (``row_windows``).  Only ``run`` passes ``plan``,
-    built for this grid and k, with ``out`` its own buffer: the step then
-    makes no check."""
+    (``row_windows``).  Only ``run`` passes ``plan``, built for this grid
+    and k, with ``out`` the data of one of its fields: the step then makes
+    no check.  A step without one builds its own plan, which copies the
+    state into a buffer of it."""
     if plan is None:
         k = config.lam * _uniform_h(state) if k is None else k
         out = out_array(state.data, out)
         plan = StepPlan(state, (k,))
+    state = plan.load(state)
     scaled = rhs(t, state)
     k = plan.k[k]
     for rows in plan.windows:
@@ -425,7 +495,7 @@ def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
         lxf_average(state, out=part, rows=rows, plan=plan)
         np.multiply(step, k, out=step)
         np.add(part, step, out=part)
-    return state.with_data(out)
+    return plan.field(state, out)
 
 
 def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
@@ -437,9 +507,11 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     centered flux difference plus the explicit three-point heat stencil.
     The new data is written to ``out``; ``spare`` holds the heat term.
     Both come from ``grid.out_array``, and ``spare`` must not overlap
-    ``out`` either.  Only ``run`` passes ``plan``, built for this grid, k
-    and the viscosity, with ``out`` and ``spare`` its own buffers: the step
-    then makes no check."""
+    ``out`` either.  The state (``StepPlan.load``) and its flux are read
+    on the padded rows, so each translate is a slice of rows.  Only ``run``
+    passes ``plan``, built for this grid, k and the viscosity, with ``out``
+    and ``spare`` its own buffers, as in ``lxf_step``: the step then makes
+    no check."""
     if state.n != 1 or law.n != 1:
         raise ValueError("viscous stepping is implemented for one space dimension")
     if plan is None:
@@ -448,14 +520,18 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
         spare = out_array(out, out_array(state.data, spare, name="spare"), name="spare")
         k = config.lam * state.h[0] if k is None else k
         plan = StepPlan(state, (k,), config.viscosity)
-    data = state.data
-    plus, minus, difference = plan.axis0
+    state = plan.load(state)
+    data, u = state.data, state.padded
     flux_scale, heat_scale = plan.heat[k]
     # the operations of data - c (tau+ f - tau- f) + d ((tau+ u - 2u) + tau- u),
-    # in that order; the heat term is built in spare, from 2u up, after the
-    # flux is dropped
-    difference.difference(out, batch_checked(law.flux[0](data), data.shape, 1, "flux[0]"))
-    planned_second_difference(plus, minus, spare, data)
+    # in that order; the heat term is built in spare, from 2u (data + data,
+    # without a scalar operand) up, after the flux is dropped
+    flux = _flux_values(law.flux[0], "flux[0]", data, u)
+    np.subtract(flux[2:], flux[:-2], out=out)
+    del flux
+    np.add(data, data, out=spare)
+    np.subtract(u[2:], spare, out=spare)
+    np.add(spare, u[:-2], out=spare)
     np.multiply(spare, heat_scale, out=spare)
     np.multiply(out, flux_scale, out=out)
     np.subtract(data, out, out=out)
@@ -463,7 +539,7 @@ def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
     if law.source is not None:
         out += plan.k[k] * batch_checked(law.source(state.points(t), data), data.shape, 1,
                                          "source")
-    return state.with_data(out)
+    return plan.field(state, out)
 
 
 def _box_violation(system, state: GridField) -> Optional[tuple]:
@@ -567,11 +643,12 @@ def run(system, initial: GridField, config: SchemeConfig,
     dimension, raise ValueError, before any member of the model is
     evaluated.
 
-    The run owns two state buffers and alternates between them, step i
-    reading one and writing the other through the steppers' ``out=``; the
-    RHS closure it builds keeps one scratch set, and a viscous run keeps
-    one more array for the heat term.  A state handed to a monitor is
-    valid only during that call; the trace keeps copies.
+    The run's ``StepPlan`` owns two state buffers with ghost rows, and
+    the run alternates between them: step i reads one and writes the
+    interior of the other, ``plan.fields[i % 2]``, through the steppers'
+    ``out=``.  The RHS closure it builds keeps one scratch set, and a
+    viscous run keeps one more array for the heat term.  A state handed to
+    a monitor is valid only during that call; the trace keeps copies.
 
     Each new state goes through the run's ``_guards``; the first violation
     ends the run with an ``abort`` event that names the step, t and the
@@ -636,14 +713,14 @@ def run(system, initial: GridField, config: SchemeConfig,
                          "lambda": config.lam, "k": k, "steps": total_steps,
                          "ok": True})
 
-    # step i writes buffers[i % 2] and reads the other (the initial data at i = 1)
-    buffers = (np.empty(initial.data.shape), np.empty(initial.data.shape))
+    # step i writes plan.fields[i % 2] and reads the other (at i = 1 the
+    # initial state, which the step copies into plan.fields[0])
     state = initial
     record(0.0, state)
     t = 0.0
     for i in range(1, total_steps + 1):
         k_step = k if i <= n_full else remainder
-        state = stepper(state, t=t, k=k_step, out=buffers[i % 2])
+        state = stepper(state, t=t, k=k_step, out=plan.fields[i % 2].data)
         t = i * k if i <= n_full else config.t_end
         trace.steps = i
         for guard in guards:

@@ -281,6 +281,17 @@ class TestParseConfig:
         ("viscous_limit.eps", "0.0", "entries must be > 0"),
         ("viscous_limit.t", "0", "must be positive"),
         ("viscous_limit.t", "-0.5", "must be positive"),
+        # these exited 1 with a false verdict row instead
+        ("support.radius", "-0.1", "must be positive"),
+        ("support.radius", "0", "must be positive"),
+        ("support.margin_cells", "-40", "must be non-negative"),
+        ("support.tol", "-1", "must be non-negative"),
+        ("constraints.factor", "-1", "must be non-negative"),
+        ("constraints.floor", "-1e-12", "must be non-negative"),
+        ("entropy_pair.tol", "-1e-8", "must be non-negative"),
+        ("rh.tol", "-1", "must be non-negative"),
+        ("riemann.tol", "-0.5", "must be non-negative"),
+        ("viscous_limit.slack", "-0.1", "must be non-negative"),
     ])
     def test_check_parameter_limits_name_key_and_line(self, key, value, rule):
         check = key.partition(".")[0]
@@ -289,6 +300,18 @@ class TestParseConfig:
             parse_config(text)
         # viscous_limit's other required parameters are missing, on line 0
         assert [error for error in info.value.errors if error[0]] == [(5, f"'{key}' {rule}")]
+
+    @pytest.mark.parametrize("key", ["support.margin_cells", "support.tol",
+                                     "constraints.factor", "constraints.floor",
+                                     "entropy_pair.tol", "rh.tol", "riemann.tol",
+                                     "viscous_limit.slack"])
+    def test_non_negative_check_parameters_take_zero(self, key):
+        check, _, param = key.partition(".")
+        entry = registry.CHECKS[check]
+        required = "".join(f"{check}.{name} = {self.KIND_SAMPLES[entry.params[name]][0]}\n"
+                           for name in entry.required)
+        text = f"[model]\nname = burgers\n[checks]\nnames = {check}\n{required}{key} = 0\n"
+        assert parse_config(text).checks_params[check][param] == 0
 
     # kind -> (a value as written, as parsed) for the check parameter test
     KIND_SAMPLES = {"int": ("2", 2), "float": ("0.5", 0.5), "str": ("a", "a"),

@@ -18,12 +18,12 @@ from hypothesis import given, settings, strategies as st
 from shsys import grid, profiles
 from shsys.core import MatrixField, SystemDef
 from shsys.entropy import ConservationLaw
-from shsys.grid import GridField, _subtract_from, centered_diff, row_windows, stencil
-from shsys.lxf import (SchemeConfig, law_rhs, lxf_average, lxf_step, run, system_rhs,
-                       viscous_step)
-from shsys.models import maxwell_system, wave_system
+from shsys.grid import GhostField, GridField, centered_diff, row_windows, stencil
+from shsys.lxf import (SchemeConfig, apply_layers, law_rhs, lxf_average, lxf_step, run,
+                       single_entry_layers, system_rhs, viscous_step)
+from shsys.models import burgers_law, maxwell_system, wave_system
 
-from test_grid_profiles import roll_shift
+from test_grid_profiles import roll_shift, same_bits
 from test_step_workspace import CASES, burgers_case, maxwell_wave
 
 WHOLE = 10 ** 12    # a budget every test grid fits
@@ -145,6 +145,11 @@ def bits(a):
     return a.view(np.int64)
 
 
+def subtract_from(held, translate, out=None):
+    """A ufunc-shaped operation whose operands do not commute: translate - held."""
+    return np.subtract(translate, held, out=out)
+
+
 class TestFlatPass:
     """Every stencil call runs one plan: one interior call, on the flat
     views off axis 0, and the edge cells.  The np.roll reference holds the
@@ -169,7 +174,7 @@ class TestFlatPass:
         start = stencil_arrays(draw, part, nan)
         plus, minus = (roll_shift(data, axis, d, boundary)[window] for d in (1, -1))
         with np.errstate(all="ignore"):
-            for ufunc in (np.add, np.subtract, _subtract_from):
+            for ufunc in (np.add, np.subtract, subtract_from):
                 for direction, translate in ((1, plus), (-1, minus)):
                     got = stencil(shape, axis, boundary, direction, rows).shift_into(
                         ufunc, start.copy(), data)
@@ -486,3 +491,201 @@ class TestOverlappingOutput:
         np.copyto(buf[0], initial.data)
         out = buf[1]
         assert lxf_step(state, law_rhs(law), config, out=out).data is out
+
+
+# ---------------------------------------------------------------------------
+# ghost rows: a step reads axis 0 of its state from a padded buffer whose two
+# ghost rows hold the boundary rule's neighbours; these tests hold steps and
+# runs to references that translate by np.take index maps, bit for bit
+
+GHOST_LENGTHS = [1, 2, 3, 17]
+# signed zeros and subnormals; the steps also get infinities and a NaN
+TINY = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.2250738585072014e-308]
+
+
+def take_translate(a, axis, direction, boundary):
+    """a read at cell i + direction along ``axis``: past an edge the far
+    edge cell (periodic) or the cell itself (outflow)."""
+    length = a.shape[axis]
+    idx = np.arange(length) + direction
+    idx = idx % length if boundary == "periodic" else np.clip(idx, 0, length - 1)
+    return np.take(a, idx, axis=axis)
+
+
+def take_difference(a, axis, boundary):
+    return take_translate(a, axis, +1, boundary) - take_translate(a, axis, -1, boundary)
+
+
+def take_average(u, n, boundary):
+    """The average's translates, summed from translate + 0.0 in axis order."""
+    acc = take_translate(u, 0, +1, boundary) + 0.0
+    acc = acc + take_translate(u, 0, -1, boundary)
+    for j in range(1, n):
+        acc = acc + take_translate(u, j, +1, boundary)
+        acc = acc + take_translate(u, j, -1, boundary)
+    return acc / (2.0 * n)
+
+
+def mixing_flux(a, b):
+    """f(u) = a u + b (u with its two components swapped), cell by cell
+    in ufuncs, so its bits do not depend on the batch."""
+    return lambda u: a * u + b * u[..., ::-1]
+
+
+def ghost_source(x, u):
+    return 0.1 * np.cos(3.0 * x[..., 1:2]) - 0.2 * u
+
+
+def ghost_models(n, with_source):
+    """A 2-component law with mixing fluxes and the constant system of the
+    same Jacobians [[a, b], [b, a]], both with or without a source."""
+    rng = np.random.default_rng(1000 + n)
+    ab = rng.uniform(-0.5, 0.5, (n, 2))
+    source = ghost_source if with_source else None
+    law = ConservationLaw(n=n, m=2, flux=tuple(mixing_flux(a, b) for a, b in ab),
+                          state_box=([-10.0, -10.0], [10.0, 10.0]), source=source)
+    mats = [np.array([[a, b], [b, a]]) for a, b in ab]
+    sys = SystemDef(n=n, m=2, source=source, coeff=(MatrixField.constant(np.eye(2)),)
+                    + tuple(MatrixField.constant(mat) for mat in mats))
+    return law, sys, mats
+
+
+def ghost_state(n, length, boundary, nonfinite, seed):
+    shape = (length,) + (3, 2)[:n - 1]
+    h = 0.25 if seed % 2 else 0.3   # 2h a power of two, or not
+    grid_ = GridField.zeros(shape, h, -0.4, 2, boundary)
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-1.0, 1.0, grid_.data.shape)
+    flat = data.reshape(-1)
+    pool = TINY + ([np.inf, -np.inf, np.nan] if nonfinite else [])
+    picks = rng.choice(flat.size, size=max(1, flat.size // 3), replace=False)
+    flat[picks] = rng.choice(pool, size=picks.size)
+    return grid_.with_data(data)
+
+
+def take_rhs(model, mats, state, t):
+    """N - sum_j C_j D_j w_j with D_j by np.take maps; the law's w_j is its
+    flux on the grid's cells, the system's C_j D_j u the layered product
+    (which multiplies the zeros of each layer too, so it is NaN where the
+    contraction would be inf)."""
+    u = state.data
+    acc = 0.0 if model.source is None else model.source(state.points(t), u)
+    for j in range(state.n):
+        w = u if isinstance(model, SystemDef) else model.flux[j](u)
+        d = take_difference(w, j, state.boundary) / (2.0 * state.h[j])
+        acc = acc - (apply_layers(single_entry_layers(mats[j]), d,
+                                  plus_zero=model.source is not None)
+                     if isinstance(model, SystemDef) else d)
+    return acc
+
+
+def take_lxf_step(model, mats, state, t, k):
+    return take_average(state.data, state.n, state.boundary) + take_rhs(model, mats, state, t) * k
+
+
+def take_viscous_step(law, state, t, k, eps):
+    u, h, boundary = state.data, state.h[0], state.boundary
+    out = take_difference(law.flux[0](u), 0, boundary) * (k / (2.0 * h))
+    out = u - out
+    heat = (take_translate(u, 0, +1, boundary) - (u + u)) + take_translate(u, 0, -1, boundary)
+    out = out + heat * (eps * k / h ** 2)
+    if law.source is not None:
+        out = out + k * law.source(state.points(t), u)
+    return out
+
+
+def window_budget(state, rows_per_window):
+    return budget(rows_per_window * row_bytes(state.data))
+
+
+def ghost_cases(ns):
+    return [(n, length, boundary, rows) for n in ns for length in GHOST_LENGTHS
+            for boundary in ("periodic", "outflow") for rows in (1, 2)]
+
+
+class RhsProbe:
+    """A monitor that evaluates an RHS closure on the state it is shown,
+    a run's ``GhostField`` between steps, and on a plain copy of it."""
+
+    name = "rhs_probe"
+
+    def __init__(self, rhs):
+        self.rhs, self.same = rhs, []
+
+    def evaluate(self, state):
+        plain = state.with_data(state.data.copy())
+        self.same.append(self.rhs(0.3, state).tobytes() == self.rhs(0.3, plain).tobytes())
+        return 0.0
+
+
+class TestGhostRows:
+    def test_a_ghost_field_hands_out_plain_fields(self):
+        grid_ = GridField.zeros((3, 2), 0.5, 0.0, 1)
+        padded = np.arange(10.0).reshape(5, 2, 1)
+        ghost = GhostField.around(grid_, padded)
+        assert ghost.padded is padded and ghost.data.tobytes() == padded[1:-1].tobytes()
+        assert np.shares_memory(ghost.data, padded)
+        assert type(ghost.with_data(np.zeros((3, 2, 1)))) is GridField
+        # a replaced field has no padded array, so its RHS reads the edge cells
+        assert getattr(replace(ghost, data=np.zeros((3, 2, 1))), "padded", None) is None
+
+    @pytest.mark.parametrize("n, length, boundary, rows", ghost_cases((1, 2, 3)))
+    def test_lxf_step_equals_the_take_reference(self, n, length, boundary, rows):
+        state = ghost_state(n, length, boundary, True, seed=length + rows)
+        law, sys, mats = ghost_models(n, boundary == "outflow")
+        config = SchemeConfig(lam=0.2, t_end=1.0)
+        k = 0.2 * state.h[0]
+        with window_budget(state, rows), np.errstate(all="ignore"):
+            assert length <= rows or len(row_windows(state.data)[0]) > 1
+            for model, build in ((law, law_rhs), (sys, system_rhs)):
+                got = lxf_step(state, build(model), config, t=0.3, k=k)
+                want = take_lxf_step(model, mats, state, 0.3, k)
+                assert same_bits(got.data, want)
+                # the RHS called on a plain state pays the edge cells
+                assert same_bits(build(model)(0.3, state), take_rhs(model, mats, state, 0.3))
+
+    @pytest.mark.parametrize("n, length, boundary, rows", ghost_cases((1,)))
+    @pytest.mark.parametrize("burgers", [False, True])
+    def test_viscous_step_equals_the_take_reference(self, n, length, boundary, rows, burgers):
+        state = ghost_state(1, length, boundary, True, seed=length + 2 * rows)
+        law = ghost_models(1, boundary == "outflow")[0]
+        if burgers:
+            law = replace(burgers_law()[0], source=law.source)
+            state = GridField.zeros(state.shape, state.h, state.origin, 1,
+                                    boundary).with_data(state.data[..., :1].copy())
+        eps = 0.01
+        config = SchemeConfig(lam=0.2, t_end=1.0, viscosity=eps)
+        k = 0.2 * state.h[0]
+        with window_budget(state, rows), np.errstate(all="ignore"):
+            got = viscous_step(state, law, config, t=0.3, k=k)
+            assert same_bits(got.data, take_viscous_step(law, state, 0.3, k, eps))
+
+    @pytest.mark.parametrize("n, length, boundary, rows, kind", [
+        case + (kind,) for case in ghost_cases((1, 2, 3))
+        for kind in ("law", "system", "viscous")[:3 if case[0] == 1 else 2]])
+    def test_runs_equal_the_take_reference(self, n, length, boundary, rows, kind):
+        initial = ghost_state(n, length, boundary, False, seed=3 * length + rows)
+        law, sys, mats = ghost_models(n, boundary == "outflow")
+        model = sys if kind == "system" else law
+        k = 0.2 * initial.h[0]
+        eps = 0.4 * initial.h[0] ** 2 / k if kind == "viscous" else 0.0
+        # three full steps and a remainder, each recorded
+        config = SchemeConfig(lam=0.2, t_end=3.5 * k, viscosity=eps)
+        probe = RhsProbe(law_rhs(law) if kind == "law" else system_rhs(sys))
+        with window_budget(initial, rows):
+            trace = run(model, initial, config, [] if kind == "viscous" else [probe])
+            assert trace.completed and trace.steps == 4
+            assert probe.same == [True] * (0 if kind == "viscous" else 5)
+            state, t = initial, 0.0
+            for i, snap in enumerate(trace.snapshots[1:], 1):
+                k_i = k if i <= 3 else config.t_end - 3 * k
+                want = (take_viscous_step(law, state, t, k_i, eps) if kind == "viscous"
+                        else take_lxf_step(model, mats, state, t, k_i))
+                assert snap.data.tobytes() == want.tobytes()
+                # a step without a plan gets the run's bits
+                alone = (viscous_step(state, law, config, t=t, k=k_i) if kind == "viscous"
+                         else lxf_step(state, (law_rhs(law) if kind == "law"
+                                              else system_rhs(sys)), config, t=t, k=k_i))
+                assert alone.data.tobytes() == snap.data.tobytes()
+                assert type(alone) is GridField and type(snap) is GridField
+                state, t = snap, trace.times[i]
