@@ -1,20 +1,18 @@
 """Uniform Cartesian grids of cell-centered states, with shift and
 centered-difference operators for periodic and outflow boundaries.
 
-The boundary rule is written once, in ``_source``.  A step reads its
-state with one ghost row at each end of axis 0 (``GhostField``, in
-buffers that ``lxf.StepPlan`` owns), whose two rows ``ghost_rows`` fills
-by that rule, one row copy each, so an axis-0 translate or difference
-inside a step is one slice of the padded array and one ufunc call.  Every translate and difference is a ``Stencil`` that applies
-itself: one interior call, then the edge cells, of which the rows r0+1
-<= i < r1+1 of a padded array have none on axis 0.  ``stencil`` lays one
-out and caches it; it is the one public way to a translate
+The boundary rule is written once, in ``_source``.  Every stencil reads
+its data with one ghost row at each end of axis 0, which ``ghost_rows``
+fills by that rule, one row copy each: a step's state holds them
+(``GhostField``, in buffers that ``lxf.StepPlan`` owns), any other data
+is padded once in a copy (``padded``; ``ghosted`` picks).  So an axis-0
+translate or difference is one slice of the padded rows per operand and
+one ufunc call, of any layout, with no edge cells.  ``stencil`` lays out
+a ``Stencil`` and caches it; it is the one public way to a translate
 (``Stencil.shift_into``) or a difference (``Stencil.difference``).
 ``centered_diff`` looks its stencil up on every call, ``lxf.StepPlan``
 once a run; ``shifted`` (the reference, held to ``np.roll`` by the
-tests) is ``shift_into`` with a copy.  Called on a state without ghost
-rows (monitors, tests), they pay the edge cells.  On axis 0 the interior
-is a slice of rows, of any layout.  Along an axis j >= 1 of a
+tests) is ``shift_into`` with a copy.  Along an axis j >= 1 of a
 C-contiguous array one cell is a step of s = prod(shape[j+1:]) in the
 flat view, so the interiors of all lines are one contiguous call,
 ufunc(out[:-s], data[s:]) or its mirror, where a strided region would go
@@ -24,9 +22,9 @@ it.  There a strided ``data`` is copied once by its flat view and a
 strided ``out`` is refused.  The public functions take their ``out``
 from ``out_array``.  Every element gets one operation on the same
 operands in the same order, so the results are bit-identical on every
-axis, window and layout, with or without ghost rows, except for which
-NaN comes back where both operands are NaNs: numpy's loops return
-either.
+axis, window and layout, whether the ghost rows are a step's or a
+copy's, except for which NaN comes back where both operands are NaNs:
+numpy's loops return either.
 
 A division by d = +-2^e is a multiplication by 1/d (``divisor``) when 1/d
 is finite: x / d and x * 2^-e have the same exact value, and IEEE 754
@@ -128,7 +126,7 @@ class GridField:
 
     def is_finite(self) -> bool:
         # a finite sum proves every summand finite; a sum that overflows
-        # (numpy warns) falls back to the element-wise test
+        # (numpy warns outside lxf.run) falls back to the element-wise test
         return (math.isfinite(np.add.reduce(self.data, axis=None))
                 or bool(np.all(np.isfinite(self.data))))
 
@@ -142,7 +140,8 @@ class GhostField(GridField):
     """A GridField whose data is rows 1..N0 of ``padded``, the same array
     with one ghost row at each end of axis 0 (``ghost_rows`` fills them).
     ``padded`` is not a dataclass field: ``with_data`` and
-    ``dataclasses.replace`` give fields without it."""
+    ``dataclasses.replace`` give fields without it, which ``ghosted``
+    pads as plain states."""
 
     __slots__ = ("padded",)
 
@@ -207,25 +206,23 @@ def ghost_rows(length: int, boundary: str) -> tuple:
 
 
 class Stencil(NamedTuple):
-    """A translate or difference along one axis, as ``stencil`` lays it out:
-    ``interior`` = (cells, *sources) slices, of the flat views when
-    ``flat``; ``edges`` and ``seams`` = (cells, *sources) of the edge
-    cells, which the interior call crosses only when they are seams;
-    ``reads`` the rows of data an off-axis window reads (None: all)."""
+    """A translate or difference along one axis, as ``stencil`` lays it out
+    on an array padded with one ghost row at each end of axis 0:
+    ``interior`` = (cells, *sources) slices, of the padded array on axis 0
+    and of the flat views of its rows ``reads`` on any other axis;
+    ``seams`` = (cells, *sources) of the edge cells between lines, which
+    that flat call crosses."""
 
-    flat: bool
     interior: tuple
-    edges: tuple
-    seams: tuple
+    seams: tuple = ()
     reads: Optional[slice] = None
 
-    def shift_into(self, ufunc, out: np.ndarray, data: np.ndarray) -> np.ndarray:
-        """out = ufunc(out, translate of data) in place, without building
-        the translate."""
-        flat, (cells, sources), edges, seams, reads = self
-        if reads is not None:
-            data = data[reads]
-        o, d = _flat_views(out, data) if flat else (out, data)
+    def shift_into(self, ufunc, out: np.ndarray, padded: np.ndarray) -> np.ndarray:
+        """out = ufunc(out, translate of the data that ``padded`` pads) in
+        place, without building the translate."""
+        (cells, sources), seams, reads = self
+        data = padded if reads is None else padded[reads]
+        o, d = (out, data) if reads is None else _flat_views(out, data)
         if seams:
             # their values, before the interior call overwrites them; a
             # contiguous copy leaves one operand to numpy's buffers
@@ -234,23 +231,18 @@ class Stencil(NamedTuple):
                 ufunc(value, data[source], out=value)
         view = o[cells]
         ufunc(view, d[sources], out=view)
-        for cells, sources in edges:
-            # not in place: on a one-element row numpy takes twice as long in place
-            out[cells] = ufunc(out[cells], data[sources])
         if seams:
             for value, (seam, _) in zip(saved, seams):
                 out[seam] = value
         return out
 
-    def difference(self, out: np.ndarray, data: np.ndarray) -> np.ndarray:
-        """out = translate(+1) - translate(-1) of data, in one pass."""
-        flat, (cells, plus, minus), edges, seams, reads = self
-        if reads is not None:
-            data = data[reads]
-        o, d = _flat_views(out, data) if flat else (out, data)
+    def difference(self, out: np.ndarray, padded: np.ndarray) -> np.ndarray:
+        """out = translate(+1) - translate(-1) of the data that ``padded``
+        pads, in one pass."""
+        (cells, plus, minus), seams, reads = self
+        data = padded if reads is None else padded[reads]
+        o, d = (out, data) if reads is None else _flat_views(out, data)
         np.subtract(d[plus], d[minus], out=o[cells])
-        for cells, plus, minus in edges:
-            np.subtract(data[plus], data[minus], out=out[cells])
         for cells, plus, minus in seams:
             # through a contiguous copy, as in shift_into
             value = data[plus].copy()
@@ -264,37 +256,46 @@ def stencil(shape: tuple, axis: int, boundary: str, direction: int,
             rows: Optional[tuple] = None) -> Stencil:
     """The ``Stencil`` of a translate (``direction`` +1 or -1) or a
     difference (0) along ``axis`` of an array of ``shape``, for the rows
-    ``rows`` of axis 0 that out holds.  Axis 0 reads its neighbours across
-    the window's edges; any other axis reads only the window's rows."""
-    if rows is not None and axis:
-        window = (rows[1] - rows[0],) + shape[1:]
-        return stencil(window, axis, boundary, direction)._replace(reads=slice(*rows))
+    ``rows`` = (r0, r1) of axis 0 that out holds (None: all).  It reads
+    that array padded (``padded``): on axis 0 each operand is one slice of
+    rows, ghost rows included; any other axis reads the rows r0+1..r1 of
+    the padded array only."""
     directions = (direction,) if direction else (+1, -1)
-    length = shape[axis]
-    r0, r1 = (0, length) if rows is None else rows
-    # interior cells have every neighbour inside the axis; off axis 0 one
-    # cell is a step of s in the flat view, and one run spans all lines
-    lo = max(r0, 1 if -1 in directions else 0)
-    hi = min(r1, length - 1 if +1 in directions else length)
+    r0, r1 = (0, shape[0]) if rows is None else rows
+    if not axis:
+        return Stencil((slice(None),) + tuple(slice(r0 + 1 + d, r1 + 1 + d) for d in directions))
+    # one cell is a step of s in the flat view of the window, and one run
+    # spans the interior cells of all lines
+    length, s = shape[axis], math.prod(shape[axis + 1:])
+    lo, hi = 1 if -1 in directions else 0, length - 1 if +1 in directions else length
     interior = (slice(0, 0),) * (1 + len(directions))
     if lo < hi:
-        s = math.prod(shape[axis + 1:]) if axis else 1
-        cells = slice((lo - r0) * s, math.prod(shape) - (length - hi) * s if axis else hi - r0)
-        interior = (cells,) + tuple(slice(cells.start + (r0 + d) * s, cells.stop + (r0 + d) * s)
+        cells = slice(lo * s, (r1 - r0) * math.prod(shape[1:]) - (length - hi) * s)
+        interior = (cells,) + tuple(slice(cells.start + d * s, cells.stop + d * s)
                                     for d in directions)
-    # the other cells of the window, each with its source per direction
-    picks = [(i - r0,) + tuple(_source(i, d, length, boundary) for d in directions)
-             for i in sorted({*range(r0, lo), *range(hi, r1)})]
-    if axis:
-        lead = (slice(None),) * axis
-        return Stencil(True, interior, (), tuple(tuple(lead + (slice(j, j + 1),) for j in pick)
-                                                 for pick in picks))
-    # on axis 0 both edge cells go in one strided call when slices pick them
-    if len(picks) == 2 and all(a != b for a, b in zip(*picks)):
-        return Stencil(False, interior, (tuple(slice(a, 2 * b - a if 2 * b >= a else None, b - a)
-                                               for a, b in zip(*picks)),), ())
-    return Stencil(False, interior, tuple(tuple(slice(j, j + 1) for j in pick)
-                                          for pick in picks), ())
+    # the edge cells, each with its source per direction
+    lead = (slice(None),) * axis
+    seams = tuple(tuple(lead + (slice(j, j + 1),) for j in
+                        (i, *(_source(i, d, length, boundary) for d in directions)))
+                  for i in sorted({*range(lo), *range(hi, length)}))
+    return Stencil(interior, seams, slice(r0 + 1, r1 + 1))
+
+
+def padded(data: np.ndarray, boundary: str) -> np.ndarray:
+    """A new float array holding ``data`` with one ghost row at each end of
+    axis 0, which ``ghost_rows`` fills: the array that a ``Stencil`` reads."""
+    out = np.empty((data.shape[0] + 2,) + data.shape[1:], dtype=np.result_type(data, 1.0))
+    out[1:-1] = data
+    for ghost, source in ghost_rows(data.shape[0], boundary):
+        out[ghost] = out[source]
+    return out
+
+
+def ghosted(state: GridField) -> np.ndarray:
+    """``state.data`` with its ghost rows: the ``GhostField.padded`` of a
+    step's state, else a padded copy (``padded``)."""
+    held = getattr(state, "padded", None)
+    return padded(state.data, state.boundary) if held is None else held
 
 
 def _flat_views(out: np.ndarray, data: np.ndarray) -> tuple:
@@ -338,9 +339,10 @@ def shifted(data: np.ndarray, axis: int, direction: int, boundary: str,
     """Neighbor values along a spatial axis: direction +1 samples at x + h
     (the forward translate), -1 at x - h.  Periodic wraps the far edge
     cell in, outflow replicates the near one.  Written to ``out``
-    (``out_array``), bit for bit."""
+    (``out_array``), bit for bit, from a padded copy of ``data``."""
     out = out_array(data, out)
-    return stencil(data.shape, axis, boundary, direction).shift_into(_copy, out, data)
+    return stencil(data.shape, axis, boundary, direction).shift_into(
+        _copy, out, padded(data, boundary))
 
 
 def _copy(_, translate, out=None):
@@ -352,15 +354,15 @@ def _copy(_, translate, out=None):
 
 
 def centered_diff(field: GridField, axis: int, component_data: Optional[np.ndarray] = None,
-                  out: Optional[np.ndarray] = None, rows: Optional[tuple] = None) -> np.ndarray:
-    """Centered difference (u(x+h) - u(x-h)) / (2h) along one spatial axis,
-    written to ``out`` (``out_array``).  With ``rows`` = (r0, r1), only the
-    rows r0 <= i < r1 of axis 0 of ``component_data``, which ``out`` holds:
-    of a padded array (``GhostField``) the rows r0 >= 1 and r1 <= N0 + 1
-    read every axis-0 neighbour without edge cells."""
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Centered difference (u(x+h) - u(x-h)) / (2h) along one spatial axis
+    of ``component_data`` (the state's data when None), written to ``out``
+    (``out_array``).  It reads the data with its ghost rows: those a
+    step's state holds (``ghosted``), else a padded copy."""
     data = field.data if component_data is None else component_data
-    out = out_array(data, out, rows)
-    diff = stencil(data.shape, axis, field.boundary, 0, rows).difference(out, data)
+    out = out_array(data, out)
+    ghosts = ghosted(field) if component_data is None else padded(data, field.boundary)
+    diff = stencil(data.shape, axis, field.boundary, 0).difference(out, ghosts)
     ufunc, operand = divisor(2.0 * field.h[axis])
     return ufunc(diff, operand, out=diff)
 

@@ -38,12 +38,13 @@ and ``viscous_step`` take the arrays they write from ``grid.out_array``.
 An RHS closure ``rhs(t, state)`` writes into a target array of its own.
 ``run`` hands every step one ``StepPlan``, so that a step on a small
 grid costs about its numpy calls; steps called without one check their
-arguments and build their own.  The plan owns the two state buffers that
-the run alternates, each with one ghost row at each end of axis 0
-(``grid.GhostField``): the step that writes a buffer fills its ghost rows
-by the boundary rule, one row copy each, so the next step reads every
-axis-0 neighbour as one slice of rows and each axis-0 translate or
-difference is one ufunc call, with no edge cells.  The flux is evaluated
+arguments and build their own.  Every stencil reads axis-0 neighbours
+from ghost rows (``grid``'s one rule): the plan owns the two state
+buffers that the run alternates, each with one ghost row at each end of
+axis 0 (``grid.GhostField``), and the step that writes a buffer fills its
+ghost rows by the boundary rule, one row copy each; a state without them
+is padded once in a copy (``grid.ghosted``).  So each axis-0 translate or
+difference is one ufunc call on slices of rows.  The flux is evaluated
 on the padded rows too: a flux is evaluated cell by cell, so a ghost
 row's flux is its source cell's, bit for bit.  Each RHS closure keeps its
 own scratch (a viscous run one spare array), so a step allocates no
@@ -55,9 +56,9 @@ RHS closure runs every difference and product of one window, over all
 axes, before the next, and ``lxf_step`` builds the average and adds
 k * RHS window by window, so each window's data is reused while it is
 still in cache.  Every element goes through the same operations in the
-same order, so the results do not depend on the windows or on the ghost
-rows.  Fields, fluxes and sources are evaluated once per call on the
-whole grid.
+same order, so the results do not depend on the windows or on whose
+ghost rows a stencil reads.  Fields, fluxes and sources are evaluated
+once per call on the whole grid.
 
 A translate or a difference is one ``grid.stencil``, and no sum starts
 from a zero fill.  The averages divide by 2n through ``grid.divisor``, so
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -76,8 +77,8 @@ import numpy as np
 from .core import (ZERO, MatrixField, SystemDef, batch_checked, max_abs_speed, operand,
                    unit_normals)
 from .entropy import ConservationLaw
-from .grid import (GhostField, GridField, c_contiguous, centered_diff, divisor, first_true,
-                   ghost_rows, out_array, row_windows, stencil)
+from .grid import (GhostField, GridField, c_contiguous, divisor, first_true, ghost_rows, ghosted,
+                   out_array, row_windows, stencil)
 
 
 class StabilityError(RuntimeError):
@@ -198,36 +199,28 @@ def lxf_average(state: GridField, out: Optional[np.ndarray] = None,
                 rows: Optional[tuple] = None, plan: Optional[StepPlan] = None) -> np.ndarray:
     """(1/2n) sum over axes of both neighbor translates, summed from zero
     in ``out`` (``grid.out_array``).  With ``rows`` = (r0, r1), only the
-    rows r0 <= i < r1 of axis 0, which ``out`` holds.  Only ``lxf_step``
+    rows r0 <= i < r1 of axis 0, which ``out`` holds.  The translates read
+    the state with its ghost rows (``grid.ghosted``).  Only ``lxf_step``
     passes ``plan``, with ``state`` one of the plan's fields and ``out``
-    part of its own output: the average then reads the padded rows and
-    makes no check."""
+    part of its own output: the average then makes no check."""
     if plan is None:
-        acc, data = out_array(state.data, out, rows), state.data
-        translates, (scale, two_n) = _translates(state, data.shape, rows), divisor(2.0 * state.n)
+        acc = out_array(state.data, out, rows)
+        translates, (scale, two_n) = _translates(state, rows), divisor(2.0 * state.n)
     else:
-        acc, data, translates, (scale, two_n) = out, state.padded, plan.translates[rows], plan.two_n
+        acc, translates, (scale, two_n) = out, plan.translates[rows], plan.two_n
+    data = ghosted(state)
     # the sum starts as translate + 0.0, which is 0.0 + translate bit for bit
     for ufunc, translate in translates:
         translate.shift_into(ufunc, acc, data)
     return scale(acc, two_n, out=acc)
 
 
-def _translates(state: GridField, shape: tuple, rows: Optional[tuple]) -> tuple:
+def _translates(state: GridField, rows: Optional[tuple]) -> tuple:
     """(ufunc, stencil) of the 2n translates that ``lxf_average`` sums in
-    order, for the rows ``rows`` of axis 0 of an array of ``shape``."""
+    order, for the rows ``rows`` of axis 0."""
     return tuple((np.add if j or d < 0 else _plus_zero,
-                  stencil(shape, j, state.boundary, d, rows))
+                  stencil(state.data.shape, j, state.boundary, d, rows))
                  for j in range(state.n) for d in (+1, -1))
-
-
-@lru_cache(maxsize=None)
-def _padded_windows(windows: tuple, length: int) -> tuple:
-    """The rows (r0 + 1, r1 + 1) of a padded array, one ghost row before
-    row 0, that hold each window (r0, r1) of an axis of ``length`` cells
-    (None: all of them)."""
-    return tuple((r0 + 1, r1 + 1) for r0, r1 in
-                 ((0, length) if rows is None else rows for rows in windows))
 
 
 def _plus_zero(_, translate, out=None):
@@ -323,8 +316,7 @@ class StepPlan:
         self.fields = tuple(GhostField.around(state, np.empty(padded)) for _ in range(2))
         self.ghosts = ghost_rows(shape[0], state.boundary)
         self.windows = row_windows(state.data)[0]
-        self.translates = {rows: _translates(state, padded, read) for rows, read
-                           in zip(self.windows, _padded_windows(self.windows, shape[0]))}
+        self.translates = {rows: _translates(state, rows) for rows in self.windows}
         scale, two_n = divisor(2.0 * state.n)
         self.two_n = scale, operand(two_n)
         h = state.h[0]
@@ -380,8 +372,10 @@ def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]]
     and products in scratch sized to the largest row window, so a call
     allocates only what the user's callables return.  Each window gets
     every axis's terms before the next, summed from N (or 0.0) in axis
-    order.  The differences read a step's state (a ``grid.GhostField``)
-    on its padded rows, any other on ``state.data`` with the edge cells.
+    order.  The differences apply their ``grid.stencil`` and
+    ``grid.divisor`` themselves, as ``grid.centered_diff`` does, to the
+    state with its ghost rows (``grid.ghosted``: a step's own, else a
+    padded copy) and to scratch they own, which needs no ``out`` check.
     The source and fluxes are evaluated once per call on the whole grid,
     the fluxes on the rows the differences read (``_flux_values``), and
     checked by ``batch_checked``; a state-dependent C_j is
@@ -403,12 +397,8 @@ def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]]
     scratch = _workspace()
 
     def rhs(t, state):
-        u = state.data
+        u, padded = state.data, ghosted(state)
         windows, depth = row_windows(u)
-        # a step's state reads its neighbours across axis 0 in its ghost rows
-        padded = getattr(state, "padded", None)
-        padded, reads = ((u, windows) if padded is None
-                         else (padded, _padded_windows(windows, u.shape[0])))
         target = scratch("target", u.shape)
         part = (depth,) + u.shape[1:]
         du = scratch("du", part)
@@ -418,13 +408,17 @@ def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]]
         src = None if source is None else batch_checked(source(x, u), u.shape, 1, "source")
         ws = [padded if f is None else _flux_values(f, f"flux[{j}]", u, padded)
               for j, f in enumerate(fluxes)]
+        scales = [divisor(2.0 * hj) for hj in state.h]
         fields = [None] * len(coeffs)
-        for rows, read in zip(windows, reads):
+        for rows in windows:
             acc, du_w, product_w = _rows(target, rows), _head(du, rows), _head(product, rows)
             # the sum starts from 0.0 or the source: start - C_1 D_1 w_1
             start = ZERO if src is None else _rows(src, rows)
             for j, coeff in enumerate(coeffs):
-                centered_diff(state, j, ws[j], out=du_w, rows=read)
+                # D_j w_j = (tau_j w_j - tau_j^-1 w_j) / 2h, as grid.centered_diff
+                stencil(u.shape, j, state.boundary, 0, rows).difference(du_w, ws[j])
+                scale, two_h = scales[j]
+                scale(du_w, two_h, out=du_w)
                 if layers[j] is not None:
                     apply_layers(layers[j], du_w, out=product_w, spare=_head(spare, rows),
                                  plus_zero=source is not None)
@@ -629,6 +623,7 @@ def _guards(system, config: SchemeConfig) -> tuple:
     return guards
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(system, initial: GridField, config: SchemeConfig,
         monitors: Sequence = ()) -> Trace:
     """Integrate from t = 0 to t_end, recording snapshots and monitor
@@ -653,6 +648,8 @@ def run(system, initial: GridField, config: SchemeConfig,
     Each new state goes through the run's ``_guards``; the first violation
     ends the run with an ``abort`` event that names the step, t and the
     cell (for the CFL guard also ``lambda_a_n`` and ``cfl_safety``).
+    Overflow and invalid operations raise no numpy warning inside a run:
+    the guards report the non-finite state they make, with its cell.
     """
     if not isinstance(system, (ConservationLaw, SystemDef)):
         raise TypeError(f"cannot integrate object of type {type(system).__name__}")

@@ -12,7 +12,7 @@ from shsys import profiles
 from shsys.core import MatrixField, SystemDef, max_abs_speed, unit_normals
 from shsys.energy import LinearSystem, energy
 from shsys.entropy import ConservationLaw
-from shsys.grid import GridField
+from shsys.grid import GridField, centered_diff
 from shsys import lxf
 from shsys.lxf import (SchemeConfig, StabilityError, _sample_cells, apply_layers,
                        law_rhs, lxf_step, max_char_speed, run, single_entry_layers,
@@ -899,7 +899,7 @@ class TestLayeredProduct:
             x = state.points(t)
             target = np.array(sys.source(x, u), dtype=float) if sys.source else np.zeros_like(u)
             for j in range(sys.n):
-                target -= contraction(sys.coeff[j + 1].const, lxf.centered_diff(state, j))
+                target -= contraction(sys.coeff[j + 1].const, centered_diff(state, j))
             return target
         return rhs
 
@@ -950,7 +950,7 @@ class TestLayeredProduct:
         sys = LinearSystem(2, m, q, a, b=b).as_system()
         state = GridField.zeros((6, 5), 0.2, 0.1, m).with_data(RNG.normal(size=(6, 5, m)))
         got = system_rhs(sys)(0.3, state)
-        diffs = [lxf.centered_diff(state, j) for j in range(2)]
+        diffs = [centered_diff(state, j) for j in range(2)]
         for cell in np.ndindex(state.shape):
             forcing = -b @ state.data[cell] - sum(a[j] @ diffs[j][cell] for j in range(2))
             assert np.max(np.abs(got[cell] - np.linalg.solve(q, forcing))) <= 1e-13

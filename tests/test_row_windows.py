@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from shsys import grid, profiles
 from shsys.core import MatrixField, SystemDef
 from shsys.entropy import ConservationLaw
-from shsys.grid import GhostField, GridField, centered_diff, row_windows, stencil
-from shsys.lxf import (SchemeConfig, apply_layers, law_rhs, lxf_average, lxf_step, run,
+from shsys.grid import GhostField, GridField, centered_diff, padded, row_windows, stencil
+from shsys.lxf import (SchemeConfig, StepPlan, apply_layers, law_rhs, lxf_average, lxf_step, run,
                        single_entry_layers, system_rhs, viscous_step)
 from shsys.models import burgers_law, maxwell_system, wave_system
 
@@ -88,12 +88,11 @@ class TestWindowTable:
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_whole_axis_window_is_the_default_table(self, length, boundary):
-        # rows reach the stencils on axis 0 only: off axis 0 they are
-        # cut from the data before the stencil is looked up
         for shape in [(length,), (length, 3), (length, 2, 4)]:
-            for direction in [1, -1, 0]:
-                assert (stencil(shape, 0, boundary, direction, (0, length))
-                        == stencil(shape, 0, boundary, direction))
+            for axis in range(len(shape)):
+                for direction in [1, -1, 0]:
+                    assert (stencil(shape, axis, boundary, direction, (0, length))
+                            == stencil(shape, axis, boundary, direction))
 
 
 class TestWindowedStencils:
@@ -109,15 +108,17 @@ class TestWindowedStencils:
         field = GridField.zeros(shape, 0.25, 0.0, 2, boundary).with_data(data)
         r0 = draw.draw(st.integers(0, shape[0] - 1))
         r1 = draw.draw(st.integers(r0 + 1, shape[0]))
-        rows = (r0, r1)
+        rows, ghosts = (r0, r1), padded(data, boundary)
         whole_avg = lxf_average(field)
         for axis in range(n):
-            whole = centered_diff(field, axis)
-            assert centered_diff(field, axis, rows=rows).tobytes() == whole[r0:r1].tobytes()
+            whole = stencil(data.shape, axis, boundary, 0).difference(np.empty_like(data), ghosts)
+            part = stencil(data.shape, axis, boundary, 0, rows).difference(
+                np.empty((r1 - r0,) + data.shape[1:]), ghosts)
+            assert part.tobytes() == whole[r0:r1].tobytes()
             acc = np.zeros_like(data)
             part = np.zeros((r1 - r0,) + data.shape[1:])
-            stencil(data.shape, axis, boundary, -1).shift_into(np.add, acc, data)
-            stencil(data.shape, axis, boundary, -1, rows).shift_into(np.add, part, data)
+            stencil(data.shape, axis, boundary, -1).shift_into(np.add, acc, ghosts)
+            stencil(data.shape, axis, boundary, -1, rows).shift_into(np.add, part, ghosts)
             assert part.tobytes() == acc[r0:r1].tobytes()
         assert lxf_average(field, rows=rows).tobytes() == whole_avg[r0:r1].tobytes()
 
@@ -150,10 +151,22 @@ def subtract_from(held, translate, out=None):
     return np.subtract(translate, held, out=out)
 
 
+def roll_average(data, n, boundary):
+    """The average's translates by np.roll, summed from translate + 0.0 in
+    axis order."""
+    acc = roll_shift(data, 0, +1, boundary) + 0.0
+    acc = acc + roll_shift(data, 0, -1, boundary)
+    for j in range(1, n):
+        acc = acc + roll_shift(data, j, +1, boundary)
+        acc = acc + roll_shift(data, j, -1, boundary)
+    return acc / (2.0 * n)
+
+
 class TestFlatPass:
-    """Every stencil call runs one plan: one interior call, on the flat
-    views off axis 0, and the edge cells.  The np.roll reference holds the
-    results, bit for bit."""
+    """Every stencil call runs one plan on a padded array: one interior
+    call, on the flat views off axis 0, and the seams.  The np.roll
+    reference holds the results, bit for bit, and so it holds the callers,
+    on a plain state as on a step's state with ghost rows."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -172,36 +185,71 @@ class TestFlatPass:
         nan = draw.draw(st.sampled_from(NANS))
         data = stencil_arrays(draw, shape, nan)
         start = stencil_arrays(draw, part, nan)
-        plus, minus = (roll_shift(data, axis, d, boundary)[window] for d in (1, -1))
+        ghosts = padded(data, boundary)
+        whole_plus, whole_minus = (roll_shift(data, axis, d, boundary) for d in (1, -1))
+        plus, minus = whole_plus[window], whole_minus[window]
         with np.errstate(all="ignore"):
             for ufunc in (np.add, np.subtract, subtract_from):
                 for direction, translate in ((1, plus), (-1, minus)):
                     got = stencil(shape, axis, boundary, direction, rows).shift_into(
-                        ufunc, start.copy(), data)
+                        ufunc, start.copy(), ghosts)
                     want = ufunc(start, translate)
                     np.testing.assert_array_equal(bits(got), bits(want))
-            got = stencil(shape, axis, boundary, 0, rows).difference(np.empty(part), data)
+            got = stencil(shape, axis, boundary, 0, rows).difference(np.empty(part), ghosts)
             want = plus - minus
         np.testing.assert_array_equal(bits(got), bits(want))
+        # the callers: on a plain state, on the state a step reads (its
+        # data in a plan's buffer with ghost rows) and on a replaced plan
+        # field, which has no padded array and is padded as a plain state
+        h = draw.draw(st.sampled_from([0.25, 0.3]))    # 2h a power of two, or not
+        plain = GridField.zeros(shape[:-1], h, -0.4, m, boundary).with_data(data)
+        loaded = StepPlan(plain, (0.1,)).load(plain)
+        states = (plain, loaded, replace(loaded))
+        assert type(states[2]) is GhostField and getattr(states[2], "padded", None) is None
+        law, sys, mats = ghost_models(n, draw.draw(st.booleans()), m)
+        per_window = draw.draw(st.integers(1, shape[0]))
+        results = []
+        with np.errstate(all="ignore"), budget(per_window * row_bytes(data)):
+            assert len(row_windows(data)[0]) == -(-shape[0] // per_window)
+            for state in states:
+                got = {"average": lxf_average(state, rows=rows),
+                       "diff": centered_diff(state, axis),
+                       "law": law_rhs(law)(0.3, state).copy(),
+                       "system": system_rhs(sys)(0.3, state).copy()}
+                for direction, translate in ((1, whole_plus), (-1, whole_minus)):
+                    got[direction] = grid.shifted(state.data, axis, direction, boundary)
+                    assert got[direction].tobytes() == translate.tobytes()
+                assert same_bits(got["average"], roll_average(data, n, boundary)[window])
+                assert same_bits(got["diff"], (whole_plus - whole_minus) / (2.0 * h))
+                for model in (law, sys):
+                    want = take_rhs(model, mats, plain, 0.3)
+                    assert same_bits(got["law" if model is law else "system"], want)
+                results.append(got)
+        # one path: the two kinds of caller get the same bits
+        for got in results[1:]:
+            for key, value in got.items():
+                assert value.tobytes() == results[0][key].tobytes()
 
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
     def test_component_slice_equals_its_contiguous_copy(self, boundary):
-        # a component slice is not contiguous: the stencil reads it in place
-        # along axis 0 and copies it once by its flat view along the others
+        # a component slice of a padded array is not contiguous: the stencil
+        # reads it in place along axis 0 and copies it once by its flat view
+        # along the others
         data = RNG.normal(size=(4, 5, 3, 3))
         data[1, 2, 0] = [-0.0, np.nan, np.inf]
-        component = data[..., 1]
+        component = padded(data, boundary)[..., 1]
         assert not component.flags.c_contiguous
         copy = np.ascontiguousarray(component)
-        start = RNG.normal(size=component.shape)
+        shape = data.shape[:-1]
+        start = RNG.normal(size=shape)
         with np.errstate(all="ignore"):
             for axis in range(3):
-                both = stencil(component.shape, axis, boundary, 0)
-                got = both.difference(np.empty(component.shape), component)
-                want = both.difference(np.empty(copy.shape), copy)
+                both = stencil(shape, axis, boundary, 0)
+                got = both.difference(np.empty(shape), component)
+                want = both.difference(np.empty(shape), copy)
                 np.testing.assert_array_equal(bits(got), bits(want))
                 for direction in (1, -1):
-                    translate = stencil(component.shape, axis, boundary, direction)
+                    translate = stencil(shape, axis, boundary, direction)
                     got = translate.shift_into(np.add, start.copy(), component)
                     want = translate.shift_into(np.add, start.copy(), copy)
                     np.testing.assert_array_equal(bits(got), bits(want))
@@ -219,10 +267,10 @@ class TestFlatPass:
             if axis:
                 with pytest.raises(ValueError, match="out must be a C-contiguous"):
                     stencil(data.shape, axis, "periodic", 1).shift_into(
-                        np.add, out, data)
+                        np.add, out, padded(data, "periodic"))
                 with pytest.raises(ValueError, match="out must be a C-contiguous"):
                     stencil(data.shape, axis, "outflow", 0).difference(
-                        out, data)
+                        out, padded(data, "outflow"))
             with pytest.raises(ValueError, match="out must be a C-contiguous"):
                 centered_diff(field, axis, out=out)
         assert not buf.any()
@@ -232,6 +280,7 @@ class TestFlatPass:
         # axis 0 indexes rows, so a strided or Fortran-ordered out gets
         # the bits a C-contiguous one gets
         data = RNG.normal(size=(4, 5, 3, 2))
+        ghosts = padded(data, boundary)
         for rows in (None, (1, 3)):
             part = data.shape if rows is None else (rows[1] - rows[0],) + data.shape[1:]
             start = RNG.normal(size=part)
@@ -241,11 +290,11 @@ class TestFlatPass:
                 for out in (buf[..., ::2], np.zeros(part, order="F")):
                     out[...] = start
                     if direction:
-                        got = plan.shift_into(np.add, out, data)
-                        want = plan.shift_into(np.add, start.copy(), data)
+                        got = plan.shift_into(np.add, out, ghosts)
+                        want = plan.shift_into(np.add, start.copy(), ghosts)
                     else:
-                        got = plan.difference(out, data)
-                        want = plan.difference(np.empty(part), data)
+                        got = plan.difference(out, ghosts)
+                        want = plan.difference(np.empty(part), ghosts)
                     assert got is out
                     np.testing.assert_array_equal(bits(got), bits(want))
 
@@ -253,9 +302,10 @@ class TestFlatPass:
         data = RNG.normal(size=(4, 5, 3, 2))
         with pytest.raises(ValueError, match="out must have the shape"):
             stencil(data.shape, 1, "periodic", 1).shift_into(
-                np.add, np.zeros((4, 5, 6)), data)
+                np.add, np.zeros((4, 5, 6)), padded(data, "periodic"))
         with pytest.raises(ValueError, match="out must have the shape"):
-            stencil(data.shape, 2, "outflow", 0).difference(np.zeros((4, 3, 5, 2)), data)
+            stencil(data.shape, 2, "outflow", 0).difference(np.zeros((4, 3, 5, 2)),
+                                                            padded(data, "outflow"))
 
     @pytest.mark.parametrize("boundary", ["periodic", "outflow"])
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -266,10 +316,11 @@ class TestFlatPass:
         # 0 has no seam
         data = RNG.normal(size=(16, 16, 16, 6))
         out = np.empty_like(data)
+        ghosts = padded(data, boundary)
         look = partial(stencil, data.shape, axis, boundary)
-        calls = [lambda: look(1).shift_into(np.add, out, data),
-                 lambda: look(-1).shift_into(np.add, out, data),
-                 lambda: look(0).difference(out, data)]
+        calls = [lambda: look(1).shift_into(np.add, out, ghosts),
+                 lambda: look(-1).shift_into(np.add, out, ghosts),
+                 lambda: look(0).difference(out, ghosts)]
         for call in calls:
             assert call_peak(call) < 32 * 1024
 
@@ -394,8 +445,10 @@ def test_nan_at_a_window_edge_aborts_at_the_same_step_and_cell():
 def test_first_rhs_call_allocates_one_state_and_two_windows():
     # the target is state-sized; the differences and products are sized
     # to the largest window (Maxwell's layers have one nonzero a row, so
-    # no spare); numpy's buffered iterator adds a few 64 KB buffers
-    state = maxwell_wave(32)
+    # no spare); numpy's buffered iterator adds a few 64 KB buffers.  The
+    # state is a step's, with ghost rows, as run hands it to the closure
+    initial = maxwell_wave(32)
+    state = StepPlan(initial, (0.1,)).load(initial)
     sys, _ = maxwell_system()
     rhs = system_rhs(sys)
     windows, depth = row_windows(state.data)
@@ -536,16 +589,17 @@ def ghost_source(x, u):
     return 0.1 * np.cos(3.0 * x[..., 1:2]) - 0.2 * u
 
 
-def ghost_models(n, with_source):
-    """A 2-component law with mixing fluxes and the constant system of the
-    same Jacobians [[a, b], [b, a]], both with or without a source."""
+def ghost_models(n, with_source, m=2):
+    """An m-component law with mixing fluxes and the constant system of the
+    same Jacobians a I + b J (J reverses the components; [[a, b], [b, a]]
+    for m = 2), both with or without a source."""
     rng = np.random.default_rng(1000 + n)
     ab = rng.uniform(-0.5, 0.5, (n, 2))
     source = ghost_source if with_source else None
-    law = ConservationLaw(n=n, m=2, flux=tuple(mixing_flux(a, b) for a, b in ab),
-                          state_box=([-10.0, -10.0], [10.0, 10.0]), source=source)
-    mats = [np.array([[a, b], [b, a]]) for a, b in ab]
-    sys = SystemDef(n=n, m=2, source=source, coeff=(MatrixField.constant(np.eye(2)),)
+    law = ConservationLaw(n=n, m=m, flux=tuple(mixing_flux(a, b) for a, b in ab),
+                          state_box=([-10.0] * m, [10.0] * m), source=source)
+    mats = [a * np.eye(m) + b * np.eye(m)[::-1] for a, b in ab]
+    sys = SystemDef(n=n, m=m, source=source, coeff=(MatrixField.constant(np.eye(m)),)
                     + tuple(MatrixField.constant(mat) for mat in mats))
     return law, sys, mats
 
@@ -626,7 +680,7 @@ class TestGhostRows:
         assert ghost.padded is padded and ghost.data.tobytes() == padded[1:-1].tobytes()
         assert np.shares_memory(ghost.data, padded)
         assert type(ghost.with_data(np.zeros((3, 2, 1)))) is GridField
-        # a replaced field has no padded array, so its RHS reads the edge cells
+        # a replaced field has no padded array, so it is padded as a plain state
         assert getattr(replace(ghost, data=np.zeros((3, 2, 1))), "padded", None) is None
 
     @pytest.mark.parametrize("n, length, boundary, rows", ghost_cases((1, 2, 3)))
@@ -641,7 +695,7 @@ class TestGhostRows:
                 got = lxf_step(state, build(model), config, t=0.3, k=k)
                 want = take_lxf_step(model, mats, state, 0.3, k)
                 assert same_bits(got.data, want)
-                # the RHS called on a plain state pays the edge cells
+                # the RHS called on a plain state reads a padded copy
                 assert same_bits(build(model)(0.3, state), take_rhs(model, mats, state, 0.3))
 
     @pytest.mark.parametrize("n, length, boundary, rows", ghost_cases((1,)))
