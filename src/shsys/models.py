@@ -19,6 +19,7 @@ Shipped models (CLI names in parentheses):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,7 +62,8 @@ def _horner(c, x):
     without its per-call argument handling.  ``c`` is a float array or a
     sequence of 0-d arrays (``core.operand``).  A float64 array x costs
     one new array, filled in place; a scalar or 0-d x takes polyval's
-    expressions."""
+    expressions.  ``_polynomial`` calls it for scalars, 0-d arrays,
+    polynomials with no short form and short forms that are not finite."""
     if not (isinstance(x, np.ndarray) and x.ndim and x.dtype == np.float64):
         # numpy float coefficients, as polyval's: which NaN a sum of two
         # NaNs returns differs between scalar and 0-d array arithmetic
@@ -77,24 +79,87 @@ def _horner(c, x):
     return acc
 
 
+def _short_form(c):
+    """Which of c[0] .. c[d-1] polyval's a_d = c[d] + x*0, a_i = c[i] +
+    a_(i+1) x must add, as d booleans, for the short form s_d = c[d],
+    s_i = s_(i+1) x (+ c[i]) to equal polyval at every finite x where
+    it is finite; None when d = 0 or c[d] = 0.  The coefficients are
+    finite.
+
+    At a finite x, x*0 is a zero and c[d] + x*0 is c[d].  Adding -0
+    changes no bit, and adding +0 only turns -0 into +0, so when an add of
+    a zero is dropped s_i and a_i stay equal or are both zeros, through
+    every product by a finite x.  The next add of a coefficient other than
+    -0 makes them equal again: a nonzero c gives c, and +0 gives +0.  So
+    every add of a zero is dropped but the last add of a coefficient other
+    than -0, at index j.  If c[j] is +0, it is dropped too when s_j cannot
+    be -0: s_j = c[d] x^(d-j) with c[d] > 0 and d - j even, whose sign is
+    positive even when it is a zero (Burgers' (0.5 u) u)."""
+    d = len(c) - 1
+    if d < 1 or c[d] == 0:
+        return None
+    adds = [ci != 0 for ci in c[:d]]
+    j = next((i for i in range(d) if not (c[i] == 0 and math.copysign(1.0, c[i]) < 0)),
+             None)
+    if j is not None and c[j] == 0:
+        adds[j] = not (c[d] > 0 and (d - j) % 2 == 0 and not any(adds[j + 1:]))
+    return adds
+
+
+def _polynomial(coeffs):
+    """x -> polyval(x, coeffs), bit for bit and in kind, for finite
+    coefficients.  A float64 array x with ndim >= 1 takes the short form
+    (``_short_form``): one new array, d products and the adds that can
+    change a bit.  Its result is polyval's where it is finite, and one
+    reduction tests that all of it is; if not, x goes through ``_horner``.
+    A non-finite x makes the short form non-finite (c[d] is nonzero and
+    finite), so polyval's NaN at inf and its NaN payloads hold too.  The
+    short form's products are polyval's, so it raises no floating-point
+    flag that polyval does not."""
+    c = tuple(map(operand, coeffs))
+    adds = _short_form(coeffs)
+    if adds is None:
+        return lambda x: _horner(c, x)
+    ops = []  # the passes after r = x c[d]: (ufunc, operand), None for x
+    for i in range(len(c) - 2, -1, -1):
+        if i < len(c) - 2:
+            ops.append((np.multiply, None))
+        if adds[i]:
+            ops.append((np.add, c[i]))
+
+    def value(x):
+        if not (isinstance(x, np.ndarray) and x.ndim and x.dtype == np.float64):
+            return _horner(c, x)
+        r = np.multiply(x, c[-1])
+        for ufunc, b in ops:
+            ufunc(r, x if b is None else b, out=r)
+        # sum r^2 is finite only if every r is
+        return r if math.isfinite(np.vdot(r, r)) else _horner(c, x)
+    return value
+
+
 def polynomial_scalar_law(coeffs, state_box=(-3.0, 3.0)):
     """Scalar 1D law with flux f(u) = sum_i coeffs[i] u^i, plus the
     quadratic entropy pair U = u^2, F = int 2u f'(u) du (exact
-    polynomials).  Returns (law, pair)."""
+    polynomials).  Each polynomial equals ``polyval`` bit for bit
+    (``_polynomial``).  Returns (law, pair); a ValueError if the flux's
+    coefficients, or those derived from them, are not finite."""
     c = np.asarray(coeffs, dtype=float)
-    dc = np.polynomial.polynomial.polyder(c)
-    # F' = 2 u f'(u); integrate term by term
-    fprime_shift = np.concatenate([[0.0], 2.0 * dc])
-    fc = np.polynomial.polynomial.polyint(fprime_shift)
-    c, dc, fprime_shift, fc = (tuple(map(operand, a)) for a in (c, dc, fprime_shift, fc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dc = np.polynomial.polynomial.polyder(c)
+        # F' = 2 u f'(u); integrate term by term
+        fprime_shift = np.concatenate([[0.0], 2.0 * dc])
+        fc = np.polynomial.polynomial.polyint(fprime_shift)
+    for name, a in (("flux", c), ("flux Jacobian", dc), ("entropy flux", fc)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"the {name} coefficients {a.tolist()} are not finite")
+    f, df, ff, dff = map(_polynomial, (c, dc, fc, fprime_shift))
 
     def flux(u):
-        u = np.asarray(u, dtype=float)
-        return _horner(c, u[..., 0])[..., np.newaxis]
+        return f(np.asarray(u, dtype=float))
 
     def jac(u):
-        u = np.asarray(u, dtype=float)
-        return np.asarray(_horner(dc, u[..., 0]))[..., np.newaxis, np.newaxis]
+        return df(np.asarray(u, dtype=float))[..., np.newaxis]
 
     lo, hi = float(state_box[0]), float(state_box[1])
     law = ConservationLaw(n=1, m=1, flux=(flux,), state_box=([lo], [hi]),
@@ -102,10 +167,10 @@ def polynomial_scalar_law(coeffs, state_box=(-3.0, 3.0)):
     pair = EntropyPair(
         n=1, m=1,
         value=lambda u: u[..., 0] ** 2,
-        flux=(lambda u: _horner(fc, u[..., 0]),),
+        flux=(lambda u: ff(u[..., 0]),),
         grad=lambda u: 2.0 * u,
         hess=lambda u: np.full(u.shape + (1,), 2.0),
-        flux_grad=(lambda u: _horner(fprime_shift, u),),
+        flux_grad=(dff,),
     )
     return law, pair
 

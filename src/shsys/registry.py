@@ -86,8 +86,11 @@ def _linear_system(system, monitors):
 
 def _scalar(spec, n):
     coeffs = spec["flux_coeffs"]
-    return _law(*polynomial_scalar_law(coeffs),
-                q_energy=np.eye(1) if len(coeffs) <= 2 else None)
+    try:
+        law, pair = polynomial_scalar_law(coeffs)
+    except ValueError as exc:
+        raise ExecutionError(f"flux_coeffs: {exc}") from None
+    return _law(law, pair, q_energy=np.eye(1) if len(coeffs) <= 2 else None)
 
 
 def _wave(spec, n):

@@ -633,6 +633,138 @@ class TestHorner:
         assert shock.kind == "shock" and shock.speed == 0.5
 
 
+NEG_NAN = math.copysign(math.nan, -1.0)
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+               math.inf, -math.inf, math.nan, NEG_NAN, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.3e154, -1e200, 0.5, -2.5]
+ZERO_COEFFS = st.sampled_from([0.0, -0.0])
+
+
+def _same(got, want):
+    """Equal in type, shape and value bits."""
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _law_polynomials(coeffs):
+    """The four polynomials of ``polynomial_scalar_law(coeffs)`` and
+    polyval's coefficients for each: f, f', F and F'."""
+    c = np.asarray(coeffs, dtype=float)
+    dc = P.polyder(c)
+    fprime_shift = np.concatenate([[0.0], 2.0 * dc])
+    law, pair = polynomial_scalar_law(coeffs)
+    return law, pair, c, dc, P.polyint(fprime_shift), fprime_shift
+
+
+class TestPolynomialShortForms:
+    """Each polynomial of ``polynomial_scalar_law`` and ``models._polynomial``
+    returns what ``polyval`` returns, in value bits, shape and type, on
+    every input: the short form where it is finite, ``_horner`` elsewhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300) | ZERO_COEFFS, min_size=1, max_size=5),
+           hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+                      elements=st.floats() | st.sampled_from(EDGE_FLOATS)))
+    @example([0.0, 0.0, -1.0], np.array([0.0, -0.0]))
+    @example([0.0, 0.0, 0.5], np.array([-5e-324, 1e200, math.inf, -math.inf]))
+    @example([0.0, -2.0], np.array(-0.0))
+    @example([0.0, -2.0], np.array([-0.0, 0.0]))
+    @example([-0.0, 0.0, 0.5], np.array([[-0.0, 5e-324, -1e-200]]))
+    @example([0.0, 1.0, 0.0, -0.25], np.array([-0.0, 1e103, NEG_NAN]))
+    def test_every_polynomial_equals_polyval(self, coeffs, x):
+        law, pair, c, dc, fc, fprime_shift = _law_polynomials(coeffs)
+        u = x[..., None]
+        with np.errstate(all="ignore"):
+            _same(law.flux[0](u), P.polyval(x, c)[..., None])
+            _same(law.flux_jac[0](u), P.polyval(x, dc)[..., None, None])
+            # the pair's callables return arrays (``entropy._batched``)
+            _same(pair.flux[0](u), np.asarray(P.polyval(x, fc)))
+            _same(pair.flux_grad[0](u), P.polyval(u, fprime_shift))
+            inputs = [x]
+            if x.size:
+                first = x.reshape(-1)[0]
+                inputs += [np.array(first), first, float(first)]
+            for a in (c, dc, fc, fprime_shift):
+                value = models._polynomial(a)
+                for arg in inputs:
+                    _same(value(arg), P.polyval(arg, a))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300) | ZERO_COEFFS, min_size=2, max_size=5),
+           hnp.arrays(float, hnp.array_shapes(max_dims=2, max_side=4),
+                      elements=st.floats() | st.sampled_from(EDGE_FLOATS)))
+    @example([0.0, 0.0, 0.5], np.array([1e200, 0.5]))
+    @example([0.0, 0.0, 0.5], np.array([math.inf, 0.5]))
+    def test_a_short_form_raises_where_polyval_raises(self, coeffs, x):
+        # its products are polyval's, and a non-finite x goes to _horner
+        value = models._polynomial(np.asarray(coeffs, dtype=float))
+
+        def raises(fn):
+            try:
+                with np.errstate(all="raise"):
+                    fn()
+            except FloatingPointError:
+                return True
+            return False
+
+        assert raises(lambda: value(x)) == raises(lambda: P.polyval(x, coeffs))
+
+    @pytest.mark.parametrize("coeffs, adds", [
+        ([0.0, 0.0, 0.5], [False, False]),       # Burgers: (0.5 u) u
+        ([0.0, 1.0], [True]),                    # u + 0 turns -0 into +0
+        ([0.0, 0.0, -1.0], [True, False]),       # (-1 u) u is -0 at u = 0
+        ([0.0, 0.0, 0.0, 2.0 / 3.0], [True, False, False]),   # odd: u^3 is -0 at -0
+        ([-0.0, 0.0, 0.5], [False, True]),       # + (-0) changes no bit
+        ([-0.0, -0.0, 0.5], [False, False]),
+        ([0.0, 0.0, 0.0, 0.0, 2.0], [False] * 4),
+        ([0.0, 1.0, 0.0, -0.25], [True, True, False]),
+        ([1.0, 0.0, 0.0, 0.0, 3.0], [True, False, False, False]),
+        ([2.0], None),
+        ([1.0, 0.0], None),
+    ])
+    def test_short_forms(self, coeffs, adds):
+        assert models._short_form(coeffs) == adds
+
+    def test_a_finite_burgers_flux_needs_no_fallback(self, monkeypatch):
+        law, _ = burgers_law()
+        u = np.array([[-0.0], [0.5], [-3.0]])
+        monkeypatch.setattr(models, "_horner", None)  # no fallback on finite values
+        assert law.flux[0](u).tolist() == [[0.0], [0.125], [4.5]]
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 0.0, 0.5], [0.0, 1.0, 0.0, -0.25]])
+    def test_a_short_form_costs_one_new_array(self, coeffs):
+        law, _ = polynomial_scalar_law(coeffs)
+        u = RNG.uniform(-1.0, 1.0, size=(100_000, 1))
+        law.flux[0](u)
+        tracemalloc.start()
+        try:
+            law.flux[0](u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.nbytes <= peak < 1.1 * u.nbytes
+
+
+class TestPolynomialCoefficients:
+    @pytest.mark.parametrize("coeffs, name", [
+        ([1e308, 1e308, 1e308], "flux Jacobian"),   # 2 * 1e308
+        ([0.0, 1e308, 1e308], "flux Jacobian"),
+        ([0.0, 1e308], "entropy flux"),         # F' = 2 u f' = 2e308 u
+        ([0.5, math.nan], "flux"),
+        ([math.inf], "flux"),
+    ])
+    def test_coefficients_that_are_not_finite_are_refused(self, coeffs, name):
+        # with no numpy warning: every warning is an error here
+        with pytest.raises(ValueError, match=f"^the {name} coefficients .* are not finite$"):
+            polynomial_scalar_law(coeffs)
+
+    def test_the_largest_finite_coefficients_are_taken(self):
+        law, pair = polynomial_scalar_law([1e308, 4e307, 2e307])
+        assert law.flux[0](np.array([[0.0]])).tolist() == [[1e308]]
+        assert pair.flux[0](np.array([[1.0]])).tolist() == [4e307 + 8e307 / 3.0]
+
+
 def _masked_norm(field: GridField, residual) -> float:
     return l2_norm(field, residual, mask=interior_mask(field))
 
