@@ -10,8 +10,9 @@ Commands:
     shsys models              # list shipped models and their parameters
 
 Exit status: 0 all checks passed, 1 at least one check failed, 2 execution
-error (bad config, aborted run, an artifact that cannot be written, any
-other shsys error).  With identical configs the artifact tree is
+error (bad config, aborted run, an artifact that cannot be written, a
+number that overflows or an array that cannot be allocated, any other
+shsys error).  With identical configs the artifact tree is
 byte-identical across runs: nothing time- or host-dependent is written.
 """
 
@@ -55,10 +56,10 @@ def _scheme_config(cfg: RunConfig) -> SchemeConfig | None:
 def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
     """Run a validated config; writes artifacts and returns the exit code.
     An ``OSError`` while writing them is an execution error (exit 2), like
-    an aborted run; an execution error leaves no ``verdicts.csv``.  Once
-    every input is read, or reading one failed, this deletes an earlier
-    run's files in the output directory (``remove_run_files``), as ``main``
-    does when the config cannot be read.
+    an aborted run, an ``OverflowError`` or a ``MemoryError``; an execution
+    error leaves no ``verdicts.csv``.  Once every input is read, or reading
+    one failed, this deletes an earlier run's files in the output directory
+    (``remove_run_files``), as ``main`` does when the config cannot be read.
     The ``invocation`` event's ``"threads": 1`` and ``"seed": 0`` are
     constants, kept so that artifact trees keep their bytes: no random
     numbers are drawn, and ``output.write_trace`` writes large traces'
@@ -116,7 +117,8 @@ def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
                       value=row.value, tolerance=row.tolerance)
         failed = [r for r in rows if not r.passed]
         log.event("done", checks=len(rows), failed=len(failed))
-    except (OSError, RuntimeError, ValueError, KeyError) as exc:
+    except (OSError, RuntimeError, ValueError, KeyError, OverflowError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # no verdict table after an error, not even a partial one or an
         # earlier run's; the log itself may be what failed

@@ -503,6 +503,9 @@ def tricomi_system(lam: float, y_bound: float):
         raise ValueError("lam must be non-negative")
     if y_bound < 0:
         raise ValueError("y_bound must be non-negative")
+    if not math.isfinite(2.0 * float(y_bound)):
+        # linspace's width 2 * y_bound would turn every sample into NaN
+        raise ValueError(f"y_bound = {y_bound:g}: 2 * y_bound overflows")
 
     a1 = MatrixField(2, lambda pt, u: _sym2(pt[..., 1], pt[..., 1], 1.0))
     system = TricomiSystem(

@@ -201,8 +201,8 @@ def _is_sh(params, model, trace, out_dir, make_grid):
 
 
 def _entropy_pair(params, model, trace, out_dir, make_grid):
-    tol = params.get("tol", 1e-8)
-    states = sample_box(*model.system.state_box, params.get("per_axis", 33))
+    tol = 1e-8
+    states = sample_box(*model.system.state_box, 33)
     resid = entropy_pair_residual(model.system, model.pair, states)
     return [VerdictRow("entropy_pair", resid <= tol, resid, tol)]
 
@@ -218,19 +218,18 @@ def _energy(params, model, trace, out_dir, make_grid):
 
 
 def _constraints(params, model, trace, out_dir, make_grid):
-    factor, floor = params.get("factor", 3.0), params.get("floor", 1e-12)
     rows = []
     for name, series in trace.monitors.items():
         worst = max(v for _, v in series)
-        bound = max(factor * series[0][1], floor)
+        bound = max(3.0 * series[0][1], 1e-12)
         rows.append(VerdictRow(f"constraints.{name}", worst <= bound, worst, bound))
     return rows
 
 
 def _support(params, model, trace, out_dir, make_grid):
-    tol = params.get("tol", 0.0)
-    slope = params.get("slope", trace.a_star * 1.01)
-    verdict = support_test(trace, params["radius"], slope, tol=tol,
+    # the cone slope inflated by 1.01 (energy.cone_slope); tol = 0 is exact
+    tol = 0.0
+    verdict = support_test(trace, params["radius"], trace.a_star * 1.01, tol=tol,
                            margin_cells=params.get("margin_cells", 1))
     return [VerdictRow("support", verdict.passed, verdict.max_outside, tol)]
 
@@ -258,7 +257,7 @@ def _rh(params, model, trace, out_dir, make_grid):
 def _riemann(params, model, trace, out_dir, make_grid):
     law, pair = model.system, model.pair
     ul, ur = params["u_left"], params["u_right"]
-    tol = params.get("tol", 1e-12)
+    tol = 1e-12
     sol = riemann_scalar(law, ul, ur, pair=pair)
     if sol.kind != "shock":
         kind_code = {"constant": 0.0, "rarefaction": 1.0}[sol.kind]
@@ -274,7 +273,7 @@ def _riemann(params, model, trace, out_dir, make_grid):
 def _viscous_limit(params, model, trace, out_dir, make_grid):
     if not params["eps"]:
         raise ExecutionError("viscous_limit.eps lists no viscosity")
-    slack = params.get("slack", 0.1)
+    slack = 0.1
     runs = viscous_limit_compare(model.system, model.pair, params["u_left"],
                                  params["u_right"], params["eps"], make_grid(),
                                  params["t"])
@@ -296,21 +295,18 @@ CHECKS = {
     "is_sh": Check({"per_axis": "int", "box_lo": "list_float",
                     "box_hi": "list_float"}, (), ("symmetrizer",), _is_sh,
                    together=(("box_lo", "box_hi"),)),
-    "entropy_pair": Check({"tol": "float", "per_axis": "int"}, (),
-                          ("scalar_law",), _entropy_pair),
+    "entropy_pair": Check({}, (), ("scalar_law",), _entropy_pair),
     "energy": Check({}, (), ("simulation", "linear"), _energy),
-    "constraints": Check({"factor": "float", "floor": "float"}, (),
-                         ("simulation", "monitors"), _constraints),
-    "support": Check({"radius": "float", "slope": "float", "tol": "float",
-                      "margin_cells": "int"}, ("radius",), ("simulation",),
-                     _support),
+    "constraints": Check({}, (), ("simulation", "monitors"), _constraints),
+    "support": Check({"radius": "float", "margin_cells": "int"}, ("radius",),
+                     ("simulation",), _support),
     "rh": Check({"u_left": "list_float", "u_right": "list_float",
                  "speed": "float", "tol": "float"}, ("u_left", "u_right"),
                 ("law",), _rh),
-    "riemann": Check({"u_left": "float", "u_right": "float", "tol": "float"},
+    "riemann": Check({"u_left": "float", "u_right": "float"},
                      ("u_left", "u_right"), ("scalar_law",), _riemann),
     "viscous_limit": Check({"u_left": "float", "u_right": "float",
-                            "eps": "list_float", "t": "float", "slack": "float"},
+                            "eps": "list_float", "t": "float"},
                            ("u_left", "u_right", "eps", "t"), ("scalar_law",),
                            _viscous_limit),
     "tricomi_certificate": Check({}, (), ("tricomi",), _tricomi_certificate),

@@ -160,11 +160,12 @@ class TestParseConfig:
         ("rh", ["u_left"], ["u_right"]),
         ("riemann", [], ["u_left", "u_right"]),
         ("viscous_limit", ["u_left", "u_right"], ["eps", "t"]),
-        ("support", ["tol"], ["radius"]),
+        ("support", ["margin_cells"], ["radius"]),
     ])
     def test_missing_required_check_params(self, check, given, missing):
+        # 1 parses as each given parameter's kind, int and float alike
         text = (f"[model]\nname = burgers\n[checks]\nnames = {check}\n"
-                + "".join(f"{check}.{param} = 1.0\n" for param in given))
+                + "".join(f"{check}.{param} = 1\n" for param in given))
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         messages = [msg for _, msg in info.value.errors]
@@ -270,13 +271,11 @@ class TestParseConfig:
             SchemeConfig(**{"lam": 0.5, "t_end": 1.0, name: value})
 
     # before these limits is_sh.per_axis = 0 exited 2 with "need at least one
-    # sample", entropy_pair.per_axis = 0 with numpy's "zero-size array",
-    # viscous_limit.eps = -0.1 with "exceeds eps/4 = -0.025", and
+    # sample", viscous_limit.eps = -0.1 with "exceeds eps/4 = -0.025", and
     # viscous_limit.t = 0 exited 0 with a divide-by-zero RuntimeWarning
     @pytest.mark.parametrize("key, value, rule", [
         ("is_sh.per_axis", "0", "must be >= 1"),
         ("is_sh.per_axis", "-1", "must be >= 1"),
-        ("entropy_pair.per_axis", "0", "must be >= 1"),
         ("viscous_limit.eps", "0.1, -0.1", "entries must be > 0"),
         ("viscous_limit.eps", "0.0", "entries must be > 0"),
         ("viscous_limit.t", "0", "must be positive"),
@@ -285,13 +284,7 @@ class TestParseConfig:
         ("support.radius", "-0.1", "must be positive"),
         ("support.radius", "0", "must be positive"),
         ("support.margin_cells", "-40", "must be non-negative"),
-        ("support.tol", "-1", "must be non-negative"),
-        ("constraints.factor", "-1", "must be non-negative"),
-        ("constraints.floor", "-1e-12", "must be non-negative"),
-        ("entropy_pair.tol", "-1e-8", "must be non-negative"),
         ("rh.tol", "-1", "must be non-negative"),
-        ("riemann.tol", "-0.5", "must be non-negative"),
-        ("viscous_limit.slack", "-0.1", "must be non-negative"),
     ])
     def test_check_parameter_limits_name_key_and_line(self, key, value, rule):
         check = key.partition(".")[0]
@@ -301,10 +294,7 @@ class TestParseConfig:
         # viscous_limit's other required parameters are missing, on line 0
         assert [error for error in info.value.errors if error[0]] == [(5, f"'{key}' {rule}")]
 
-    @pytest.mark.parametrize("key", ["support.margin_cells", "support.tol",
-                                     "constraints.factor", "constraints.floor",
-                                     "entropy_pair.tol", "rh.tol", "riemann.tol",
-                                     "viscous_limit.slack"])
+    @pytest.mark.parametrize("key", ["support.margin_cells", "rh.tol"])
     def test_non_negative_check_parameters_take_zero(self, key):
         check, _, param = key.partition(".")
         entry = registry.CHECKS[check]
@@ -312,6 +302,20 @@ class TestParseConfig:
                            for name in entry.required)
         text = f"[model]\nname = burgers\n[checks]\nnames = {check}\n{required}{key} = 0\n"
         assert parse_config(text).checks_params[check][param] == 0
+
+    # each is a constant of its check, pinned in TestExecute, not a key
+    @pytest.mark.parametrize("key", ["entropy_pair.tol", "entropy_pair.per_axis",
+                                     "constraints.factor", "constraints.floor",
+                                     "support.slope", "support.tol", "riemann.tol",
+                                     "viscous_limit.slack"])
+    def test_fixed_tolerances_are_unknown_keys(self, key):
+        check = key.partition(".")[0]
+        text = f"[model]\nname = burgers\n[checks]\nnames = {check}\n{key} = 1\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        # the required parameters of riemann and the others are missing, on line 0
+        ((line, message),) = [error for error in info.value.errors if error[0]]
+        assert line == 5 and message.startswith(f"unknown key '{key}' in [checks]")
 
     # kind -> (a value as written, as parsed) for the check parameter test
     KIND_SAMPLES = {"int": ("2", 2), "float": ("0.5", 0.5), "str": ("a", "a"),
@@ -350,6 +354,7 @@ class TestExecute:
         assert rows["riemann.rh_speed"][1] == "0.5"
         assert float(rows["riemann.entropy_production"][1]) == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert all(passed == "true" for passed, _, _ in rows.values())
+        assert rows["riemann.rh_residual"][2] == rows["riemann.entropy_production"][2] == "1e-12"
 
     def test_maxwell_vacuum_constraints(self, tmp_path):
         text = """
@@ -453,7 +458,11 @@ rh.speed = 0.7
         assert not (out / "snapshots").exists()
         assert not any(e["event"] == "scheme" for e in read_events(out))
 
-    def test_support_check_on_advection(self, tmp_path):
+    def test_support_check_on_advection(self, tmp_path, monkeypatch):
+        slopes = []
+        support_test = registry.support_test
+        monkeypatch.setattr(registry, "support_test", lambda trace, radius, slope, **kw: (
+            slopes.append((trace.a_star, slope)) or support_test(trace, radius, slope, **kw)))
         text = """
 [model]
 name = advection
@@ -483,6 +492,10 @@ support.margin_cells = 2
         cfg = parse_config(text)
         code = execute(cfg, output_dir=str(tmp_path / "out"))
         assert code == 0
+        # the cone is inflated by the fixed 1.01, and the test is exact
+        ((a_star, slope),) = slopes
+        assert a_star > 0 and slope == 1.01 * a_star
+        assert read_verdicts(tmp_path / "out")["support"][2] == "0.0"
 
     def test_tricomi_certificate_pass_and_fail(self, tmp_path):
         template = """
@@ -524,10 +537,37 @@ viscous_limit.t = 0.2
         assert execute(cfg, output_dir=str(out)) == 0
         rows = read_verdicts(out)
         assert rows["viscous_limit.monotone"][0] == "true"
+        assert rows["viscous_limit.monotone"][2] == "non-increasing within 0.1"
         with open(out / "viscous_limit.csv") as handle:
             lines = handle.read().strip().splitlines()
         assert lines[0] == "eps,l1_distance"
         assert len(lines) == 3
+
+    def test_entropy_pair_samples_33_states_an_axis_within_1e_8(self, tmp_path, monkeypatch):
+        counts = []
+        sample_box = registry.sample_box
+        monkeypatch.setattr(registry, "sample_box", lambda lo, hi, per_axis: (
+            counts.append(per_axis) or sample_box(lo, hi, per_axis)))
+        text = "[model]\nname = burgers\n[checks]\nnames = entropy_pair\n"
+        assert execute(parse_config(text), output_dir=str(tmp_path / "out")) == 0
+        assert counts == [33]
+        assert read_verdicts(tmp_path / "out")["entropy_pair"][2] == "1e-08"
+
+    # zero data has a zero monitor, so its bound is the floor
+    @pytest.mark.parametrize("initial, floor", [
+        ("profile = plane-wave\namplitude = 1.0, -0.5, 0.25, 0.75\nmodes = 1, 1", False),
+        ("profile = constant", True)], ids=["plane-wave", "zero"])
+    def test_constraints_bound_is_3_times_the_first_value_or_1e_12(self, tmp_path, initial,
+                                                                     floor):
+        text = ("[model]\nname = wave\n[grid]\nshape = 32, 2\nh = 0.03125\n"
+                f"[scheme]\nlambda = 0.4\nt_end = 0.05\n[initial]\n{initial}\n"
+                "[checks]\nnames = constraints\n")
+        out = tmp_path / "out"
+        assert execute(parse_config(text), output_dir=str(out)) == 0
+        with open(out / "monitors" / "gradient_constraint.csv") as handle:
+            first = float(handle.read().splitlines()[1].split(",")[1])
+        bound = float(read_verdicts(out)["constraints.gradient_constraint"][2])
+        assert bound == (1e-12 if floor else 3.0 * first)
 
     def test_is_sh_uses_the_given_box(self, tmp_path, monkeypatch):
         boxes = []
