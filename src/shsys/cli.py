@@ -109,7 +109,7 @@ def execute(cfg: RunConfig, output_dir=None, checks_only: bool = False) -> int:
                 if not holds(model, trace):
                     raise ExecutionError(f"check '{name}' needs {what}")
             rows += check.fn(cfg.checks_params.get(name, {}), model, trace,
-                             out_dir, lambda: _build_grid(cfg))
+                             out_dir, lambda: _build_grid(cfg), cfg.initial)
             log.event("check", name=name, rows=[r.name for r in rows])
         write_verdicts_csv(os.path.join(out_dir, "verdicts.csv"), rows)
         for row in rows:

@@ -349,7 +349,7 @@ def max_abs_speed(sys: SystemDef, x, u) -> float:
     normals = unit_normals(sys.n)
     batch = (1,) * (x.ndim - 1)
     speeds = characteristic_speeds(sys, x, u, normals.reshape((-1,) + batch + (sys.n,)))
-    return max(0.0, *np.max(np.abs(speeds.reshape(len(normals), -1)), axis=1).tolist())
+    return float(np.max(np.abs(speeds), initial=0.0))
 
 
 def spacetime(t, x) -> np.ndarray:

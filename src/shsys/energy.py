@@ -213,9 +213,9 @@ class SupportVerdict:
 
 
 def support_test(trace, radius: float, slope: float, tol: float = 0.0,
-                 margin_cells: int = 1) -> SupportVerdict:
+                 margin_cells: int = 1, center=0.0) -> SupportVerdict:
     """Check that every snapshot vanishes (|u| <= tol) on cells with
-    |x| >= radius + slope * t + margin.
+    |x - center| >= radius + slope * t + margin.
 
     The margin defaults to one cell: the scheme widens support exactly one
     cell per step, which at the CFL bound equals the cone slope, and the
@@ -226,7 +226,7 @@ def support_test(trace, radius: float, slope: float, tol: float = 0.0,
     worst = 0.0
     for t, snap in zip(trace.times, trace.snapshots):
         margin = margin_cells * max(snap.h)
-        r = np.sqrt(np.sum(snap.coords() ** 2, axis=-1))
+        r = np.sqrt(np.sum((snap.coords() - center) ** 2, axis=-1))
         outside = r >= radius + slope * t + margin
         if not outside.any():
             continue

@@ -75,14 +75,9 @@ class GridField:
             raise ValueError("grid spacing must be positive")
         if self.boundary not in BOUNDARY_MODES:
             raise ValueError(f"boundary must be one of {BOUNDARY_MODES}")
-        self._check_shape(self.data)
-
-    def _check_shape(self, data: np.ndarray):
-        if data.shape != tuple(self.shape) + (self.m,):
-            raise ValueError(
-                f"data shape {data.shape} does not match grid "
-                f"{tuple(self.shape) + (self.m,)}"
-            )
+        if self.data.shape != tuple(self.shape) + (self.m,):
+            raise ValueError(f"data shape {self.data.shape} does not match grid "
+                             f"{tuple(self.shape) + (self.m,)}")
 
     @classmethod
     def zeros(cls, shape, h, origin, m, boundary="periodic"):
@@ -95,14 +90,9 @@ class GridField:
                    boundary=boundary)
 
     def with_data(self, data: np.ndarray) -> "GridField":
-        """The same grid holding new data, as a plain GridField.  The grid
-        fields were validated when this field was built, so only the data's
-        shape is checked."""
-        data = np.asarray(data, dtype=float)
-        self._check_shape(data)
-        new = object.__new__(GridField)
-        new.__dict__.update(self.__dict__, data=data)
-        return new
+        """The same grid holding new data, as a plain GridField."""
+        return GridField(self.n, self.shape, self.h, self.origin, self.m,
+                         np.asarray(data, dtype=float), self.boundary)
 
     def centers(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
@@ -147,8 +137,8 @@ class GhostField(GridField):
 
     @classmethod
     def around(cls, field: GridField, padded: np.ndarray) -> "GhostField":
-        new = object.__new__(cls)
-        new.__dict__.update(field.with_data(padded[1:-1]).__dict__)
+        new = cls(field.n, field.shape, field.h, field.origin, field.m,
+                  padded[1:-1], field.boundary)
         object.__setattr__(new, "padded", padded)
         return new
 

@@ -179,7 +179,7 @@ def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
         bad = ~np.isfinite(a).all(axis=(0, 2, 3)).reshape(state.shape)
         if bad.any():
             raise ValueError(f"the flux Jacobian is not finite at cell {first_true(bad)}")
-        return max(0.0, *np.max(np.abs(np.linalg.eigvals(a)), axis=(1, 2)).tolist())
+        return float(np.max(np.abs(np.linalg.eigvals(a)), initial=0.0))
     idx = _sample_cells(state)
     return max_abs_speed(system, state.points(t).reshape(-1, state.n + 1)[idx],
                          state.data.reshape(-1, state.m)[idx])
@@ -571,8 +571,9 @@ def _state_violation(system, state: GridField) -> Optional[tuple]:
 
 
 def _exceeds_cfl(lam_a_n: float, cfl_safety: float) -> bool:
-    """Whether lambda * a * n breaks the CFL bound lambda * a * n <= cfl_safety."""
-    return lam_a_n > cfl_safety * (1.0 + 1e-9) + 1e-12
+    """Whether lambda * a * n breaks the CFL bound lambda * a * n <= cfl_safety;
+    a NaN breaks it."""
+    return not lam_a_n <= cfl_safety * (1.0 + 1e-9) + 1e-12
 
 
 def check_stability(system, initial: GridField, config: SchemeConfig) -> float:

@@ -9,8 +9,9 @@ them; ``config`` derives its enums and schemas from these tables.
   keys, ``build(init, grid)`` from the ``[initial]`` section).
 * ``CHECKS``: name -> (``check.param`` kinds, required parameters, the
   ``NEEDS`` keys ``cli.execute`` tests in order, ``fn(params, model, trace,
-  out_dir, make_grid)`` -> verdict rows); ``fn`` validates only its own
-  parameters, which ``config`` has parsed and bounded.
+  out_dir, make_grid, initial)`` -> verdict rows, ``initial`` being the
+  ``[initial]`` section); ``fn`` validates only its own parameters, which
+  ``config`` has parsed and bounded.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def _given_box(params, model) -> tuple:
     return params["box_lo"], params["box_hi"]
 
 
-def _is_sh(params, model, trace, out_dir, make_grid):
+def _is_sh(params, model, trace, out_dir, make_grid, initial):
     box = _given_box(params, model) if "box_lo" in params else model.box
     # a constant system is certified at its first sample (core.is_sh), which
     # sample_box(*box, 1) is, bit for bit
@@ -200,14 +201,14 @@ def _is_sh(params, model, trace, out_dir, make_grid):
                        f"symmetry rtol {SYMMETRY_RTOL:g}, pivots > 0")]
 
 
-def _entropy_pair(params, model, trace, out_dir, make_grid):
+def _entropy_pair(params, model, trace, out_dir, make_grid, initial):
     tol = 1e-8
     states = sample_box(*model.system.state_box, 33)
     resid = entropy_pair_residual(model.system, model.pair, states)
     return [VerdictRow("entropy_pair", resid <= tol, resid, tol)]
 
 
-def _energy(params, model, trace, out_dir, make_grid):
+def _energy(params, model, trace, out_dir, make_grid, initial):
     series = [(t, grid_energy(snap, model.q_energy))
               for t, snap in zip(trace.times, trace.snapshots)]
     os.makedirs(os.path.join(out_dir, "monitors"), exist_ok=True)
@@ -217,7 +218,7 @@ def _energy(params, model, trace, out_dir, make_grid):
     return [VerdictRow("energy.non_increasing", worst <= bound, worst, bound)]
 
 
-def _constraints(params, model, trace, out_dir, make_grid):
+def _constraints(params, model, trace, out_dir, make_grid, initial):
     rows = []
     for name, series in trace.monitors.items():
         worst = max(v for _, v in series)
@@ -226,15 +227,17 @@ def _constraints(params, model, trace, out_dir, make_grid):
     return rows
 
 
-def _support(params, model, trace, out_dir, make_grid):
-    # the cone slope inflated by 1.01 (energy.cone_slope); tol = 0 is exact
+def _support(params, model, trace, out_dir, make_grid, initial):
+    # the cone slope inflated by 1.01 (energy.cone_slope); tol = 0 is exact;
+    # the cone's apex is a bump's centre, else the origin
     tol = 0.0
     verdict = support_test(trace, params["radius"], trace.a_star * 1.01, tol=tol,
-                           margin_cells=params.get("margin_cells", 1))
+                           margin_cells=params.get("margin_cells", 1),
+                           center=initial.get("center", 0.0))
     return [VerdictRow("support", verdict.passed, verdict.max_outside, tol)]
 
 
-def _rh(params, model, trace, out_dir, make_grid):
+def _rh(params, model, trace, out_dir, make_grid, initial):
     law = model.system
     ul, ur = (np.asarray(params[k], dtype=float) for k in ("u_left", "u_right"))
     tol = params.get("tol", 1e-12)
@@ -254,7 +257,7 @@ def _rh(params, model, trace, out_dir, make_grid):
     return rows
 
 
-def _riemann(params, model, trace, out_dir, make_grid):
+def _riemann(params, model, trace, out_dir, make_grid, initial):
     law, pair = model.system, model.pair
     ul, ur = params["u_left"], params["u_right"]
     tol = 1e-12
@@ -270,7 +273,7 @@ def _riemann(params, model, trace, out_dir, make_grid):
                        verdict.production, tol)]
 
 
-def _viscous_limit(params, model, trace, out_dir, make_grid):
+def _viscous_limit(params, model, trace, out_dir, make_grid, initial):
     if not params["eps"]:
         raise ExecutionError("viscous_limit.eps lists no viscosity")
     slack = 0.1
@@ -285,7 +288,7 @@ def _viscous_limit(params, model, trace, out_dir, make_grid):
                        f"non-increasing within {slack:g}")]
 
 
-def _tricomi_certificate(params, model, trace, out_dir, make_grid):
+def _tricomi_certificate(params, model, trace, out_dir, make_grid, initial):
     cert = model.tricomi
     return [VerdictRow("tricomi_certificate", cert.positive, cert.min_pivot,
                        "pivot > 0")]

@@ -17,7 +17,7 @@ import numpy as np
 from . import fd
 from .entropy import ConservationLaw, EntropyPair
 from .grid import GridField
-from .lxf import SchemeConfig, run
+from .lxf import SchemeConfig, max_char_speed, run
 
 
 def _scalar_flux(law: ConservationLaw) -> Callable[[np.ndarray], np.ndarray]:
@@ -293,7 +293,8 @@ def viscous_limit_compare(law: ConservationLaw, pair: EntropyPair, u_l: float,
     distance to the exact Riemann solution at time t.
 
     Refuses h > eps/4 (unresolved viscosity invalidates the comparison).
-    Each run takes SchemeConfig's default cfl_safety.
+    Each run takes SchemeConfig's default cfl_safety, at the speed
+    ``max_char_speed`` gives the step data, which ``run`` checks.
     Returns rows (eps, l1_distance, final snapshot); distances are
     expected non-increasing along a decreasing eps list.
     """
@@ -303,8 +304,7 @@ def viscous_limit_compare(law: ConservationLaw, pair: EntropyPair, u_l: float,
     h = grid.h[0]
     x = grid.centers(0)
     step_data = np.where(x < 0.0, u_l, u_r)[:, np.newaxis]
-    us = np.linspace(min(u_l, u_r), max(u_l, u_r), 65)
-    a_max = max(float(np.max(np.abs(_scalar_fprime(law)(us)))), 1e-12)
+    a_max = max(max_char_speed(law, grid.with_data(step_data)), 1e-12)
 
     rows = []
     for eps in eps_list:

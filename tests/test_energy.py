@@ -120,10 +120,10 @@ class TestConeSlope:
         assert cone_slope(sys, grid_1d(8, m=2)) == pytest.approx(0.0, abs=1e-12)
 
 
-def advection_trace(cells=400, t_end=0.5, lam=1.0, radius=0.1):
+def advection_trace(cells=400, t_end=0.5, lam=1.0, radius=0.1, center=None):
     law, _ = advection_law(1.0)
     grid = grid_1d(cells, extent=4.0)
-    initial = profiles.bump(grid, 1.0, radius)
+    initial = profiles.bump(grid, 1.0, radius, center)
     config = SchemeConfig(lam=lam, t_end=t_end, cfl_safety=1.0, output_stride=10)
     return run(law, initial, config)
 
@@ -142,6 +142,13 @@ class TestSupport:
         trace = advection_trace()
         verdict = support_test(trace, 0.1, 1.0, tol=0.0)
         assert verdict.passed
+
+    def test_cone_is_measured_from_the_centre(self):
+        # from the origin, the bump at 0.5 lies outside the cone at t = 0
+        trace = advection_trace(center=[0.5])
+        assert support_test(trace, 0.1, 1.0, center=[0.5]).passed
+        verdict = support_test(trace, 0.1, 1.0)
+        assert not verdict.passed and verdict.first_violation[0] == 0.0
 
     def test_slow_cone_fails(self):
         trace = advection_trace()

@@ -1063,6 +1063,18 @@ def pressure_jump(cfl):
             SchemeConfig(lam=cfl / np.sqrt(1.4), t_end=0.2))
 
 
+def speed_system(**kw):
+    """1D M0 = 1, M1 = u: speed |u| at each cell."""
+    return SystemDef(n=1, m=1, coeff=(MatrixField.constant([[1.0]]),
+                                      MatrixField.of_state(1, lambda u: u[..., None])), **kw)
+
+
+def speed_state(amplitude):
+    """u = 0.5 + amplitude sin(2 pi x) on 32 periodic cells of [0, 1)."""
+    grid = GridField.zeros((32,), 1.0 / 32, 1.0 / 64, 1)
+    return grid.with_data(0.5 + amplitude * np.sin(2 * np.pi * grid.centers(0))[:, None])
+
+
 class TestCflGuard:
     """The CFL bound lambda * a * n <= cfl_safety, checked on every cell at
     run start and, for a system with max_speed and a field that is not
@@ -1118,8 +1130,51 @@ class TestCflGuard:
 
     def test_cfl_inequality_has_its_relative_and_absolute_slack(self):
         for lam_a_n, cfl, exceeded in [(0.9, 0.9, False), (0.9 * (1 + 5e-10), 0.9, False),
-                                       (0.9 * (1 + 2e-9), 0.9, True), (1e-12, 1e-300, False)]:
+                                       (0.9 * (1 + 2e-9), 0.9, True), (1e-12, 1e-300, False),
+                                       (float("nan"), 0.9, True)]:
             assert lxf._exceeds_cfl(lam_a_n, cfl) is exceeded
+
+    def test_a_nan_speed_at_run_start_breaks_the_bound(self):
+        # it ran to the end with a_star = nan and a stability event "ok"
+        def speed(u):
+            s = np.abs(u[..., 0])
+            s[5] = np.nan
+            return s
+        sys, initial = speed_system(max_speed=speed), speed_state(0.1)
+        with pytest.raises(StabilityError, match=r"lambda \* a_star \* n = nan exceeds"):
+            run(sys, initial, SchemeConfig(lam=0.5, t_end=0.1))
+
+    def test_a_nan_speed_after_a_step_aborts_at_the_first_nan_cell(self):
+        # the source grows u until max_speed turns NaN; all 32 steps ran
+        sys = speed_system(max_speed=lambda u: np.where(np.abs(u[..., 0]) > 0.6, np.nan,
+                                                        np.abs(u[..., 0])),
+                           source=lambda x, u: u)
+        initial, config = speed_state(0.05), SchemeConfig(lam=0.5, t_end=0.5)
+        trace = run(sys, initial, config)
+        assert not trace.completed and trace.steps == 7
+        event = trace.events[-1]
+        assert np.isnan(event["lambda_a_n"])
+        assert trace.error == f"lambda * a * n = nan exceeds cfl_safety = 0.9 at cell " \
+                              f"{event['cell']} after step 7"
+        k = config.lam * initial.h[0]
+        unguarded = run(replace(sys, max_speed=None), initial, replace(config, t_end=7 * k))
+        assert event["cell"] == (int(np.argmax(np.abs(unguarded.snapshots[-1].data[:, 0]) > 0.6)),)
+
+    def test_a_nan_characteristic_speed_breaks_the_bound(self):
+        # max_abs_speed kept 0.0 against the NaN, so the run started with
+        # a_star = 0 and aborted at step 1 on a non-finite state
+        grid = speed_state(0.1)
+        nan_at = grid.centers(0)[9]
+
+        def m1(x, u):
+            out = np.ones(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (1, 1))
+            out[x[..., 1] == nan_at] = np.nan
+            return out
+        sys = SystemDef(n=1, m=1, coeff=(MatrixField.constant([[1.0]]), MatrixField(1, m1)))
+        assert np.isnan(max_abs_speed(sys, grid.points(0.0), grid.data))
+        assert np.isnan(max_char_speed(sys, grid))
+        with pytest.raises(StabilityError, match=r"lambda \* a_star \* n = nan exceeds"):
+            run(sys, grid, SchemeConfig(lam=0.5, t_end=0.1))
 
     @pytest.mark.parametrize("build", [
         lambda: maxwell_system()[0],

@@ -10,6 +10,10 @@ into the source, built from the model's own coefficient fields and closed-form
 derivatives of u*.  Then u* solves the system exactly, and Lax-Friedrichs at
 a fixed ratio lambda converges to it at first order.
 
+A linear system with (t, x) coefficients goes through ``LinearSystem.as_system``
+with the forcing f = Q u*_t + A u*_x + B u*, so that its own source f - B u
+is under test too.
+
 The law path is held to the same oracle: inviscid Burgers from smooth
 periodic data before its shock time, against the exact solution by
 characteristics (``law_rhs`` and ``lxf_step``), and viscous Burgers with a
@@ -20,6 +24,7 @@ import dataclasses
 
 import numpy as np
 
+from shsys.energy import LinearSystem
 from shsys.grid import GridField
 from shsys.lxf import SchemeConfig, run
 from shsys.models import burgers_law, euler_polytropic_sh
@@ -62,6 +67,51 @@ def test_euler_sh_1d_converges_at_first_order():
     # L1 errors 2.98e-3 at N = 400 and 1.50e-3 at N = 800: order 0.994
     system = manufactured(euler_polytropic_sh(1.4, n=1), euler_1d_exact)
     coarse, fine = (l1_error(system, euler_1d_exact, cells, 0.5, 0.25) for cells in (400, 800))
+    assert 0.9 <= np.log2(coarse / fine) <= 1.1, (coarse, fine)
+
+
+def linear_exact(t, x):
+    """u* = (sin 2 pi (x - t), cos 2 pi (x + t/2)) and its t and x
+    derivatives."""
+    a, b = TWO_PI * (x - t), TWO_PI * (x + 0.5 * t)
+    u = np.stack([np.sin(a), np.cos(b)], axis=-1)
+    u_t = np.stack([-TWO_PI * np.cos(a), -0.5 * TWO_PI * np.sin(b)], axis=-1)
+    u_x = np.stack([TWO_PI * np.cos(a), -TWO_PI * np.sin(b)], axis=-1)
+    return u, u_t, u_x
+
+
+def linear_q(t, x):
+    """Q(t, x), not diagonal, so the steps solve with it by LU."""
+    q = np.empty(np.shape(t) + (2, 2))
+    q[..., 0, 0] = 2.0 + 0.5 * np.sin(TWO_PI * x[..., 0])
+    q[..., 0, 1] = q[..., 1, 0] = 0.3
+    q[..., 1, 1] = 1.5 + 0.2 * np.cos(TWO_PI * (x[..., 0] + t))
+    return q
+
+
+def linear_a(t, x):
+    a = np.empty(np.shape(t) + (2, 2))
+    a[..., 0, 0], a[..., 1, 1] = 0.5, -0.3
+    a[..., 0, 1] = a[..., 1, 0] = 1.0 + 0.2 * np.sin(TWO_PI * x[..., 0])
+    return a
+
+
+LINEAR_B = np.array([[0.1, 0.0], [0.05, 0.2]])
+
+
+def linear_forcing(t, x):
+    """f = Q u*_t + A u*_x + B u*."""
+    star, star_t, star_x = linear_exact(t, x[..., 0])
+    return (np.einsum("...ij,...j->...i", linear_q(t, x), star_t)
+            + np.einsum("...ij,...j->...i", linear_a(t, x), star_x)
+            + star @ LINEAR_B.T)
+
+
+def test_linear_system_with_t_x_coefficients_converges_at_first_order():
+    # L1 errors 3.08e-2 at N = 400 and 1.55e-2 at N = 800: order 0.990
+    system = LinearSystem(1, 2, linear_q, [linear_a], b=LINEAR_B,
+                          forcing=linear_forcing).as_system()
+    coarse, fine = (l1_error(system, linear_exact, cells, 0.4, 0.25) for cells in (400, 800))
     assert 0.9 <= np.log2(coarse / fine) <= 1.1, (coarse, fine)
 
 

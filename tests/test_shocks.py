@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from shsys import profiles
 from shsys.entropy import ConservationLaw
+from shsys import shocks
 from shsys.grid import GridField
 from shsys.lxf import SchemeConfig, run
 from shsys.models import (advection_law, burgers_law,
@@ -389,3 +390,23 @@ class TestViscousLimit:
         dists = [r[1] for r in rows]
         assert dists[1] <= dists[0] * 1.1
         assert dists[2] <= dists[1] * 1.1
+
+    @pytest.mark.parametrize("law, u_l, u_r", [
+        (burgers_law((-6.0, 6.0))[0], 5.0, 0.0), (burgers_law((-6.0, 6.0))[0], -4.5, 1.0),
+        (polynomial_scalar_law([0.0, -0.3, 0.0, 1.0], (0.0, 3.0))[0], 0.2, 1.7)])
+    def test_step_size_takes_the_speed_of_the_end_states(self, monkeypatch, law, u_l, u_r):
+        # |f'| of a convex flux peaks at u_l or u_r, so the speed of the
+        # step data is the peak of |f'| on [u_l, u_r]
+        configs = []
+        monkeypatch.setattr(shocks, "run", lambda law, initial, config: (
+            configs.append(config) or run(law, initial, config)))
+        grid = grid_1d(40, extent=2.0, boundary="outflow")  # h = eps/4
+        viscous_limit_compare(law, None, u_l, u_r, [0.2], grid, t=0.05)
+        us = np.linspace(min(u_l, u_r), max(u_l, u_r), 65)
+        a_max = float(np.max(np.abs(shocks._scalar_fprime(law)(us))))
+        h = grid.h[0]
+        # a_max > 4, so the hyperbolic bound is the smaller one
+        assert h / (2.0 * a_max) < h ** 2 / (2.0 * 0.2)
+        k = SchemeConfig.cfl_safety * min(h ** 2 / (2.0 * 0.2), h / (2.0 * a_max))
+        assert [c.lam for c in configs] == [k / h]
+        assert a_max == max(abs(shocks._scalar_fprime(law)(np.array([u_l, u_r]))))
