@@ -59,6 +59,7 @@ _LIMITS = {
     ("model", "gamma"): (lambda v: v <= 1, "must exceed 1"),
     ("model", "lam"): (lambda v: v < 0, "must be non-negative"),
     ("model", "flux_coeffs"): (lambda v: not v, "must list at least one coefficient"),
+    ("initial", "radius"): (lambda v: v <= 0, "must be positive"),
     ("checks", "is_sh.per_axis"): (lambda v: v < 1, "must be >= 1"),
     ("checks", "viscous_limit.eps"): (lambda v: any(e <= 0 for e in v), "entries must be > 0"),
     ("checks", "viscous_limit.t"): (lambda v: v <= 0, "must be positive"),

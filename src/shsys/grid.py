@@ -160,8 +160,6 @@ def _window_table(shape: tuple, itemsize: int, budget: int) -> tuple:
     rows = shape[0]
     row_bytes = itemsize * math.prod(shape[1:])
     count = -(-rows // max(1, budget // max(1, row_bytes)))
-    if count <= 1:
-        return (None,), rows
     # near-equal windows, the longer ones first
     size, longer = divmod(rows, count)
     stops = [r * size + min(r, longer) for r in range(count + 1)]
@@ -171,8 +169,8 @@ def _window_table(shape: tuple, itemsize: int, budget: int) -> tuple:
 def row_windows(data: np.ndarray) -> tuple:
     """(windows, depth): the row windows (r0, r1) that split axis 0 of an
     array into near-equal parts of at most ``WINDOW_BYTES`` each (at least
-    one row), and the largest window's row count.  An array that fits the
-    budget has the single window None, the whole axis."""
+    one row), and the largest window's row count.  An array of N0 rows
+    that fits the budget has the single window (0, N0)."""
     return _window_table(data.shape, data.itemsize, WINDOW_BYTES)
 
 

@@ -47,8 +47,8 @@ is padded once in a copy (``grid.ghosted``).  So each axis-0 translate or
 difference is one ufunc call on slices of rows.  The flux is evaluated
 on the padded rows too: a flux is evaluated cell by cell, so a ghost
 row's flux is its source cell's, bit for bit.  Each RHS closure keeps its
-own scratch (a viscous run one spare array), so a step allocates no
-state-sized array beyond what user callables return.
+own scratch, and a viscous plan the heat term's array, so a step
+allocates no state-sized array beyond what user callables return.
 
 The stencils sweep the grid in row windows along axis 0
 (``grid.row_windows``, at most ``grid.WINDOW_BYTES`` of state each): an
@@ -185,16 +185,6 @@ def max_char_speed(system, state: GridField, t: float = 0.0) -> float:
                          state.data.reshape(-1, state.m)[idx])
 
 
-def _rows(a: np.ndarray, rows: Optional[tuple]) -> np.ndarray:
-    """Rows r0:r1 of a grid-sized array; the array itself for the whole axis."""
-    return a if rows is None else a[rows[0]:rows[1]]
-
-
-def _head(a: Optional[np.ndarray], rows: Optional[tuple]) -> Optional[np.ndarray]:
-    """The first r1 - r0 rows of a window-sized scratch array."""
-    return a if rows is None or a is None else a[:rows[1] - rows[0]]
-
-
 def lxf_average(state: GridField, out: Optional[np.ndarray] = None,
                 rows: Optional[tuple] = None, plan: Optional[StepPlan] = None) -> np.ndarray:
     """(1/2n) sum over axes of both neighbor translates, summed from zero
@@ -303,14 +293,15 @@ class StepPlan:
     row at each end of axis 0, as ``grid.GhostField``s (``fields``), and
     their ghost rows' sources (``grid.ghost_rows``); the row windows and
     the stencils (``grid.stencil``) of each window's average on the padded
-    rows; the ``grid.divisor`` pair of the average's 2n; and for each step
-    size k in ``ks`` k, k/(2h) and eps k/h^2, every operand a 0-d array
-    (``core.operand``).  A step reads ``load(state)`` and returns
+    rows; the ``grid.divisor`` pair of the average's 2n; each step size k
+    in ``ks`` as a 0-d array (``core.operand``); and for a ``viscosity``,
+    the ``viscous_step``'s operands k/(2h) and eps k/h^2 and its
+    ``heat_term`` array.  A step reads ``load(state)`` and returns
     ``field(state, out)``, which fills the ghost rows of the field it
     writes, so the fields that steps, guards and monitors get always hold
     their neighbours across axis 0."""
 
-    def __init__(self, state: GridField, ks: tuple, viscosity: float = 0.0):
+    def __init__(self, state: GridField, ks: tuple, viscosity: Optional[float] = None):
         shape = state.data.shape
         padded = (shape[0] + 2,) + shape[1:]
         self.fields = tuple(GhostField.around(state, np.empty(padded)) for _ in range(2))
@@ -319,10 +310,12 @@ class StepPlan:
         self.translates = {rows: _translates(state, rows) for rows in self.windows}
         scale, two_n = divisor(2.0 * state.n)
         self.two_n = scale, operand(two_n)
-        h = state.h[0]
         self.k = {k: operand(k) for k in ks}
-        self.heat = {k: (operand(k / (2.0 * h)), operand(viscosity * k / h ** 2))
-                     for k in ks}
+        if viscosity is not None:
+            # h as a float64: an h^2 that overflows is an operand of 0, not an OverflowError
+            h = np.float64(state.h[0])
+            self.heat = {k: (operand(k / (2.0 * h)), operand(viscosity * k / h ** 2)) for k in ks}
+            self.heat_term = np.empty(shape)
 
     def _fill(self, field: GhostField) -> GhostField:
         padded, ((ghost0, source0), (ghost1, source1)) = field.padded, self.ghosts
@@ -411,21 +404,23 @@ def _window_rhs(source: Optional[Callable], fluxes: Sequence[Optional[Callable]]
         scales = [divisor(2.0 * hj) for hj in state.h]
         fields = [None] * len(coeffs)
         for rows in windows:
-            acc, du_w, product_w = _rows(target, rows), _head(du, rows), _head(product, rows)
+            r0, r1 = rows
+            acc, du_w = target[r0:r1], du[:r1 - r0]
+            product_w, spare_w = (a if a is None else a[:r1 - r0] for a in (product, spare))
             # the sum starts from 0.0 or the source: start - C_1 D_1 w_1
-            start = ZERO if src is None else _rows(src, rows)
+            start = ZERO if src is None else src[r0:r1]
             for j, coeff in enumerate(coeffs):
                 # D_j w_j = (tau_j w_j - tau_j^-1 w_j) / 2h, as grid.centered_diff
                 stencil(u.shape, j, state.boundary, 0, rows).difference(du_w, ws[j])
                 scale, two_h = scales[j]
                 scale(du_w, two_h, out=du_w)
                 if layers[j] is not None:
-                    apply_layers(layers[j], du_w, out=product_w, spare=_head(spare, rows),
+                    apply_layers(layers[j], du_w, out=product_w, spare=spare_w,
                                  plus_zero=source is not None)
                 elif coeff is not None:
                     if fields[j] is None:
                         fields[j] = coeff(x, u)
-                    np.matmul(_rows(fields[j], rows), du_w[..., None],
+                    np.matmul(fields[j][r0:r1], du_w[..., None],
                               out=product_w.reshape(product_w.shape + (1,)))
                     if rows is windows[-1]:
                         # one field at a time is alive when the grid is one window
@@ -485,7 +480,7 @@ def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
     scaled = rhs(t, state)
     k = plan.k[k]
     for rows in plan.windows:
-        part, step = _rows(out, rows), _rows(scaled, rows)
+        part, step = out[slice(*rows)], scaled[slice(*rows)]
         lxf_average(state, out=part, rows=rows, plan=plan)
         np.multiply(step, k, out=step)
         np.add(part, step, out=part)
@@ -495,41 +490,37 @@ def lxf_step(state: GridField, rhs: Callable[[float, GridField], np.ndarray],
 def viscous_step(state: GridField, law: ConservationLaw, config: SchemeConfig,
                  t: float = 0.0, k: Optional[float] = None,
                  out: Optional[np.ndarray] = None,
-                 spare: Optional[np.ndarray] = None,
                  plan: Optional[StepPlan] = None) -> GridField:
     """Forward-Euler step of d_t u + d_x f(u) = eps d_xx u (1D only):
     centered flux difference plus the explicit three-point heat stencil.
-    The new data is written to ``out``; ``spare`` holds the heat term.
-    Both come from ``grid.out_array``, and ``spare`` must not overlap
-    ``out`` either.  The state (``StepPlan.load``) and its flux are read
-    on the padded rows, so each translate is a slice of rows.  Only ``run``
-    passes ``plan``, built for this grid, k and the viscosity, with ``out``
-    and ``spare`` its own buffers, as in ``lxf_step``: the step then makes
-    no check."""
+    The new data is written to ``out`` (``grid.out_array``), the heat term
+    to the plan's ``heat_term``.  The state (``StepPlan.load``) and its flux
+    are read on the padded rows, so each translate is a slice of rows.
+    Only ``run`` passes ``plan``, built for this grid, k and the viscosity,
+    with ``out`` the data of one of its fields, as in ``lxf_step``: the step
+    then makes no check.  A step without one builds its own plan."""
     if state.n != 1 or law.n != 1:
         raise ValueError("viscous stepping is implemented for one space dimension")
     if plan is None:
         out = out_array(state.data, out)
-        # checked against the state, then against out
-        spare = out_array(out, out_array(state.data, spare, name="spare"), name="spare")
         k = config.lam * state.h[0] if k is None else k
         plan = StepPlan(state, (k,), config.viscosity)
     state = plan.load(state)
-    data, u = state.data, state.padded
+    data, u, heat = state.data, state.padded, plan.heat_term
     flux_scale, heat_scale = plan.heat[k]
     # the operations of data - c (tau+ f - tau- f) + d ((tau+ u - 2u) + tau- u),
-    # in that order; the heat term is built in spare, from 2u (data + data,
-    # without a scalar operand) up, after the flux is dropped
+    # in that order; the heat term is built in the plan's heat_term, from
+    # 2u (data + data, without a scalar operand) up, after the flux is dropped
     flux = _flux_values(law.flux[0], "flux[0]", data, u)
     np.subtract(flux[2:], flux[:-2], out=out)
     del flux
-    np.add(data, data, out=spare)
-    np.subtract(u[2:], spare, out=spare)
-    np.add(spare, u[:-2], out=spare)
-    np.multiply(spare, heat_scale, out=spare)
+    np.add(data, data, out=heat)
+    np.subtract(u[2:], heat, out=heat)
+    np.add(heat, u[:-2], out=heat)
+    np.multiply(heat, heat_scale, out=heat)
     np.multiply(out, flux_scale, out=out)
     np.subtract(data, out, out=out)
-    np.add(out, spare, out=out)
+    np.add(out, heat, out=out)
     if law.source is not None:
         out += plan.k[k] * batch_checked(law.source(state.points(t), data), data.shape, 1,
                                          "source")
@@ -591,7 +582,8 @@ def check_stability(system, initial: GridField, config: SchemeConfig) -> float:
     if config.viscosity > 0:
         h = _uniform_h(initial)
         k = config.lam * h
-        bound = config.cfl_safety * h ** 2 / (2.0 * config.viscosity)
+        # h^2 as a float64: an overflow is a bound of +inf, not an OverflowError
+        bound = config.cfl_safety * np.float64(h) ** 2 / (2.0 * config.viscosity)
         if k > bound * (1.0 + 1e-9):
             raise StabilityError(f"k = {k:.6g} exceeds the parabolic bound {bound:.6g}")
     return a_star
@@ -643,7 +635,7 @@ def run(system, initial: GridField, config: SchemeConfig,
     the run alternates between them: step i reads one and writes the
     interior of the other, ``plan.fields[i % 2]``, through the steppers'
     ``out=``.  The RHS closure it builds keeps one scratch set, and a
-    viscous run keeps one more array for the heat term.  A state handed to
+    viscous run's plan one more array for the heat term.  A state handed to
     a monitor is valid only during that call; the trace keeps copies.
 
     Each new state goes through the run's ``_guards``; the first violation
@@ -698,10 +690,9 @@ def run(system, initial: GridField, config: SchemeConfig,
     total_steps = n_full + (1 if remainder else 0)
 
     # one plan for every step, each step called by its module name
-    plan = StepPlan(initial, (k, remainder), config.viscosity)
+    plan = StepPlan(initial, (k, remainder), config.viscosity or None)
     if config.viscosity > 0:
-        stepper = partial(viscous_step, law=system, config=config,
-                          spare=np.empty(initial.data.shape), plan=plan)
+        stepper = partial(viscous_step, law=system, config=config, plan=plan)
     else:
         rhs = law_rhs(system) if isinstance(system, ConservationLaw) else system_rhs(system)
         stepper = partial(lxf_step, rhs=rhs, config=config, plan=plan)

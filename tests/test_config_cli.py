@@ -294,6 +294,16 @@ class TestParseConfig:
         # viscous_limit's other required parameters are missing, on line 0
         assert [error for error in info.value.errors if error[0]] == [(5, f"'{key}' {rule}")]
 
+    # the bump divides by radius^2: radius = 0 exited 0 with a divide-by-zero
+    # RuntimeWarning and all-zero data, and radius = -0.1 acted as 0.1
+    @pytest.mark.parametrize("value", ["0", "-0.1", "-0.0"])
+    def test_bump_radius_must_be_positive(self, value):
+        text = (f"[model]\nname = wave\n[initial]\nprofile = bump\namplitude = 1\n"
+                f"radius = {value}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == [(6, "'radius' must be positive")]
+
     @pytest.mark.parametrize("key", ["support.margin_cells", "rh.tol"])
     def test_non_negative_check_parameters_take_zero(self, key):
         check, _, param = key.partition(".")

@@ -14,7 +14,7 @@ from shsys.energy import LinearSystem, energy
 from shsys.entropy import ConservationLaw
 from shsys.grid import GridField, centered_diff
 from shsys import lxf
-from shsys.lxf import (SchemeConfig, StabilityError, _sample_cells, apply_layers,
+from shsys.lxf import (SchemeConfig, StabilityError, StepPlan, _sample_cells, apply_layers,
                        law_rhs, lxf_step, max_char_speed, run, single_entry_layers,
                        stacked_solve, system_rhs, viscous_step)
 from shsys.models import (advection_law, burgers_law, euler_conservative_1d,
@@ -126,6 +126,36 @@ class TestViscousStep:
         config = SchemeConfig(lam=k / h, t_end=1.0, viscosity=eps)
         out = viscous_step(grid.with_data(data), law, config, k=k)
         assert np.all(np.diff(out.data[:, 0]) <= 1e-15)
+
+    def test_only_a_viscous_plan_holds_the_heat_operands(self):
+        grid = grid_1d(16)
+        plan = StepPlan(grid, (0.1, 0.05))
+        assert not hasattr(plan, "heat") and not hasattr(plan, "heat_term")
+        plan = StepPlan(grid, (0.1, 0.05), 0.0)
+        assert set(plan.heat) == {0.1, 0.05} and plan.heat_term.shape == grid.data.shape
+
+    def test_a_spacing_whose_square_overflows_runs(self):
+        # h^2 = 1e400 overflows a double: the parabolic bound is +inf and
+        # eps k/h^2 is 0, where a float's ** raised OverflowError
+        law, _ = burgers_law()
+        h = 1e200
+        initial = profiles.step(GridField.zeros((100,), h, -49.5 * h, 1), [1.0], [0.0])
+        trace = run(law, initial, SchemeConfig(lam=0.25, t_end=h, viscosity=0.02))
+        assert trace.completed and trace.steps == 4
+        assert all(np.isfinite(snap.data).all() for snap in trace.snapshots)
+        with np.errstate(over="ignore"):
+            assert StepPlan(initial, (0.25 * h,), 0.02).heat[0.25 * h][1] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.floats(1e-150, 1e150), eps=st.floats(1e-3, 10.0))
+    def test_finite_squares_keep_their_bits(self, h, eps):
+        # np.float64(h) ** 2 is h ** 2 bit for bit wherever that is finite,
+        # so the operand eps k/h^2 and the parabolic bound keep their bits
+        assert (np.float64(h) ** 2).tobytes() == np.float64(h ** 2).tobytes()
+        k = 0.25 * h
+        plan = StepPlan(GridField.zeros((1,), h, 0.0, 1), (k,), eps)
+        assert plan.heat[k][1].tobytes() == np.float64(eps * k / h ** 2).tobytes()
+        assert plan.heat[k][0].tobytes() == np.float64(k / (2.0 * h)).tobytes()
 
 
 class TestRun:

@@ -62,7 +62,7 @@ class TestWindowTable:
         table, depth = row_windows(np.empty(shape))
         assert len(table) == windows
         if windows == 1:
-            assert table == (None,) and depth == shape[0]
+            assert table == ((0, shape[0]),) and depth == shape[0]
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 31, 32, 33, 100])
     @pytest.mark.parametrize("per_window", [1, 2, 3, 4, 10])
@@ -70,9 +70,7 @@ class TestWindowTable:
         data = np.empty((rows, 3, 2))
         with budget(per_window * row_bytes(data) + 7):
             table, depth = row_windows(data)
-        if rows <= per_window:
-            assert table == (None,) and depth == rows
-            return
+        assert len(table) == 1 or rows > per_window
         assert table[0][0] == 0 and table[-1][1] == rows
         assert all(a[1] == b[0] for a, b in zip(table, table[1:]))
         sizes = [r1 - r0 for r0, r1 in table]
@@ -454,6 +452,9 @@ def test_first_rhs_call_allocates_one_state_and_two_windows():
     windows, depth = row_windows(state.data)
     window = depth * row_bytes(state.data)
     assert len(windows) > 4
+    # the call caches its stencils: in a cache that earlier tests filled,
+    # one more entry can resize the cache's table by some 300 KB
+    stencil.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -494,47 +495,19 @@ class TestOverlappingOutput:
         with pytest.raises(ValueError, match="out must not overlap"):
             viscous_step(initial, law, config, out=initial.data[::-1])
 
-    def test_viscous_step_rejects_a_spare_overlapping_the_input(self):
-        # the spare held the heat term over the state, which came back up
-        # to 1.39 away from the right step, silently
-        law, initial, config, _ = burgers_case("outflow", viscosity=0.01)
-        data = initial.data.copy()
-        with pytest.raises(ValueError, match="spare must not overlap"):
-            viscous_step(initial, law, config, spare=initial.data)
-        with pytest.raises(ValueError, match="spare must not overlap"):
-            viscous_step(initial, law, config, spare=initial.data[::-1])
-        assert initial.data.tobytes() == data.tobytes()
-
-    def test_viscous_step_rejects_a_spare_overlapping_out(self):
-        law, initial, config, _ = burgers_case("outflow", viscosity=0.01)
-        out = np.empty_like(initial.data)
-        with pytest.raises(ValueError, match="spare must not overlap"):
-            viscous_step(initial, law, config, out=out, spare=out)
-        buf = np.empty((2,) + initial.data.shape)
-        with pytest.raises(ValueError, match="spare must not overlap"):
-            viscous_step(initial, law, config, out=buf[0], spare=buf.reshape(-1)[5:5 + out.size]
-                         .reshape(out.shape))
-        want = viscous_step(initial, law, config).data
-        got = viscous_step(initial, law, config, out=buf[0], spare=buf[1]).data
-        assert got.tobytes() == want.tobytes()
-
     def test_a_strided_out_is_rejected_before_writing(self):
         # on axis 0 too, where no flat view catches it: a 1D state
         law, initial, config, _ = burgers_case("outflow", viscosity=0.01)
         n = initial.data.shape[0]
         buf = np.zeros((n, 2))
-        calls = {
-            "out": [lambda o: lxf_step(initial, law_rhs(law), config, out=o),
-                    lambda o: lxf_average(initial, out=o),
-                    lambda o: viscous_step(initial, law, config, out=o),
-                    lambda o: centered_diff(initial, 0, out=o),
-                    lambda o: grid.shifted(initial.data, 0, 1, "outflow", out=o)],
-            "spare": [lambda o: viscous_step(initial, law, config, spare=o)],
-        }
-        for name, fns in calls.items():
-            for fn in fns:
-                with pytest.raises(ValueError, match=f"{name} must be a C-contiguous"):
-                    fn(buf[:, ::2])
+        calls = [lambda o: lxf_step(initial, law_rhs(law), config, out=o),
+                 lambda o: lxf_average(initial, out=o),
+                 lambda o: viscous_step(initial, law, config, out=o),
+                 lambda o: centered_diff(initial, 0, out=o),
+                 lambda o: grid.shifted(initial.data, 0, 1, "outflow", out=o)]
+        for fn in calls:
+            with pytest.raises(ValueError, match="out must be a C-contiguous"):
+                fn(buf[:, ::2])
         assert not buf.any()
 
     def test_separate_buffers_are_accepted(self):

@@ -268,10 +268,6 @@ def test_viscous_step_into_out_equals_allocating_step():
     into = viscous_step(initial, law, config, t=0.2, out=buf)
     assert into.data is buf
     assert into.data.tobytes() == state.data.tobytes()
-    spare = np.full(initial.data.shape, np.nan)
-    into = viscous_step(initial, law, config, t=0.2, out=buf, spare=spare)
-    assert into.data is buf
-    assert into.data.tobytes() == state.data.tobytes()
 
 
 def maxwell_wave(cells):
@@ -339,7 +335,7 @@ def test_steps_allocate_no_state_sized_arrays(monkeypatch):
 
 def test_viscous_step_allocates_no_more_than_lxf_step(monkeypatch):
     # both steps evaluate the same Burgers flux, which allocates; beyond
-    # that, run's spare array leaves the heat stencil nothing to allocate
+    # that, the plan's heat_term leaves the heat stencil nothing to allocate
     law, _ = burgers_law()
     h = 2.0 / 20_000
     grid = GridField.zeros((20_000,), h, -1.0 + h / 2, 1, "outflow")
